@@ -23,7 +23,8 @@ from numpy.typing import NDArray
 from .bem import CauchyData
 from .errors import BreakdownSignal
 from .evolution import FlowState
-from .geometry import BoundaryMesh, polygon_area, self_intersects
+from .geometry import (BoundaryMesh, polygon_area, self_intersects,
+                       side_wall_crossing)
 
 FloatArray = NDArray[np.float64]
 
@@ -263,7 +264,8 @@ def detect_breakdown(state: FlowState, detectors: DetectorConfig,
                      L: float | None = None) -> BreakdownSignal | None:
     """First matching detector in fixed priority order, or None.
 
-    Priority: bottom contact, self-intersection, marker collision,
+    Priority: bottom contact, self-intersection (a side-wall crossing
+    included, as in ``build_boundary_mesh``), marker collision,
     curvature blow-up, virial overflow.  Timestep collapse and solver
     failure are raised where they occur (adaptive_dt / rk4_step).
     """
@@ -273,6 +275,10 @@ def detect_breakdown(state: FlowState, detectors: DetectorConfig,
         i = int(np.argmin(x[:, 1]))
         return BreakdownSignal(t_break=t, kind="bottom_contact",
                                detail=f"marker {i} at x2={x[i, 1]:.3e}")
+    i = side_wall_crossing(state.curve)
+    if i is not None:
+        return BreakdownSignal(t_break=t, kind="self_intersection",
+                               detail=f"marker {i} crosses a side wall at x1={x[i, 0]:.3e}")
     if self_intersects(state.curve):
         return BreakdownSignal(t_break=t, kind="self_intersection",
                                detail="interface polyline crosses itself")

@@ -17,12 +17,10 @@ from scipy.interpolate import PchipInterpolator
 from .bem import CauchyData, solve_surface_dirichlet
 from .errors import (BottomContactError, BreakdownError, BreakdownSignal,
                      GeometryError, SelfIntersectionError, SingularMatrixError)
-from .geometry import InterfaceCurve, BoundaryMesh, build_boundary_mesh
+from .geometry import (CORNER_LEFT, CORNER_RIGHT, BoundaryMesh, InterfaceCurve,
+                       build_boundary_mesh)
 
 FloatArray = NDArray[np.float64]
-
-CORNER_LEFT = np.array([0.0, 1.0])
-CORNER_RIGHT = np.array([1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -135,8 +133,6 @@ def _wrap_stage_failure(t: float, stage: int, exc: Exception) -> BreakdownError:
         kind = "self_intersection"
     elif isinstance(exc, BottomContactError):
         kind = "bottom_contact"
-    elif isinstance(exc, SingularMatrixError):
-        kind = "solver_failure"
     else:
         kind = "solver_failure"
     return BreakdownError(BreakdownSignal(

@@ -87,41 +87,58 @@ def flat_interface(n_markers: int) -> InterfaceCurve:
     return InterfaceCurve(alpha, x)
 
 
-def _segments_intersect(p, p2, q, q2) -> bool:
-    """Proper or improper intersection of segments [p,p2] and [q,q2]."""
-    d1 = p2 - p
-    d2 = q2 - q
-    r = q - p
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    num_t = r[0] * d2[1] - r[1] * d2[0]
-    num_s = r[0] * d1[1] - r[1] * d1[0]
-    if abs(denom) < 1e-14 * (np.linalg.norm(d1) * np.linalg.norm(d2) + 1e-300):
-        # Parallel: overlap only if collinear with overlapping spans.
-        if abs(num_t) > 1e-12 * (np.linalg.norm(d1) + np.linalg.norm(r) + 1e-300):
-            return False
-        axis = int(np.argmax(np.abs(d1)))
-        lo1, hi1 = sorted((p[axis], p2[axis]))
-        lo2, hi2 = sorted((q[axis], q2[axis]))
-        return max(lo1, lo2) <= min(hi1, hi2)
-    t = num_t / denom
-    s = num_s / denom
-    return 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0
-
-
 def self_intersects(curve: InterfaceCurve) -> bool:
-    """True iff any two non-adjacent segments of the polyline cross.
+    """True iff any two non-adjacent segments of the polyline meet.
 
-    O(n^2) pairwise test; fine at desk scale.
+    Vectorised over all n^2/2 non-adjacent segment pairs at once, so time
+    and memory are O(n^2) in the marker count.  A pair meets when its
+    crossing parameters t, s both lie in the closed interval [0, 1]; a
+    parallel pair meets only when it is collinear and its spans overlap
+    along the dominant axis of the first segment.
     """
     x = curve.x
     n_seg = x.shape[0] - 1
-    if n_seg < 2:
-        return False
-    for i in range(n_seg):
-        for j in range(i + 2, n_seg):
-            if _segments_intersect(x[i], x[i + 1], x[j], x[j + 1]):
-                return True
-    return False
+    i, j = np.triu_indices(n_seg, 2)
+    d = np.diff(x, axis=0)
+    ell = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    d1x, d1y = d[i, 0], d[i, 1]
+    d2x, d2y = d[j, 0], d[j, 1]
+    rx = x[j, 0] - x[i, 0]
+    ry = x[j, 1] - x[i, 1]
+    denom = d1x * d2y - d1y * d2x
+    num_t = rx * d2y - ry * d2x
+    num_s = rx * d1y - ry * d1x
+    parallel = np.abs(denom) < 1e-14 * (ell[i] * ell[j] + 1e-300)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num_t / denom
+        s = num_s / denom
+    crosses = ~parallel & (0.0 <= t) & (t <= 1.0) & (0.0 <= s) & (s <= 1.0)
+
+    # Parallel pairs: overlap only if collinear with overlapping spans.
+    k = np.flatnonzero(parallel)
+    ik, jk = i[k], j[k]
+    norm_r = np.sqrt(rx[k] * rx[k] + ry[k] * ry[k])
+    collinear = np.abs(num_t[k]) <= 1e-12 * (ell[ik] + norm_r + 1e-300)
+    axis = (np.abs(d1x[k]) < np.abs(d1y[k])).astype(np.intp)
+    a1, a2 = x[ik, axis], x[ik + 1, axis]
+    b1, b2 = x[jk, axis], x[jk + 1, axis]
+    lo = np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
+    hi = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2))
+    overlaps = collinear & (lo <= hi)
+    return bool(crosses.any() or overlaps.any())
+
+
+def side_wall_crossing(curve: InterfaceCurve) -> int | None:
+    """First marker outside the strip 0 <= x1 <= 1 beyond roundoff, or None.
+
+    A surface that leaves the strip has crossed a side wall of the box, so
+    both the mesh builder and the breakdown detector treat it as a
+    self-intersection of the closed boundary.
+    """
+    x1 = curve.x[:, 0]
+    outside = np.flatnonzero((x1 < -_WALL_CLAMP) | (x1 > 1.0 + _WALL_CLAMP))
+    return int(outside[0]) if outside.size else None
 
 
 @dataclass(frozen=True)
@@ -207,9 +224,9 @@ def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> Bou
     """
     if wall_panels_per_side < 4:
         raise ValueError("wall_panels_per_side must be >= 4")
-    x = curve.x.copy()
-    if np.any(x[:, 0] < -_WALL_CLAMP) or np.any(x[:, 0] > 1.0 + _WALL_CLAMP):
+    if side_wall_crossing(curve) is not None:
         raise SelfIntersectionError("interface crosses a side wall (x1 outside [0,1])")
+    x = curve.x.copy()
     np.clip(x[:, 0], 0.0, 1.0, out=x[:, 0])
     if np.any(x[:, 1] <= 0.0):
         raise BottomContactError("interface touches the bottom wall (x2 <= 0)")

@@ -13,9 +13,10 @@ from wavebox.diagnostics import (DetectorConfig, DiagnosticsRecord,
                                  identity_residual_26, inequality_checks,
                                  int_u1_squared, riccati_envelope,
                                  virial_parts, wall_u2_squared)
+from wavebox.errors import SelfIntersectionError
 from wavebox.evolution import FlowState
 from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
-                              flat_interface)
+                              flat_interface, self_intersects)
 from wavebox.kernels import gauss_legendre
 from wavebox.modes import initial_A, make_reference_data, sample_initial_state
 
@@ -202,6 +203,21 @@ class TestDetectors:
         x2 = np.array([1.0, 1.2, 0.6, 0.6, 1.2, 1.0])
         state = self.make_state(InterfaceCurve(alpha, np.column_stack([x1, x2])))
         assert detect_breakdown(state, self.detectors()).kind == "self_intersection"
+
+    def test_side_wall_crossing(self):
+        # A simple polyline that bulges through the right wall: the mesh
+        # builder rejects it as a self-intersection, and so must the detector,
+        # which the runner consults before the next step builds a mesh.
+        alpha = np.linspace(0.0, 1.0, 24)
+        x = np.column_stack([alpha, np.ones(24)])
+        x[22, 0] = 1.02
+        state = self.make_state(InterfaceCurve(alpha, x))
+        assert not self_intersects(state.curve)
+        sig = detect_breakdown(state, self.detectors())
+        assert sig.kind == "self_intersection" and sig.t_break == 1.0
+        assert "marker 22" in sig.detail
+        with pytest.raises(SelfIntersectionError):
+            build_boundary_mesh(state.curve, 4)
 
     def test_marker_collision(self):
         alpha = np.linspace(0.0, 1.0, 11)
