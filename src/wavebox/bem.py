@@ -59,12 +59,19 @@ def solve_mixed_bvp(mesh: BoundaryMesh,
         raise ValueError(f"expected {int(wall.sum())} wall fluxes, got {q_w.shape}")
 
     n = mesh.n_panels
+    sl = mesh.surface_slice
     S, D = kernels.influence_matrices(mesh, mesh.midpoints)
-    Dh = D + 0.5 * np.eye(n)
+    D[np.diag_indices(n)] += 0.5             # D + I/2
 
+    rhs = np.empty(n + 1)
+    # Mask-selected columns come out Fortran-ordered, which picks BLAS's
+    # column-sweeping gemv; a C-ordered slice view would sum in another order.
+    rhs[:n] = D[:, surf] @ phi_s - S[:, wall] @ q_w
+    rhs[n] = -float(np.dot(mesh.lengths[wall], q_w))
     A = np.empty((n + 1, n + 1))
-    A[:n, :n][:, surf] = S[:, surf]          # unknown surface fluxes
-    A[:n, :n][:, wall] = -Dh[:, wall]        # unknown wall values
+    A[:n, sl] = S[:, sl]                     # unknown surface fluxes
+    np.negative(D[:, :sl.start], out=A[:n, :sl.start])   # unknown wall values
+    np.negative(D[:, sl.stop:], out=A[:n, sl.stop:n])
     # Exact discrete compatibility: the net boundary flux of a harmonic
     # function vanishes, but midpoint collocation only gets it to truncation
     # error.  A Lagrange multiplier spread over all collocation equations
@@ -72,9 +79,6 @@ def solve_mixed_bvp(mesh: BoundaryMesh,
     A[:n, n] = 1.0
     A[n, :n] = np.where(surf, mesh.lengths, 0.0)
     A[n, n] = 0.0
-    rhs = np.empty(n + 1)
-    rhs[:n] = Dh[:, surf] @ phi_s - S[:, wall] @ q_w
-    rhs[n] = -float(np.dot(mesh.lengths[wall], q_w))
 
     z = solve_dense(DenseSystem(matrix=A, rhs=rhs))[:n]
 

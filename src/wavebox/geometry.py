@@ -271,13 +271,25 @@ def polygon_area(mesh: BoundaryMesh) -> float:
 def point_segment_distance(points: FloatArray, a: FloatArray, b: FloatArray) -> FloatArray:
     """Distances from each point (m,2) to each segment (n,2)->(n,2); (m,n)."""
     pts = np.atleast_2d(points)
-    d = b - a                                    # (n,2)
-    ell2 = np.einsum("ij,ij->j", d.T, d.T)       # (n,)
-    rel = pts[:, None, :] - a[None, :, :]        # (m,n,2)
-    t = np.einsum("mnj,nj->mn", rel, d) / np.maximum(ell2, 1e-300)
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(pts[:, None, :] - proj, axis=2)
+    dx = b[:, 0] - a[:, 0]
+    dy = b[:, 1] - a[:, 1]
+    # Clamped foot-point parameter t of each point on each segment's line.
+    t = np.subtract.outer(pts[:, 0], a[:, 0])
+    t *= dx
+    t += np.subtract.outer(pts[:, 1], a[:, 1]) * dy
+    t /= np.maximum(dx * dx + dy * dy, 1e-300)
+    np.clip(t, 0.0, 1.0, out=t)
+    # Offset from the foot point a + t*d, one component at a time.
+    ex = t * dx
+    ex += a[:, 0]
+    np.subtract(pts[:, 0][:, None], ex, out=ex)
+    ey = np.multiply(t, dy, out=t)
+    ey += a[:, 1]
+    np.subtract(pts[:, 1][:, None], ey, out=ey)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    return np.sqrt(ex, out=ex)
 
 
 def points_inside(mesh: BoundaryMesh, points: FloatArray) -> NDArray[np.bool_]:

@@ -68,27 +68,45 @@ def solve_dense(system: DenseSystem) -> FloatArray:
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def _local_coords(a, b, lengths, tangents, normals, targets):
+def _local_coords(a, lengths, tangents, normals, targets):
     """Panel-local coordinates of targets: (xi along tangent from a, eta along normal).
 
     Shapes: targets (m,2), panels (n,...); returns (m,n) arrays u1, u2, eta
     with u1 = -xi, u2 = length - xi (endpoint offsets from the foot point).
+    Built from x/y component arrays, so no (m,n,2) temporary is formed.
     """
-    rel = targets[:, None, :] - a[None, :, :]
-    xi = np.einsum("mnj,nj->mn", rel, tangents)
-    eta = np.einsum("mnj,nj->mn", rel, normals)
-    return -xi, lengths[None, :] - xi, eta
+    rx = np.subtract.outer(targets[:, 0], a[:, 0])
+    ry = np.subtract.outer(targets[:, 1], a[:, 1])
+    xi = rx * tangents[:, 0]
+    xi += ry * tangents[:, 1]
+    eta = np.multiply(rx, normals[:, 0], out=rx)
+    ry *= normals[:, 1]
+    eta += ry
+    del ry                  # u2 can then take its storage
+    u2 = np.subtract(lengths, xi)
+    return np.negative(xi, out=xi), u2, eta
 
 
-def _log_antiderivative(u: FloatArray, eta: FloatArray) -> FloatArray:
-    """F(u) = u*ln sqrt(u^2+eta^2) - u + eta*atan(u/eta), continuous at eta=0."""
-    r2 = u * u + eta * eta
-    safe = r2 > 0.0
-    out = np.zeros_like(u)
+def _arctan_ratio(u: FloatArray, eta: FloatArray, out=None) -> FloatArray:
+    """atan(u/eta), +-pi/2 or nan where eta == 0 (callers mask those)."""
+    # Plain arctan of the ratio: arctan2 would wrap to +-pi for eta < 0
+    # (targets on the interior side) and corrupt the subtended angle.
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.where(safe, 0.5 * np.log(np.where(safe, r2, 1.0)), 0.0)
-        atan_term = np.where(eta != 0.0, eta * np.arctan(u / np.where(eta != 0.0, eta, 1.0)), 0.0)
-    out = u * log_term - u + atan_term
+        out = np.divide(u, eta, out=out)
+    return np.arctan(out, out=out)
+
+
+def _u_log_r_minus_u(u: FloatArray, eta2: FloatArray, out: FloatArray) -> FloatArray:
+    """u ln sqrt(u^2 + eta^2) - u into out, with ln r taken as 0 at r = 0."""
+    np.multiply(u, u, out=out)
+    out += eta2
+    at_endpoint = out == 0.0
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    out[at_endpoint] = 0.0
+    out *= 0.5
+    out *= u
+    out -= u
     return out
 
 
@@ -98,20 +116,43 @@ def influence_matrices(mesh, targets: FloatArray):
     Returns (S, D) of shape (m, n):
       S[i,j] = int_panel_j G(x_i, y) ds(y)
       D[i,j] = int_panel_j dG/dn_y(x_i, y) ds(y)   (principal value on-panel)
+
+    In panel-local coordinates S = -(F(u2) - F(u1)) / 2pi with the
+    antiderivative F(u) = u ln sqrt(u^2+eta^2) - u + eta atan(u/eta),
+    continuous at eta = 0, and D = (atan(u2/eta) - atan(u1/eta)) / 2pi.
+    Each arctan is evaluated once and shared by S and D, and each spent
+    array's storage takes the next value, so at most six (m,n) arrays are
+    live at once.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = _local_coords(mesh.a, mesh.b, mesh.lengths, mesh.tangents,
+    u1, u2, eta = _local_coords(mesh.a, mesh.lengths, mesh.tangents,
                                 mesh.normals, targets)
-    S = -(_log_antiderivative(u2, eta) - _log_antiderivative(u1, eta)) / TWO_PI
-    # Plain arctan of the ratio: arctan2 would wrap to +-pi for eta < 0
-    # (targets on the interior side) and corrupt the subtended angle.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = (np.arctan(u2 / eta) - np.arctan(u1 / eta)) / TWO_PI
+    on_axis = eta == 0.0
+    eta2 = eta * eta
+
+    # F(u2) into S; u2's storage then takes eta*atan(u2/eta), 0 at eta = 0,
+    # and next atan(u1/eta).
+    D = _arctan_ratio(u2, eta)
+    S = _u_log_r_minus_u(u2, eta2, out=np.empty_like(eta))
+    eta_atan = np.multiply(eta, D, out=u2)
+    eta_atan[on_axis] = 0.0
+    S += eta_atan
+    atan1 = _arctan_ratio(u1, eta, out=u2)
+    D -= atan1
+    eta_atan = np.multiply(eta, atan1, out=atan1)
+    eta_atan[on_axis] = 0.0
     # Targets on the panel line (self-panel midpoints in particular) get the
     # principal value 0; without the mask, roundoff-scale eta would make the
-    # subtended angle flip to +-pi and D to +-1/2.
-    on_line = np.abs(eta) <= 1e-12 * mesh.lengths[None, :]
-    D = np.where(on_line, 0.0, D)
+    # subtended angle flip to +-pi and D to +-1/2.  eta's storage then takes
+    # F(u1).
+    on_line = np.abs(eta, out=eta) <= 1e-12 * mesh.lengths
+    F1 = _u_log_r_minus_u(u1, eta2, out=eta)
+    F1 += eta_atan
+    S -= F1
+    np.negative(S, out=S)
+    S /= TWO_PI
+    D /= TWO_PI
+    D[on_line] = 0.0
     return S, D
 
 
@@ -122,52 +163,40 @@ def influence_gradients(mesh, targets: FloatArray):
     every panel (interior evaluation only).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = _local_coords(mesh.a, mesh.b, mesh.lengths, mesh.tangents,
+    u1, u2, eta = _local_coords(mesh.a, mesh.lengths, mesh.tangents,
                                 mesh.normals, targets)
-    r1sq = u1 * u1 + eta * eta
-    r2sq = u2 * u2 + eta * eta
+    eta2 = eta * eta
+    r1sq = u1 * u1
+    r1sq += eta2
+    r2sq = u2 * u2
+    r2sq += eta2
     if np.any(r1sq < 1e-28) or np.any(r2sq < 1e-28):
         raise GeometryError("influence_gradients: target coincides with a panel endpoint")
-    t = mesh.tangents[None, :, :]
-    n = mesh.normals[None, :, :]
     # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between limits
-    dlog = 0.5 * (np.log(r2sq) - np.log(r1sq))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dang = np.arctan(u2 / eta) - np.arctan(u1 / eta)
+    neg_dlog = np.log(r2sq)
+    neg_dlog -= np.log(r1sq)
+    neg_dlog *= 0.5
+    np.negative(neg_dlog, out=neg_dlog)
+    dang = _arctan_ratio(u2, eta)
+    dang -= _arctan_ratio(u1, eta)
     # eta == 0 only for collinear off-panel targets; they subtend zero angle.
-    dang = np.where(eta == 0.0, 0.0, dang)
-    gradS = -(-dlog[:, :, None] * t + dang[:, :, None] * n) / TWO_PI
+    dang[eta == 0.0] = 0.0
     # grad of int dG/dn ds, from d/dx atan(u/eta) = (eta*grad u - u*grad eta)/r^2
     # with grad u = -t, grad eta = n.
-    term2 = (-eta[:, :, None] * t - u2[:, :, None] * n) / r2sq[:, :, None]
-    term1 = (-eta[:, :, None] * t - u1[:, :, None] * n) / r1sq[:, :, None]
-    gradD = (term2 - term1) / TWO_PI
+    neg_eta = np.negative(eta, out=eta)
+    gradS = np.empty(eta.shape + (2,))
+    gradD = np.empty(eta.shape + (2,))
+    for c in range(2):
+        t, n = mesh.tangents[:, c], mesh.normals[:, c]
+        gs = np.multiply(neg_dlog, t, out=gradS[..., c])
+        gs += dang * n
+        np.negative(gs, out=gs)
+        gs /= TWO_PI
+        base = neg_eta * t
+        term2 = base - u2 * n
+        term2 /= r2sq
+        term1 = np.subtract(base, u1 * n, out=base)
+        term1 /= r1sq
+        np.subtract(term2, term1, out=gradD[..., c])
+        gradD[..., c] /= TWO_PI
     return gradS, gradD
-
-
-def panel_log_integrals(a, b, target):
-    """Single- and double-layer integrals of one straight panel at one target.
-
-    On-panel targets use the analytic logarithmic formula for the single
-    layer; the double-layer principal value is 0 on a straight panel.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = b - a
-    ell = float(np.linalg.norm(d))
-    if ell <= 1e-14:
-        raise GeometryError("panel_log_integrals: degenerate panel")
-    tangent = d / ell
-    normal = np.array([tangent[1], -tangent[0]])
-
-    class _OnePanel:
-        pass
-
-    m = _OnePanel()
-    m.a = a[None, :]
-    m.b = b[None, :]
-    m.lengths = np.array([ell])
-    m.tangents = tangent[None, :]
-    m.normals = normal[None, :]
-    S, D = influence_matrices(m, np.asarray(target, dtype=np.float64)[None, :])
-    return float(S[0, 0]), float(D[0, 0])

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ from . import bem, kernels
 from .diagnostics import (DetectorConfig, DiagnosticsRecord, constant_c1,
                           detect_breakdown, fill_derived, int_pressure,
                           int_u1_squared, virial_parts, wall_u2_squared)
-from .errors import BreakdownError, BreakdownSignal
+from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative,
                         velocity_from_cauchy)
@@ -47,6 +48,22 @@ RECORD_TIME_SLOP = 1e-12
 
 class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
+
+
+def _checked_number(name: str, value, integral: bool = False):
+    """A finite real config value, as an int when ``integral``; else ConfigError.
+
+    Floats pass through unconverted, so config.json keeps the given spelling.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integral:
+        if not float(value).is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,12 +109,27 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "modes",
-                           tuple((int(k), float(a)) for k, a in self.modes))
-        object.__setattr__(self, "bem_panel_counts",
-                           tuple(int(n) for n in self.bem_panel_counts))
-        object.__setattr__(self, "bem_mode_ks",
-                           tuple(int(k) for k in self.bem_mode_ks))
+        for f in dataclasses.fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name, _checked_number(
+                    f.name, getattr(self, f.name), integral=True))
+            elif f.type == "float":
+                _checked_number(f.name, getattr(self, f.name))
+        object.__setattr__(self, "modes", tuple(
+            (_checked_number("mode wavenumber", k, integral=True),
+             float(_checked_number("mode coefficient", a)))
+            for k, a in self.modes))
+        object.__setattr__(self, "bem_panel_counts", tuple(
+            _checked_number("bem_panel_counts entry", n, integral=True)
+            for n in self.bem_panel_counts))
+        object.__setattr__(self, "bem_mode_ks", tuple(
+            _checked_number("bem_mode_ks entry", k, integral=True)
+            for k in self.bem_mode_ks))
+        if len(self.bem_panel_counts) < 2 or min(self.bem_panel_counts) < 8:
+            raise ConfigError("bem_panel_counts needs at least two counts, "
+                              "each at least 8 (a convergence order needs two)")
+        if any(k < 1 for k in self.bem_mode_ks):
+            raise ConfigError("bem_mode_ks entries must be positive")
         if self.n_markers < 8:
             raise ConfigError("n_markers must be at least 8")
         if self.wall_panels_per_side < 4:
@@ -225,8 +257,17 @@ def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
     try:
         while True:
             if state.t >= next_record - RECORD_TIME_SLOP:
-                rec = _collect_record(state, last_dt, cfg.lattice_n,
-                                      cfg.near_field_factor)
+                try:
+                    rec = _collect_record(state, last_dt, cfg.lattice_n,
+                                          cfg.near_field_factor)
+                except GeometryError:
+                    # A step that lands on a record time can leave a surface
+                    # that bounds no domain; stop as the detector classifies it.
+                    breakdown = detect_breakdown(
+                        state, detectors, L=records[-1].L if records else None)
+                    if breakdown is None:
+                        raise
+                    break
                 records.append(rec)
                 snapshots.append((state.curve.alpha.copy(),
                                   state.curve.x.copy()))

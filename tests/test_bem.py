@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from wavebox import kernels
 from wavebox.bem import (CauchyData, admissible_interior, dtn_surface,
                          eval_interior, solve_mixed_bvp,
                          solve_surface_dirichlet)
 from wavebox.errors import NearBoundaryError
-from wavebox.geometry import build_boundary_mesh, flat_interface
+from wavebox.geometry import (BC_DIRICHLET_SURFACE, BC_NEUMANN_WALL,
+                              InterfaceCurve, build_boundary_mesh,
+                              flat_interface)
 
 
 def mode_data(mesh, k):
@@ -80,6 +83,50 @@ class TestMixedSolve:
         full = solve_surface_dirichlet(mesh, phi[sl])
         np.testing.assert_array_equal(dtn_surface(mesh, phi[sl]),
                                       full.fluxes[sl])
+
+
+def reference_solve(mesh, phi_s, q_w):
+    """The collocation system as first assembled: D + I/2 and mask-filled columns."""
+    surf = mesh.bc_kind == BC_DIRICHLET_SURFACE
+    wall = mesh.bc_kind == BC_NEUMANN_WALL
+    n = mesh.n_panels
+    S, D = kernels.influence_matrices(mesh, mesh.midpoints)
+    Dh = D + 0.5 * np.eye(n)
+    A = np.empty((n + 1, n + 1))
+    A[:n, :n][:, surf] = S[:, surf]
+    A[:n, :n][:, wall] = -Dh[:, wall]
+    A[:n, n] = 1.0
+    A[n, :n] = np.where(surf, mesh.lengths, 0.0)
+    A[n, n] = 0.0
+    rhs = np.empty(n + 1)
+    rhs[:n] = Dh[:, surf] @ phi_s - S[:, wall] @ q_w
+    rhs[n] = -float(np.dot(mesh.lengths[wall], q_w))
+    z = kernels.solve_dense(kernels.DenseSystem(matrix=A, rhs=rhs))[:n]
+    values = np.where(surf, 0.0, z)
+    values[surf] = phi_s
+    fluxes = np.where(surf, z, 0.0)
+    fluxes[wall] = q_w
+    return values, fluxes
+
+
+class TestAssemblyBitEquality:
+    """The slice-filled system solves to the same bits as the mask-filled one."""
+
+    @pytest.mark.parametrize("n_markers,wall_panels,bump", [
+        (24, 8, 0.0), (96, 24, 0.0), (33, 12, 0.2)])
+    def test_same_bits(self, n_markers, wall_panels, bump):
+        alpha = np.linspace(0.0, 1.0, n_markers)
+        x2 = 1.0 + bump * np.sin(np.pi * alpha) ** 2
+        mesh = build_boundary_mesh(
+            InterfaceCurve(alpha, np.column_stack([alpha, x2])), wall_panels)
+        rng = np.random.default_rng(n_markers)
+        phi_s = rng.standard_normal(n_markers - 1)
+        for q_w in (np.zeros(3 * wall_panels),
+                    rng.standard_normal(3 * wall_panels)):
+            cd = solve_mixed_bvp(mesh, phi_s, q_w)
+            values, fluxes = reference_solve(mesh, phi_s, q_w)
+            assert np.array_equal(cd.values, values)
+            assert np.array_equal(cd.fluxes, fluxes)
 
 
 class TestInteriorEvaluation:

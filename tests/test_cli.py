@@ -1,6 +1,7 @@
 """Command-line interface and its exit-code contract."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -47,6 +48,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 2
 
 
+    @pytest.mark.parametrize("coefficient", [math.inf, math.nan])
+    def test_non_finite_mode_is_exit_2(self, tmp_path, capsys, coefficient):
+        cfg = write_cfg(tmp_path, {"modes": [[1, coefficient]], "n_markers": 16})
+        assert main(["simulate", "--config", cfg]) == 2
+
+    def test_fractional_marker_count_is_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"n_markers": 16.5})
+        assert main(["simulate", "--config", cfg]) == 2
+
+
 class TestVerifyCommand:
     def test_round_trip(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(modes=reference_modes(), n_markers=24,
@@ -69,6 +80,11 @@ class TestValidateBemCommand:
         assert main(["validate-bem", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "constant data" in out and "order" in out
+
+    def test_single_panel_count_is_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"bem_panel_counts": [32],
+                                   "bem_mode_ks": [1]})
+        assert main(["validate-bem", "--config", cfg]) == 2
 
     def test_broken_kernel_sign_fails(self, monkeypatch, capsys):
         # negative control: flip the single-layer sign and the sweep must fail

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavebox.errors import GeometryError, SingularMatrixError
-from wavebox.geometry import build_boundary_mesh, flat_interface
-from wavebox.kernels import (DenseSystem, gauss_legendre, influence_gradients,
-                             influence_matrices, panel_log_integrals,
+from wavebox.geometry import (BC_NEUMANN_WALL, BoundaryMesh, InterfaceCurve,
+                              build_boundary_mesh, flat_interface)
+from wavebox.kernels import (TWO_PI, DenseSystem, gauss_legendre,
+                             influence_gradients, influence_matrices,
                              solve_dense)
+from wavebox.modes import make_reference_data, sample_initial_state
 
 
 class TestGaussLegendre:
@@ -62,6 +64,16 @@ class TestSolveDense:
             DenseSystem(matrix=np.ones((3, 2)), rhs=np.ones(3))
         with pytest.raises(ValueError):
             DenseSystem(matrix=np.full((3, 3), np.nan), rhs=np.ones(3))
+
+
+def panel_log_integrals(a, b, target):
+    """S and D of the straight panel a -> b at one target, as floats."""
+    mesh = BoundaryMesh(a=np.array([a], dtype=np.float64),
+                        b=np.array([b], dtype=np.float64),
+                        bc_kind=np.array([BC_NEUMANN_WALL]), n_markers=0,
+                        wall_panels_per_side=0)
+    S, D = influence_matrices(mesh, np.asarray(target, dtype=np.float64))
+    return float(S[0, 0]), float(D[0, 0])
 
 
 class TestPanelIntegrals:
@@ -153,3 +165,177 @@ class TestInfluenceGradients:
         mesh = build_boundary_mesh(flat_interface(9), 4)
         with pytest.raises(GeometryError):
             influence_gradients(mesh, mesh.a[3][None, :])
+
+
+# ---------------------------------------------------------------------------
+# Bit-equality against the kernels as first written: (m,n,2) offset arrays
+# contracted by einsum, one arctan per use.  The production kernels reorder
+# the work (component arrays, one shared arctan per endpoint, in-place
+# ufuncs) and must still return the same bits, NaN positions and the sign of
+# zero included.
+# ---------------------------------------------------------------------------
+
+def _ref_local_coords(a, b, lengths, tangents, normals, targets):
+    rel = targets[:, None, :] - a[None, :, :]
+    xi = np.einsum("mnj,nj->mn", rel, tangents)
+    eta = np.einsum("mnj,nj->mn", rel, normals)
+    return -xi, lengths[None, :] - xi, eta
+
+
+def _ref_log_antiderivative(u, eta):
+    r2 = u * u + eta * eta
+    safe = r2 > 0.0
+    out = np.zeros_like(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = np.where(safe, 0.5 * np.log(np.where(safe, r2, 1.0)), 0.0)
+        atan_term = np.where(eta != 0.0, eta * np.arctan(u / np.where(eta != 0.0, eta, 1.0)), 0.0)
+    out = u * log_term - u + atan_term
+    return out
+
+
+def _ref_influence_matrices(mesh, targets):
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths, mesh.tangents,
+                                    mesh.normals, targets)
+    S = -(_ref_log_antiderivative(u2, eta) - _ref_log_antiderivative(u1, eta)) / TWO_PI
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = (np.arctan(u2 / eta) - np.arctan(u1 / eta)) / TWO_PI
+    on_line = np.abs(eta) <= 1e-12 * mesh.lengths[None, :]
+    D = np.where(on_line, 0.0, D)
+    return S, D
+
+
+def _ref_influence_gradients(mesh, targets):
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths, mesh.tangents,
+                                    mesh.normals, targets)
+    r1sq = u1 * u1 + eta * eta
+    r2sq = u2 * u2 + eta * eta
+    if np.any(r1sq < 1e-28) or np.any(r2sq < 1e-28):
+        raise GeometryError("influence_gradients: target coincides with a panel endpoint")
+    t = mesh.tangents[None, :, :]
+    n = mesh.normals[None, :, :]
+    dlog = 0.5 * (np.log(r2sq) - np.log(r1sq))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dang = np.arctan(u2 / eta) - np.arctan(u1 / eta)
+    dang = np.where(eta == 0.0, 0.0, dang)
+    gradS = -(-dlog[:, :, None] * t + dang[:, :, None] * n) / TWO_PI
+    term2 = (-eta[:, :, None] * t - u2[:, :, None] * n) / r2sq[:, :, None]
+    term1 = (-eta[:, :, None] * t - u1[:, :, None] * n) / r1sq[:, :, None]
+    gradD = (term2 - term1) / TWO_PI
+    return gradS, gradD
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, want, equal_nan=True)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_matrices_match(mesh, targets):
+    for got, want in zip(influence_matrices(mesh, targets),
+                         _ref_influence_matrices(mesh, targets)):
+        assert_same_bits(got, want)
+
+
+def assert_gradients_match(mesh, targets):
+    for got, want in zip(influence_gradients(mesh, targets),
+                         _ref_influence_gradients(mesh, targets)):
+        assert_same_bits(got, want)
+
+
+def bumped_mesh(n_markers=33, wall_panels=12, amplitude=0.15):
+    alpha = np.linspace(0.0, 1.0, n_markers)
+    x1 = alpha + 0.02 * np.sin(2.0 * np.pi * alpha)
+    x2 = 1.0 + amplitude * np.sin(np.pi * alpha) * np.cos(3.0 * alpha)
+    x2[[0, -1]] = 1.0
+    return build_boundary_mesh(InterfaceCurve(alpha, np.column_stack([x1, x2])),
+                               wall_panels)
+
+
+def line_targets(rng, k=12):
+    """Points on the four box lines x1 = 0, x1 = 1, x2 = 0, x2 = 1."""
+    s = rng.uniform(-0.5, 1.5, k)
+    zero, one = np.zeros(k), np.ones(k)
+    return np.vstack([np.column_stack([zero, s]), np.column_stack([one, s]),
+                      np.column_stack([s, zero]), np.column_stack([s, one])])
+
+
+class TestBitEquality:
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def meshes():
+        reference = sample_initial_state(make_reference_data(1.0), 96, 24).mesh
+        return {"flat": build_boundary_mesh(flat_interface(33), 16),
+                "reference": reference,
+                "bumped": bumped_mesh()}
+
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_midpoints(self, meshes, name):
+        mesh = meshes[name]
+        assert_matrices_match(mesh, mesh.midpoints)
+
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_random_interior_points(self, meshes, name):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0.05, 0.95, (150, 2))
+        assert_matrices_match(meshes[name], pts)
+        assert_gradients_match(meshes[name], pts)
+
+    @pytest.mark.parametrize("name", ["flat", "bumped"])
+    def test_exterior_points(self, meshes, name):
+        rng = np.random.default_rng(12)
+        pts = np.vstack([rng.uniform(-1.0, 0.0, (40, 2)),
+                         rng.uniform(1.2, 2.0, (40, 2))])
+        assert_matrices_match(meshes[name], pts)
+        assert_gradients_match(meshes[name], pts)
+
+    @pytest.mark.parametrize("name", ["flat", "bumped"])
+    def test_targets_on_panel_lines(self, meshes, name):
+        mesh = meshes[name]
+        rng = np.random.default_rng(13)
+        # Box lines hit the wall (and flat surface) panel lines exactly;
+        # points beyond a surface panel's end sit on its line up to roundoff.
+        d = mesh.b - mesh.a
+        pts = np.vstack([line_targets(rng), mesh.a - 0.5 * d, mesh.b + 0.5 * d])
+        S, D = influence_matrices(mesh, pts)
+        _, _, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
+                                      mesh.tangents, mesh.normals, pts)
+        assert np.count_nonzero(eta == 0.0) > 0
+        assert_matrices_match(mesh, pts)
+
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_targets_at_panel_endpoints(self, meshes, name):
+        mesh = meshes[name]
+        pts = np.vstack([mesh.a, mesh.b])
+        u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
+                                        mesh.tangents, mesh.normals, pts)
+        assert np.count_nonzero(u1 * u1 + eta * eta == 0.0) >= mesh.n_panels
+        assert_matrices_match(mesh, pts)
+
+    def test_gradients_reject_endpoints_alike(self, meshes):
+        mesh = meshes["bumped"]
+        for pts in (mesh.a[5:6], mesh.b[-3:-2]):
+            with pytest.raises(GeometryError):
+                _ref_influence_gradients(mesh, pts)
+            with pytest.raises(GeometryError):
+                influence_gradients(mesh, pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(amplitude=st.floats(-0.3, 0.3), n_markers=st.integers(9, 24),
+           wall_panels=st.integers(4, 8),
+           cells=st.lists(st.tuples(st.integers(-8, 24), st.integers(-8, 24)),
+                          min_size=1, max_size=12),
+           jitter=st.sampled_from([0.0, 1e-13, 0.37]))
+    def test_property(self, amplitude, n_markers, wall_panels, cells, jitter):
+        # Targets on a 1/16 grid hit wall lines, corners and wall panel
+        # endpoints exactly; the jitter moves them just off or well off.
+        mesh = bumped_mesh(n_markers, wall_panels, amplitude)
+        pts = np.vstack([np.array(cells, dtype=np.float64) / 16.0 + jitter,
+                         mesh.midpoints[::3]])
+        assert_matrices_match(mesh, np.vstack([pts, mesh.a[::5]]))
+        u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
+                                        mesh.tangents, mesh.normals, pts)
+        if min((u1 * u1 + eta * eta).min(), (u2 * u2 + eta * eta).min()) >= 1e-28:
+            assert_gradients_match(mesh, pts)

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wavebox.runner as runner
 from wavebox.diagnostics import DiagnosticsRecord
+from wavebox.evolution import FlowState
+from wavebox.geometry import InterfaceCurve
 from wavebox.runner import (ConfigError, RunConfig, evaluate_checks,
                             read_diagnostics_csv, run_simulation,
                             verify_identities, write_diagnostics_csv,
@@ -39,10 +42,27 @@ class TestRunConfig:
         {"dt_min": 0.1, "dt_max": 0.01},
         {"ident_tol": -1.0},
         {"lattice_n": 1},
+        {"n_markers": 16.5},
+        {"n_markers": True},
+        {"lattice_n": "16"},
+        {"cfl": math.nan},
+        {"t_end_cap": math.inf},
+        {"modes": [[1.5, 1.0]]},
+        {"bem_panel_counts": [32]},
+        {"bem_panel_counts": [4, 8]},
+        {"bem_panel_counts": [32, 64.5]},
+        {"bem_mode_ks": [0]},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
+
+    def test_integral_floats_become_ints(self):
+        cfg = RunConfig.from_dict({"n_markers": 16.0, "modes": [[2.0, 0.0]],
+                                   "bem_panel_counts": [32.0, 64]})
+        assert cfg.n_markers == 16 and isinstance(cfg.n_markers, int)
+        assert cfg.modes == ((2, 0.0),)
+        assert cfg.bem_panel_counts == (32, 64)
 
     def test_round_trip(self, tmp_path):
         cfg = RunConfig.from_dict(reference_config_dict())
@@ -239,3 +259,29 @@ class TestRunSimulation:
         run_simulation(cfg, progress=seen.append)
         assert len(seen) >= 2
         assert seen[0].t == 0.0
+
+
+class TestRecordTimeBreakdown:
+    def test_crossing_surface_on_a_record_time(self, monkeypatch):
+        # A step lands exactly on a record time with a surface that bulges
+        # through the right wall: the record cannot build a mesh, so the run
+        # stops with the detector's verdict instead of raising.
+        alpha = np.linspace(0.0, 1.0, 24)
+        x = np.column_stack([alpha, np.ones(24)])
+        x[22, 0] = 1.02
+
+        def crossing_step(state, dt, *args, **kwargs):
+            return FlowState(t=state.t + dt, curve=InterfaceCurve(alpha, x),
+                             phi=state.phi,
+                             wall_panels_per_side=state.wall_panels_per_side)
+
+        monkeypatch.setattr(runner, "rk4_step", crossing_step)
+        cfg = RunConfig.from_dict(dict(modes=[], n_markers=24,
+                                       wall_panels_per_side=8, record_dt=0.05,
+                                       t_end_cap=1.0, redistribute_every=0))
+        result = run_simulation(cfg)
+        assert result.n_steps == 1
+        assert len(result.records) == 1
+        assert result.breakdown.kind == "self_intersection"
+        assert result.breakdown.t_break == result.t_final == 0.05
+        assert "marker 22" in result.breakdown.detail
