@@ -30,6 +30,22 @@ def reference_config_dict(**overrides):
     return cfg
 
 
+def neg_config_dict():
+    """Sign-flipped data (negative starting virial value)."""
+    modes = [[k, -a] for k, a in reference_modes()]
+    # the criterion's cap: min(1, c1 / (2 |A|)) with c1 = 2, |A| = 7.7424...
+    cap = min(1.0, 1.0 / 7.742373439628838)
+    return reference_config_dict(modes=modes, n_markers=48,
+                                 wall_panels_per_side=16, record_dt=5e-4,
+                                 t_end_cap=cap)
+
+
+def still_config_dict():
+    """No initial motion."""
+    return dict(modes=[], n_markers=24, wall_panels_per_side=8,
+                record_dt=0.05, t_end_cap=1.0)
+
+
 def _run(tmp_factory, name, cfg_dict):
     out = str(tmp_factory.mktemp(name))
     cfg = RunConfig.from_dict(cfg_dict)
@@ -48,21 +64,13 @@ def ref_run(tmp_path_factory):
 @pytest.fixture(scope="session")
 def neg_run(tmp_path_factory):
     """Sign-flipped data (negative starting virial value)."""
-    modes = [[k, -a] for k, a in reference_modes()]
-    # the criterion's cap: min(1, c1 / (2 |A|)) with c1 = 2, |A| = 7.7424...
-    cap = min(1.0, 1.0 / 7.742373439628838)
-    cfg = reference_config_dict(modes=modes, n_markers=48,
-                                wall_panels_per_side=16, record_dt=5e-4,
-                                t_end_cap=cap)
-    return _run(tmp_path_factory, "neg", cfg)
+    return _run(tmp_path_factory, "neg", neg_config_dict())
 
 
 @pytest.fixture(scope="session")
 def still_run(tmp_path_factory):
     """No initial motion: must reach the time cap with every check green."""
-    cfg = dict(modes=[], n_markers=24, wall_panels_per_side=8,
-               record_dt=0.05, t_end_cap=1.0)
-    return _run(tmp_path_factory, "still", cfg)
+    return _run(tmp_path_factory, "still", still_config_dict())
 
 
 @pytest.fixture(scope="session")
