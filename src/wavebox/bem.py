@@ -91,13 +91,6 @@ def solve_mixed_bvp(mesh: BoundaryMesh,
     return CauchyData(values=values, fluxes=fluxes, value_prescribed=surf.copy())
 
 
-def dtn_surface(mesh: BoundaryMesh, surface_potential: FloatArray) -> FloatArray:
-    """Dirichlet-to-Neumann map with homogeneous wall flux; surface fluxes only."""
-    q_w = np.zeros(int((mesh.bc_kind == BC_NEUMANN_WALL).sum()))
-    cauchy = solve_mixed_bvp(mesh, surface_potential, q_w)
-    return cauchy.fluxes[mesh.surface_slice].copy()
-
-
 def solve_surface_dirichlet(mesh: BoundaryMesh, surface_potential: FloatArray) -> CauchyData:
     """Full Cauchy data for Dirichlet surface values and zero wall flux."""
     q_w = np.zeros(int((mesh.bc_kind == BC_NEUMANN_WALL).sum()))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import SingularMatrixError
 from .runner import ConfigError, RunConfig, simulate, validate_bem, verify_identities
 
 
@@ -56,8 +55,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrixError, ArithmeticError, RuntimeError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # Exit 1 means a check failed, so no other error may end as 1.
+        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -15,7 +15,7 @@ Every volume integral needed here is reduced to panel quadratures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -97,22 +97,30 @@ def int_pressure(mesh: BoundaryMesh, phi_cauchy: CauchyData,
     return -boundary_domain_integral(mesh, phi_t_cauchy) - 0.5 * dirichlet_energy
 
 
+def wall_tangential_speed(mesh: BoundaryMesh, cauchy: CauchyData) -> FloatArray:
+    """u2 on the right wall (x1=1), one value per wall panel midpoint.
+
+    On that wall u1 = 0, so the velocity is the tangential derivative of
+    the solved wall potential along x2.
+    """
+    sl = mesh.right_slice
+    return np.gradient(cauchy.values[sl], mesh.midpoints[sl, 1])
+
+
 def wall_u2_squared(mesh: BoundaryMesh, cauchy: CauchyData) -> float:
     """int_0^1 (u2(t,1,x2))^2 dx2 on the right wall."""
-    sl = mesh.right_slice
-    u2 = np.gradient(cauchy.values[sl], mesh.midpoints[sl, 1])
-    return float(np.dot(u2 ** 2, mesh.lengths[sl]))
+    u2 = wall_tangential_speed(mesh, cauchy)
+    return float(np.dot(u2 ** 2, mesh.lengths[mesh.right_slice]))
 
 
-def virial_parts(state: FlowState, cauchy: CauchyData | None = None):
+def virial_parts(state: FlowState):
     """(L, volume_part, wall_part) of the virial functional.
 
     volume_part = int_O u1 x1 dx, wall_part = int_0^1 x2 u2(t,1,x2) dx2;
     the wall part integrates by parts to phi(1,1) - int phi(1,x2) dx2.
     """
-    if cauchy is None:
-        cauchy = state.cauchy
     mesh = state.mesh
+    cauchy = state.cauchy
     flux_term = float(np.dot(mesh.midpoints[:, 0] * cauchy.values * mesh.normals[:, 0],
                              mesh.lengths))
     volume_part = flux_term - boundary_domain_integral(mesh, cauchy)
@@ -188,14 +196,6 @@ def identity_residual_27(records: list[DiagnosticsRecord]) -> float:
     return abs(lhs - rhs)
 
 
-def rhs_scale_26(record: DiagnosticsRecord) -> float:
-    return max(1.0, abs(record.int_u1sq) + abs(record.int_p) + abs(record.wall_p_integral))
-
-
-def rhs_scale_27(record: DiagnosticsRecord) -> float:
-    return max(1.0, 0.5 * abs(record.wall_u2sq) + abs(record.wall_p_integral))
-
-
 def inequality_checks(record: DiagnosticsRecord, area: float, c1: float,
                       dL_dt: float | None = None):
     """Slacks of the growth inequality, both Schwarz bounds, and the Riccati bound.
@@ -226,7 +226,7 @@ def fill_derived(records: list[DiagnosticsRecord], area0: float, c1: float,
     t = np.array([r.t for r in records])
     L = np.array([r.L for r in records])
     if A is not None and A > 0.0:
-        horizon = c1 / A
+        horizon = blowup_bound(A, c1)
         for r in records:
             if r.t < horizon:
                 r.envelope = riccati_envelope(A, c1, r.t)
@@ -251,13 +251,9 @@ def fill_derived(records: list[DiagnosticsRecord], area0: float, c1: float,
 @dataclass(frozen=True)
 class DetectorConfig:
     initial_spacing: float
+    curv_max: float
     collide_tol: float = 0.1
-    curv_max: float = None  # type: ignore[assignment]
     L_max: float = 1e6
-
-    def __post_init__(self):
-        if self.curv_max is None:
-            object.__setattr__(self, "curv_max", 100.0 / self.initial_spacing)
 
 
 def detect_breakdown(state: FlowState, detectors: DetectorConfig,

@@ -79,14 +79,14 @@ def marker_geometry(curve: InterfaceCurve):
     return t, n
 
 
-def velocity_from_cauchy(state: FlowState, cauchy: CauchyData) -> tuple[FloatArray, float]:
-    """Marker velocities from solved Cauchy data; corners projected to zero.
+def velocity_from_cauchy(state: FlowState) -> tuple[FloatArray, float]:
+    """Marker velocities from the state's Cauchy data; corners projected to zero.
 
     Normal component from the solved surface flux (panel midpoints averaged
     to markers), tangential component from differencing phi in arclength.
     """
     mesh = state.mesh
-    q_panels = mesh.marker_panel_from_surface(cauchy.fluxes[mesh.surface_slice])
+    q_panels = mesh.marker_panel_from_surface(state.cauchy.fluxes[mesh.surface_slice])
     n_mark = state.curve.n_markers
     q = np.empty(n_mark)
     q[0] = q_panels[0]
@@ -107,25 +107,16 @@ def velocity_from_cauchy(state: FlowState, cauchy: CauchyData) -> tuple[FloatArr
     return u, residual
 
 
-def surface_velocity(state: FlowState) -> FloatArray:
-    if state.curve.n_markers < 8:
-        raise ValueError("need at least 8 surface markers")
-    u, _ = velocity_from_cauchy(state, state.cauchy)
-    return u
-
-
 def state_derivative(state: FlowState) -> StateDerivative:
-    u, residual = velocity_from_cauchy(state, state.cauchy)
+    u, residual = velocity_from_cauchy(state)
     dphi = 0.5 * np.einsum("ij,ij->i", u, u)
     return StateDerivative(velocity=u, dphi=dphi, corner_residual=residual)
 
 
-def kinetic_energy(state: FlowState, cauchy: CauchyData | None = None) -> float:
+def kinetic_energy(state: FlowState) -> float:
     """E = (1/2) sum phi * flux * length over all panels (discrete boundary energy)."""
-    if cauchy is None:
-        cauchy = state.cauchy
-    mesh = state.mesh
-    return float(0.5 * np.sum(cauchy.values * cauchy.fluxes * mesh.lengths))
+    cauchy = state.cauchy
+    return float(0.5 * np.sum(cauchy.values * cauchy.fluxes * state.mesh.lengths))
 
 
 def _wrap_stage_failure(t: float, stage: int, exc: Exception) -> BreakdownError:
@@ -170,19 +161,15 @@ def rk4_step(state: FlowState, dt: float,
     return state.replace(t=t0 + dt, x=x1, phi=phi1)
 
 
-def adaptive_dt(state: FlowState, cfl: float,
-                dt_min: float = 1e-9, dt_max: float = 0.05,
-                speeds: FloatArray | None = None) -> float:
-    """CFL timestep: cfl * min(local spacing / local speed), clamped.
+def adaptive_dt(state: FlowState, speeds: FloatArray, cfl: float,
+                dt_min: float = 1e-9, dt_max: float = 0.05) -> float:
+    """CFL timestep: cfl * min(local spacing / local marker speed), clamped.
 
     A pre-clamp value below dt_min signals numerical blow-up and raises
     BreakdownError("timestep_collapse").
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must be in (0, 1]")
-    if speeds is None:
-        u = surface_velocity(state)
-        speeds = np.linalg.norm(u, axis=1)
     ell = state.curve.segment_lengths()
     spacing = np.empty(state.curve.n_markers)
     spacing[0] = ell[0]

@@ -182,15 +182,6 @@ class BoundaryMesh:
         return slice(2 * w, 2 * w + self.n_markers - 1)
 
     @property
-    def surface_index(self) -> FloatArray:
-        return np.arange(self.n_panels)[self.surface_slice]
-
-    @property
-    def wall_index(self) -> FloatArray:
-        mask = self.bc_kind == BC_NEUMANN_WALL
-        return np.arange(self.n_panels)[mask]
-
-    @property
     def bottom_slice(self) -> slice:
         return slice(0, self.wall_panels_per_side)
 

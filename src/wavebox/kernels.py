@@ -25,12 +25,6 @@ class QuadratureRule:
     nodes: FloatArray
     weights: FloatArray
 
-    def integrate(self, f, lo: float = -1.0, hi: float = 1.0) -> float:
-        """Integrate f over [lo, hi] via affine map of the reference rule."""
-        half = 0.5 * (hi - lo)
-        x = lo + half * (self.nodes + 1.0)
-        return float(half * np.dot(self.weights, f(x)))
-
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """Gauss-Legendre rule with n points on (-1, 1)."""

@@ -16,9 +16,9 @@ from numpy.typing import NDArray
 
 from .bem import (DEFAULT_NEAR_FIELD_FACTOR, CauchyData, admissible_interior,
                   eval_interior, solve_surface_dirichlet)
+from .diagnostics import wall_tangential_speed
 from .evolution import FlowState, velocity_from_cauchy
 from .geometry import BoundaryMesh
-from .errors import NearBoundaryError
 
 FloatArray = NDArray[np.float64]
 
@@ -26,7 +26,7 @@ FloatArray = NDArray[np.float64]
 def solve_phi_t(state: FlowState) -> CauchyData:
     """Cauchy data of the potential's time derivative on the current mesh."""
     mesh = state.mesh
-    u, _ = velocity_from_cauchy(state, state.cauchy)
+    u, _ = velocity_from_cauchy(state)
     half_speed2 = 0.5 * np.einsum("ij,ij->i", u, u)
     surface_data = -mesh.surface_panel_values(half_speed2)
     return solve_surface_dirichlet(mesh, surface_data)
@@ -114,25 +114,10 @@ def pressure_min(field: PressureField, n_per_side: int = 16):
     return float(p[i]), pts[i], float(np.abs(p).max())
 
 
-def wall_tangential_speed(field: PressureField) -> FloatArray:
-    """u2 on the right wall (x1=1), one value per wall panel midpoint.
-
-    On that wall u1 = 0, so the velocity is the tangential derivative of
-    the solved wall potential along x2.
-    """
-    mesh = field.mesh
-    sl = mesh.right_slice
-    x2 = mesh.midpoints[sl, 1]
-    phi_w = field.phi_cauchy.values[sl]
-    return np.gradient(phi_w, x2)
-
-
 def wall_pressure_values(field: PressureField) -> FloatArray:
     """p on the right wall from boundary data only: p = -phi_t - u2^2/2."""
-    mesh = field.mesh
-    sl = mesh.right_slice
-    u2 = wall_tangential_speed(field)
-    return -field.phi_t_cauchy.values[sl] - 0.5 * u2 ** 2
+    u2 = wall_tangential_speed(field.mesh, field.phi_cauchy)
+    return -field.phi_t_cauchy.values[field.mesh.right_slice] - 0.5 * u2 ** 2
 
 
 def wall_pressure_integral(field: PressureField) -> float:
@@ -141,23 +126,3 @@ def wall_pressure_integral(field: PressureField) -> float:
     sl = mesh.right_slice
     return float(np.dot(wall_pressure_values(field), mesh.lengths[sl]))
 
-
-def wall_normal_pressure_gradient(field: PressureField, offset: float,
-                                  n_samples: int = 9, h: float | None = None):
-    """Max |n . grad p| sampled at points offset from each wall, by central FD.
-
-    Diagnostic for the zero wall Neumann condition on p; offset must keep
-    the FD stencil out of the near-field band.
-    """
-    if h is None:
-        h = 0.25 * offset
-    ys = np.linspace(0.15, 0.85, n_samples)
-    worst = 0.0
-    for pts, normal in (
-            (np.column_stack([np.full(n_samples, offset), ys]), np.array([-1.0, 0.0])),
-            (np.column_stack([np.full(n_samples, 1.0 - offset), ys]), np.array([1.0, 0.0])),
-            (np.column_stack([ys, np.full(n_samples, offset)]), np.array([0.0, -1.0]))):
-        step = h * normal
-        dpdn = (pressure_at(field, pts + step) - pressure_at(field, pts - step)) / (2.0 * h)
-        worst = max(worst, float(np.abs(dpdn).max()))
-    return worst

@@ -24,20 +24,21 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import bem, kernels
-from .diagnostics import (DetectorConfig, DiagnosticsRecord, constant_c1,
-                          detect_breakdown, fill_derived, int_pressure,
-                          int_u1_squared, virial_parts, wall_u2_squared)
+from . import bem
+from .diagnostics import (DetectorConfig, DiagnosticsRecord, blowup_bound,
+                          constant_c1, detect_breakdown, fill_derived,
+                          int_pressure, int_u1_squared, virial_parts,
+                          wall_u2_squared)
 from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative,
                         velocity_from_cauchy)
-from .geometry import BoundaryMesh, build_boundary_mesh, flat_interface, polygon_area
+from .geometry import build_boundary_mesh, flat_interface, polygon_area
 from .modes import ModePotential, initial_A, sample_initial_state
 from .pressure import PressureField, pressure_min, wall_pressure_integral
 
@@ -215,9 +216,9 @@ def _collect_record(state: FlowState, dt_used: float,
     mesh = state.mesh
     cd = state.cauchy
     field_ = PressureField.from_state(state, near_field_factor)
-    L, volume_part, wall_part = virial_parts(state, cd)
+    L, volume_part, wall_part = virial_parts(state)
     p_min_val, _, p_absmax = pressure_min(field_, lattice_n)
-    _, corner_residual = velocity_from_cauchy(state, cd)
+    _, corner_residual = velocity_from_cauchy(state)
     rec = DiagnosticsRecord(t=state.t, L=L, volume_part=volume_part,
                             wall_part=wall_part)
     rec.int_u1sq = int_u1_squared(mesh, cd)
@@ -227,7 +228,7 @@ def _collect_record(state: FlowState, dt_used: float,
     rec.p_min = p_min_val
     rec.p_absmax = p_absmax
     rec.corner_residual = corner_residual
-    rec.energy = kinetic_energy(state, cd)
+    rec.energy = kinetic_energy(state)
     rec.area = polygon_area(mesh)
     rec.dt = dt_used
     return rec
@@ -283,8 +284,7 @@ def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
                 break
             deriv = state_derivative(state)
             speeds = np.linalg.norm(deriv.velocity, axis=1)
-            dt = adaptive_dt(state, cfg.cfl, cfg.dt_min, cfg.dt_max,
-                             speeds=speeds)
+            dt = adaptive_dt(state, speeds, cfg.cfl, cfg.dt_min, cfg.dt_max)
             dt = min(dt, next_record - state.t, cfg.t_end_cap - state.t)
             state = rk4_step(state, dt)
             last_dt = dt
@@ -326,7 +326,7 @@ def _max_or(values: FloatArray, default: float = -math.inf) -> float:
 
 
 def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
-                    c1: float, broke: bool) -> dict:
+                    broke: bool) -> dict:
     """Boolean verdicts and worst-case margins from the diagnostics table.
 
     Uses only the frozen CSV columns plus the configuration, so an offline
@@ -436,13 +436,13 @@ def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
     columns = {name: np.array([getattr(r, name) for r in result.records])
                for name in DiagnosticsRecord.CSV_FIELDS}
     broke = result.breakdown is not None
-    checks = evaluate_checks(columns, cfg, result.c1, broke)
+    checks = evaluate_checks(columns, cfg, broke)
 
     a = result.a_virial
     a_rel_diff = (abs(a - result.a_quadrature)
                   / max(1.0, abs(result.a_quadrature)))
     a_consistent = bool(a_rel_diff <= cfg.a_match_tol)
-    t_star = result.c1 / a if checks["riccati_checked"] else math.nan
+    t_star = blowup_bound(a, result.c1) if checks["riccati_checked"] else math.nan
 
     if checks["riccati_checked"]:
         bound = t_star * (1.0 + cfg.bound_slack)
@@ -601,8 +601,7 @@ def verify_identities(run_dir: str, quiet: bool = False) -> int:
         return 2
 
     broke = stored.get("breakdown_kind") is not None
-    c1 = float(stored.get("c1", math.nan))
-    checks = evaluate_checks(columns, cfg, c1, broke)
+    checks = evaluate_checks(columns, cfg, broke)
 
     if not checks["derivatives_checked"] and not quiet:
         print("insufficient records: derivative checks skipped")
@@ -644,9 +643,8 @@ def _mode_bvp_error(k: int, n_markers: int, wall_panels: int) -> float:
         k * np.pi * np.cos(k * np.pi * mid[:, 0]) * np.sinh(k * np.pi * mid[:, 1])])
     exact_q = np.einsum("ij,ij->i", grad, mesh.normals)
     sl = mesh.surface_slice
-    wall = np.ones(mesh.n_panels, dtype=bool)
-    wall[sl] = False
-    cd = bem.solve_mixed_bvp(mesh, exact_phi[sl], np.zeros(int(wall.sum())))
+    cd = bem.solve_surface_dirichlet(mesh, exact_phi[sl])
+    wall = ~cd.value_prescribed
     err_phi = float(np.abs(cd.values[wall] - exact_phi[wall]).max())
     err_q = float(np.abs(cd.fluxes[sl] - exact_q[sl]).max())
     # relative to the mode's amplitude so different k are comparable
@@ -664,9 +662,7 @@ def validate_bem(cfg: RunConfig, quiet: bool = False) -> int:
     ok = True
 
     mesh = build_boundary_mesh(flat_interface(counts[0]), counts[0] // 2)
-    cd = bem.solve_mixed_bvp(mesh,
-                             np.ones(mesh.surface_slice.stop - mesh.surface_slice.start),
-                             np.zeros(3 * (counts[0] // 2)))
+    cd = bem.solve_surface_dirichlet(mesh, np.ones(mesh.n_markers - 1))
     const_err = max(float(np.abs(cd.values - 1.0).max()),
                     float(np.abs(cd.fluxes).max()))
     if not quiet:

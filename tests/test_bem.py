@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavebox import kernels
-from wavebox.bem import (CauchyData, admissible_interior, dtn_surface,
+from wavebox.bem import (CauchyData, admissible_interior,
                          eval_interior, solve_mixed_bvp,
                          solve_surface_dirichlet)
 from wavebox.errors import NearBoundaryError
@@ -75,14 +75,6 @@ class TestMixedSolve:
             solve_mixed_bvp(mesh, np.ones(5), np.zeros(12))
         with pytest.raises(ValueError):
             solve_mixed_bvp(mesh, np.ones(8), np.zeros(3))
-
-    def test_dtn_matches_full_solve(self):
-        mesh = build_boundary_mesh(flat_interface(33), 16)
-        phi, _, _ = mode_data(mesh, 1)
-        sl = mesh.surface_slice
-        full = solve_surface_dirichlet(mesh, phi[sl])
-        np.testing.assert_array_equal(dtn_surface(mesh, phi[sl]),
-                                      full.fluxes[sl])
 
 
 def reference_solve(mesh, phi_s, q_w):

@@ -57,6 +57,18 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, {"n_markers": 16.5})
         assert main(["simulate", "--config", cfg]) == 2
 
+    def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
+        # a valid config whose near-field band swallows every lattice point:
+        # pressure_min raises a plain ValueError, which is no failed check
+        cfg = write_cfg(tmp_path, dict(modes=reference_modes(), n_markers=24,
+                                       wall_panels_per_side=8, t_end_cap=1e-3,
+                                       near_field_factor=50))
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ValueError: no admissible lattice")
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_round_trip(self, tmp_path, capsys):

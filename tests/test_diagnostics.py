@@ -127,7 +127,7 @@ class TestBoundaryReductions:
 
     def test_virial_matches_direct_quadrature(self, solved):
         state, cd = solved
-        L, volume_part, wall_part = virial_parts(state, cd)
+        L, volume_part, wall_part = virial_parts(state)
         assert L == volume_part + wall_part
         assert L == pytest.approx(initial_A(make_reference_data(1.0)),
                                   rel=5e-4)
@@ -182,8 +182,8 @@ class TestDetectors:
     def make_state(self, curve):
         return FlowState(t=1.0, curve=curve, phi=np.zeros(curve.n_markers))
 
-    def detectors(self, **kw):
-        return DetectorConfig(initial_spacing=0.1, **kw)
+    def detectors(self, curv_max=1000.0, **kw):
+        return DetectorConfig(initial_spacing=0.1, curv_max=curv_max, **kw)
 
     def test_quiet_state(self):
         state = self.make_state(flat_interface(11))
@@ -246,6 +246,6 @@ class TestDetectors:
         state = self.make_state(InterfaceCurve(alpha, x))
         assert detect_breakdown(state, self.detectors()).kind == "bottom_contact"
 
-    def test_default_curv_max(self):
-        det = DetectorConfig(initial_spacing=0.01)
-        assert det.curv_max == pytest.approx(1e4)
+    def test_curv_max_required(self):
+        with pytest.raises(TypeError):
+            DetectorConfig(initial_spacing=0.01)

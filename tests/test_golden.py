@@ -7,7 +7,6 @@ equal the digest recorded for it at commit a37f9d8.  A refactor that moves
 a single bit of any artifact fails here.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +15,9 @@ import sys
 from conftest import neg_config_dict, reference_config_dict, still_config_dict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from run import THREAD_VARS, tree_digest  # noqa: E402
 
 GOLDEN_SHA256 = {
     "reference":
@@ -43,22 +45,8 @@ print(json.dumps(codes))
 """
 
 
-def tree_digest(path):
-    h = hashlib.sha256()
-    for dirpath, dirnames, filenames in os.walk(path):
-        dirnames.sort()
-        for name in sorted(filenames):
-            full = os.path.join(dirpath, name)
-            h.update(os.path.relpath(full, path).encode() + b"\0")
-            with open(full, "rb") as fh:
-                h.update(fh.read())
-            h.update(b"\0")
-    return h.hexdigest()
-
-
 def test_artifacts_match_golden_digests(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)

@@ -159,7 +159,7 @@ class TestEvaluateChecks:
             DiagnosticsRecord.CSV_FIELDS,
             [0.0, 2.0, 1.0, 1.0, math.nan, math.nan, math.nan, math.nan,
              math.nan, math.nan, math.nan, 5.0, 0.0, 1.0, 1.0, math.nan])}
-        out = evaluate_checks(cols, cfg, c1=2.0, broke=False)
+        out = evaluate_checks(cols, cfg, broke=False)
         assert not out["derivatives_checked"]
         assert out["identities_converged"] and out["inequality_28_held"]
         assert out["pressure_positive"]
@@ -173,7 +173,7 @@ class TestEvaluateChecks:
         cols["area"] = np.ones(n)
         cols["p_min"] = np.array([5.0, 4.0, -3.0, 4.0, 5.0])
         cols["envelope"] = np.full(n, math.nan)
-        out = evaluate_checks(cols, cfg, c1=2.0, broke=False)
+        out = evaluate_checks(cols, cfg, broke=False)
         assert not out["pressure_positive"]
 
     def test_riccati_skipped_for_negative_A(self):
@@ -186,7 +186,7 @@ class TestEvaluateChecks:
         cols["area"] = np.ones(n)
         cols["p_min"] = np.ones(n)
         cols["envelope"] = np.full(n, math.nan)
-        out = evaluate_checks(cols, cfg, c1=2.0, broke=False)
+        out = evaluate_checks(cols, cfg, broke=False)
         assert not out["riccati_checked"]
         assert out["riccati_dominated"]
         assert math.isnan(out["margin_riccati"])
