@@ -13,9 +13,37 @@ Exit codes: 0 = ran and all checks passed (breakdown is a normal outcome),
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 from .runner import ConfigError, RunConfig, simulate, validate_bem, verify_identities
+
+# glibc's mallopt parameters (malloc.h) and the 64-bit ceiling of its own
+# dynamic mmap threshold, DEFAULT_MMAP_THRESHOLD_MAX.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed solver arrays in the process for the next solve to reuse.
+
+    Every flow solve allocates and frees the same few m x n arrays.  By
+    default glibc maps each one afresh and trims the heap when a solve
+    frees them, so the next solve faults every page in and zeroes it again.
+    Serving blocks up to 32 MiB from the heap, and trimming only past twice
+    that (the ratio glibc's dynamic rule keeps), lets each solve reuse the
+    last one's pages.  This moves memory, never a value: without glibc's
+    ``mallopt`` nothing is changed and the artifacts are the same.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":

@@ -6,6 +6,7 @@ moving free surface pinned at the two top corners (0,1) and (1,1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,18 @@ def flat_interface(n_markers: int) -> InterfaceCurve:
     return InterfaceCurve(alpha, x)
 
 
+@functools.lru_cache(maxsize=8)
+def _segment_pairs(n_seg: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Read-only indices (i, j) of the non-adjacent pairs j >= i + 2.
+
+    A run keeps its marker count, so every predicate call shares them.
+    """
+    i, j = np.triu_indices(n_seg, 2)
+    i.flags.writeable = False
+    j.flags.writeable = False
+    return i, j
+
+
 def self_intersects(curve: InterfaceCurve) -> bool:
     """True iff any two non-adjacent segments of the polyline meet.
 
@@ -98,7 +111,7 @@ def self_intersects(curve: InterfaceCurve) -> bool:
     """
     x = curve.x
     n_seg = x.shape[0] - 1
-    i, j = np.triu_indices(n_seg, 2)
+    i, j = _segment_pairs(n_seg)
     d = np.diff(x, axis=0)
     ell = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     d1x, d1y = d[i, 0], d[i, 1]

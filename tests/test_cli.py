@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +16,10 @@ from wavebox.cli import main
 from wavebox.runner import RunConfig, validate_bem
 
 from conftest import reference_modes
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def write_cfg(tmp_path, cfg_dict, name="cfg.json"):
@@ -120,3 +127,36 @@ class TestParser:
     def test_requires_config_flag(self):
         with pytest.raises(SystemExit):
             main(["simulate"])
+
+
+# Six 168 x 168 arrays stand for the m x n work arrays of one solve at the
+# reference resolution.  By default glibc gives most of them back to the
+# system when they are freed, so every round faults their pages in again.
+CHURN = """
+import resource
+import numpy as np
+from wavebox.cli import _keep_freed_heap
+
+def churn():
+    arrays = [np.ones((168, 168)) for _ in range(6)]
+    del arrays
+
+_keep_freed_heap()
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="keeping freed memory needs glibc's mallopt")
+def test_freed_solver_arrays_are_reused():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", CHURN], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # Without the call the 50 rounds take about 9,500 minor faults.
+    assert int(proc.stdout) < 1000

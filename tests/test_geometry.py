@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from wavebox.errors import (BottomContactError, GeometryError,
                             SelfIntersectionError)
 from wavebox.geometry import (BC_DIRICHLET_SURFACE, BC_NEUMANN_WALL,
-                              InterfaceCurve, build_boundary_mesh,
+                              InterfaceCurve, _segment_pairs,
+                              build_boundary_mesh,
                               flat_interface, point_segment_distance,
                               points_inside, polygon_area, self_intersects,
                               side_wall_crossing)
@@ -120,6 +121,17 @@ _curves = st.lists(st.one_of(_grid_point, _free_point), min_size=1, max_size=8)
 class TestSelfIntersection:
     def test_simple_curve(self):
         assert not self_intersects(bumped_interface(33))
+
+    def test_shared_pair_indices_are_read_only(self):
+        # Every call with the same segment count gets the same cached arrays,
+        # so no caller may write to them.
+        i, j = _segment_pairs(7)
+        assert _segment_pairs(7)[0] is i
+        np.testing.assert_array_equal(np.vstack([i, j]), np.triu_indices(7, 2))
+        with pytest.raises(ValueError):
+            i[0] = 1
+        with pytest.raises(ValueError):
+            j[0] = 1
 
     def test_crossing_curve(self):
         alpha = np.linspace(0.0, 1.0, 6)

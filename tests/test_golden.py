@@ -2,9 +2,11 @@
 
 The reference blow-up data cut at ``t_end_cap = 6e-4``, the sign-flipped
 control and the still fluid run in one child process with one BLAS thread,
-and the SHA-256 of each artifact tree (relative paths and contents) must
-equal the digest recorded for it at commit a37f9d8.  A refactor that moves
-a single bit of any artifact fails here.
+each entering through ``wavebox.cli.main(["simulate", ...])`` so that the
+process set-up the command line does (its malloc settings) is covered too.
+The SHA-256 of each artifact tree (relative paths and contents) must equal
+the digest recorded for it at commit a37f9d8.  A refactor that moves a
+single bit of any artifact fails here.
 """
 
 import json
@@ -36,11 +38,15 @@ CONFIGS = {
 
 CHILD = """
 import json, os, sys
-from wavebox.runner import RunConfig, simulate
+from wavebox.cli import main
 root, configs = sys.argv[1], json.load(sys.stdin)
-codes = {name: simulate(RunConfig.from_dict(cfg), out_dir=os.path.join(root, name),
-                        quiet=True)[0]
-         for name, cfg in configs.items()}
+codes = {}
+for name, cfg in configs.items():
+    path = os.path.join(root, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    codes[name] = main(["simulate", "--config", path,
+                        "--out", os.path.join(root, name), "--quiet"])
 print(json.dumps(codes))
 """
 

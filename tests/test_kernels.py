@@ -265,6 +265,15 @@ def line_targets(rng, k=12):
                       np.column_stack([s, zero]), np.column_stack([s, one])])
 
 
+def copy_at_offset(a, offset):
+    """Copy of ``a`` whose data starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(a.nbytes + 64 + offset, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 class TestBitEquality:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -324,6 +333,22 @@ class TestBitEquality:
                 _ref_influence_gradients(mesh, pts)
             with pytest.raises(GeometryError):
                 influence_gradients(mesh, pts)
+
+    @pytest.mark.parametrize("offset", [8, 16, 24, 32, 40, 48, 56])
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_target_alignment(self, meshes, name, offset):
+        # Where malloc places an array (mmap or heap) moves its address mod
+        # 64, and SIMD loops may split work at alignment boundaries; the
+        # bits must not depend on it.
+        mesh = meshes[name]
+        interior = np.random.default_rng(14).uniform(0.05, 0.95, (300, 2))
+        for kernel, pts in ((influence_matrices,
+                             np.vstack([interior, mesh.midpoints])),
+                            (influence_gradients, interior)):
+            aligned, moved = copy_at_offset(pts, 0), copy_at_offset(pts, offset)
+            assert (aligned.ctypes.data % 64, moved.ctypes.data % 64) == (0, offset)
+            for g, w in zip(kernel(mesh, moved), kernel(mesh, aligned)):
+                assert_same_bits(g, w)
 
     @settings(max_examples=60, deadline=None)
     @given(amplitude=st.floats(-0.3, 0.3), n_markers=st.integers(9, 24),
