@@ -32,13 +32,6 @@ class CauchyData:
     fluxes: FloatArray
     value_prescribed: NDArray[np.bool_]
 
-    def compatibility_residual(self, lengths: FloatArray) -> float:
-        """|sum flux*length| — zero for exact harmonic Cauchy data."""
-        return float(abs(np.dot(self.fluxes, lengths)))
-
-    def compatibility_scale(self, lengths: FloatArray) -> float:
-        return float(np.dot(np.abs(self.fluxes), lengths) + 1e-30)
-
 
 def solve_mixed_bvp(mesh: BoundaryMesh,
                     dirichlet_on_surface: FloatArray,

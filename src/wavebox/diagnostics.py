@@ -34,11 +34,15 @@ def constant_c1(initial_mesh: BoundaryMesh) -> float:
     return max(2.0 * polygon_area(initial_mesh), 4.0 / 3.0)
 
 
-def riccati_envelope(A: float, c1: float, t: float) -> float:
-    """Exact solution of L' = L^2/c1, L(0) = A; diverges at t = c1/A."""
+def riccati_envelope(A: float, c1: float, t):
+    """Exact solution of L' = L^2/c1, L(0) = A, at a time or an array of times.
+
+    Diverges at t = c1/A; every t must lie in [0, c1/A).
+    """
     if A <= 0.0 or c1 <= 0.0:
         raise ValueError("envelope requires A > 0 and c1 > 0")
-    if t < 0.0 or t >= c1 / A:
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0.0) or np.any(t >= c1 / A):
         raise ValueError(f"t={t} outside [0, c1/A={c1 / A})")
     return A / (1.0 - A * t / c1)
 
@@ -77,9 +81,14 @@ def boundary_velocity(mesh: BoundaryMesh, cauchy: CauchyData) -> FloatArray:
             + phi_s[:, None] * mesh.tangents)
 
 
+def _dirichlet_energy(mesh: BoundaryMesh, cauchy: CauchyData) -> float:
+    """int_O |grad f|^2 dx = oint f q ds for harmonic f."""
+    return float(np.dot(cauchy.values * cauchy.fluxes, mesh.lengths))
+
+
 def int_u1_squared(mesh: BoundaryMesh, cauchy: CauchyData) -> float:
     """int_O (u1)^2 dx from boundary data only (see module docstring)."""
-    dirichlet_energy = float(np.dot(cauchy.values * cauchy.fluxes, mesh.lengths))
+    dirichlet_energy = _dirichlet_energy(mesh, cauchy)
     u = boundary_velocity(mesh, cauchy)
     p_h = u[:, 0] ** 2 - u[:, 1] ** 2
     q_h = -2.0 * u[:, 0] * u[:, 1]
@@ -93,8 +102,8 @@ def int_u1_squared(mesh: BoundaryMesh, cauchy: CauchyData) -> float:
 def int_pressure(mesh: BoundaryMesh, phi_cauchy: CauchyData,
                  phi_t_cauchy: CauchyData) -> float:
     """int_O p dx = -int_O phi_t dx - (1/2) int_O |grad phi|^2 dx."""
-    dirichlet_energy = float(np.dot(phi_cauchy.values * phi_cauchy.fluxes, mesh.lengths))
-    return -boundary_domain_integral(mesh, phi_t_cauchy) - 0.5 * dirichlet_energy
+    return (-boundary_domain_integral(mesh, phi_t_cauchy)
+            - 0.5 * _dirichlet_energy(mesh, phi_cauchy))
 
 
 def wall_tangential_speed(mesh: BoundaryMesh, cauchy: CauchyData) -> FloatArray:
@@ -132,128 +141,97 @@ def virial_parts(state: FlowState):
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-record diagnostics; derivative-based entries are filled in a post-pass."""
+    """Primary diagnostics of one record; the derived columns come from fill_derived."""
 
     t: float
     L: float
     volume_part: float
     wall_part: float
-    envelope: float = np.nan
-    residual_26: float = np.nan
-    residual_27: float = np.nan
-    slack_28: float = np.nan
-    schwarz_vol: float = np.nan
-    schwarz_wall: float = np.nan
-    riccati_slack: float = np.nan
-    p_min: float = np.nan
-    wall_p_integral: float = np.nan
-    energy: float = np.nan
-    area: float = np.nan
-    dt: float = np.nan
-    # retained for the identity residuals, not part of the CSV contract
-    int_u1sq: float = np.nan
-    int_p: float = np.nan
-    wall_u2sq: float = np.nan
-    p_absmax: float = np.nan
-    corner_residual: float = np.nan
-
-    CSV_FIELDS = ("t", "L", "volume_part", "wall_part", "envelope",
-                  "residual_26", "residual_27", "slack_28", "schwarz_vol",
-                  "schwarz_wall", "riccati_slack", "p_min", "wall_p_integral",
-                  "energy", "area", "dt")
+    p_min: float
+    wall_p_integral: float
+    energy: float
+    area: float
+    dt: float
+    # inputs of the derived columns and the report, not part of the CSV contract
+    int_u1sq: float
+    int_p: float
+    wall_u2sq: float
+    p_absmax: float
+    corner_residual: float
 
 
-def _check_uniform_times(t: FloatArray):
-    dt = np.diff(t)
-    if dt.size == 0:
-        raise ValueError("need at least two records")
-    if np.any(np.abs(dt - dt[0]) > 1e-9 * max(abs(dt[0]), 1e-30)):
-        raise ValueError("records are not uniformly spaced in time")
-    return float(dt[0])
+CSV_FIELDS = ("t", "L", "volume_part", "wall_part", "envelope",
+              "residual_26", "residual_27", "slack_28", "schwarz_vol",
+              "schwarz_wall", "riccati_slack", "p_min", "wall_p_integral",
+              "energy", "area", "dt")
+DERIVED_FIELDS = CSV_FIELDS[4:11]     # envelope .. riccati_slack, from fill_derived
 
 
-def identity_residual_26(records: list[DiagnosticsRecord]) -> float:
-    """|d/dt volume_part - (int (u1)^2 + int p - wall p integral)| at the middle record."""
-    if len(records) != 3:
-        raise ValueError("need exactly three consecutive records")
-    t = np.array([r.t for r in records])
-    dt = _check_uniform_times(t)
-    lhs = (records[2].volume_part - records[0].volume_part) / (2.0 * dt)
-    mid = records[1]
-    rhs = mid.int_u1sq + mid.int_p - mid.wall_p_integral
-    return abs(lhs - rhs)
+def _squares(column: FloatArray) -> FloatArray:
+    # Python-float ** 2 goes through libm pow, which rounds some squares
+    # differently from numpy's x*x; the frozen artifacts carry pow's bits.
+    return np.array([v ** 2 for v in column.tolist()])
 
 
-def identity_residual_27(records: list[DiagnosticsRecord]) -> float:
-    """|d/dt wall_part - ((1/2) int (u2)^2 dx2 + wall p integral)| at the middle record."""
-    if len(records) != 3:
-        raise ValueError("need exactly three consecutive records")
-    t = np.array([r.t for r in records])
-    dt = _check_uniform_times(t)
-    lhs = (records[2].wall_part - records[0].wall_part) / (2.0 * dt)
-    mid = records[1]
-    rhs = 0.5 * mid.wall_u2sq + mid.wall_p_integral
-    return abs(lhs - rhs)
+def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
+    """Add the derived CSV columns to a table of primary record columns.
 
+    * envelope: A/(1 - A t/c1) before the horizon c1/A, and only for A > 0.
+    * slack_28, schwarz_vol, schwarz_wall, riccati_slack: (greater side) -
+      (lesser side) of the growth inequality, the two Schwarz bounds and
+      L' >= L^2/c1, with L' from np.gradient (one-sided at the endpoints).
+    * residual_26, residual_27: |centered d/dt of volume_part (wall_part)
+      - right side of its growth identity|; the endpoints copy their
+      neighbour.
 
-def inequality_checks(record: DiagnosticsRecord, area: float, c1: float,
-                      dL_dt: float | None = None):
-    """Slacks of the growth inequality, both Schwarz bounds, and the Riccati bound.
-
-    Each slack is (greater side) - (lesser side); dL_dt is the discrete
-    derivative at this record (None leaves the derivative slacks NaN).
+    From two records on every slack is finite, and from three every
+    residual; acceptance checks only score the interior records.
     """
-    schwarz_vol = record.int_u1sq * area - record.volume_part ** 2
-    schwarz_wall = record.wall_u2sq / 3.0 - record.wall_part ** 2
-    slack_28 = np.nan
-    riccati_slack = np.nan
-    if dL_dt is not None:
-        slack_28 = dL_dt - (record.int_u1sq + 0.5 * record.wall_u2sq)
-        riccati_slack = dL_dt - record.L ** 2 / c1
-    return slack_28, schwarz_vol, schwarz_wall, riccati_slack
-
-
-def fill_derived(records: list[DiagnosticsRecord], area0: float, c1: float,
-                 A: float | None):
-    """Post-pass: envelope, identity residuals, and derivative-based slacks.
-
-    Endpoint records use one-sided differences so every entry stays finite;
-    acceptance checks only score the centered (interior) records.
-    """
-    n = len(records)
-    if n == 0:
-        return
-    t = np.array([r.t for r in records])
-    L = np.array([r.L for r in records])
+    t = table["t"]
+    L = table["L"]
+    n = t.size
+    for name in DERIVED_FIELDS:
+        table[name] = np.full(n, np.nan)
     if A is not None and A > 0.0:
-        horizon = blowup_bound(A, c1)
-        for r in records:
-            if r.t < horizon:
-                r.envelope = riccati_envelope(A, c1, r.t)
+        inside = t < blowup_bound(A, c1)
+        table["envelope"][inside] = riccati_envelope(A, c1, t[inside])
     if n < 2:
         return
+    int_u1sq = table["int_u1sq"]
+    wall_u2sq = table["wall_u2sq"]
+    volume_part = table["volume_part"]
+    wall_part = table["wall_part"]
     dL = np.gradient(L, t)
-    for i, r in enumerate(records):
-        s28, sv, sw, rs = inequality_checks(r, area0, c1, dL_dt=float(dL[i]))
-        r.slack_28, r.schwarz_vol, r.schwarz_wall, r.riccati_slack = s28, sv, sw, rs
+    table["slack_28"] = dL - (int_u1sq + 0.5 * wall_u2sq)
+    table["schwarz_vol"] = int_u1sq * table["area"][0] - _squares(volume_part)
+    table["schwarz_wall"] = wall_u2sq / 3.0 - _squares(wall_part)
+    table["riccati_slack"] = dL - _squares(L) / c1
     if n < 3:
         return
-    for i in range(1, n - 1):
-        triple = records[i - 1:i + 2]
-        records[i].residual_26 = identity_residual_26(triple)
-        records[i].residual_27 = identity_residual_27(triple)
-    records[0].residual_26 = records[1].residual_26
-    records[0].residual_27 = records[1].residual_27
-    records[-1].residual_26 = records[-2].residual_26
-    records[-1].residual_27 = records[-2].residual_27
+    dt = np.diff(t)
+    if np.any(np.abs(dt[1:] - dt[:-1])
+              > 1e-9 * np.maximum(np.abs(dt[:-1]), 1e-30)):
+        raise ValueError("records are not uniformly spaced in time")
+    two_dt = 2.0 * dt[:-1]
+    mid = slice(1, n - 1)
+    wall_p = table["wall_p_integral"][mid]
+    lhs_26 = (volume_part[2:] - volume_part[:-2]) / two_dt
+    rhs_26 = int_u1sq[mid] + table["int_p"][mid] - wall_p
+    lhs_27 = (wall_part[2:] - wall_part[:-2]) / two_dt
+    rhs_27 = 0.5 * wall_u2sq[mid] + wall_p
+    for name, residual in (("residual_26", np.abs(lhs_26 - rhs_26)),
+                           ("residual_27", np.abs(lhs_27 - rhs_27))):
+        table[name][mid] = residual
+        table[name][0] = residual[0]
+        table[name][-1] = residual[-1]
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
     initial_spacing: float
     curv_max: float
-    collide_tol: float = 0.1
-    L_max: float = 1e6
+    collide_tol: float
+    L_max: float
 
 
 def detect_breakdown(state: FlowState, detectors: DetectorConfig,

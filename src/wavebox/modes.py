@@ -67,22 +67,6 @@ class ModePotential:
                 f"mode potential violates the corner conditions: residuals {rl:.3e}, {rr:.3e}")
 
 
-def make_reference_data(amplitude: float) -> ModePotential:
-    """Two-mode (k=1,3) potential satisfying both corner conditions.
-
-    Odd modes give opposite-sign corner velocities at the two ends, so a
-    single ratio cancels both simultaneously.  The sign convention makes
-    the virial starting value positive for amplitude > 0.
-    """
-    if amplitude == 0.0:
-        raise ValueError("amplitude must be nonzero")
-    a1 = -float(amplitude)
-    a3 = -a1 * np.sinh(np.pi) / (3.0 * np.sinh(3.0 * np.pi))
-    pot = ModePotential(terms=((1, a1), (3, a3)))
-    pot.check_corners()
-    return pot
-
-
 def initial_A(potential: ModePotential, quadrature_order: int = 16) -> float:
     """Starting value of the virial functional, by direct quadrature.
 
@@ -102,7 +86,7 @@ def initial_A(potential: ModePotential, quadrature_order: int = 16) -> float:
 
 
 def sample_initial_state(potential: ModePotential, n_markers: int,
-                         wall_panels_per_side: int = 16):
+                         wall_panels_per_side: int):
     """Flat-surface state at t=0 with the potential sampled on the interface."""
     from .evolution import FlowState
     from .geometry import flat_interface

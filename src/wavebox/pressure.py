@@ -58,41 +58,6 @@ def pressure_at(field: PressureField, points: FloatArray) -> FloatArray:
     return -phit - 0.5 * np.einsum("ij,ij->i", grad, grad)
 
 
-def velocity_at(field: PressureField, points: FloatArray) -> FloatArray:
-    _, grad = eval_interior(field.mesh, field.phi_cauchy, points,
-                            field.near_field_factor)
-    return grad
-
-
-def pressure_poisson_residual(field: PressureField, points: FloatArray, h: float):
-    """Residual of -Lap p = (d1 u1)^2 + (d2 u2)^2 + 2 (d2 u1)^2 by finite differences.
-
-    Five-point Laplacian of p with step h; velocity gradients by centered
-    differences of the interior velocity with the same step.  Returns
-    (residuals, rhs_values); the right-hand side must be nonnegative.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    p0 = pressure_at(field, pts)
-    pe = pressure_at(field, pts + e1)
-    pw = pressure_at(field, pts - e1)
-    pn = pressure_at(field, pts + e2)
-    ps = pressure_at(field, pts - e2)
-    lap_p = (pe + pw + pn + ps - 4.0 * p0) / (h * h)
-
-    ue = velocity_at(field, pts + e1)
-    uw = velocity_at(field, pts - e1)
-    un = velocity_at(field, pts + e2)
-    us = velocity_at(field, pts - e2)
-    d1u = (ue - uw) / (2.0 * h)
-    d2u = (un - us) / (2.0 * h)
-    rhs = d1u[:, 0] ** 2 + d2u[:, 1] ** 2 + 2.0 * d2u[:, 0] ** 2
-    return np.abs(-lap_p - rhs), rhs
-
-
 def interior_lattice(field: PressureField, n_per_side: int) -> FloatArray:
     """Admissible uniform lattice points covering the domain's bounding box."""
     top = float(field.mesh.b[:, 1].max())

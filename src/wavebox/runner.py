@@ -2,8 +2,10 @@
 
 A run integrates the free surface from mode-built initial data, collects a
 DiagnosticsRecord at uniformly spaced record times, and stops at breakdown
-or at the time cap.  Breakdown is a success outcome — the point of the run
-is to witness it — so only violated checks fail a run.
+or at the time cap.  The records then become one table of float64 columns,
+shared by the derived columns, the verdicts and the CSV writer.  Breakdown
+is a success outcome — the point of the run is to witness it — so only
+violated checks fail a run.
 
 Artifacts written to the output directory:
 
@@ -30,10 +32,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bem
-from .diagnostics import (DetectorConfig, DiagnosticsRecord, blowup_bound,
-                          constant_c1, detect_breakdown, fill_derived,
-                          int_pressure, int_u1_squared, virial_parts,
-                          wall_u2_squared)
+from .diagnostics import (CSV_FIELDS, DetectorConfig, DiagnosticsRecord,
+                          blowup_bound, constant_c1, detect_breakdown,
+                          fill_derived, int_pressure, int_u1_squared,
+                          virial_parts, wall_u2_squared)
 from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative,
@@ -200,7 +202,7 @@ class RunConfig:
 class SimulationResult:
     """In-memory outcome of the record loop, before verdicts and writing."""
 
-    records: list[DiagnosticsRecord]
+    table: dict[str, FloatArray]    # one float64 column per record field
     snapshots: list[tuple[FloatArray, FloatArray]]   # (alpha, markers) per record
     breakdown: BreakdownSignal | None
     n_steps: int
@@ -208,7 +210,6 @@ class SimulationResult:
     a_quadrature: float
     a_virial: float
     c1: float
-    area0: float
 
 
 def _collect_record(state: FlowState, dt_used: float,
@@ -219,19 +220,14 @@ def _collect_record(state: FlowState, dt_used: float,
     L, volume_part, wall_part = virial_parts(state)
     p_min_val, _, p_absmax = pressure_min(field_, lattice_n)
     _, corner_residual = velocity_from_cauchy(state)
-    rec = DiagnosticsRecord(t=state.t, L=L, volume_part=volume_part,
-                            wall_part=wall_part)
-    rec.int_u1sq = int_u1_squared(mesh, cd)
-    rec.int_p = int_pressure(mesh, cd, field_.phi_t_cauchy)
-    rec.wall_u2sq = wall_u2_squared(mesh, cd)
-    rec.wall_p_integral = wall_pressure_integral(field_)
-    rec.p_min = p_min_val
-    rec.p_absmax = p_absmax
-    rec.corner_residual = corner_residual
-    rec.energy = kinetic_energy(state)
-    rec.area = polygon_area(mesh)
-    rec.dt = dt_used
-    return rec
+    return DiagnosticsRecord(
+        t=state.t, L=L, volume_part=volume_part, wall_part=wall_part,
+        p_min=p_min_val, wall_p_integral=wall_pressure_integral(field_),
+        energy=kinetic_energy(state), area=polygon_area(mesh), dt=dt_used,
+        int_u1sq=int_u1_squared(mesh, cd),
+        int_p=int_pressure(mesh, cd, field_.phi_t_cauchy),
+        wall_u2sq=wall_u2_squared(mesh, cd), p_absmax=p_absmax,
+        corner_residual=corner_residual)
 
 
 def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
@@ -294,17 +290,18 @@ def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
     except BreakdownError as exc:
         breakdown = exc.signal
 
+    table = {field.name: np.array([getattr(r, field.name) for r in records],
+                                  dtype=np.float64)
+             for field in dataclasses.fields(DiagnosticsRecord)}
     a_virial = records[0].L if records else math.nan
     c1 = constant_c1(
         build_boundary_mesh(flat_interface(cfg.n_markers),
                             cfg.wall_panels_per_side))
-    area0 = records[0].area if records else math.nan
-    fill_derived(records, area0, c1,
-                 a_virial if records and a_virial > 0.0 else None)
-    return SimulationResult(records=records, snapshots=snapshots,
+    fill_derived(table, c1, a_virial if a_virial > 0.0 else None)
+    return SimulationResult(table=table, snapshots=snapshots,
                             breakdown=breakdown, n_steps=n_steps,
                             t_final=state.t, a_quadrature=initial_A(potential),
-                            a_virial=a_virial, c1=c1, area0=area0)
+                            a_virial=a_virial, c1=c1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +430,10 @@ CHECK_KEYS = ("energy_conserved", "area_conserved", "pressure_positive",
 
 def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
     """Flat verification report for report.json (insertion order is frozen)."""
-    columns = {name: np.array([getattr(r, name) for r in result.records])
-               for name in DiagnosticsRecord.CSV_FIELDS}
+    table = result.table
+    n_records = table["t"].size
     broke = result.breakdown is not None
-    checks = evaluate_checks(columns, cfg, broke)
+    checks = evaluate_checks(table, cfg, broke)
 
     a = result.a_virial
     a_rel_diff = (abs(a - result.a_quadrature)
@@ -469,16 +466,14 @@ def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
         "t_final": result.t_final,
         "blowup_bound_held": blowup_bound_held,
         "all_passed": bool(passed),
-        "n_records": len(result.records),
+        "n_records": n_records,
         "n_steps": result.n_steps,
         "n_markers": cfg.n_markers,
         "wall_panels_per_side": cfg.wall_panels_per_side,
         "record_dt": cfg.record_dt,
-        "area0": result.area0,
-        "p_absmax_max": _max_or(
-            np.array([r.p_absmax for r in result.records]), math.nan),
-        "max_corner_residual": _max_or(
-            np.array([r.corner_residual for r in result.records]), math.nan),
+        "area0": table["area"][0] if n_records else math.nan,
+        "p_absmax_max": _max_or(table["p_absmax"], math.nan),
+        "max_corner_residual": _max_or(table["corner_residual"], math.nan),
     }
     report.update(checks)
     return report
@@ -495,11 +490,11 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def write_diagnostics_csv(path: str, records: list[DiagnosticsRecord]):
-    fields = DiagnosticsRecord.CSV_FIELDS
-    lines = [",".join(fields)]
-    for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, name)) for name in fields))
+def write_diagnostics_csv(path: str, table: dict[str, FloatArray]):
+    """Write the CSV columns of ``table``; the inverse of read_diagnostics_csv."""
+    columns = [table[name].tolist() for name in CSV_FIELDS]
+    lines = [",".join(CSV_FIELDS)]
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -543,7 +538,7 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    expected = list(DiagnosticsRecord.CSV_FIELDS)
+    expected = list(CSV_FIELDS)
     if header != expected:
         raise ValueError(f"unexpected diagnostics header: {header}")
     if not rows:
@@ -571,7 +566,7 @@ def simulate(cfg: RunConfig, out_dir: str | None = None,
     with open(os.path.join(out, "config.json"), "w", newline="\n") as fh:
         json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), result.records)
+    write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), result.table)
     write_snapshots(os.path.join(out, "snapshots"), result.snapshots)
     write_report(os.path.join(out, "report.json"), report)
 

@@ -1,8 +1,10 @@
-"""Shared fixtures: canned configurations and session-scoped runs.
+"""Shared fixtures and oracles: canned configurations, session-scoped runs.
 
 The expensive simulations (reference blow-up run, negative control,
 refinement pair) run once per session and are reused by every test that
-inspects their artifacts.
+inspects their artifacts.  The oracles below (reference data, interior
+velocity, Poisson residual of the pressure, flux compatibility) serve only
+the tests, so they live here rather than in the package.
 """
 
 import json
@@ -12,7 +14,71 @@ import os
 import numpy as np
 import pytest
 
+from wavebox.bem import eval_interior
+from wavebox.modes import ModePotential
+from wavebox.pressure import pressure_at
 from wavebox.runner import RunConfig, simulate
+
+
+def make_reference_data(amplitude):
+    """Two-mode (k=1,3) potential satisfying both corner conditions.
+
+    Odd modes give opposite-sign corner velocities at the two ends, so a
+    single ratio cancels both simultaneously.  The sign convention makes
+    the virial starting value positive for amplitude > 0.
+    """
+    if amplitude == 0.0:
+        raise ValueError("amplitude must be nonzero")
+    a1 = -float(amplitude)
+    a3 = -a1 * np.sinh(np.pi) / (3.0 * np.sinh(3.0 * np.pi))
+    pot = ModePotential(terms=((1, a1), (3, a3)))
+    pot.check_corners()
+    return pot
+
+
+def velocity_at(field, points):
+    """Interior velocity grad phi of a PressureField at the given points."""
+    _, grad = eval_interior(field.mesh, field.phi_cauchy, points,
+                            field.near_field_factor)
+    return grad
+
+
+def pressure_poisson_residual(field, points, h):
+    """Residual of -Lap p = (d1 u1)^2 + (d2 u2)^2 + 2 (d2 u1)^2 by finite differences.
+
+    Five-point Laplacian of p with step h; velocity gradients by centered
+    differences of the interior velocity with the same step.  Returns
+    (residuals, rhs_values); the right-hand side must be nonnegative.
+    """
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    e1 = np.array([h, 0.0])
+    e2 = np.array([0.0, h])
+    p0 = pressure_at(field, pts)
+    pe = pressure_at(field, pts + e1)
+    pw = pressure_at(field, pts - e1)
+    pn = pressure_at(field, pts + e2)
+    ps = pressure_at(field, pts - e2)
+    lap_p = (pe + pw + pn + ps - 4.0 * p0) / (h * h)
+
+    ue = velocity_at(field, pts + e1)
+    uw = velocity_at(field, pts - e1)
+    un = velocity_at(field, pts + e2)
+    us = velocity_at(field, pts - e2)
+    d1u = (ue - uw) / (2.0 * h)
+    d2u = (un - us) / (2.0 * h)
+    rhs = d1u[:, 0] ** 2 + d2u[:, 1] ** 2 + 2.0 * d2u[:, 0] ** 2
+    return np.abs(-lap_p - rhs), rhs
+
+
+def compatibility_residual(cauchy, lengths):
+    """|sum flux*length| — zero for exact harmonic Cauchy data."""
+    return float(abs(np.dot(cauchy.fluxes, lengths)))
+
+
+def compatibility_scale(cauchy, lengths):
+    return float(np.dot(np.abs(cauchy.fluxes), lengths) + 1e-30)
 
 
 def reference_modes():

@@ -1,16 +1,16 @@
 """Virial functional, growth identities, comparison envelope, detectors."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavebox.bem import solve_surface_dirichlet
-from wavebox.diagnostics import (DetectorConfig, DiagnosticsRecord,
-                                 blowup_bound, boundary_domain_integral,
-                                 boundary_velocity, constant_c1,
-                                 detect_breakdown, fill_derived,
-                                 identity_residual_26, inequality_checks,
+from wavebox.diagnostics import (DERIVED_FIELDS, DetectorConfig,
+                                 DiagnosticsRecord, blowup_bound,
+                                 boundary_domain_integral, boundary_velocity,
+                                 constant_c1, detect_breakdown, fill_derived,
                                  int_u1_squared, riccati_envelope,
                                  virial_parts, wall_u2_squared)
 from wavebox.errors import SelfIntersectionError
@@ -18,7 +18,9 @@ from wavebox.evolution import FlowState
 from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
                               flat_interface, self_intersects)
 from wavebox.kernels import gauss_legendre
-from wavebox.modes import initial_A, make_reference_data, sample_initial_state
+from wavebox.modes import initial_A, sample_initial_state
+
+from conftest import make_reference_data
 
 
 def dipped_curve(n, depth):
@@ -133,57 +135,263 @@ class TestBoundaryReductions:
                                   rel=5e-4)
 
 
-class TestRecordAlgebra:
-    def make_record(self, t, L):
-        return DiagnosticsRecord(t=t, L=L, volume_part=0.6 * L,
-                                 wall_part=0.4 * L)
+def make_table(t, L, **columns):
+    """Primary record columns: parts 0.6 L and 0.4 L, unit area, zero integrals."""
+    t = np.asarray(t, dtype=np.float64)
+    L = np.asarray(L, dtype=np.float64)
+    table = {name: np.zeros(t.size) for name in
+             ("int_u1sq", "int_p", "wall_u2sq", "wall_p_integral")}
+    table.update(t=t, L=L, volume_part=0.6 * L, wall_part=0.4 * L,
+                 area=np.ones(t.size))
+    table.update({name: np.asarray(v, dtype=np.float64)
+                  for name, v in columns.items()})
+    return table
 
+
+class TestRecordAlgebra:
     def test_inequality_checks_formulas(self):
-        rec = DiagnosticsRecord(t=0.0, L=3.0, volume_part=2.0, wall_part=1.0)
-        rec.int_u1sq = 5.0
-        rec.wall_u2sq = 4.0
-        s28, sv, sw, rs = inequality_checks(rec, area=1.0, c1=2.0, dL_dt=8.0)
+        # dL/dt = 8 at both records of a two-record table
+        table = make_table([0.0, 1.0], [3.0, 11.0], volume_part=[2.0, 0.0],
+                           wall_part=[1.0, 0.0], int_u1sq=[5.0, 0.0],
+                           wall_u2sq=[4.0, 0.0])
+        fill_derived(table, c1=2.0, A=None)
+        s28, sv, sw, rs = (table[name][0] for name in
+                           ("slack_28", "schwarz_vol", "schwarz_wall",
+                            "riccati_slack"))
         assert s28 == pytest.approx(8.0 - (5.0 + 2.0))
         assert sv == pytest.approx(5.0 * 1.0 - 4.0)
         assert sw == pytest.approx(4.0 / 3.0 - 1.0)
         assert rs == pytest.approx(8.0 - 9.0 / 2.0)
 
     def test_identity_residual_requires_uniform_times(self):
-        recs = [self.make_record(t, 1.0) for t in (0.0, 0.1, 0.3)]
-        for r in recs:
-            r.int_u1sq = r.int_p = r.wall_p_integral = 0.0
+        table = make_table([0.0, 0.1, 0.3], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            identity_residual_26(recs)
+            fill_derived(table, c1=2.0, A=None)
 
     def test_fill_derived_on_exact_envelope(self):
         # records tracing the envelope exactly: riccati slack ~ 0, and the
         # stored envelope matches L
         A, c1 = 4.0, 2.0
         t = np.linspace(0.0, 0.3, 31)
-        recs = []
-        for ti in t:
-            r = self.make_record(ti, A / (1.0 - A * ti / c1))
-            r.int_u1sq = r.int_p = r.wall_p_integral = r.wall_u2sq = 0.0
-            recs.append(r)
-        fill_derived(recs, area0=1.0, c1=c1, A=A)
-        for r in recs[1:-1]:
-            assert r.envelope == pytest.approx(r.L, rel=1e-12)
-            assert abs(r.riccati_slack) < 1e-2 * r.L ** 2
+        table = make_table(t, [A / (1.0 - A * ti / c1) for ti in t])
+        fill_derived(table, c1=c1, A=A)
+        L = table["L"]
+        for i in range(1, t.size - 1):
+            assert table["envelope"][i] == pytest.approx(L[i], rel=1e-12)
+            assert abs(table["riccati_slack"][i]) < 1e-2 * L[i] ** 2
 
     def test_fill_derived_skips_envelope_without_positive_A(self):
-        recs = [self.make_record(t, -1.0) for t in (0.0, 0.1, 0.2)]
-        for r in recs:
-            r.int_u1sq = r.int_p = r.wall_p_integral = r.wall_u2sq = 0.0
-        fill_derived(recs, area0=1.0, c1=2.0, A=None)
-        assert all(np.isnan(r.envelope) for r in recs)
+        table = make_table([0.0, 0.1, 0.2], [-1.0, -1.0, -1.0])
+        fill_derived(table, c1=2.0, A=None)
+        assert np.isnan(table["envelope"]).all()
+
+
+# The per-record post-pass that fill_derived replaced, kept as the reference
+# for the column form: each derived value of a record is a Python-float
+# expression, and each residual comes from one triple of records.
+
+@dataclass
+class _Record:
+    t: float
+    L: float
+    volume_part: float
+    wall_part: float
+    int_u1sq: float
+    int_p: float
+    wall_u2sq: float
+    wall_p_integral: float
+    area: float
+    envelope: float = np.nan
+    residual_26: float = np.nan
+    residual_27: float = np.nan
+    slack_28: float = np.nan
+    schwarz_vol: float = np.nan
+    schwarz_wall: float = np.nan
+    riccati_slack: float = np.nan
+
+
+def _reference_envelope(A, c1, t):
+    if A <= 0.0 or c1 <= 0.0:
+        raise ValueError("envelope requires A > 0 and c1 > 0")
+    if t < 0.0 or t >= c1 / A:
+        raise ValueError(f"t={t} outside [0, c1/A={c1 / A})")
+    try:
+        return A / (1.0 - A * t / c1)
+    except ZeroDivisionError:
+        # t sits within rounding of c1/A, so A t / c1 rounds to 1: the
+        # Python float division raised here, the column form gives +inf
+        return np.inf
+
+
+def _check_uniform_times(t):
+    dt = np.diff(t)
+    if dt.size == 0:
+        raise ValueError("need at least two records")
+    if np.any(np.abs(dt - dt[0]) > 1e-9 * max(abs(dt[0]), 1e-30)):
+        raise ValueError("records are not uniformly spaced in time")
+    return float(dt[0])
+
+
+def identity_residual_26(records):
+    t = np.array([r.t for r in records])
+    dt = _check_uniform_times(t)
+    lhs = (records[2].volume_part - records[0].volume_part) / (2.0 * dt)
+    mid = records[1]
+    rhs = mid.int_u1sq + mid.int_p - mid.wall_p_integral
+    return abs(lhs - rhs)
+
+
+def identity_residual_27(records):
+    t = np.array([r.t for r in records])
+    dt = _check_uniform_times(t)
+    lhs = (records[2].wall_part - records[0].wall_part) / (2.0 * dt)
+    mid = records[1]
+    rhs = 0.5 * mid.wall_u2sq + mid.wall_p_integral
+    return abs(lhs - rhs)
+
+
+def inequality_checks(record, area, c1, dL_dt):
+    schwarz_vol = record.int_u1sq * area - record.volume_part ** 2
+    schwarz_wall = record.wall_u2sq / 3.0 - record.wall_part ** 2
+    slack_28 = dL_dt - (record.int_u1sq + 0.5 * record.wall_u2sq)
+    riccati_slack = dL_dt - record.L ** 2 / c1
+    return slack_28, schwarz_vol, schwarz_wall, riccati_slack
+
+
+def reference_fill_derived(records, area0, c1, A):
+    n = len(records)
+    if n == 0:
+        return
+    t = np.array([r.t for r in records])
+    L = np.array([r.L for r in records])
+    if A is not None and A > 0.0:
+        horizon = blowup_bound(A, c1)
+        for r in records:
+            if r.t < horizon:
+                r.envelope = _reference_envelope(A, c1, r.t)
+    if n < 2:
+        return
+    dL = np.gradient(L, t)
+    for i, r in enumerate(records):
+        s28, sv, sw, rs = inequality_checks(r, area0, c1, dL_dt=float(dL[i]))
+        r.slack_28, r.schwarz_vol, r.schwarz_wall, r.riccati_slack = s28, sv, sw, rs
+    if n < 3:
+        return
+    for i in range(1, n - 1):
+        triple = records[i - 1:i + 2]
+        records[i].residual_26 = identity_residual_26(triple)
+        records[i].residual_27 = identity_residual_27(triple)
+    records[0].residual_26 = records[1].residual_26
+    records[0].residual_27 = records[1].residual_27
+    records[-1].residual_26 = records[-2].residual_26
+    records[-1].residual_27 = records[-2].residual_27
+
+
+_PRIMARY = ("t", "L", "volume_part", "wall_part", "int_u1sq", "int_p",
+            "wall_u2sq", "wall_p_integral", "area")
+
+
+def assert_same_derived(columns, c1, A):
+    """fill_derived on the columns gives the reference's bits, or both raise."""
+    n = len(columns["t"])
+    records = [_Record(**{name: columns[name][i] for name in _PRIMARY})
+               for i in range(n)]
+    table = {name: np.array(columns[name], dtype=np.float64) for name in _PRIMARY}
+    try:
+        reference_fill_derived(records, records[0].area if n else np.nan, c1, A)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fill_derived(table, c1, A)
+        return
+    fill_derived(table, c1, A)
+    for name in DERIVED_FIELDS:
+        want = np.array([getattr(r, name) for r in records], dtype=np.float64)
+        got = table[name]
+        assert got.dtype == np.float64 and got.shape == (n,), name
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=name)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                      err_msg=name)
+
+
+# Doubles whose libm pow(x, 2) differs from the correctly rounded x*x.
+POW_SENSITIVE = (0.001296915399800524, 1518.9675387121508, -435.6794121681341,
+                 0.0011693778929448716, -1180.4827732401302)
+
+_values = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                    st.sampled_from((0.0, -0.0) + POW_SENSITIVE))
+
+
+@st.composite
+def primary_columns(draw):
+    n = draw(st.integers(0, 8))
+    t0 = draw(st.sampled_from((0.0, 0.0, 0.25, -0.1)))
+    dt = draw(st.floats(1e-4, 0.5))
+    t = [t0 + k * dt for k in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        t[k] += draw(st.sampled_from((0.5, -0.3, 1e-6))) * dt
+    columns = {name: [draw(_values) for _ in range(n)] for name in _PRIMARY[1:]}
+    columns["t"] = t
+    return columns
+
+
+class TestFillDerivedBits:
+    """fill_derived's column pass gives the per-record post-pass's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=primary_columns(), c1=st.floats(4.0 / 3.0, 4.0),
+           A=st.one_of(st.none(), st.floats(-10.0, -1e-3),
+                       st.floats(1e-3, 50.0)),
+           horizon_at=st.one_of(st.none(), st.integers(0, 7)))
+    def test_matches_per_record_reference(self, columns, c1, A, horizon_at):
+        t = columns["t"]
+        if horizon_at is not None and horizon_at < len(t) and t[horizon_at] > 0.0:
+            A = c1 / t[horizon_at]       # the horizon lands on a record time
+        assert_same_derived(columns, c1, A)
+
+    def test_pow_sensitive_squares(self):
+        # L and both parts hold doubles whose x*x and x**2 differ, so numpy
+        # squaring of the columns would change schwarz_* and riccati_slack
+        vals = list(POW_SENSITIVE)
+        columns = {"t": [1.5e-4 * k for k in range(5)], "L": vals,
+                   "volume_part": vals[::-1], "wall_part": vals[2:] + vals[:2],
+                   "int_u1sq": [2.5, 0.0, 1e3, 3.0, 7.0],
+                   "int_p": [0.1, -0.2, 0.3, -0.4, 0.5],
+                   "wall_u2sq": [1.0, 2.0, 3.0, 4.0, 5.0],
+                   "wall_p_integral": [0.0, 1.0, -1.0, 2.0, -2.0],
+                   "area": [1.0] * 5}
+        for name in ("L", "volume_part", "wall_part"):
+            col = np.array(columns[name])
+            assert np.any(col * col != np.array([v ** 2 for v in col.tolist()]))
+        for A in (None, -2.0, 9000.0, 3.0):
+            assert_same_derived(columns, 2.0, A)
+
+    def test_horizon_on_a_record_time(self):
+        # c1/A = 0.5 exactly: the envelope stops before that record
+        columns = {name: [1.0, 2.0, 3.0, 4.0] for name in _PRIMARY}
+        columns["t"] = [0.0, 0.25, 0.5, 0.75]
+        assert_same_derived(columns, 2.0, 4.0)
+        table = {name: np.array(v) for name, v in columns.items()}
+        fill_derived(table, 2.0, 4.0)
+        np.testing.assert_array_equal(table["envelope"],
+                                      [4.0, 8.0, np.nan, np.nan])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_short_tables(self, n):
+        columns = {name: [0.5 + k for k in range(n)] for name in _PRIMARY}
+        columns["t"] = [0.1 * k for k in range(n)]
+        assert_same_derived(columns, 2.0, 1.5)
 
 
 class TestDetectors:
     def make_state(self, curve):
-        return FlowState(t=1.0, curve=curve, phi=np.zeros(curve.n_markers))
+        return FlowState(t=1.0, curve=curve, phi=np.zeros(curve.n_markers),
+                         wall_panels_per_side=16)
 
-    def detectors(self, curv_max=1000.0, **kw):
-        return DetectorConfig(initial_spacing=0.1, curv_max=curv_max, **kw)
+    def detectors(self, curv_max=1000.0, collide_tol=0.1, L_max=1e6):
+        return DetectorConfig(initial_spacing=0.1, curv_max=curv_max,
+                              collide_tol=collide_tol, L_max=L_max)
 
     def test_quiet_state(self):
         state = self.make_state(flat_interface(11))
@@ -249,3 +457,7 @@ class TestDetectors:
     def test_curv_max_required(self):
         with pytest.raises(TypeError):
             DetectorConfig(initial_spacing=0.01)
+
+    def test_thresholds_required(self):
+        with pytest.raises(TypeError):
+            DetectorConfig(initial_spacing=0.01, curv_max=1000.0)

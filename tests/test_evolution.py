@@ -8,7 +8,9 @@ from wavebox.evolution import (FlowState, StateDerivative, adaptive_dt,
                                kinetic_energy, redistribute_markers, rk4_step,
                                state_derivative)
 from wavebox.geometry import InterfaceCurve, flat_interface
-from wavebox.modes import make_reference_data, sample_initial_state
+from wavebox.modes import sample_initial_state
+
+from conftest import make_reference_data
 
 
 def still_state(n=17, walls=8):
@@ -19,7 +21,8 @@ def still_state(n=17, walls=8):
 class TestFlowState:
     def test_phi_shape_checked(self):
         with pytest.raises(ValueError):
-            FlowState(t=0.0, curve=flat_interface(9), phi=np.zeros(8))
+            FlowState(t=0.0, curve=flat_interface(9), phi=np.zeros(8),
+                      wall_panels_per_side=16)
 
     def test_replace_keeps_untouched_fields(self):
         state = still_state()

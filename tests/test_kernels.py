@@ -11,7 +11,9 @@ from wavebox.geometry import (BC_NEUMANN_WALL, BoundaryMesh, InterfaceCurve,
 from wavebox.kernels import (TWO_PI, DenseSystem, gauss_legendre,
                              influence_gradients, influence_matrices,
                              solve_dense)
-from wavebox.modes import make_reference_data, sample_initial_state
+from wavebox.modes import sample_initial_state
+
+from conftest import make_reference_data
 
 
 class TestGaussLegendre:

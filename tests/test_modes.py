@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wavebox.modes import (ModePotential, initial_A, make_reference_data,
-                           sample_initial_state)
+from wavebox.modes import ModePotential, initial_A, sample_initial_state
+
+from conftest import make_reference_data
 
 # frozen: A for the amplitude-1 reference data, from the closed form
 # sum_k a_k (-1)^k cosh(k pi) with a_1 = -1, a_3 = sinh(pi)/(3 sinh(3 pi))
@@ -91,4 +92,4 @@ class TestSampleInitialState:
 
     def test_marker_minimum(self):
         with pytest.raises(ValueError):
-            sample_initial_state(make_reference_data(1.0), 4)
+            sample_initial_state(make_reference_data(1.0), 4, 16)

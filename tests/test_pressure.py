@@ -5,11 +5,13 @@ import pytest
 
 from wavebox.diagnostics import wall_tangential_speed
 from wavebox.errors import NearBoundaryError
-from wavebox.modes import make_reference_data, sample_initial_state
+from wavebox.modes import sample_initial_state
 from wavebox.pressure import (PressureField, interior_lattice, pressure_at,
-                              pressure_min, pressure_poisson_residual,
-                              solve_phi_t, velocity_at,
+                              pressure_min, solve_phi_t,
                               wall_pressure_integral, wall_pressure_values)
+
+from conftest import (make_reference_data, pressure_poisson_residual,
+                      velocity_at)
 
 
 @pytest.fixture(scope="module")

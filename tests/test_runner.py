@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavebox.runner as runner
-from wavebox.diagnostics import DiagnosticsRecord
+from wavebox.diagnostics import CSV_FIELDS
 from wavebox.evolution import FlowState
 from wavebox.geometry import InterfaceCurve
 from wavebox.runner import (ConfigError, RunConfig, evaluate_checks,
@@ -96,20 +96,19 @@ class TestRunConfig:
 
 
 class TestCsvRoundTrip:
-    def make_records(self):
-        recs = []
-        for i in range(4):
-            r = DiagnosticsRecord(t=0.1 * i, L=1.0 + i, volume_part=0.5 * i,
-                                  wall_part=0.25 * i)
-            r.energy = math.pi * (i + 1)
-            r.area = 1.0
-            recs.append(r)
-        return recs
+    def make_table(self):
+        table = {name: np.full(4, math.nan) for name in CSV_FIELDS}
+        table.update(t=np.array([0.1 * i for i in range(4)]),
+                     L=np.array([1.0 + i for i in range(4)]),
+                     volume_part=np.array([0.5 * i for i in range(4)]),
+                     wall_part=np.array([0.25 * i for i in range(4)]),
+                     energy=np.array([math.pi * (i + 1) for i in range(4)]),
+                     area=np.ones(4))
+        return table
 
     def test_round_trip_exact(self, tmp_path):
         path = str(tmp_path / "d.csv")
-        recs = self.make_records()
-        write_diagnostics_csv(path, recs)
+        write_diagnostics_csv(path, self.make_table())
         cols = read_diagnostics_csv(path)
         np.testing.assert_array_equal(cols["t"], [0.0, 0.1, 0.2, 0.30000000000000004])
         np.testing.assert_array_equal(cols["energy"],
@@ -118,12 +117,19 @@ class TestCsvRoundTrip:
 
     def test_header_frozen(self, tmp_path):
         path = str(tmp_path / "d.csv")
-        write_diagnostics_csv(path, self.make_records())
+        write_diagnostics_csv(path, self.make_table())
         with open(path) as fh:
             header = fh.readline().strip()
         assert header == ("t,L,volume_part,wall_part,envelope,residual_26,"
                           "residual_27,slack_28,schwarz_vol,schwarz_wall,"
                           "riccati_slack,p_min,wall_p_integral,energy,area,dt")
+
+    def test_writer_inverts_reader(self, ref_run, tmp_path):
+        stored = os.path.join(ref_run["dir"], "diagnostics.csv")
+        path = str(tmp_path / "d.csv")
+        write_diagnostics_csv(path, read_diagnostics_csv(stored))
+        with open(stored, "rb") as a, open(path, "rb") as b:
+            assert a.read() == b.read()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -133,7 +139,7 @@ class TestCsvRoundTrip:
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text(",".join(DiagnosticsRecord.CSV_FIELDS) + "\n")
+        path.write_text(",".join(CSV_FIELDS) + "\n")
         with pytest.raises(ValueError):
             read_diagnostics_csv(str(path))
 
@@ -156,7 +162,7 @@ class TestEvaluateChecks:
     def test_insufficient_records(self):
         cfg = RunConfig()
         cols = {name: np.array([v]) for name, v in zip(
-            DiagnosticsRecord.CSV_FIELDS,
+            CSV_FIELDS,
             [0.0, 2.0, 1.0, 1.0, math.nan, math.nan, math.nan, math.nan,
              math.nan, math.nan, math.nan, 5.0, 0.0, 1.0, 1.0, math.nan])}
         out = evaluate_checks(cols, cfg, broke=False)
@@ -167,7 +173,7 @@ class TestEvaluateChecks:
     def test_negative_pressure_detected(self):
         cfg = RunConfig()
         n = 5
-        cols = {name: np.zeros(n) for name in DiagnosticsRecord.CSV_FIELDS}
+        cols = {name: np.zeros(n) for name in CSV_FIELDS}
         cols["t"] = np.linspace(0.0, 1.0, n)
         cols["energy"] = np.ones(n)
         cols["area"] = np.ones(n)
@@ -179,7 +185,7 @@ class TestEvaluateChecks:
     def test_riccati_skipped_for_negative_A(self):
         cfg = RunConfig()
         n = 5
-        cols = {name: np.zeros(n) for name in DiagnosticsRecord.CSV_FIELDS}
+        cols = {name: np.zeros(n) for name in CSV_FIELDS}
         cols["t"] = np.linspace(0.0, 1.0, n)
         cols["L"] = np.full(n, -3.0)
         cols["energy"] = np.ones(n)
@@ -281,7 +287,7 @@ class TestRecordTimeBreakdown:
                                        t_end_cap=1.0, redistribute_every=0))
         result = run_simulation(cfg)
         assert result.n_steps == 1
-        assert len(result.records) == 1
+        assert len(result.table["t"]) == 1
         assert result.breakdown.kind == "self_intersection"
         assert result.breakdown.t_break == result.t_final == 0.05
         assert "marker 22" in result.breakdown.detail
