@@ -12,7 +12,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import PchipInterpolator
 
 from .bem import CauchyData, solve_surface_dirichlet
 from .errors import (BottomContactError, BreakdownError, BreakdownSignal,
@@ -188,6 +187,50 @@ def adaptive_dt(state: FlowState, speeds: FloatArray, cfl: float,
     return min(dt, dt_max)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, zeroed or capped to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    cap = ~flip & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(cap, 3.0 * m0, d))
+
+
+def _pchip(s: FloatArray, y: FloatArray, x: FloatArray) -> FloatArray:
+    """Monotone cubic interpolant, on knots ``s``, of each column of ``y``, at ``x``.
+
+    Fritsch-Carlson slopes with Moler's end rule, bit for bit as SciPy's
+    ``PchipInterpolator``: its slopes, its ``CubicHermiteSpline``
+    coefficients, and ``PPoly``'s power sum ``c3 + c2*z + c1*z + c0*z``
+    with ``z *= sigma`` before each term (Horner's rule differs in the last
+    bit).  Needs at least three knots and ``s[0] <= x <= s[-1]``.
+    """
+    if not (np.isfinite(s).all() and np.isfinite(y).all()):
+        raise ValueError("interpolation data must be finite")
+    h = np.diff(s)[:, None]
+    if np.any(h <= 0.0):
+        raise ValueError("interpolation knots must increase strictly")
+    m = np.diff(y, axis=0) / h
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    if not np.isfinite(d).all():
+        raise ValueError("interpolation slopes must be finite")
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c3, c2, c1, c0 = y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h
+
+    i = np.clip(np.searchsorted(s, x, side="right") - 1, 0, len(s) - 2)
+    sigma = (x - s[i])[:, None]
+    z2 = sigma * sigma
+    # PPoly's sum starts from 0.0, which turns a leading -0.0 into +0.0
+    return 0.0 + c3[i] + c2[i] * sigma + c1[i] * z2 + c0[i] * (z2 * sigma)
+
+
 def redistribute_markers(state: FlowState) -> FlowState:
     """Reposition markers to uniform arclength via monotone cubic interpolation.
 
@@ -198,12 +241,10 @@ def redistribute_markers(state: FlowState) -> FlowState:
         raise GeometryError("zero-length interface")
     n = state.curve.n_markers
     s_new = np.linspace(0.0, s[-1], n)
-    fx = PchipInterpolator(s, state.curve.x[:, 0])
-    fy = PchipInterpolator(s, state.curve.x[:, 1])
-    fp = PchipInterpolator(s, state.phi)
-    x_new = np.column_stack([fx(s_new), fy(s_new)])
+    new = _pchip(s, np.column_stack([state.curve.x, state.phi]), s_new)
+    x_new = new[:, :2]
     x_new[0] = CORNER_LEFT
     x_new[-1] = CORNER_RIGHT
     curve = InterfaceCurve(np.linspace(0.0, 1.0, n), x_new)
-    return FlowState(t=state.t, curve=curve, phi=fp(s_new),
+    return FlowState(t=state.t, curve=curve, phi=new[:, 2],
                      wall_panels_per_side=state.wall_panels_per_side)

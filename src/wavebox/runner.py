@@ -519,7 +519,7 @@ def _json_scalar(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        return "null" if math.isnan(v) else format(v, ".17g")
+        return format(v, ".17g") if math.isfinite(v) else "null"
     return json.dumps(value)
 
 

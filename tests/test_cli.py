@@ -150,13 +150,29 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def run_child(code):
+    """Run ``code`` in a fresh interpreter on the source tree; return stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="keeping freed memory needs glibc's mallopt")
 def test_freed_solver_arrays_are_reused():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", CHURN], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
     # Without the call the 50 rounds take about 9,500 minor faults.
-    assert int(proc.stdout) < 1000
+    assert int(run_child(CHURN)) < 1000
+
+
+def test_cli_import_loads_no_scipy_interpolate():
+    # scipy.interpolate pulls in scipy.optimize, sparse, spatial and special:
+    # about 0.3 s and 23 MB of every process, for one PCHIP
+    loaded = run_child(
+        "import sys, wavebox.cli\n"
+        "print(*(m for m in sys.modules\n"
+        "        if m.split('.')[:2] in (['scipy', 'interpolate'],\n"
+        "                                ['scipy', 'optimize'])))")
+    assert loaded.split() == []

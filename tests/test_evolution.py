@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from wavebox.errors import BreakdownError
-from wavebox.evolution import (FlowState, StateDerivative, adaptive_dt,
+from wavebox.evolution import (FlowState, StateDerivative, _pchip, adaptive_dt,
                                kinetic_energy, redistribute_markers, rk4_step,
                                state_derivative)
 from wavebox.geometry import InterfaceCurve, flat_interface
@@ -192,3 +195,86 @@ class TestRedistribution:
         state = still_state(n=21)
         out = redistribute_markers(state)
         np.testing.assert_allclose(out.curve.x, state.curve.x, atol=1e-12)
+
+
+def pchip_bits(s, y, x):
+    """(numpy helper, SciPy) values of the interpolant of y at x, as raw bits."""
+    ours = _pchip(s, y[:, None], x)[:, 0]
+    theirs = PchipInterpolator(s, y)(x)
+    return ours.view(np.uint64), theirs.view(np.uint64)
+
+
+def sample_points(s):
+    """An even grid, the knots themselves and both ends."""
+    return np.concatenate([np.linspace(s[0], s[-1], len(s)), s, s[[0, -1]]])
+
+
+@st.composite
+def pchip_curves(draw):
+    n = draw(st.integers(8, 200))
+    kind = draw(st.sampled_from(["zero_runs", "monotone", "sign_change", "wide"]))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.exponential(size=n - 1) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if draw(st.booleans()):
+        h[:] = h[0]                      # evenly spaced, as after redistribution
+    s = rng.uniform(-10.0, 10.0) + np.concatenate([[0.0], np.cumsum(h)])
+    if kind == "zero_runs":
+        y = np.round(rng.normal(size=n))
+        y[rng.random(n) < 0.4] = 0.0
+        y[rng.random(n) < 0.1] = -0.0
+    elif kind == "monotone":
+        y = np.cumsum(np.abs(rng.normal(size=n)))
+    elif kind == "sign_change":
+        y = np.sin(rng.uniform(1.0, 60.0) * np.linspace(0.0, 1.0, n))
+    else:
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-12.0, 12.0, size=n)
+    return s, scale * y * draw(st.sampled_from([1.0, -1.0]))
+
+
+class TestPchipBits:
+    """The numpy PCHIP gives SciPy's PchipInterpolator bits, and its errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pchip_curves())
+    def test_matches_scipy(self, curve):
+        s, y = curve
+        ours, theirs = pchip_bits(s, y, sample_points(s))
+        np.testing.assert_array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("y", [
+        np.full(8, 2.5),                                      # flat
+        np.array([0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, -1.0]),  # zero runs
+        np.array([1.0, 3.0, -2.0, 5.0, -7.0, 0.5, 4.0, -1.0]),
+        np.array([0.0, 1e-12, 2e-12, 3e12, 4e12, 4e12, 5e12, 6e12]),
+        # PPoly sums from 0.0: the -0.0 knot value comes out +0.0
+        np.array([4.5, 0.5, -0.0, -1.0, -4.0, -7.0, -10.0, -18.0]),
+    ])
+    def test_fixed_curves(self, y):
+        s = np.cumsum([0.0, 1.0, 0.5, 2.0, 0.25, 1.0, 3.0, 1.0])
+        for knots in (s, np.arange(8.0)):
+            ours, theirs = pchip_bits(knots, y, sample_points(knots))
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_columns_share_one_call(self):
+        rng = np.random.default_rng(7)
+        s = np.cumsum(rng.uniform(0.1, 1.0, 40))
+        y = rng.normal(size=(40, 3))
+        x = sample_points(s)
+        both = _pchip(s, y, x)
+        for j in range(3):
+            np.testing.assert_array_equal(both[:, j].view(np.uint64),
+                                          PchipInterpolator(s, y[:, j])(x).view(np.uint64))
+
+    @pytest.mark.parametrize("s, y", [
+        (np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0]), np.arange(8.0)),
+        (np.arange(8.0), np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0])),
+        (np.arange(8.0), np.array([0.0, 1.0, np.inf, 3.0, 4.0, 5.0, 6.0, 7.0])),
+        (np.arange(8.0) * 1e-300, np.arange(8.0) * 1e10),      # slopes overflow
+    ], ids=["repeated_knot", "nan_data", "inf_data", "infinite_slopes"])
+    def test_raises_where_scipy_does(self, s, y):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError):
+                PchipInterpolator(s, y)
+            with pytest.raises(ValueError):
+                _pchip(s, y[:, None], s[[0, -1]])

@@ -22,6 +22,10 @@ from wavebox.runner import (ConfigError, RunConfig, evaluate_checks,
 from conftest import reference_config_dict, reference_modes
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestRunConfig:
     def test_defaults_valid(self):
         cfg = RunConfig()
@@ -148,14 +152,16 @@ class TestReportWriter:
     def test_serialization(self, tmp_path):
         path = str(tmp_path / "r.json")
         write_report(path, {"a": 1.0 / 3.0, "b": True, "c": None,
-                            "d": float("nan"), "e": 7, "f": "text"})
+                            "d": float("nan"), "e": 7, "f": "text",
+                            "g": math.inf, "h": np.float64("-inf")})
         text = open(path).read()
         assert '"a": 0.33333333333333331' in text
         assert '"b": true' in text
         assert '"c": null' in text
         assert '"d": null' in text
-        loaded = json.loads(text)
+        loaded = json.loads(text, parse_constant=reject_constant)
         assert loaded["e"] == 7 and loaded["f"] == "text"
+        assert loaded["g"] is None and loaded["h"] is None
 
 
 class TestEvaluateChecks:
@@ -230,6 +236,16 @@ class TestVerifyIdentities:
 
     def test_missing_dir(self, tmp_path):
         assert verify_identities(str(tmp_path / "nope"), quiet=True) == 2
+
+    def test_one_record_run(self, tmp_path):
+        # one record leaves no finite Schwarz slack: margin_schwarz is inf
+        cfg = RunConfig.from_dict(reference_config_dict(t_end_cap=1e-4))
+        out = str(tmp_path / "one")
+        assert runner.simulate(cfg, out_dir=out, quiet=True)[0] == 0
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh, parse_constant=reject_constant)
+        assert report["n_records"] == 1 and report["margin_schwarz"] is None
+        assert verify_identities(out, quiet=True) == 0
 
 
 class TestRunSimulation:
