@@ -1,9 +1,9 @@
-"""Mixed Dirichlet/Neumann Laplace solver on the panelized fluid boundary.
+"""Laplace solver on the panelized fluid boundary of the fixed box.
 
 Direct (Green's identity) collocation at panel midpoints with piecewise-
-constant Cauchy data: on each surface panel the potential value is
-prescribed and the flux solved; on each wall panel the flux is prescribed
-(zero during evolution) and the value solved.
+constant Cauchy data.  The box poses one problem: the potential value is
+given on each free-surface panel and its flux solved, while the fixed
+walls carry zero flux and their values are solved.
 """
 
 from __future__ import annotations
@@ -15,52 +15,42 @@ from numpy.typing import NDArray
 
 from . import kernels
 from .errors import NearBoundaryError
-from .geometry import (BC_DIRICHLET_SURFACE, BC_NEUMANN_WALL, BoundaryMesh,
-                       point_segment_distance, points_inside)
+from .geometry import BoundaryMesh, point_segment_distance, points_inside
 from .kernels import DenseSystem, solve_dense
 
 FloatArray = NDArray[np.float64]
 
-DEFAULT_NEAR_FIELD_FACTOR = 2.0
-
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Per-panel (value, flux) pair; ``value_prescribed`` marks which side was given."""
+    """Per-panel (value, flux) pair on the whole boundary."""
 
     values: FloatArray
     fluxes: FloatArray
-    value_prescribed: NDArray[np.bool_]
 
 
-def solve_mixed_bvp(mesh: BoundaryMesh,
-                    dirichlet_on_surface: FloatArray,
-                    neumann_on_walls: FloatArray) -> CauchyData:
-    """Solve the collocation boundary-integral system for the missing data.
+def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> CauchyData:
+    """Cauchy data for given surface values and zero wall flux.
 
     Collocation equation at panel midpoint i (flat-panel coefficient 1/2):
 
         sum_j S_ij q_j - sum_j D_ij phi_j - phi_i / 2 = 0
     """
-    surf = mesh.bc_kind == BC_DIRICHLET_SURFACE
-    wall = mesh.bc_kind == BC_NEUMANN_WALL
-    phi_s = np.asarray(dirichlet_on_surface, dtype=np.float64)
-    q_w = np.asarray(neumann_on_walls, dtype=np.float64)
-    if phi_s.shape != (int(surf.sum()),):
-        raise ValueError(f"expected {int(surf.sum())} surface values, got {phi_s.shape}")
-    if q_w.shape != (int(wall.sum()),):
-        raise ValueError(f"expected {int(wall.sum())} wall fluxes, got {q_w.shape}")
-
     n = mesh.n_panels
     sl = mesh.surface_slice
+    phi_s = np.asarray(surface_potential, dtype=np.float64)
+    if phi_s.shape != (mesh.n_markers - 1,):
+        raise ValueError(f"expected {mesh.n_markers - 1} surface values, got {phi_s.shape}")
+    surf = np.zeros(n, dtype=bool)
+    surf[sl] = True
     S, D = kernels.influence_matrices(mesh, mesh.midpoints)
     D[np.diag_indices(n)] += 0.5             # D + I/2
 
     rhs = np.empty(n + 1)
     # Mask-selected columns come out Fortran-ordered, which picks BLAS's
     # column-sweeping gemv; a C-ordered slice view would sum in another order.
-    rhs[:n] = D[:, surf] @ phi_s - S[:, wall] @ q_w
-    rhs[n] = -float(np.dot(mesh.lengths[wall], q_w))
+    rhs[:n] = D[:, surf] @ phi_s
+    rhs[n] = 0.0
     A = np.empty((n + 1, n + 1))
     A[:n, sl] = S[:, sl]                     # unknown surface fluxes
     np.negative(D[:, :sl.start], out=A[:n, :sl.start])   # unknown wall values
@@ -75,23 +65,15 @@ def solve_mixed_bvp(mesh: BoundaryMesh,
 
     z = solve_dense(DenseSystem(matrix=A, rhs=rhs))[:n]
 
-    values = np.empty(n)
-    fluxes = np.empty(n)
-    values[surf] = phi_s
-    fluxes[surf] = z[surf]
-    values[wall] = z[wall]
-    fluxes[wall] = q_w
-    return CauchyData(values=values, fluxes=fluxes, value_prescribed=surf.copy())
-
-
-def solve_surface_dirichlet(mesh: BoundaryMesh, surface_potential: FloatArray) -> CauchyData:
-    """Full Cauchy data for Dirichlet surface values and zero wall flux."""
-    q_w = np.zeros(int((mesh.bc_kind == BC_NEUMANN_WALL).sum()))
-    return solve_mixed_bvp(mesh, surface_potential, q_w)
+    values = z.copy()
+    values[sl] = phi_s
+    fluxes = np.zeros(n)
+    fluxes[sl] = z[sl]
+    return CauchyData(values=values, fluxes=fluxes)
 
 
 def admissible_interior(mesh: BoundaryMesh, points: FloatArray,
-                        near_field_factor: float = DEFAULT_NEAR_FIELD_FACTOR):
+                        near_field_factor: float):
     """Mask of points strictly inside and outside the near-field band.
 
     The band width is near_field_factor times the length of the closest panel.
@@ -105,7 +87,7 @@ def admissible_interior(mesh: BoundaryMesh, points: FloatArray,
 
 
 def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,
-                  near_field_factor: float = DEFAULT_NEAR_FIELD_FACTOR):
+                  near_field_factor: float):
     """Representation-formula potential and gradient at interior points.
 
         phi(x) = sum_j S_j(x) q_j - sum_j D_j(x) phi_j

@@ -13,13 +13,20 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .bem import CauchyData, solve_surface_dirichlet
+from .bem import CauchyData, solve_mixed_bvp
 from .errors import (BottomContactError, BreakdownError, BreakdownSignal,
                      GeometryError, SelfIntersectionError, SingularMatrixError)
 from .geometry import (CORNER_LEFT, CORNER_RIGHT, BoundaryMesh, InterfaceCurve,
                        build_boundary_mesh)
 
 FloatArray = NDArray[np.float64]
+
+
+@dataclass(frozen=True)
+class StateDerivative:
+    velocity: FloatArray       # (n,2) marker velocities
+    dphi: FloatArray           # (n,) material derivative of surface potential
+    corner_residual: float     # pre-projection corner speed / max speed
 
 
 @dataclass(frozen=True)
@@ -45,23 +52,43 @@ class FlowState:
     def cauchy(self) -> CauchyData:
         """Cauchy data of the surface potential (zero wall flux)."""
         mesh = self.mesh
-        return solve_surface_dirichlet(mesh, mesh.surface_panel_values(self.phi))
+        return solve_mixed_bvp(mesh, mesh.surface_panel_values(self.phi))
+
+    @cached_property
+    def derivative(self) -> StateDerivative:
+        """Marker velocities and d(phi)/dt from the Cauchy data; corners projected to zero.
+
+        Normal component from the solved surface flux (panel midpoints
+        averaged to markers), tangential component from differencing phi in
+        arclength.  The arrays are read-only, since every caller shares them.
+        """
+        mesh = self.mesh
+        q_panels = mesh.marker_panel_from_surface(self.cauchy.fluxes[mesh.surface_slice])
+        q = np.empty(self.curve.n_markers)
+        q[0] = q_panels[0]
+        q[-1] = q_panels[-1]
+        q[1:-1] = 0.5 * (q_panels[:-1] + q_panels[1:])
+
+        phi_s = np.gradient(self.phi, self.curve.arclength())
+        tangents, normals = marker_geometry(self.curve)
+        u = q[:, None] * normals + phi_s[:, None] * tangents
+
+        speeds = np.linalg.norm(u, axis=1)
+        max_speed = float(speeds.max())
+        corner_speed = float(max(speeds[0], speeds[-1]))
+        residual = corner_speed / max_speed if max_speed > 0.0 else 0.0
+        u[0] = 0.0
+        u[-1] = 0.0
+        dphi = 0.5 * np.einsum("ij,ij->i", u, u)
+        u.flags.writeable = False
+        dphi.flags.writeable = False
+        return StateDerivative(velocity=u, dphi=dphi, corner_residual=residual)
 
     def replace(self, *, t=None, x=None, phi=None) -> "FlowState":
-        curve = self.curve
-        if x is not None:
-            curve = InterfaceCurve(self.curve.alpha, x)
         return FlowState(t=self.t if t is None else float(t),
-                         curve=curve,
+                         curve=self.curve if x is None else InterfaceCurve(x),
                          phi=self.phi if phi is None else phi,
                          wall_panels_per_side=self.wall_panels_per_side)
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    velocity: FloatArray       # (n,2) marker velocities
-    dphi: FloatArray           # (n,) material derivative of surface potential
-    corner_residual: float     # pre-projection corner speed / max speed
 
 
 def marker_geometry(curve: InterfaceCurve):
@@ -78,38 +105,9 @@ def marker_geometry(curve: InterfaceCurve):
     return t, n
 
 
-def velocity_from_cauchy(state: FlowState) -> tuple[FloatArray, float]:
-    """Marker velocities from the state's Cauchy data; corners projected to zero.
-
-    Normal component from the solved surface flux (panel midpoints averaged
-    to markers), tangential component from differencing phi in arclength.
-    """
-    mesh = state.mesh
-    q_panels = mesh.marker_panel_from_surface(state.cauchy.fluxes[mesh.surface_slice])
-    n_mark = state.curve.n_markers
-    q = np.empty(n_mark)
-    q[0] = q_panels[0]
-    q[-1] = q_panels[-1]
-    q[1:-1] = 0.5 * (q_panels[:-1] + q_panels[1:])
-
-    s = state.curve.arclength()
-    phi_s = np.gradient(state.phi, s)
-    tangents, normals = marker_geometry(state.curve)
-    u = q[:, None] * normals + phi_s[:, None] * tangents
-
-    speeds = np.linalg.norm(u, axis=1)
-    max_speed = float(speeds.max())
-    corner_speed = float(max(speeds[0], speeds[-1]))
-    residual = corner_speed / max_speed if max_speed > 0.0 else 0.0
-    u[0] = 0.0
-    u[-1] = 0.0
-    return u, residual
-
-
 def state_derivative(state: FlowState) -> StateDerivative:
-    u, residual = velocity_from_cauchy(state)
-    dphi = 0.5 * np.einsum("ij,ij->i", u, u)
-    return StateDerivative(velocity=u, dphi=dphi, corner_residual=residual)
+    """The stepper's right-hand side: the state's cached ``derivative``."""
+    return state.derivative
 
 
 def kinetic_energy(state: FlowState) -> float:
@@ -134,13 +132,11 @@ def _wrap_stage_failure(t: float, stage: int, exc: Exception) -> BreakdownError:
         t_break=t, kind=kind, detail=f"stage {stage}: {exc}"))
 
 
-def rk4_step(state: FlowState, dt: float,
-             derivative=state_derivative) -> FlowState:
+def rk4_step(state: FlowState, dt: float) -> FlowState:
     """Classical 4-stage step on (marker positions, surface potential).
 
     Any stage failing with a geometric or solver error aborts the step with
-    a BreakdownError recording the stage and reason.  ``derivative`` is
-    injectable for manufactured-trajectory tests.
+    a BreakdownError recording the stage and reason.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -149,7 +145,7 @@ def rk4_step(state: FlowState, dt: float,
     def stage(i, xs, phis, ts):
         try:
             st = state.replace(t=ts, x=xs, phi=phis)
-            return derivative(st)
+            return state_derivative(st)
         except (GeometryError, SingularMatrixError) as exc:
             raise _wrap_stage_failure(t0, i, exc) from exc
 
@@ -166,7 +162,7 @@ def rk4_step(state: FlowState, dt: float,
 
 
 def adaptive_dt(state: FlowState, speeds: FloatArray, cfl: float,
-                dt_min: float = 1e-9, dt_max: float = 0.05) -> float:
+                dt_min: float, dt_max: float) -> float:
     """CFL timestep: cfl * min(local spacing / local marker speed), clamped.
 
     A pre-clamp value below dt_min signals numerical blow-up and raises
@@ -239,12 +235,10 @@ def redistribute_markers(state: FlowState) -> FlowState:
     s = state.curve.arclength()
     if s[-1] <= 0.0:
         raise GeometryError("zero-length interface")
-    n = state.curve.n_markers
-    s_new = np.linspace(0.0, s[-1], n)
+    s_new = np.linspace(0.0, s[-1], state.curve.n_markers)
     new = _pchip(s, np.column_stack([state.curve.x, state.phi]), s_new)
     x_new = new[:, :2]
     x_new[0] = CORNER_LEFT
     x_new[-1] = CORNER_RIGHT
-    curve = InterfaceCurve(np.linspace(0.0, 1.0, n), x_new)
-    return FlowState(t=state.t, curve=curve, phi=new[:, 2],
+    return FlowState(t=state.t, curve=InterfaceCurve(x_new), phi=new[:, 2],
                      wall_panels_per_side=state.wall_panels_per_side)

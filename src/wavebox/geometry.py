@@ -19,11 +19,6 @@ FloatArray = NDArray[np.float64]
 CORNER_LEFT = (0.0, 1.0)
 CORNER_RIGHT = (1.0, 1.0)
 
-# Free-surface panels carry prescribed potential values; wall panels carry
-# prescribed (zero) normal flux.
-BC_DIRICHLET_SURFACE = 0
-BC_NEUMANN_WALL = 1
-
 _PIN_TOL = 1e-12
 _WALL_CLAMP = 1e-10
 
@@ -32,26 +27,20 @@ _WALL_CLAMP = 1e-10
 class InterfaceCurve:
     """Ordered marker polyline for the free surface, pinned at both ends.
 
-    ``alpha`` is the Lagrangian label in [0,1]; ``x`` has shape (n, 2).
-    Markers run left corner -> right corner.
+    ``x`` has shape (n, 2); markers run left corner -> right corner.
     """
 
-    alpha: FloatArray
     x: FloatArray
 
     def __post_init__(self):
-        alpha = np.ascontiguousarray(self.alpha, dtype=np.float64)
         x = np.ascontiguousarray(self.x, dtype=np.float64)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "x", x)
-        if x.ndim != 2 or x.shape[1] != 2 or x.shape[0] != alpha.shape[0]:
-            raise GeometryError("markers must be (n,2) with matching alpha")
-        if alpha.shape[0] < 2:
+        if x.ndim != 2 or x.shape[1] != 2:
+            raise GeometryError("markers must be (n,2)")
+        if x.shape[0] < 2:
             raise GeometryError("need at least 2 markers")
-        if not (np.isfinite(alpha).all() and np.isfinite(x).all()):
+        if not np.isfinite(x).all():
             raise GeometryError("non-finite marker data")
-        if np.any(np.diff(alpha) <= 0.0) or abs(alpha[0]) > _PIN_TOL or abs(alpha[-1] - 1.0) > _PIN_TOL:
-            raise GeometryError("alpha must increase strictly from 0 to 1")
         if not (abs(x[0, 0]) <= _PIN_TOL and abs(x[0, 1] - 1.0) <= _PIN_TOL):
             raise GeometryError(f"left endpoint not pinned at {CORNER_LEFT}: {x[0]}")
         if not (abs(x[-1, 0] - 1.0) <= _PIN_TOL and abs(x[-1, 1] - 1.0) <= _PIN_TOL):
@@ -83,9 +72,8 @@ class InterfaceCurve:
 
 def flat_interface(n_markers: int) -> InterfaceCurve:
     """Flat surface x2=1 with uniformly spaced markers."""
-    alpha = np.linspace(0.0, 1.0, n_markers)
-    x = np.column_stack([alpha, np.ones(n_markers)])
-    return InterfaceCurve(alpha, x)
+    return InterfaceCurve(np.column_stack([np.linspace(0.0, 1.0, n_markers),
+                                           np.ones(n_markers)]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -164,7 +152,6 @@ class BoundaryMesh:
 
     a: FloatArray          # (n,2) panel start points
     b: FloatArray          # (n,2) panel end points
-    bc_kind: NDArray[np.int64]
     n_markers: int
     wall_panels_per_side: int
 
@@ -256,10 +243,7 @@ def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> Bou
 
     a = np.vstack([bottom_a, right_a, surf_a, left_a])
     b = np.vstack([bottom_b, right_b, surf_b, left_b])
-    n_surf = surf_a.shape[0]
-    bc = np.full(a.shape[0], BC_NEUMANN_WALL, dtype=np.int64)
-    bc[2 * w:2 * w + n_surf] = BC_DIRICHLET_SURFACE
-    mesh = BoundaryMesh(a=a, b=b, bc_kind=bc, n_markers=curve.n_markers,
+    mesh = BoundaryMesh(a=a, b=b, n_markers=curve.n_markers,
                         wall_panels_per_side=w)
     if polygon_area(mesh) <= 0.0:
         raise GeometryError("boundary polygon is not positively oriented")

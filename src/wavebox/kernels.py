@@ -1,4 +1,4 @@
-"""Shared numerics: Gauss rules, dense solves, Laplace panel integrals.
+"""Shared numerics: dense solves and Laplace panel integrals.
 
 The 2D Laplace free-space kernel is G(x,y) = -(1/2pi) ln|x-y|.  All panel
 integrals below are closed-form for straight panels with constant density,
@@ -18,20 +18,6 @@ from .errors import GeometryError, SingularMatrixError
 FloatArray = NDArray[np.float64]
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    nodes: FloatArray
-    weights: FloatArray
-
-
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule with n points on (-1, 1)."""
-    if not 1 <= n <= 64:
-        raise ValueError(f"gauss_legendre: n must be in [1, 64], got {n}")
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)

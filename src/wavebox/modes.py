@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .kernels import gauss_legendre
-
 FloatArray = NDArray[np.float64]
 
 CORNER_TOL = 1e-12
@@ -67,16 +65,16 @@ class ModePotential:
                 f"mode potential violates the corner conditions: residuals {rl:.3e}, {rr:.3e}")
 
 
-def initial_A(potential: ModePotential, quadrature_order: int = 16) -> float:
+def initial_A(potential: ModePotential) -> float:
     """Starting value of the virial functional, by direct quadrature.
 
-    Interior term: tensor-product Gauss on the unit square of u1 * x1.
-    Wall term: 1D Gauss of x2 * u2 on the wall x1 = 1.  Independent of the
-    boundary-reduced evaluation used during runs.
+    Interior term: 16-point tensor-product Gauss on the unit square of
+    u1 * x1.  Wall term: 1D Gauss of x2 * u2 on the wall x1 = 1.
+    Independent of the boundary-reduced evaluation used during runs.
     """
-    rule = gauss_legendre(quadrature_order)
-    x = 0.5 * (rule.nodes + 1.0)
-    w = 0.5 * rule.weights
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    x = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     u1, _ = potential.velocity(X1, X2)
     interior = float(np.einsum("i,j,ij->", w, w, u1 * X1))

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .bem import (DEFAULT_NEAR_FIELD_FACTOR, CauchyData, admissible_interior,
-                  eval_interior, solve_surface_dirichlet)
+from .bem import CauchyData, admissible_interior, eval_interior, solve_mixed_bvp
 from .diagnostics import wall_tangential_speed
-from .evolution import FlowState, velocity_from_cauchy
+from .evolution import FlowState
 from .geometry import BoundaryMesh
 
 FloatArray = NDArray[np.float64]
@@ -26,10 +25,7 @@ FloatArray = NDArray[np.float64]
 def solve_phi_t(state: FlowState) -> CauchyData:
     """Cauchy data of the potential's time derivative on the current mesh."""
     mesh = state.mesh
-    u, _ = velocity_from_cauchy(state)
-    half_speed2 = 0.5 * np.einsum("ij,ij->i", u, u)
-    surface_data = -mesh.surface_panel_values(half_speed2)
-    return solve_surface_dirichlet(mesh, surface_data)
+    return solve_mixed_bvp(mesh, -mesh.surface_panel_values(state.derivative.dphi))
 
 
 @dataclass(frozen=True)
@@ -39,11 +35,10 @@ class PressureField:
     mesh: BoundaryMesh
     phi_cauchy: CauchyData
     phi_t_cauchy: CauchyData
-    near_field_factor: float = DEFAULT_NEAR_FIELD_FACTOR
+    near_field_factor: float
 
     @classmethod
-    def from_state(cls, state: FlowState,
-                   near_field_factor: float = DEFAULT_NEAR_FIELD_FACTOR) -> "PressureField":
+    def from_state(cls, state: FlowState, near_field_factor: float) -> "PressureField":
         return cls(mesh=state.mesh, phi_cauchy=state.cauchy,
                    phi_t_cauchy=solve_phi_t(state),
                    near_field_factor=near_field_factor)
@@ -69,7 +64,7 @@ def interior_lattice(field: PressureField, n_per_side: int) -> FloatArray:
     return pts[ok]
 
 
-def pressure_min(field: PressureField, n_per_side: int = 16):
+def pressure_min(field: PressureField, n_per_side: int):
     """(min p, argmin point, max |p|) over the admissible interior lattice."""
     pts = interior_lattice(field, n_per_side)
     if pts.shape[0] == 0:

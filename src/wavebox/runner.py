@@ -11,7 +11,7 @@ Artifacts written to the output directory:
 
 * ``config.json``       — the fully resolved configuration (round-trippable),
 * ``diagnostics.csv``   — one row per record, frozen column order,
-* ``snapshots/NNNN.csv``— interface markers (alpha, x1, x2) per record,
+* ``snapshots/NNNN.csv``— interface markers (alpha = i/(n-1), x1, x2) per record,
 * ``report.json``       — flat verdict report, floats at 17 significant digits.
 
 Verdicts are recomputed from the CSV columns alone (plus the configuration)
@@ -38,8 +38,7 @@ from .diagnostics import (CSV_FIELDS, DetectorConfig, DiagnosticsRecord,
                           virial_parts, wall_u2_squared)
 from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
-                        redistribute_markers, rk4_step, state_derivative,
-                        velocity_from_cauchy)
+                        redistribute_markers, rk4_step, state_derivative)
 from .geometry import build_boundary_mesh, flat_interface, polygon_area
 from .modes import ModePotential, initial_A, sample_initial_state
 from .pressure import PressureField, pressure_min, wall_pressure_integral
@@ -203,7 +202,7 @@ class SimulationResult:
     """In-memory outcome of the record loop, before verdicts and writing."""
 
     table: dict[str, FloatArray]    # one float64 column per record field
-    snapshots: list[tuple[FloatArray, FloatArray]]   # (alpha, markers) per record
+    snapshots: list[FloatArray]     # (n,2) marker positions per record
     breakdown: BreakdownSignal | None
     n_steps: int
     t_final: float
@@ -219,7 +218,6 @@ def _collect_record(state: FlowState, dt_used: float,
     field_ = PressureField.from_state(state, near_field_factor)
     L, volume_part, wall_part = virial_parts(state)
     p_min_val, _, p_absmax = pressure_min(field_, lattice_n)
-    _, corner_residual = velocity_from_cauchy(state)
     return DiagnosticsRecord(
         t=state.t, L=L, volume_part=volume_part, wall_part=wall_part,
         p_min=p_min_val, wall_p_integral=wall_pressure_integral(field_),
@@ -227,7 +225,7 @@ def _collect_record(state: FlowState, dt_used: float,
         int_u1sq=int_u1_squared(mesh, cd),
         int_p=int_pressure(mesh, cd, field_.phi_t_cauchy),
         wall_u2sq=wall_u2_squared(mesh, cd), p_absmax=p_absmax,
-        corner_residual=corner_residual)
+        corner_residual=state.derivative.corner_residual)
 
 
 def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
@@ -246,7 +244,7 @@ def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
         L_max=cfg.L_max)
 
     records: list[DiagnosticsRecord] = []
-    snapshots: list[tuple[FloatArray, FloatArray]] = []
+    snapshots: list[FloatArray] = []
     breakdown: BreakdownSignal | None = None
     n_steps = 0
     next_record = 0.0
@@ -266,8 +264,7 @@ def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
                         raise
                     break
                 records.append(rec)
-                snapshots.append((state.curve.alpha.copy(),
-                                  state.curve.x.copy()))
+                snapshots.append(state.curve.x.copy())
                 if progress is not None:
                     progress(rec)
                 next_record += cfg.record_dt
@@ -312,9 +309,9 @@ def _finite(values: FloatArray) -> FloatArray:
     return values[np.isfinite(values)]
 
 
-def _min_or(values: FloatArray, default: float = math.inf) -> float:
+def _min_or(values: FloatArray) -> float:
     values = _finite(values)
-    return float(values.min()) if values.size else default
+    return float(values.min()) if values.size else math.inf
 
 
 def _max_or(values: FloatArray, default: float = -math.inf) -> float:
@@ -500,10 +497,11 @@ def write_diagnostics_csv(path: str, table: dict[str, FloatArray]):
 
 
 def write_snapshots(directory: str, snapshots):
+    """One CSV per record: the uniform label i/(n-1), then the marker position."""
     os.makedirs(directory, exist_ok=True)
-    for i, (alpha, x) in enumerate(snapshots):
+    for i, x in enumerate(snapshots):
         lines = ["alpha,x1,x2"]
-        for a, (x1, x2) in zip(alpha, x):
+        for a, (x1, x2) in zip(np.linspace(0.0, 1.0, len(x)), x):
             lines.append(f"{_fmt(a)},{_fmt(x1)},{_fmt(x2)}")
         with open(os.path.join(directory, f"{i:04d}.csv"), "w",
                   newline="\n") as fh:
@@ -591,6 +589,13 @@ def verify_identities(run_dir: str, quiet: bool = False) -> int:
         columns = read_diagnostics_csv(csv_path)
         with open(report_path) as fh:
             stored = json.load(fh)
+        if not isinstance(stored, dict):
+            raise ValueError(f"{report_path} is not a JSON object")
+        not_bool = [k for k in CHECK_KEYS
+                    if k in stored and not isinstance(stored[k], bool)]
+        if not_bool:
+            raise ValueError(f"{report_path}: not true or false: "
+                             f"{', '.join(not_bool)}")
     except (OSError, ValueError, ConfigError) as exc:
         print(f"error: {exc}")
         return 2
@@ -602,8 +607,7 @@ def verify_identities(run_dir: str, quiet: bool = False) -> int:
         print("insufficient records: derivative checks skipped")
 
     failed = [k for k in CHECK_KEYS if not checks[k]]
-    mismatched = [k for k in CHECK_KEYS
-                  if k in stored and bool(stored[k]) != checks[k]]
+    mismatched = [k for k in CHECK_KEYS if k in stored and stored[k] != checks[k]]
     if not quiet:
         for key in CHECK_KEYS:
             note = " (mismatches report)" if key in mismatched else ""
@@ -638,9 +642,9 @@ def _mode_bvp_error(k: int, n_markers: int, wall_panels: int) -> float:
         k * np.pi * np.cos(k * np.pi * mid[:, 0]) * np.sinh(k * np.pi * mid[:, 1])])
     exact_q = np.einsum("ij,ij->i", grad, mesh.normals)
     sl = mesh.surface_slice
-    cd = bem.solve_surface_dirichlet(mesh, exact_phi[sl])
-    wall = ~cd.value_prescribed
-    err_phi = float(np.abs(cd.values[wall] - exact_phi[wall]).max())
+    cd = bem.solve_mixed_bvp(mesh, exact_phi[sl])
+    # the surface values are the given data, so only wall values can differ
+    err_phi = float(np.abs(cd.values - exact_phi).max())
     err_q = float(np.abs(cd.fluxes[sl] - exact_q[sl]).max())
     # relative to the mode's amplitude so different k are comparable
     return max(err_phi, err_q) / math.cosh(k * math.pi)
@@ -657,7 +661,7 @@ def validate_bem(cfg: RunConfig, quiet: bool = False) -> int:
     ok = True
 
     mesh = build_boundary_mesh(flat_interface(counts[0]), counts[0] // 2)
-    cd = bem.solve_surface_dirichlet(mesh, np.ones(mesh.n_markers - 1))
+    cd = bem.solve_mixed_bvp(mesh, np.ones(mesh.n_markers - 1))
     const_err = max(float(np.abs(cd.values - 1.0).max()),
                     float(np.abs(cd.fluxes).max()))
     if not quiet:

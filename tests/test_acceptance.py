@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from wavebox.bem import solve_surface_dirichlet
+from wavebox.bem import solve_mixed_bvp
 from wavebox.diagnostics import constant_c1
 from wavebox.geometry import build_boundary_mesh, flat_interface
 from wavebox.modes import initial_A, sample_initial_state
@@ -54,7 +54,7 @@ class TestCriterion2BemConvergence:
 
     def test_constant_data(self):
         mesh = build_boundary_mesh(flat_interface(33), 16)
-        cd = solve_surface_dirichlet(mesh, np.ones(32))
+        cd = solve_mixed_bvp(mesh, np.ones(32))
         assert max(np.abs(cd.values - 1.0).max(),
                    np.abs(cd.fluxes).max()) <= 1e-8
 
@@ -69,7 +69,7 @@ class TestCriterion3FluxCompatibility:
         for k in (1, 2):
             mid = mesh.midpoints[mesh.surface_slice]
             phi = np.cos(k * np.pi * mid[:, 0]) * np.cosh(k * np.pi * mid[:, 1])
-            solves.append(solve_surface_dirichlet(mesh, phi))
+            solves.append(solve_mixed_bvp(mesh, phi))
         for cd in solves:
             assert (compatibility_residual(cd, mesh.lengths)
                     <= 1e-8 * compatibility_scale(cd, mesh.lengths))
@@ -95,7 +95,7 @@ class TestCriterion5PressurePositivity:
 
     def test_poisson_residual_sweep(self):
         state = sample_initial_state(make_reference_data(1.0), 97, 48)
-        field = PressureField.from_state(state)
+        field = PressureField.from_state(state, 2.0)
         pts = np.array([[0.35, 0.5], [0.5, 0.45], [0.68, 0.55]])
         residuals = []
         for h in (0.08, 0.04, 0.02):

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from wavebox import kernels
-from wavebox.bem import (CauchyData, admissible_interior,
-                         eval_interior, solve_mixed_bvp,
-                         solve_surface_dirichlet)
+from wavebox.bem import (CauchyData, admissible_interior, eval_interior,
+                         solve_mixed_bvp)
 from wavebox.errors import NearBoundaryError
-from wavebox.geometry import (BC_DIRICHLET_SURFACE, BC_NEUMANN_WALL,
-                              InterfaceCurve, build_boundary_mesh,
-                              flat_interface)
+from wavebox.geometry import InterfaceCurve, build_boundary_mesh, flat_interface
 
 from conftest import compatibility_residual, compatibility_scale
 
@@ -28,15 +25,19 @@ def mode_data(mesh, k):
 
 def solve_mode(mesh, k):
     phi, q, _ = mode_data(mesh, k)
-    sl = mesh.surface_slice
-    n_wall = int(np.sum(mesh.bc_kind == 1))
-    return solve_mixed_bvp(mesh, phi[sl], np.zeros(n_wall)), phi, q
+    return solve_mixed_bvp(mesh, phi[mesh.surface_slice]), phi, q
+
+
+def surface_mask(mesh):
+    surf = np.zeros(mesh.n_panels, dtype=bool)
+    surf[mesh.surface_slice] = True
+    return surf
 
 
 class TestMixedSolve:
     def test_constant_data_is_exact(self):
         mesh = build_boundary_mesh(flat_interface(33), 16)
-        cd = solve_surface_dirichlet(mesh, np.ones(32))
+        cd = solve_mixed_bvp(mesh, np.ones(32))
         assert np.abs(cd.values - 1.0).max() <= 1e-10
         assert np.abs(cd.fluxes).max() <= 1e-10
 
@@ -54,7 +55,7 @@ class TestMixedSolve:
         for n in (32, 64, 128):
             mesh = build_boundary_mesh(flat_interface(n + 1), n // 2)
             cd, phi, q = solve_mode(mesh, 1)
-            wall = mesh.bc_kind == 1
+            wall = ~surface_mask(mesh)
             err = max(np.abs(cd.values[wall] - phi[wall]).max(),
                       np.abs(cd.fluxes[mesh.surface_slice]
                              - q[mesh.surface_slice]).max())
@@ -74,15 +75,17 @@ class TestMixedSolve:
     def test_input_shape_checks(self):
         mesh = build_boundary_mesh(flat_interface(9), 4)
         with pytest.raises(ValueError):
-            solve_mixed_bvp(mesh, np.ones(5), np.zeros(12))
+            solve_mixed_bvp(mesh, np.ones(5))
         with pytest.raises(ValueError):
-            solve_mixed_bvp(mesh, np.ones(8), np.zeros(3))
+            solve_mixed_bvp(mesh, np.ones(9))
 
 
-def reference_solve(mesh, phi_s, q_w):
-    """The collocation system as first assembled: D + I/2 and mask-filled columns."""
-    surf = mesh.bc_kind == BC_DIRICHLET_SURFACE
-    wall = mesh.bc_kind == BC_NEUMANN_WALL
+def reference_solve(mesh, phi_s):
+    """The collocation system as first assembled: D + I/2, mask-filled
+    columns and an explicit zero wall flux."""
+    surf = surface_mask(mesh)
+    wall = ~surf
+    q_w = np.zeros(int(wall.sum()))
     n = mesh.n_panels
     S, D = kernels.influence_matrices(mesh, mesh.midpoints)
     Dh = D + 0.5 * np.eye(n)
@@ -109,18 +112,16 @@ class TestAssemblyBitEquality:
     @pytest.mark.parametrize("n_markers,wall_panels,bump", [
         (24, 8, 0.0), (96, 24, 0.0), (33, 12, 0.2)])
     def test_same_bits(self, n_markers, wall_panels, bump):
-        alpha = np.linspace(0.0, 1.0, n_markers)
-        x2 = 1.0 + bump * np.sin(np.pi * alpha) ** 2
+        x1 = np.linspace(0.0, 1.0, n_markers)
+        x2 = 1.0 + bump * np.sin(np.pi * x1) ** 2
         mesh = build_boundary_mesh(
-            InterfaceCurve(alpha, np.column_stack([alpha, x2])), wall_panels)
+            InterfaceCurve(np.column_stack([x1, x2])), wall_panels)
         rng = np.random.default_rng(n_markers)
         phi_s = rng.standard_normal(n_markers - 1)
-        for q_w in (np.zeros(3 * wall_panels),
-                    rng.standard_normal(3 * wall_panels)):
-            cd = solve_mixed_bvp(mesh, phi_s, q_w)
-            values, fluxes = reference_solve(mesh, phi_s, q_w)
-            assert np.array_equal(cd.values, values)
-            assert np.array_equal(cd.fluxes, fluxes)
+        cd = solve_mixed_bvp(mesh, phi_s)
+        values, fluxes = reference_solve(mesh, phi_s)
+        assert np.array_equal(cd.values, values)
+        assert np.array_equal(cd.fluxes, fluxes)
 
 
 class TestInteriorEvaluation:
@@ -134,7 +135,7 @@ class TestInteriorEvaluation:
     def test_values_and_gradients(self, solved):
         mesh, cd = solved
         pts = np.array([[0.3, 0.5], [0.62, 0.71], [0.5, 0.2]])
-        vals, grads = eval_interior(mesh, cd, pts)
+        vals, grads = eval_interior(mesh, cd, pts, 2.0)
         kp = np.pi
         exact = np.cos(kp * pts[:, 0]) * np.cosh(kp * pts[:, 1])
         exact_grad = np.column_stack([
@@ -146,25 +147,24 @@ class TestInteriorEvaluation:
     def test_near_boundary_rejected(self, solved):
         mesh, cd = solved
         with pytest.raises(NearBoundaryError) as info:
-            eval_interior(mesh, cd, np.array([[0.5, 0.999], [0.5, 0.5]]))
+            eval_interior(mesh, cd, np.array([[0.5, 0.999], [0.5, 0.5]]), 2.0)
         assert info.value.bad_indices == [0]
 
     def test_exterior_rejected(self, solved):
         mesh, cd = solved
         with pytest.raises(NearBoundaryError):
-            eval_interior(mesh, cd, np.array([[1.4, 0.5]]))
+            eval_interior(mesh, cd, np.array([[1.4, 0.5]]), 2.0)
 
     def test_admissible_mask(self, solved):
         mesh, _ = solved
         pts = np.array([[0.5, 0.5], [0.5, 1.2], [0.5, 0.003]])
-        np.testing.assert_array_equal(admissible_interior(mesh, pts),
+        np.testing.assert_array_equal(admissible_interior(mesh, pts, 2.0),
                                       [True, False, False])
 
 
 class TestCauchyData:
     def test_compatibility_residual(self):
-        cd = CauchyData(values=np.zeros(3), fluxes=np.array([1.0, -2.0, 0.5]),
-                        value_prescribed=np.zeros(3, dtype=bool))
+        cd = CauchyData(values=np.zeros(3), fluxes=np.array([1.0, -2.0, 0.5]))
         lengths = np.array([1.0, 1.0, 2.0])
         assert compatibility_residual(cd, lengths) == pytest.approx(0.0)
         assert compatibility_scale(cd, lengths) == pytest.approx(4.0)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 
@@ -90,6 +91,19 @@ class TestVerifyCommand:
     def test_missing_run_dir_is_exit_2(self, tmp_path, capsys):
         assert main(["verify-identities", "--run",
                      str(tmp_path / "missing")]) == 2
+
+    @pytest.mark.parametrize("report", [
+        "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1}],
+        ids=["list", "string", "check-as-string", "check-as-number"])
+    def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
+                                        report):
+        run = tmp_path / "run"
+        shutil.copytree(still_run["dir"], run)
+        if isinstance(report, dict):
+            report = json.dumps(dict(still_run["report"], **report))
+        (run / "report.json").write_text(report)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
+        assert "solver failure" not in capsys.readouterr().err
 
 
 class TestValidateBemCommand:

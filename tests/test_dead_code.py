@@ -1,9 +1,11 @@
-"""Every function and class of the package has a caller inside the package.
+"""Every definition and every default parameter of the package is used inside it.
 
-Code that only the tests call belongs in tests/ (see conftest.py).  The scan
-parses each module of src/wavebox and counts a definition as used when its
-name appears as a name or attribute anywhere in the package's code; names in
-comments and docstrings do not count, and dunder methods are exempt.
+Code that only the tests call belongs in tests/ (see conftest.py).  The scans
+parse each module of src/wavebox.  A definition counts as used when its name
+appears as a name or attribute anywhere in the package's code; names in
+comments and docstrings do not count, and dunder methods are exempt.  A
+parameter with a default counts as used when some call inside the package,
+matched by the callee's name, passes it by keyword or by position.
 """
 
 import ast
@@ -11,18 +13,84 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wavebox"
 
+# The console-script entry point is called with no arguments by design.
+ENTRY_POINT_DEFAULTS = {"cli.main(argv)"}
+
+
+def _modules():
+    return [(path.stem, ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))]
+
 
 def test_no_definition_without_a_caller_in_the_package():
     defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for stem, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.append(f"{path.stem}.{node.name}")
+                    defined.append(f"{stem}.{node.name}")
             elif isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert len(defined) > 50
     assert [d for d in defined if d.split(".")[1] not in used] == []
+
+
+def _defaulted_parameters(stem, tree):
+    """(label, callee name, position or None, parameter name) per default.
+
+    Methods count ``self``/``cls`` as position 0, so a call through an
+    instance or class shifts positions by one; ``__init__`` is called
+    through its class name.
+    """
+    classes = {id(f): c.name for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        owner = classes.get(id(node))
+        shift = 1 if owner is not None else 0
+        callee = owner if node.name == "__init__" else node.name
+        label = f"{stem}.{callee}"
+        for arg in positional[len(positional) - len(args.defaults):]:
+            yield (f"{label}({arg.arg})", callee,
+                   positional.index(arg) - shift, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{label}({arg.arg})", callee, None, arg.arg
+
+
+def _passed(modules):
+    """(callee name, position) and (callee name, keyword) of every call."""
+    passed = set()
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed.add((name, i))
+            passed.update((name, kw.arg) for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_default_parameter_is_passed_in_the_package():
+    modules = _modules()
+    passed = _passed(modules)
+    defaults = [d for stem, tree in modules
+                for d in _defaulted_parameters(stem, tree)]
+    assert len(defaults) > 10
+    unused = [label for label, callee, position, name in defaults
+              if (callee, name) not in passed and (callee, position) not in passed
+              and label not in ENTRY_POINT_DEFAULTS]
+    assert unused == []

@@ -17,7 +17,6 @@ from wavebox.errors import SelfIntersectionError
 from wavebox.evolution import FlowState
 from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
                               flat_interface, self_intersects)
-from wavebox.kernels import gauss_legendre
 from wavebox.modes import initial_A, sample_initial_state
 
 from conftest import make_reference_data
@@ -25,9 +24,9 @@ from conftest import make_reference_data
 
 def dipped_curve(n, depth):
     """Pinned curve whose polygon area is 1 - 2*depth/3 (parabolic dip)."""
-    alpha = np.linspace(0.0, 1.0, n)
-    x2 = 1.0 - 4.0 * depth * alpha * (1.0 - alpha)
-    return InterfaceCurve(alpha, np.column_stack([alpha, x2]))
+    s = np.linspace(0.0, 1.0, n)
+    x2 = 1.0 - 4.0 * depth * s * (1.0 - s)
+    return InterfaceCurve(np.column_stack([s, x2]))
 
 
 class TestConstantC1:
@@ -87,11 +86,9 @@ class TestBoundaryReductions:
         from wavebox.bem import CauchyData
         f = mid[:, 0] ** 2 - mid[:, 1] ** 2
         q = 2.0 * mid[:, 0] * nrm[:, 0] - 2.0 * mid[:, 1] * nrm[:, 1]
-        cd = CauchyData(values=f, fluxes=q,
-                        value_prescribed=np.ones(mesh.n_panels, dtype=bool))
+        cd = CauchyData(values=f, fluxes=q)
         assert boundary_domain_integral(mesh, cd) == pytest.approx(0.0, abs=1e-4)
-        cd = CauchyData(values=mid[:, 0], fluxes=nrm[:, 0],
-                        value_prescribed=np.ones(mesh.n_panels, dtype=bool))
+        cd = CauchyData(values=mid[:, 0], fluxes=nrm[:, 0])
         assert boundary_domain_integral(mesh, cd) == pytest.approx(0.5, abs=1e-4)
 
     def test_boundary_velocity_on_bottom(self, solved):
@@ -109,9 +106,9 @@ class TestBoundaryReductions:
     def test_int_u1_squared_against_quadrature(self, solved):
         state, cd = solved
         pot = make_reference_data(1.0)
-        rule = gauss_legendre(32)
-        x = 0.5 * (rule.nodes + 1.0)
-        w = 0.5 * rule.weights
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        x = 0.5 * (nodes + 1.0)
+        w = 0.5 * weights
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         u1, _ = pot.velocity(X1, X2)
         exact = float(np.einsum("i,j,ij->", w, w, u1 ** 2))
@@ -121,10 +118,10 @@ class TestBoundaryReductions:
     def test_wall_u2_squared_against_quadrature(self, solved):
         state, cd = solved
         pot = make_reference_data(1.0)
-        rule = gauss_legendre(32)
-        x2 = 0.5 * (rule.nodes + 1.0)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        x2 = 0.5 * (nodes + 1.0)
         _, u2 = pot.velocity(np.ones_like(x2), x2)
-        exact = float(0.5 * np.dot(rule.weights, u2 ** 2))
+        exact = float(0.5 * np.dot(weights, u2 ** 2))
         assert wall_u2_squared(state.mesh, cd) == pytest.approx(exact, rel=1e-2)
 
     def test_virial_matches_direct_quadrature(self, solved):
@@ -398,28 +395,27 @@ class TestDetectors:
         assert detect_breakdown(state, self.detectors()) is None
 
     def test_bottom_contact(self):
-        alpha = np.linspace(0.0, 1.0, 11)
+        s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = -0.01
-        state = self.make_state(InterfaceCurve(alpha, np.column_stack([alpha, x2])))
+        state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
         sig = detect_breakdown(state, self.detectors())
         assert sig.kind == "bottom_contact" and sig.t_break == 1.0
 
     def test_self_intersection(self):
-        alpha = np.linspace(0.0, 1.0, 6)
         x1 = np.array([0.0, 0.7, 0.7, 0.3, 0.3, 1.0])
         x2 = np.array([1.0, 1.2, 0.6, 0.6, 1.2, 1.0])
-        state = self.make_state(InterfaceCurve(alpha, np.column_stack([x1, x2])))
+        state = self.make_state(InterfaceCurve(np.column_stack([x1, x2])))
         assert detect_breakdown(state, self.detectors()).kind == "self_intersection"
 
     def test_side_wall_crossing(self):
         # A simple polyline that bulges through the right wall: the mesh
         # builder rejects it as a self-intersection, and so must the detector,
         # which the runner consults before the next step builds a mesh.
-        alpha = np.linspace(0.0, 1.0, 24)
-        x = np.column_stack([alpha, np.ones(24)])
+        s = np.linspace(0.0, 1.0, 24)
+        x = np.column_stack([s, np.ones(24)])
         x[22, 0] = 1.02
-        state = self.make_state(InterfaceCurve(alpha, x))
+        state = self.make_state(InterfaceCurve(x))
         assert not self_intersects(state.curve)
         sig = detect_breakdown(state, self.detectors())
         assert sig.kind == "self_intersection" and sig.t_break == 1.0
@@ -428,17 +424,17 @@ class TestDetectors:
             build_boundary_mesh(state.curve, 4)
 
     def test_marker_collision(self):
-        alpha = np.linspace(0.0, 1.0, 11)
-        x1 = alpha.copy()
+        s = np.linspace(0.0, 1.0, 11)
+        x1 = s.copy()
         x1[5] = x1[4] + 1e-4    # nearly coincident pair
-        state = self.make_state(InterfaceCurve(alpha, np.column_stack([x1, np.ones(11)])))
+        state = self.make_state(InterfaceCurve(np.column_stack([x1, np.ones(11)])))
         assert detect_breakdown(state, self.detectors()).kind == "marker_collision"
 
     def test_curvature_blowup(self):
-        alpha = np.linspace(0.0, 1.0, 11)
+        s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = 1.4             # sharp spike
-        state = self.make_state(InterfaceCurve(alpha, np.column_stack([alpha, x2])))
+        state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
         sig = detect_breakdown(state, self.detectors(curv_max=5.0))
         assert sig.kind == "curvature_blowup"
 
@@ -448,10 +444,10 @@ class TestDetectors:
         assert sig.kind == "L_overflow"
 
     def test_priority_bottom_before_collision(self):
-        alpha = np.linspace(0.0, 1.0, 11)
-        x = np.column_stack([alpha, np.ones(11)])
+        s = np.linspace(0.0, 1.0, 11)
+        x = np.column_stack([s, np.ones(11)])
         x[5] = [x[4, 0] + 1e-4, -0.01]    # collides AND touches bottom
-        state = self.make_state(InterfaceCurve(alpha, x))
+        state = self.make_state(InterfaceCurve(x))
         assert detect_breakdown(state, self.detectors()).kind == "bottom_contact"
 
     def test_curv_max_required(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from wavebox import evolution
 from wavebox.errors import BreakdownError
 from wavebox.evolution import (FlowState, StateDerivative, _pchip, adaptive_dt,
                                kinetic_energy, redistribute_markers, rk4_step,
@@ -37,6 +38,16 @@ class TestFlowState:
     def test_mesh_cached(self):
         state = still_state()
         assert state.mesh is state.mesh
+
+    def test_derivative_cached_and_read_only(self):
+        # every caller shares one derivative per state, so none may write it
+        state = sample_initial_state(make_reference_data(1.0), 17, 8)
+        deriv = state_derivative(state)
+        assert state_derivative(state) is deriv
+        with pytest.raises(ValueError):
+            deriv.velocity[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            deriv.dphi[1] = 0.0
 
 
 class TestVelocities:
@@ -73,8 +84,6 @@ class TestKineticEnergy:
     def test_matches_dirichlet_energy_of_mode(self):
         # E = (1/2) int |grad phi|^2; for a1 cos(pi x1) cosh(pi x2) the
         # closed form is a1^2 pi sinh(2 pi) / 8.
-        from wavebox.bem import solve_surface_dirichlet
-        from wavebox.geometry import build_boundary_mesh
         a1 = 0.3
         n = 129
         curve = flat_interface(n)
@@ -85,7 +94,7 @@ class TestKineticEnergy:
 
 
 class TestRK4:
-    def test_exact_for_cubic_time_dependence(self):
+    def test_exact_for_cubic_time_dependence(self, monkeypatch):
         # manufactured derivative: markers fixed, dphi = p'(t) with cubic p
         poly = np.polynomial.Polynomial([0.3, -1.2, 0.8, 2.0])
         rate = poly.deriv()
@@ -96,25 +105,26 @@ class TestRK4:
                                    dphi=np.full(n, rate(state.t)),
                                    corner_residual=0.0)
 
-        state = still_state()
-        out = rk4_step(state, 0.7, derivative=deriv)
+        monkeypatch.setattr(evolution, "state_derivative", deriv)
+        out = rk4_step(still_state(), 0.7)
         expected = poly(0.7) - poly(0.0)
         np.testing.assert_allclose(out.phi, expected, atol=1e-12)
 
-    def test_fourth_order_in_time(self):
+    def test_fourth_order_in_time(self, monkeypatch):
         def deriv(state):
             n = state.curve.n_markers
             return StateDerivative(velocity=np.zeros((n, 2)),
                                    dphi=np.full(n, np.exp(state.t)),
                                    corner_residual=0.0)
 
+        monkeypatch.setattr(evolution, "state_derivative", deriv)
         errs = []
         for dt in (0.5, 0.25):
-            out = rk4_step(still_state(), dt, derivative=deriv)
+            out = rk4_step(still_state(), dt)
             errs.append(abs(out.phi[0] - (np.exp(dt) - 1.0)))
         assert errs[0] / errs[1] > 12.0   # ~2^4 with some slop
 
-    def test_corners_repinned(self):
+    def test_corners_repinned(self, monkeypatch):
         # interior markers drift upward; corners are at rest (as the real
         # dynamics guarantees) and must stay exactly pinned after the step
         def deriv(state):
@@ -124,7 +134,8 @@ class TestRK4:
             return StateDerivative(velocity=u, dphi=np.zeros(n),
                                    corner_residual=0.0)
 
-        out = rk4_step(still_state(), 1.0, derivative=deriv)
+        monkeypatch.setattr(evolution, "state_derivative", deriv)
+        out = rk4_step(still_state(), 1.0)
         np.testing.assert_array_equal(out.curve.x[0], [0.0, 1.0])
         np.testing.assert_array_equal(out.curve.x[-1], [1.0, 1.0])
         assert out.curve.x[5, 1] == pytest.approx(1.1)
@@ -133,7 +144,7 @@ class TestRK4:
         with pytest.raises(ValueError):
             rk4_step(still_state(), 0.0)
 
-    def test_stage_failure_becomes_breakdown(self):
+    def test_stage_failure_becomes_breakdown(self, monkeypatch):
         # velocities that push a marker through the bottom within one stage;
         # touching state.mesh validates the geometry, as the real dynamics does
         def deriv(state):
@@ -144,8 +155,9 @@ class TestRK4:
             return StateDerivative(velocity=u, dphi=np.zeros(n),
                                    corner_residual=0.0)
 
+        monkeypatch.setattr(evolution, "state_derivative", deriv)
         with pytest.raises(BreakdownError) as info:
-            rk4_step(still_state(), 1.0, derivative=deriv)
+            rk4_step(still_state(), 1.0)
         assert info.value.signal.kind == "bottom_contact"
 
 
@@ -153,30 +165,33 @@ class TestAdaptiveDt:
     def test_cfl_formula(self):
         state = still_state(n=11)
         speeds = np.full(11, 2.0)
-        dt = adaptive_dt(state, speeds, cfl=0.4)
+        dt = adaptive_dt(state, speeds, cfl=0.4, dt_min=1e-9, dt_max=0.05)
         assert dt == pytest.approx(0.4 * 0.1 / 2.0)
 
     def test_clamped_to_dt_max(self):
         state = still_state(n=11)
-        dt = adaptive_dt(state, np.full(11, 1e-9), cfl=0.5, dt_max=0.01)
+        dt = adaptive_dt(state, np.full(11, 1e-9), cfl=0.5, dt_min=1e-9,
+                         dt_max=0.01)
         assert dt == 0.01
 
     def test_timestep_collapse(self):
         state = still_state(n=11)
         with pytest.raises(BreakdownError) as info:
-            adaptive_dt(state, np.full(11, 1e6), cfl=0.5, dt_min=1e-3)
+            adaptive_dt(state, np.full(11, 1e6), cfl=0.5, dt_min=1e-3,
+                        dt_max=0.05)
         assert info.value.signal.kind == "timestep_collapse"
 
     def test_cfl_range(self):
         with pytest.raises(ValueError):
-            adaptive_dt(still_state(), np.ones(17), cfl=1.5)
+            adaptive_dt(still_state(), np.ones(17), cfl=1.5, dt_min=1e-9,
+                        dt_max=0.05)
 
 
 class TestRedistribution:
     def test_uniformizes_spacing(self):
-        alpha = np.linspace(0.0, 1.0, 21)
-        x1 = alpha**2 * (3.0 - 2.0 * alpha)   # clustered toward the ends
-        curve = InterfaceCurve(alpha, np.column_stack([x1, np.ones(21)]))
+        s = np.linspace(0.0, 1.0, 21)
+        x1 = s**2 * (3.0 - 2.0 * s)   # clustered toward the ends
+        curve = InterfaceCurve(np.column_stack([x1, np.ones(21)]))
         state = FlowState(t=0.0, curve=curve, phi=np.sin(np.pi * x1),
                           wall_panels_per_side=8)
         out = redistribute_markers(state)

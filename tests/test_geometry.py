@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from wavebox.errors import (BottomContactError, GeometryError,
                             SelfIntersectionError)
-from wavebox.geometry import (BC_DIRICHLET_SURFACE, BC_NEUMANN_WALL,
-                              InterfaceCurve, _segment_pairs,
+from wavebox.geometry import (InterfaceCurve, _segment_pairs,
                               build_boundary_mesh,
                               flat_interface, point_segment_distance,
                               points_inside, polygon_area, self_intersects,
@@ -16,9 +15,9 @@ from wavebox.geometry import (BC_DIRICHLET_SURFACE, BC_NEUMANN_WALL,
 
 
 def bumped_interface(n, amplitude=0.1):
-    alpha = np.linspace(0.0, 1.0, n)
-    x2 = 1.0 + amplitude * np.sin(np.pi * alpha) ** 2
-    return InterfaceCurve(alpha, np.column_stack([alpha, x2]))
+    s = np.linspace(0.0, 1.0, n)
+    x2 = 1.0 + amplitude * np.sin(np.pi * s) ** 2
+    return InterfaceCurve(np.column_stack([s, x2]))
 
 
 class TestInterfaceCurve:
@@ -30,28 +29,22 @@ class TestInterfaceCurve:
         np.testing.assert_allclose(curve.arclength()[-1], 1.0)
 
     def test_requires_pinned_endpoints(self):
-        alpha = np.linspace(0.0, 1.0, 5)
-        x = np.column_stack([alpha, np.ones(5)])
+        s = np.linspace(0.0, 1.0, 5)
+        x = np.column_stack([s, np.ones(5)])
         x[0, 0] = 0.01
         with pytest.raises(GeometryError):
-            InterfaceCurve(alpha, x)
-        x = np.column_stack([alpha, np.ones(5)])
+            InterfaceCurve(x)
+        x = np.column_stack([s, np.ones(5)])
         x[-1, 1] = 1.02
         with pytest.raises(GeometryError):
-            InterfaceCurve(alpha, x)
-
-    def test_requires_increasing_alpha(self):
-        alpha = np.array([0.0, 0.5, 0.4, 1.0])
-        x = np.column_stack([np.array([0.0, 0.5, 0.6, 1.0]), np.ones(4)])
-        with pytest.raises(GeometryError):
-            InterfaceCurve(alpha, x)
+            InterfaceCurve(x)
 
     def test_rejects_nonfinite(self):
-        alpha = np.linspace(0.0, 1.0, 4)
-        x = np.column_stack([alpha, np.ones(4)])
+        s = np.linspace(0.0, 1.0, 4)
+        x = np.column_stack([s, np.ones(4)])
         x[1, 1] = np.nan
         with pytest.raises(GeometryError):
-            InterfaceCurve(alpha, x)
+            InterfaceCurve(x)
 
     def test_turning_curvature_flat_is_zero(self):
         curve = flat_interface(9)
@@ -63,8 +56,7 @@ class TestInterfaceCurve:
         radius = 0.5
         x1 = 0.5 + radius * np.cos(theta)
         x2 = 1.0 + radius * np.sin(theta)
-        curve = InterfaceCurve(np.linspace(0.0, 1.0, 101),
-                               np.column_stack([x1, x2]))
+        curve = InterfaceCurve(np.column_stack([x1, x2]))
         np.testing.assert_allclose(curve.turning_curvature(), 1.0 / radius,
                                    rtol=1e-3)
 
@@ -72,7 +64,7 @@ class TestInterfaceCurve:
 def marker_curve(points):
     """Pinned curve through (0,1), the given interior points, and (1,1)."""
     x = np.vstack([[0.0, 1.0], np.reshape(points, (-1, 2)), [1.0, 1.0]])
-    return InterfaceCurve(np.linspace(0.0, 1.0, x.shape[0]), x)
+    return InterfaceCurve(x)
 
 
 def _segments_intersect_reference(p, p2, q, q2):
@@ -134,10 +126,9 @@ class TestSelfIntersection:
             j[0] = 1
 
     def test_crossing_curve(self):
-        alpha = np.linspace(0.0, 1.0, 6)
         x1 = np.array([0.0, 0.7, 0.7, 0.3, 0.3, 1.0])
         x2 = np.array([1.0, 1.2, 0.6, 0.6, 1.2, 1.0])
-        curve = InterfaceCurve(alpha, np.column_stack([x1, x2]))
+        curve = InterfaceCurve(np.column_stack([x1, x2]))
         assert self_intersects(curve)
 
     def test_collinear_fold_back_overlaps(self):
@@ -188,9 +179,16 @@ class TestBoundaryMesh:
     def test_panel_counts_and_kinds(self):
         mesh = build_boundary_mesh(flat_interface(17), 8)
         assert mesh.n_panels == 16 + 3 * 8
-        assert np.all(mesh.bc_kind[mesh.surface_slice] == BC_DIRICHLET_SURFACE)
-        for sl in (mesh.bottom_slice, mesh.right_slice, mesh.left_slice):
-            assert np.all(mesh.bc_kind[sl] == BC_NEUMANN_WALL)
+        # the four side slices tile the panels in boundary order
+        sides = (mesh.bottom_slice, mesh.right_slice, mesh.surface_slice,
+                 mesh.left_slice)
+        assert [sl.start for sl in sides] == [0] + [sl.stop for sl in sides[:-1]]
+        assert sides[-1].stop == mesh.n_panels
+        mid = mesh.midpoints
+        assert np.all(mid[mesh.bottom_slice, 1] == 0.0)
+        assert np.all(mid[mesh.right_slice, 0] == 1.0)
+        assert np.all(mid[mesh.surface_slice, 1] == 1.0)
+        assert np.all(mid[mesh.left_slice, 0] == 0.0)
 
     def test_closed_and_ccw(self):
         mesh = build_boundary_mesh(bumped_interface(25), 8)
@@ -221,31 +219,31 @@ class TestBoundaryMesh:
                                    0.5 * (marker_values[:-1] + marker_values[1:]))
 
     def test_wall_crossing_rejected(self):
-        alpha = np.linspace(0.0, 1.0, 9)
-        x1 = alpha.copy()
+        s = np.linspace(0.0, 1.0, 9)
+        x1 = s.copy()
         x1[4] = 1.2
         x2 = np.ones(9)
         x2[3:6] = [1.1, 1.2, 1.1]   # keep the polyline simple
-        curve = InterfaceCurve(alpha, np.column_stack([x1, x2]))
+        curve = InterfaceCurve(np.column_stack([x1, x2]))
         assert side_wall_crossing(curve) == 4
         with pytest.raises(SelfIntersectionError):
             build_boundary_mesh(curve, 4)
 
     def test_wall_roundoff_tolerated(self):
-        alpha = np.linspace(0.0, 1.0, 9)
-        x = np.column_stack([alpha, np.ones(9)])
+        s = np.linspace(0.0, 1.0, 9)
+        x = np.column_stack([s, np.ones(9)])
         x[1] = [-5e-11, 1.1]
         x[7] = [1.0 + 5e-11, 1.1]
-        curve = InterfaceCurve(alpha, x)
+        curve = InterfaceCurve(x)
         assert side_wall_crossing(curve) is None
         mesh = build_boundary_mesh(curve, 4)
         assert np.all((mesh.a[:, 0] >= 0.0) & (mesh.a[:, 0] <= 1.0))
 
     def test_bottom_contact_rejected(self):
-        alpha = np.linspace(0.0, 1.0, 9)
+        s = np.linspace(0.0, 1.0, 9)
         x2 = np.ones(9)
         x2[4] = -0.05
-        curve = InterfaceCurve(alpha, np.column_stack([alpha, x2]))
+        curve = InterfaceCurve(np.column_stack([s, x2]))
         with pytest.raises(BottomContactError):
             build_boundary_mesh(curve, 4)
 

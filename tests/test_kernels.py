@@ -1,4 +1,4 @@
-"""Quadrature, dense solves, and the closed-form Laplace panel integrals."""
+"""Dense solves and the closed-form Laplace panel integrals."""
 
 import numpy as np
 import pytest
@@ -6,48 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavebox.errors import GeometryError, SingularMatrixError
-from wavebox.geometry import (BC_NEUMANN_WALL, BoundaryMesh, InterfaceCurve,
+from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
                               build_boundary_mesh, flat_interface)
-from wavebox.kernels import (TWO_PI, DenseSystem, gauss_legendre,
-                             influence_gradients, influence_matrices,
-                             solve_dense)
+from wavebox.kernels import (TWO_PI, DenseSystem, influence_gradients,
+                             influence_matrices, solve_dense)
 from wavebox.modes import sample_initial_state
 
 from conftest import make_reference_data
-
-
-class TestGaussLegendre:
-    def test_degree_bounds(self):
-        for n in (0, 65, -3):
-            with pytest.raises(ValueError):
-                gauss_legendre(n)
-
-    def test_low_order_values(self):
-        rule = gauss_legendre(2)
-        np.testing.assert_allclose(np.sort(rule.nodes),
-                                   [-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)])
-        np.testing.assert_allclose(rule.weights, [1.0, 1.0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 12), data=st.data())
-    def test_polynomial_exactness(self, n, data):
-        # exact for degree <= 2n-1 on an arbitrary interval
-        degree = data.draw(st.integers(0, 2 * n - 1))
-        coeffs = data.draw(st.lists(
-            st.floats(-2.0, 2.0), min_size=degree + 1, max_size=degree + 1))
-        lo, hi = -0.7, 1.3
-        rule = gauss_legendre(n)
-        poly = np.polynomial.Polynomial(coeffs)
-        half = 0.5 * (hi - lo)
-        approx = half * np.dot(rule.weights, poly(lo + half * (rule.nodes + 1.0)))
-        exact = poly.integ()(hi) - poly.integ()(lo)
-        assert approx == pytest.approx(exact, abs=1e-10)
-
-    def test_integrate_transcendental(self):
-        rule = gauss_legendre(24)
-        half = 0.5 * np.pi
-        approx = half * np.dot(rule.weights, np.sin(half * (rule.nodes + 1.0)))
-        assert approx == pytest.approx(2.0, abs=1e-12)
 
 
 class TestSolveDense:
@@ -75,7 +40,7 @@ def panel_log_integrals(a, b, target):
     """S and D of the straight panel a -> b at one target, as floats."""
     mesh = BoundaryMesh(a=np.array([a], dtype=np.float64),
                         b=np.array([b], dtype=np.float64),
-                        bc_kind=np.array([BC_NEUMANN_WALL]), n_markers=0,
+                        n_markers=0,
                         wall_panels_per_side=0)
     S, D = influence_matrices(mesh, np.asarray(target, dtype=np.float64))
     return float(S[0, 0]), float(D[0, 0])
@@ -86,14 +51,14 @@ class TestPanelIntegrals:
         a, b = np.array([0.2, 0.1]), np.array([0.7, 0.4])
         target = np.array([0.3, 0.9])
         S, D = panel_log_integrals(a, b, target)
-        rule = gauss_legendre(48)
+        nodes, weights = np.polynomial.legendre.leggauss(48)
 
         def green(t):
             y = a[None, :] + 0.5 * (t[:, None] + 1.0) * (b - a)[None, :]
             return -np.log(np.linalg.norm(y - target, axis=1)) / (2.0 * np.pi)
 
         ell = np.linalg.norm(b - a)
-        expected = 0.5 * ell * np.dot(rule.weights, green(rule.nodes))
+        expected = 0.5 * ell * np.dot(weights, green(nodes))
         assert S == pytest.approx(expected, abs=1e-12)
 
     def test_double_layer_matches_quadrature(self):
@@ -103,7 +68,7 @@ class TestPanelIntegrals:
         d = b - a
         ell = np.linalg.norm(d)
         normal = np.array([d[1], -d[0]]) / ell
-        rule = gauss_legendre(48)
+        nodes, weights = np.polynomial.legendre.leggauss(48)
 
         def dgdn(t):
             # dG/dn_y of G = -(1/2pi) ln|x - y|
@@ -111,7 +76,7 @@ class TestPanelIntegrals:
             r = y - target
             return -(r @ normal) / (2.0 * np.pi * np.einsum("ij,ij->i", r, r))
 
-        expected = 0.5 * ell * np.dot(rule.weights, dgdn(rule.nodes))
+        expected = 0.5 * ell * np.dot(weights, dgdn(nodes))
         assert D == pytest.approx(expected, abs=1e-12)
 
     def test_on_panel_principal_value(self):
@@ -251,11 +216,11 @@ def assert_gradients_match(mesh, targets):
 
 
 def bumped_mesh(n_markers=33, wall_panels=12, amplitude=0.15):
-    alpha = np.linspace(0.0, 1.0, n_markers)
-    x1 = alpha + 0.02 * np.sin(2.0 * np.pi * alpha)
-    x2 = 1.0 + amplitude * np.sin(np.pi * alpha) * np.cos(3.0 * alpha)
+    s = np.linspace(0.0, 1.0, n_markers)
+    x1 = s + 0.02 * np.sin(2.0 * np.pi * s)
+    x2 = 1.0 + amplitude * np.sin(np.pi * s) * np.cos(3.0 * s)
     x2[[0, -1]] = 1.0
-    return build_boundary_mesh(InterfaceCurve(alpha, np.column_stack([x1, x2])),
+    return build_boundary_mesh(InterfaceCurve(np.column_stack([x1, x2])),
                                wall_panels)
 
 

@@ -75,9 +75,16 @@ class TestInitialA:
             -REFERENCE_A, rel=1e-12)
 
     def test_quadrature_order_insensitive(self):
+        # the same quadrature as initial_A's, at twice its order
         pot = make_reference_data(1.0)
-        assert initial_A(pot, 16) == pytest.approx(initial_A(pot, 32),
-                                                   rel=1e-12)
+        nodes, weights = np.polynomial.legendre.leggauss(32)
+        x, w = 0.5 * (nodes + 1.0), 0.5 * weights
+        X1, X2 = np.meshgrid(x, x, indexing="ij")
+        u1, _ = pot.velocity(X1, X2)
+        _, u2_wall = pot.velocity(np.ones_like(x), x)
+        reference = (np.einsum("i,j,ij->", w, w, u1 * X1)
+                     + np.dot(w, x * u2_wall))
+        assert initial_A(pot) == pytest.approx(reference, rel=1e-12)
 
 
 class TestSampleInitialState:

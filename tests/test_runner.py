@@ -272,6 +272,11 @@ class TestRunSimulation:
                            delimiter=",", skiprows=1)
         assert first.shape == (report["n_markers"], 3)
         np.testing.assert_allclose(first[:, 2], 1.0)   # starts flat
+        last = np.loadtxt(os.path.join(ref_run["dir"], "snapshots", snaps[-1]),
+                          delimiter=",", skiprows=1)
+        label = np.linspace(0.0, 1.0, report["n_markers"])   # i/(n-1)
+        np.testing.assert_array_equal(first[:, 0], label)
+        np.testing.assert_array_equal(last[:, 0], label)
 
     def test_progress_callback(self):
         cfg = RunConfig.from_dict(dict(modes=reference_modes(), n_markers=24,
@@ -288,12 +293,11 @@ class TestRecordTimeBreakdown:
         # A step lands exactly on a record time with a surface that bulges
         # through the right wall: the record cannot build a mesh, so the run
         # stops with the detector's verdict instead of raising.
-        alpha = np.linspace(0.0, 1.0, 24)
-        x = np.column_stack([alpha, np.ones(24)])
+        x = np.column_stack([np.linspace(0.0, 1.0, 24), np.ones(24)])
         x[22, 0] = 1.02
 
         def crossing_step(state, dt, *args, **kwargs):
-            return FlowState(t=state.t + dt, curve=InterfaceCurve(alpha, x),
+            return FlowState(t=state.t + dt, curve=InterfaceCurve(x),
                              phi=state.phi,
                              wall_panels_per_side=state.wall_panels_per_side)
 
