@@ -7,10 +7,13 @@ so assembly needs no near-singular quadrature.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import GeometryError, SingularMatrixError
@@ -18,6 +21,31 @@ from .errors import GeometryError, SingularMatrixError
 FloatArray = NDArray[np.float64]
 
 TWO_PI = 2.0 * np.pi
+
+
+def _load_flapack():
+    """SciPy's compiled LAPACK wrappers, loaded without scipy.linalg's package.
+
+    The package would also load scipy._lib, numpy.f2py and numpy.testing
+    (about 0.3 s and 24 MB per process).  Loading registers the extension
+    in sys.modules; the entry is dropped, or a later ``import scipy.linalg``
+    would find it there and never set the ``_flapack`` attribute.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("wavebox needs SciPy's compiled LAPACK (scipy.linalg._flapack)")
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(d, "linalg") for d in scipy_spec.submodule_search_locations])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+_flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -37,15 +65,20 @@ class DenseSystem:
 
 
 def solve_dense(system: DenseSystem) -> FloatArray:
-    """LU with partial pivoting; raises SingularMatrixError on tiny pivots."""
+    """LU with partial pivoting; raises SingularMatrixError on tiny pivots.
+
+    The LAPACK calls of ``scipy.linalg.lu_factor``/``lu_solve``, with their
+    defaults (dgetrf factors a Fortran-ordered copy), so the bits are theirs.
+    """
     A, b = system.matrix, system.rhs
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    lu, piv, _ = _flapack.dgetrf(A)
     pivot_floor = 1e-13 * np.max(np.sum(np.abs(A), axis=1))
     diag = np.abs(np.diag(lu))
     if np.any(diag < pivot_floor):
         raise SingularMatrixError(
             f"pivot {diag.min():.3e} below threshold {pivot_floor:.3e}")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    x, _ = _flapack.dgetrs(lu, piv, b)
+    return x
 
 
 def _local_coords(a, lengths, tangents, normals, targets):

@@ -596,11 +596,15 @@ def verify_identities(run_dir: str, quiet: bool = False) -> int:
         if not_bool:
             raise ValueError(f"{report_path}: not true or false: "
                              f"{', '.join(not_bool)}")
+        kind = stored.get("breakdown_kind")
+        if not (kind is None or isinstance(kind, str)):
+            raise ValueError(f"{report_path}: breakdown_kind is neither "
+                             f"null nor a string: {kind!r}")
     except (OSError, ValueError, ConfigError) as exc:
         print(f"error: {exc}")
         return 2
 
-    broke = stored.get("breakdown_kind") is not None
+    broke = kind is not None
     checks = evaluate_checks(columns, cfg, broke)
 
     if not checks["derivatives_checked"] and not quiet:

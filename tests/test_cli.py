@@ -1,5 +1,6 @@
 """Command-line interface and its exit-code contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -7,9 +8,12 @@ import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavebox.bem as bem
 import wavebox.kernels as kernels
@@ -78,6 +82,60 @@ class TestSimulateCommand:
         assert "Traceback" not in err and err.count("\n") == 1
 
 
+# Each numeric config value, top level or inside a list, and whether it must
+# be an integer.
+SITES = {f.name: f.type == "int" for f in dataclasses.fields(RunConfig)
+         if f.type in ("int", "float")}
+SITES.update({"mode wavenumber": True, "mode coefficient": False,
+              "bem_panel_counts entry": True, "bem_mode_ks entry": True})
+WRONG_TYPES = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                        st.lists(st.integers(0, 9), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+NON_INTEGRAL = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
+SMALL_CONFIG = dict(modes=reference_modes(), n_markers=16,
+                    wall_panels_per_side=8, t_end_cap=1e-4,
+                    bem_panel_counts=[16, 32], bem_mode_ks=[1])
+
+
+@st.composite
+def malformed_configs(draw):
+    """SMALL_CONFIG with one value non-finite, of the wrong type or, where an
+    integer is due, non-integral."""
+    site = draw(st.sampled_from(sorted(SITES)))
+    bad = draw(st.one_of(NON_FINITE, WRONG_TYPES,
+                         *([NON_INTEGRAL] if SITES[site] else [])))
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    if site == "mode wavenumber":
+        cfg["modes"] = [[bad, cfg["modes"][0][1]], cfg["modes"][1]]
+    elif site == "mode coefficient":
+        cfg["modes"] = [[1, bad], cfg["modes"][1]]
+    elif site.endswith(" entry"):
+        key = site.split()[0]
+        cfg[key] = cfg[key][:1] + [bad]
+    else:
+        cfg[site] = bad
+    return cfg
+
+
+def test_small_config_is_valid():
+    RunConfig.from_dict(SMALL_CONFIG)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=malformed_configs())
+def test_malformed_config_is_exit_2(cfg):
+    # Rejected at load: neither command starts a run or a sweep.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        assert main(["simulate", "--config", path, "--out", out, "--quiet"]) == 2
+        assert main(["validate-bem", "--config", path, "--quiet"]) == 2
+        assert not os.path.exists(out)
+
+
 class TestVerifyCommand:
     def test_round_trip(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(modes=reference_modes(), n_markers=24,
@@ -93,8 +151,10 @@ class TestVerifyCommand:
                      str(tmp_path / "missing")]) == 2
 
     @pytest.mark.parametrize("report", [
-        "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1}],
-        ids=["list", "string", "check-as-string", "check-as-number"])
+        "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1},
+        {"breakdown_kind": False}, {"breakdown_kind": 5}],
+        ids=["list", "string", "check-as-string", "check-as-number",
+             "breakdown-as-false", "breakdown-as-number"])
     def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
                                         report):
         run = tmp_path / "run"
@@ -190,3 +250,32 @@ def test_cli_import_loads_no_scipy_interpolate():
         "        if m.split('.')[:2] in (['scipy', 'interpolate'],\n"
         "                                ['scipy', 'optimize'])))")
     assert loaded.split() == []
+
+
+# After ``import wavebox.cli`` nothing of scipy.linalg's Python package may be
+# loaded; a later ``import scipy.linalg`` must still find its LAPACK
+# extension and give solve_dense's bits.
+LINALG_GUARD = """
+import sys
+import numpy as np
+import wavebox.cli
+from wavebox.kernels import DenseSystem, solve_dense
+print(*(m for m in sys.modules
+        if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', '_lib'],
+                                ['numpy', 'f2py'], ['numpy', 'testing'])))
+import scipy.linalg
+rng = np.random.default_rng(3)
+A, b = rng.standard_normal((60, 60)), rng.standard_normal(60)
+want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), b)
+got = solve_dense(DenseSystem(matrix=A, rhs=b))
+print(scipy.linalg._flapack.__name__,
+      np.array_equal(got.view(np.uint64), want.view(np.uint64)))
+"""
+
+
+def test_cli_import_loads_no_scipy_linalg_package():
+    # scipy.linalg's package loads scipy._lib, numpy.f2py and numpy.testing:
+    # about 0.3 s and 24 MB of every process, for dgetrf and dgetrs
+    loaded, after = run_child(LINALG_GUARD).splitlines()
+    assert loaded.split() == []
+    assert after.split() == ["scipy.linalg._flapack", "True"]

@@ -1,10 +1,16 @@
 """Dense solves and the closed-form Laplace panel integrals."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wavebox.bem as bem
+import wavebox.kernels as kernels
 from wavebox.errors import GeometryError, SingularMatrixError
 from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
                               build_boundary_mesh, flat_interface)
@@ -23,17 +29,113 @@ class TestSolveDense:
         out = solve_dense(DenseSystem(matrix=A, rhs=A @ x))
         np.testing.assert_allclose(out, x, atol=1e-11)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_raises(self):
+        # An exactly zero pivot: scipy.linalg.lu_factor would also warn.
         A = np.ones((4, 4))
-        with pytest.raises(SingularMatrixError):
-            solve_dense(DenseSystem(matrix=A, rhs=np.ones(4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                solve_dense(DenseSystem(matrix=A, rhs=np.ones(4)))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             DenseSystem(matrix=np.ones((3, 2)), rhs=np.ones(3))
         with pytest.raises(ValueError):
             DenseSystem(matrix=np.full((3, 3), np.nan), rhs=np.ones(3))
+
+
+def scipy_solve(A, b):
+    """solve_dense as written on scipy.linalg's lu_factor and lu_solve."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    pivot_floor = 1e-13 * np.max(np.sum(np.abs(A), axis=1))
+    if np.any(np.abs(np.diag(lu)) < pivot_floor):
+        raise SingularMatrixError("pivot below threshold")
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def assert_solves_like_scipy(A, b):
+    """Same uint64 bits as scipy.linalg, or SingularMatrixError from both."""
+    try:
+        want = scipy_solve(A, b)
+    except SingularMatrixError:
+        want = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                solve_dense(DenseSystem(matrix=A, rhs=b))
+            return
+        got = solve_dense(DenseSystem(matrix=A, rhs=b))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_matrix(rng, n, kind, exponent):
+    """An n x n matrix: well conditioned, graded by 10**exponent across its
+    rows and columns, or one row a combination of the others plus a
+    10**-exponent perturbation (exponent 16 makes it singular in exact
+    arithmetic)."""
+    A = rng.standard_normal((n, n))
+    if kind == "well":
+        A += n * np.eye(n)
+    elif kind == "graded":
+        scale = 10.0 ** np.linspace(-exponent / 2, exponent / 2, n)
+        A *= np.outer(rng.permutation(scale), scale)
+    else:
+        weights = rng.standard_normal(n - 1)
+        A[-1] = weights @ A[:-1]
+        if exponent < 16:
+            A[-1] += 10.0 ** -exponent * rng.standard_normal(n)
+    return A
+
+
+class TestSolveDenseBits:
+    """solve_dense calls LAPACK's dgetrf/dgetrs directly; the bits must be
+    those of scipy.linalg.lu_factor/lu_solve, which it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 400),
+           kind=st.sampled_from(["well", "graded", "near-singular"]),
+           exponent=st.integers(0, 16), seed=st.integers(0, 2**32 - 1),
+           fortran=st.booleans())
+    def test_property(self, n, kind, exponent, seed, fortran):
+        rng = np.random.default_rng(seed)
+        A = random_matrix(rng, n, kind, exponent)
+        b = rng.standard_normal(n)
+        assert_solves_like_scipy(np.asfortranarray(A) if fortran else A, b)
+
+    def test_singular_cases_raise_alike(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 17, 168):
+            A, b = random_matrix(rng, n, "near-singular", 16), rng.standard_normal(n)
+            with pytest.raises(SingularMatrixError):
+                scipy_solve(A, b)
+            assert_solves_like_scipy(A, b)
+
+    def test_loader_reuses_a_loaded_extension(self):
+        # This module imported scipy.linalg after wavebox.kernels; loading
+        # again must hand back that package's module, not a second copy.
+        loaded = sys.modules["scipy.linalg._flapack"]
+        assert scipy.linalg._flapack is loaded
+        assert kernels._load_flapack() is loaded
+        assert sys.modules["scipy.linalg._flapack"] is loaded
+
+    def test_reference_flow_system(self, monkeypatch):
+        # The mixed system of the reference run's first state: 95 surface
+        # and 72 wall panels plus the multiplier row.
+        systems = []
+
+        def record(system):
+            systems.append(system)
+            return solve_dense(system)
+
+        monkeypatch.setattr(bem, "solve_dense", record)
+        sample_initial_state(make_reference_data(1.0), 96, 24).cauchy
+        (system,) = systems
+        assert system.matrix.shape == (168, 168)
+        assert_solves_like_scipy(system.matrix, system.rhs)
 
 
 def panel_log_integrals(a, b, target):
