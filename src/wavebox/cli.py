@@ -8,12 +8,17 @@ Subcommands::
 
 Exit codes: 0 = ran and all checks passed (breakdown is a normal outcome),
 1 = a check failed, 2 = bad input, 3 = undiagnosed solver failure.
+
+The commands report through the ``wavebox`` logger, which ``main`` sends to
+stdout: progress and verdicts at INFO, failures and bad input at WARNING.
+``--quiet`` keeps the warnings only.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import logging
 import sys
 
 from .runner import ConfigError, RunConfig, simulate, validate_bem, verify_identities
@@ -69,18 +74,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_to_stdout(quiet: bool) -> None:
+    """Give the package logger one stdout handler, replacing any earlier one."""
+    logger = logging.getLogger("wavebox")
+    logger.handlers = [logging.StreamHandler(sys.stdout)]
+    logger.setLevel(logging.WARNING if quiet else logging.INFO)
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
     args = _build_parser().parse_args(argv)
+    _log_to_stdout(args.quiet)
     try:
         if args.command == "simulate":
-            cfg = RunConfig.from_json(args.config)
-            code, _ = simulate(cfg, out_dir=args.out, quiet=args.quiet)
-            return code
+            return simulate(RunConfig.from_json(args.config), out_dir=args.out)
         if args.command == "validate-bem":
-            cfg = RunConfig.from_json(args.config)
-            return validate_bem(cfg, quiet=args.quiet)
-        return verify_identities(args.run, quiet=args.quiet)
+            return validate_bem(RunConfig.from_json(args.config))
+        return verify_identities(args.run)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

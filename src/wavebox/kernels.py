@@ -69,12 +69,14 @@ def solve_dense(system: DenseSystem) -> FloatArray:
 
     The LAPACK calls of ``scipy.linalg.lu_factor``/``lu_solve``, with their
     defaults (dgetrf factors a Fortran-ordered copy), so the bits are theirs.
+    An exactly zero pivot (dgetrf's ``info > 0``) is singular too; it is the
+    only sign of an all-zero matrix, whose pivot floor is itself zero.
     """
     A, b = system.matrix, system.rhs
-    lu, piv, _ = _flapack.dgetrf(A)
+    lu, piv, info = _flapack.dgetrf(A)
     pivot_floor = 1e-13 * np.max(np.sum(np.abs(A), axis=1))
     diag = np.abs(np.diag(lu))
-    if np.any(diag < pivot_floor):
+    if info > 0 or np.any(diag < pivot_floor):
         raise SingularMatrixError(
             f"pivot {diag.min():.3e} below threshold {pivot_floor:.3e}")
     x, _ = _flapack.dgetrs(lu, piv, b)

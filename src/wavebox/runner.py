@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
 import numbers
 import os
@@ -44,6 +45,8 @@ from .modes import ModePotential, initial_A, sample_initial_state
 from .pressure import PressureField, pressure_min, wall_pressure_integral
 
 FloatArray = NDArray[np.float64]
+
+log = logging.getLogger(__name__)
 
 RECORD_TIME_SLOP = 1e-12
 
@@ -181,13 +184,6 @@ class RunConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["modes"] = [list(m) for m in self.modes]
-        out["bem_panel_counts"] = list(self.bem_panel_counts)
-        out["bem_mode_ks"] = list(self.bem_mode_ks)
-        return out
-
     def potential(self) -> ModePotential:
         try:
             pot = ModePotential(terms=self.modes)
@@ -228,11 +224,11 @@ def _collect_record(state: FlowState, dt_used: float,
         corner_residual=state.derivative.corner_residual)
 
 
-def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
+def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Integrate from the configured initial data, recording diagnostics.
 
-    ``progress`` is an optional callable fed each fresh DiagnosticsRecord.
-    Stops at breakdown (recorded, not raised) or at the time cap.
+    Logs one INFO line per record.  Stops at breakdown (recorded, not
+    raised) or at the time cap.
     """
     potential = cfg.potential()
     state = sample_initial_state(potential, cfg.n_markers,
@@ -265,8 +261,8 @@ def run_simulation(cfg: RunConfig, progress=None) -> SimulationResult:
                     break
                 records.append(rec)
                 snapshots.append(state.curve.x.copy())
-                if progress is not None:
-                    progress(rec)
+                log.info("  t=%.6f  L=%.5f  p_min=%.4g  E=%.6f",
+                         rec.t, rec.L, rec.p_min, rec.energy)
                 next_record += cfg.record_dt
             if state.t >= cfg.t_end_cap - RECORD_TIME_SLOP:
                 break
@@ -487,25 +483,27 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def write_diagnostics_csv(path: str, table: dict[str, FloatArray]):
-    """Write the CSV columns of ``table``; the inverse of read_diagnostics_csv."""
-    columns = [table[name].tolist() for name in CSV_FIELDS]
-    lines = [",".join(CSV_FIELDS)]
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*columns))
+def _write_csv(path: str, header, rows):
+    """A header line, then one line of ``_fmt`` cells per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_diagnostics_csv(path: str, table: dict[str, FloatArray]):
+    """Write the CSV columns of ``table``; the inverse of read_diagnostics_csv."""
+    _write_csv(path, CSV_FIELDS,
+               zip(*(table[name].tolist() for name in CSV_FIELDS)))
 
 
 def write_snapshots(directory: str, snapshots):
     """One CSV per record: the uniform label i/(n-1), then the marker position."""
     os.makedirs(directory, exist_ok=True)
     for i, x in enumerate(snapshots):
-        lines = ["alpha,x1,x2"]
-        for a, (x1, x2) in zip(np.linspace(0.0, 1.0, len(x)), x):
-            lines.append(f"{_fmt(a)},{_fmt(x1)},{_fmt(x2)}")
-        with open(os.path.join(directory, f"{i:04d}.csv"), "w",
-                  newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        alpha = np.linspace(0.0, 1.0, len(x))
+        _write_csv(os.path.join(directory, f"{i:04d}.csv"), ("alpha", "x1", "x2"),
+                   np.column_stack([alpha, x]).tolist())
 
 
 def _json_scalar(value) -> str:
@@ -547,39 +545,30 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
     return {name: data[:, j] for j, name in enumerate(expected)}
 
 
-def simulate(cfg: RunConfig, out_dir: str | None = None,
-             quiet: bool = False) -> tuple[int, dict]:
-    """Run, write artifacts, and return (exit_code, report)."""
+def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:
+    """Run, write artifacts, and return the exit code."""
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
-
-    def progress(rec: DiagnosticsRecord):
-        if not quiet:
-            print(f"  t={rec.t:.6f}  L={rec.L:.5f}  p_min={rec.p_min:.4g}  "
-                  f"E={rec.energy:.6f}")
-
-    result = run_simulation(cfg, progress=progress)
+    result = run_simulation(cfg)
     report = build_report(cfg, result)
 
     with open(os.path.join(out, "config.json"), "w", newline="\n") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), result.table)
     write_snapshots(os.path.join(out, "snapshots"), result.snapshots)
     write_report(os.path.join(out, "report.json"), report)
 
-    if not quiet:
-        if result.breakdown is not None:
-            print(f"breakdown: {result.breakdown.kind} at "
-                  f"t={result.breakdown.t_break:.6g} "
-                  f"({result.breakdown.detail})")
-        else:
-            print(f"reached time cap t={result.t_final:.6g}")
-        print(f"report: all_passed={report['all_passed']}")
-    return (0 if report["all_passed"] else 1), report
+    if result.breakdown is not None:
+        log.info("breakdown: %s at t=%.6g (%s)", result.breakdown.kind,
+                 result.breakdown.t_break, result.breakdown.detail)
+    else:
+        log.info("reached time cap t=%.6g", result.t_final)
+    log.info("report: all_passed=%s", report["all_passed"])
+    return 0 if report["all_passed"] else 1
 
 
-def verify_identities(run_dir: str, quiet: bool = False) -> int:
+def verify_identities(run_dir: str) -> int:
     """Offline re-check of a run directory; exit-code semantics of the CLI."""
     csv_path = os.path.join(run_dir, "diagnostics.csv")
     cfg_path = os.path.join(run_dir, "config.json")
@@ -601,29 +590,27 @@ def verify_identities(run_dir: str, quiet: bool = False) -> int:
             raise ValueError(f"{report_path}: breakdown_kind is neither "
                              f"null nor a string: {kind!r}")
     except (OSError, ValueError, ConfigError) as exc:
-        print(f"error: {exc}")
+        log.warning("error: %s", exc)
         return 2
 
     broke = kind is not None
     checks = evaluate_checks(columns, cfg, broke)
 
-    if not checks["derivatives_checked"] and not quiet:
-        print("insufficient records: derivative checks skipped")
+    if not checks["derivatives_checked"]:
+        log.info("insufficient records: derivative checks skipped")
 
     failed = [k for k in CHECK_KEYS if not checks[k]]
     mismatched = [k for k in CHECK_KEYS if k in stored and stored[k] != checks[k]]
-    if not quiet:
-        for key in CHECK_KEYS:
-            note = " (mismatches report)" if key in mismatched else ""
-            print(f"  {key}: {checks[key]}{note}")
+    for key in CHECK_KEYS:
+        note = " (mismatches report)" if key in mismatched else ""
+        log.info("  %s: %s%s", key, checks[key], note)
+    if failed:
+        log.warning("failed checks: %s", ", ".join(failed))
+    if mismatched:
+        log.warning("report mismatch: %s", ", ".join(mismatched))
     if failed or mismatched:
-        if failed:
-            print(f"failed checks: {', '.join(failed)}")
-        if mismatched:
-            print(f"report mismatch: {', '.join(mismatched)}")
         return 1
-    if not quiet:
-        print("all recomputed checks passed and match the stored report")
+    log.info("all recomputed checks passed and match the stored report")
     return 0
 
 
@@ -654,12 +641,12 @@ def _mode_bvp_error(k: int, n_markers: int, wall_panels: int) -> float:
     return max(err_phi, err_q) / math.cosh(k * math.pi)
 
 
-def validate_bem(cfg: RunConfig, quiet: bool = False) -> int:
+def validate_bem(cfg: RunConfig) -> int:
     """Convergence sweep over the configured panel counts and modes.
 
     Passes when every mode's error decreases monotonically with a mean
     measured order of at least one, and the constant-data solve is exact to
-    1e-8.  Prints an error table unless quiet.
+    1e-8.  Logs the error table at INFO.
     """
     counts = cfg.bem_panel_counts
     ok = True
@@ -668,8 +655,7 @@ def validate_bem(cfg: RunConfig, quiet: bool = False) -> int:
     cd = bem.solve_mixed_bvp(mesh, np.ones(mesh.n_markers - 1))
     const_err = max(float(np.abs(cd.values - 1.0).max()),
                     float(np.abs(cd.fluxes).max()))
-    if not quiet:
-        print(f"constant data: max error {const_err:.3e}")
+    log.info("constant data: max error %.3e", const_err)
     if const_err > 1e-8:
         ok = False
 
@@ -678,12 +664,11 @@ def validate_bem(cfg: RunConfig, quiet: bool = False) -> int:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         mean_order = sum(orders) / len(orders)
         monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-        if not quiet:
-            table = "  ".join(f"{n}:{e:.3e}" for n, e in zip(counts, errs))
-            print(f"mode k={k}: {table}  order={mean_order:.2f}")
+        log.info("mode k=%d: %s  order=%.2f", k,
+                 "  ".join(f"{n}:{e:.3e}" for n, e in zip(counts, errs)),
+                 mean_order)
         if not monotone or mean_order < 1.0:
             ok = False
 
-    if not quiet:
-        print("validation " + ("passed" if ok else "FAILED"))
+    log.info("validation %s", "passed" if ok else "FAILED")
     return 0 if ok else 1

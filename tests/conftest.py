@@ -8,6 +8,7 @@ the tests, so they live here rather than in the package.
 """
 
 import json
+import logging
 import math
 import os
 
@@ -115,7 +116,7 @@ def still_config_dict():
 def _run(tmp_factory, name, cfg_dict):
     out = str(tmp_factory.mktemp(name))
     cfg = RunConfig.from_dict(cfg_dict)
-    code, _ = simulate(cfg, out_dir=out, quiet=True)
+    code = simulate(cfg, out_dir=out)
     with open(os.path.join(out, "report.json")) as fh:
         report = json.load(fh)
     return {"cfg": cfg, "code": code, "report": report, "dir": out}
@@ -155,6 +156,19 @@ def repeat_runs(tmp_path_factory):
     cfg = reference_config_dict(t_end_cap=6e-4)
     return {"first": _run(tmp_path_factory, "repeat_a", cfg),
             "second": _run(tmp_path_factory, "repeat_b", cfg)}
+
+
+@pytest.fixture(autouse=True)
+def fresh_package_logger():
+    """Drop the stdout handler and level ``cli.main`` leaves on the logger.
+
+    The handler holds the stdout of the test that called ``main``; a later
+    test's warnings must not go to that test's closed capture stream.
+    """
+    yield
+    logger = logging.getLogger("wavebox")
+    logger.handlers = []
+    logger.setLevel(logging.NOTSET)
 
 
 def write_config(path, cfg_dict):

@@ -150,6 +150,11 @@ class TestVerifyCommand:
         assert main(["verify-identities", "--run",
                      str(tmp_path / "missing")]) == 2
 
+    def test_quiet_keeps_the_error_line(self, tmp_path, capsys):
+        assert main(["verify-identities", "--run", str(tmp_path / "missing"),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().out.startswith("error: cannot read config")
+
     @pytest.mark.parametrize("report", [
         "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1},
         {"breakdown_kind": False}, {"breakdown_kind": 5}],
@@ -174,6 +179,16 @@ class TestValidateBemCommand:
         out = capsys.readouterr().out
         assert "constant data" in out and "order" in out
 
+    def test_repeated_calls_print_once(self, tmp_path, capsys):
+        # each call replaces the stdout handler of the last, not adds one
+        cfg = write_cfg(tmp_path, {"bem_panel_counts": [32, 64],
+                                   "bem_mode_ks": [1]})
+        assert main(["validate-bem", "--config", cfg]) == 0
+        first = capsys.readouterr().out
+        assert first.count("validation passed") == 1
+        assert main(["validate-bem", "--config", cfg]) == 0
+        assert capsys.readouterr().out == first
+
     def test_single_panel_count_is_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"bem_panel_counts": [32],
                                    "bem_mode_ks": [1]})
@@ -190,7 +205,7 @@ class TestValidateBemCommand:
         monkeypatch.setattr(bem.kernels, "influence_matrices", broken)
         cfg = RunConfig.from_dict({"bem_panel_counts": [32, 64],
                                    "bem_mode_ks": [1]})
-        assert validate_bem(cfg, quiet=True) == 1
+        assert validate_bem(cfg) == 1
 
 
 class TestParser:

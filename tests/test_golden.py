@@ -7,8 +7,14 @@ process set-up the command line does (its malloc settings) is covered too.
 The SHA-256 of each artifact tree (relative paths and contents) must equal
 the digest recorded for it at commit a37f9d8.  A refactor that moves a
 single bit of any artifact fails here.
+
+The printed output is pinned the same way: the stdout of ``validate-bem``
+with the default sweep must hash to the benchmark's golden digest, and the
+stdout of ``simulate`` and ``verify-identities`` on the still fluid must be
+the recorded text.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,6 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from run import THREAD_VARS, tree_digest  # noqa: E402
+from workloads import GOLDEN_SHA256 as BENCH_SHA256  # noqa: E402
 
 GOLDEN_SHA256 = {
     "reference":
@@ -51,16 +58,82 @@ print(json.dumps(codes))
 """
 
 
-def test_artifacts_match_golden_digests(tmp_path):
+STILL_SIMULATE_STDOUT = """\
+  t=0.000000  L=0.00000  p_min=-0  E=0.000000
+  t=0.050000  L=0.00000  p_min=-0  E=0.000000
+  t=0.100000  L=0.00000  p_min=-0  E=0.000000
+  t=0.150000  L=0.00000  p_min=-0  E=0.000000
+  t=0.200000  L=0.00000  p_min=-0  E=0.000000
+  t=0.250000  L=0.00000  p_min=-0  E=0.000000
+  t=0.300000  L=0.00000  p_min=-0  E=0.000000
+  t=0.350000  L=0.00000  p_min=-0  E=0.000000
+  t=0.400000  L=0.00000  p_min=-0  E=0.000000
+  t=0.450000  L=0.00000  p_min=-0  E=0.000000
+  t=0.500000  L=0.00000  p_min=-0  E=0.000000
+  t=0.550000  L=0.00000  p_min=-0  E=0.000000
+  t=0.600000  L=0.00000  p_min=-0  E=0.000000
+  t=0.650000  L=0.00000  p_min=-0  E=0.000000
+  t=0.700000  L=0.00000  p_min=-0  E=0.000000
+  t=0.750000  L=0.00000  p_min=-0  E=0.000000
+  t=0.800000  L=0.00000  p_min=-0  E=0.000000
+  t=0.850000  L=0.00000  p_min=-0  E=0.000000
+  t=0.900000  L=0.00000  p_min=-0  E=0.000000
+  t=0.950000  L=0.00000  p_min=-0  E=0.000000
+  t=1.000000  L=0.00000  p_min=-0  E=0.000000
+reached time cap t=1
+report: all_passed=True
+"""
+
+STILL_VERIFY_STDOUT = """\
+  energy_conserved: True
+  area_conserved: True
+  pressure_positive: True
+  schwarz_held: True
+  identities_converged: True
+  inequality_28_held: True
+  derivative_inequality_held: True
+  riccati_dominated: True
+all recomputed checks passed and match the stored report
+"""
+
+
+def run_child(args, **kwargs):
+    """A Python child with one BLAS thread and the package on its path."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)],
-                          input=json.dumps(CONFIGS), env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=300, **kwargs)
+
+
+def run_cli(*args):
+    proc = run_child(["-m", "wavebox.cli", *args])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_artifacts_match_golden_digests(tmp_path):
+    proc = run_child(["-c", CHILD, str(tmp_path)],
+                     input=json.dumps(CONFIGS), text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {name: 0 for name in CONFIGS}
     digests = {name: tree_digest(os.path.join(tmp_path, name))
                for name in CONFIGS}
     assert digests == GOLDEN_SHA256
+
+
+def test_bem_sweep_stdout_matches_benchmark_digest(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("{}")
+    stdout = run_cli("validate-bem", "--config", str(path))
+    assert hashlib.sha256(stdout).hexdigest() == BENCH_SHA256["bem_sweep"]
+
+
+def test_still_fluid_stdout(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(CONFIGS["still"]))
+    out = str(tmp_path / "still")
+    assert run_cli("simulate", "--config", str(path),
+                   "--out", out).decode() == STILL_SIMULATE_STDOUT
+    assert run_cli("verify-identities", "--run", out).decode() == STILL_VERIFY_STDOUT

@@ -37,6 +37,16 @@ class TestSolveDense:
             with pytest.raises(SingularMatrixError):
                 solve_dense(DenseSystem(matrix=A, rhs=np.ones(4)))
 
+    def test_zero_matrix_raises(self):
+        # Its pivot floor is 0 too, so only dgetrf's zero-pivot report
+        # (info > 0) catches it.
+        A = np.zeros((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                solve_dense(DenseSystem(matrix=A, rhs=np.ones(3)))
+        assert_solves_like_scipy(A, np.ones(3))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             DenseSystem(matrix=np.ones((3, 2)), rhs=np.ones(3))
@@ -45,12 +55,17 @@ class TestSolveDense:
 
 
 def scipy_solve(A, b):
-    """solve_dense as written on scipy.linalg's lu_factor and lu_solve."""
+    """solve_dense as written on scipy.linalg's lu_factor and lu_solve.
+
+    An exactly zero pivot is dgetrf's ``info > 0``, which lu_factor only
+    warns about; both count it as singular.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivot_floor = 1e-13 * np.max(np.sum(np.abs(A), axis=1))
-    if np.any(np.abs(np.diag(lu)) < pivot_floor):
+    diag = np.abs(np.diag(lu))
+    if np.any(diag == 0.0) or np.any(diag < pivot_floor):
         raise SingularMatrixError("pivot below threshold")
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 

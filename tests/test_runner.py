@@ -1,6 +1,8 @@
 """Configuration handling, artifact writers, and offline verification."""
 
+import dataclasses
 import json
+import logging
 import math
 import os
 import shutil
@@ -71,7 +73,7 @@ class TestRunConfig:
     def test_round_trip(self, tmp_path):
         cfg = RunConfig.from_dict(reference_config_dict())
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         again = RunConfig.from_json(str(path))
         assert again == cfg
 
@@ -206,7 +208,7 @@ class TestEvaluateChecks:
 
 class TestVerifyIdentities:
     def test_fresh_run_matches(self, ref_run):
-        assert verify_identities(ref_run["dir"], quiet=True) == 0
+        assert verify_identities(ref_run["dir"]) == 0
 
     def test_corrupted_L_fails(self, ref_run, tmp_path):
         broken = tmp_path / "broken"
@@ -221,31 +223,32 @@ class TestVerifyIdentities:
             cells[i_L] = "0.001"
             lines[j] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        assert verify_identities(str(broken), quiet=True) == 1
+        assert verify_identities(str(broken)) == 1
 
-    def test_truncated_single_row(self, ref_run, tmp_path, capsys):
+    def test_truncated_single_row(self, ref_run, tmp_path, caplog):
         short = tmp_path / "short"
         shutil.copytree(ref_run["dir"], short)
         path = short / "diagnostics.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2]) + "\n")
-        code = verify_identities(str(short))
-        out = capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="wavebox"):
+            code = verify_identities(str(short))
+        out = caplog.text
         assert code == 0
         assert "insufficient records" in out
 
     def test_missing_dir(self, tmp_path):
-        assert verify_identities(str(tmp_path / "nope"), quiet=True) == 2
+        assert verify_identities(str(tmp_path / "nope")) == 2
 
     def test_one_record_run(self, tmp_path):
         # one record leaves no finite Schwarz slack: margin_schwarz is inf
         cfg = RunConfig.from_dict(reference_config_dict(t_end_cap=1e-4))
         out = str(tmp_path / "one")
-        assert runner.simulate(cfg, out_dir=out, quiet=True)[0] == 0
+        assert runner.simulate(cfg, out_dir=out) == 0
         with open(os.path.join(out, "report.json")) as fh:
             report = json.load(fh, parse_constant=reject_constant)
         assert report["n_records"] == 1 and report["margin_schwarz"] is None
-        assert verify_identities(out, quiet=True) == 0
+        assert verify_identities(out) == 0
 
 
 class TestRunSimulation:
@@ -278,14 +281,16 @@ class TestRunSimulation:
         np.testing.assert_array_equal(first[:, 0], label)
         np.testing.assert_array_equal(last[:, 0], label)
 
-    def test_progress_callback(self):
+    def test_progress_callback(self, caplog):
+        # one progress line per record, its time the first argument
         cfg = RunConfig.from_dict(dict(modes=reference_modes(), n_markers=24,
                                        wall_panels_per_side=8, record_dt=2e-4,
                                        t_end_cap=4e-4))
-        seen = []
-        run_simulation(cfg, progress=seen.append)
+        with caplog.at_level(logging.INFO, logger="wavebox"):
+            run_simulation(cfg)
+        seen = [record.args[0] for record in caplog.records]
         assert len(seen) >= 2
-        assert seen[0].t == 0.0
+        assert seen[0] == 0.0
 
 
 class TestRecordTimeBreakdown:
