@@ -37,14 +37,17 @@ def constant_c1(initial_mesh: BoundaryMesh) -> float:
 def riccati_envelope(A: float, c1: float, t):
     """Exact solution of L' = L^2/c1, L(0) = A, at a time or an array of times.
 
-    Diverges at t = c1/A; every t must lie in [0, c1/A).
+    Diverges at t = c1/A; every t must lie in [0, c1/A).  Just below c1/A,
+    A t / c1 can round to 1, as at t = nextafter(4/3 / 0.7, 0) with
+    A = 0.7, c1 = 4/3; the envelope is then inf, without a warning.
     """
     if A <= 0.0 or c1 <= 0.0:
         raise ValueError("envelope requires A > 0 and c1 > 0")
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t >= c1 / A):
         raise ValueError(f"t={t} outside [0, c1/A={c1 / A})")
-    return A / (1.0 - A * t / c1)
+    with np.errstate(divide="ignore"):
+        return A / (1.0 - A * t / c1)
 
 
 def blowup_bound(A: float, c1: float) -> float:

@@ -7,6 +7,7 @@ moving free surface pinned at the two top corners (0,1) and (1,1).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,19 +89,59 @@ def _segment_pairs(n_seg: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
     return i, j
 
 
+def _monotone_margin(x: FloatArray) -> float:
+    """x-increment delta above which no segment pair can pass the pair test.
+
+    ``delta**2 = 4e-12 E + 4e-14 E**2``, where E is the sum of the x- and
+    y-extents of the markers; ``self_intersects`` gives the derivation.
+    """
+    span = x.max(axis=0) - x.min(axis=0)
+    extent = float(span[0] + span[1])
+    return math.sqrt(4e-12 * extent + 4e-14 * extent * extent)
+
+
 def self_intersects(curve: InterfaceCurve) -> bool:
     """True iff any two non-adjacent segments of the polyline meet.
 
-    Vectorised over all n^2/2 non-adjacent segment pairs at once, so time
-    and memory are O(n^2) in the marker count.  A pair meets when its
-    crossing parameters t, s both lie in the closed interval [0, 1]; a
-    parallel pair meets only when it is collinear and its spans overlap
-    along the dominant axis of the first segment.
+    A curve whose x-increments all exceed ``_monotone_margin`` returns False
+    in O(n).  Every other curve goes to the pair test, vectorised over all
+    n^2/2 non-adjacent segment pairs at once, so time and memory are O(n^2)
+    in the marker count.  A pair meets when its crossing parameters t, s
+    both lie in the closed interval [0, 1]; a parallel pair meets only when
+    it is collinear and its spans overlap along the dominant axis of the
+    first segment.
+
+    Why the short-cut is sound.  Let E bound every segment length and
+    every marker distance (the sum of the two extents does), and let every
+    x-increment exceed delta.  A pair i, j >= i + 2 then lies at least
+    x[i+2] - x[i+1] > delta apart in x, so it cannot meet, and the pair
+    test agrees branch by branch:
+
+    * Parallel pair, x-dominant first segment: the overlap test compares
+      stored coordinates, and x[j] <= x[i+1] is false.
+    * Parallel pair, y-dominant first segment d1, with overlapping y-spans
+      (else the overlap test fails): points at equal height on the two
+      segments lie more than delta apart in x.  The second segment d2 is
+      parallel to the first, so it is steep too: |d2_y| > d2_x > delta, up
+      to a relative 1e-14 that the margin below absorbs.
+      Hence ``|num_t| = |r x d2| >= delta |d2_y| - |d1 x d2| > delta**2 -
+      1e-14 E**2``, while the collinear test accepts only ``|num_t| <=
+      1e-12 (|d1| + |r|) <= 2e-12 E``.  delta**2 is at least twice the sum
+      of those two terms; the margin covers the O(1e-16 E**2) rounding of
+      num_t.
+    * Crossing pair: in exact arithmetic the meeting point of the two lines
+      lies outside one of the segments.  In floating point the pair test
+      can still accept a nearly parallel pair on nearly one line, with
+      ``|d1 x d2|`` within about two orders of the 1e-14 cutoff, where
+      cancellation sets t and s; a tent of two straight ramps is such a
+      curve.  There the short-cut returns the exact answer, False.
     """
     x = curve.x
-    n_seg = x.shape[0] - 1
-    i, j = _segment_pairs(n_seg)
     d = np.diff(x, axis=0)
+    if d[:, 0].min() > _monotone_margin(x):
+        return False
+    n_seg = d.shape[0]
+    i, j = _segment_pairs(n_seg)
     ell = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     d1x, d1y = d[i, 0], d[i, 1]
     d2x, d2y = d[j, 0], d[j, 1]
@@ -206,8 +247,32 @@ class BoundaryMesh:
         return np.asarray(surface_panel_values, dtype=np.float64)[::-1]
 
 
+@functools.lru_cache(maxsize=8)
+def _wall_endpoints(w: int) -> tuple[FloatArray, FloatArray]:
+    """Read-only panel ends (a, b) of the 3w wall panels: bottom, right, left.
+
+    The walls never move, so every mesh with w panels per side shares them.
+    The bottom wall is uniform.  Side walls are graded quadratically toward
+    the top corners, where the Dirichlet surface meets the Neumann walls:
+    with uniform walls the collocation error at those corners is
+    mesh-independent, with grading it decays at better than first order.
+    """
+    tb = np.linspace(0.0, 1.0, w + 1)
+    side = 1.0 - (1.0 - tb) ** 2
+    left_down = side[::-1]
+    a = np.zeros((3 * w, 2))
+    b = np.zeros((3 * w, 2))
+    a[:w, 0], b[:w, 0] = tb[:-1], tb[1:]
+    a[w:2 * w, 0] = b[w:2 * w, 0] = 1.0
+    a[w:2 * w, 1], b[w:2 * w, 1] = side[:-1], side[1:]
+    a[2 * w:, 1], b[2 * w:, 1] = left_down[:-1], left_down[1:]
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
 def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> BoundaryMesh:
-    """Panelize the closed boundary: walls uniformly subdivided, surface from markers.
+    """Panelize the closed boundary: fixed wall panels, surface from markers.
 
     Raises SelfIntersectionError for a non-simple curve (including a curve
     that leaves the strip 0 <= x1 <= 1 beyond roundoff) and GeometryError
@@ -217,32 +282,24 @@ def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> Bou
         raise ValueError("wall_panels_per_side must be >= 4")
     if side_wall_crossing(curve) is not None:
         raise SelfIntersectionError("interface crosses a side wall (x1 outside [0,1])")
-    x = curve.x.copy()
-    np.clip(x[:, 0], 0.0, 1.0, out=x[:, 0])
+    x = curve.x
     if np.any(x[:, 1] <= 0.0):
         raise BottomContactError("interface touches the bottom wall (x2 <= 0)")
     if self_intersects(curve):
         raise SelfIntersectionError("interface polyline self-intersects")
 
     w = wall_panels_per_side
-    tb = np.linspace(0.0, 1.0, w + 1)
-    # Side walls are graded quadratically toward the top corners, where the
-    # Dirichlet surface meets the Neumann walls: with uniform walls the
-    # collocation error at those corners is mesh-independent, with grading
-    # it decays at better than first order.
-    side = 1.0 - (1.0 - tb) ** 2
-    bottom_a = np.column_stack([tb[:-1], np.zeros(w)])
-    bottom_b = np.column_stack([tb[1:], np.zeros(w)])
-    right_a = np.column_stack([np.ones(w), side[:-1]])
-    right_b = np.column_stack([np.ones(w), side[1:]])
-    surf = x[::-1]
-    surf_a, surf_b = surf[:-1], surf[1:]
-    left_down = side[::-1]
-    left_a = np.column_stack([np.zeros(w), left_down[:-1]])
-    left_b = np.column_stack([np.zeros(w), left_down[1:]])
-
-    a = np.vstack([bottom_a, right_a, surf_a, left_a])
-    b = np.vstack([bottom_b, right_b, surf_b, left_b])
+    n_surf = curve.n_markers - 1
+    wall_a, wall_b = _wall_endpoints(w)
+    a = np.empty((3 * w + n_surf, 2))
+    b = np.empty_like(a)
+    a[:2 * w], b[:2 * w] = wall_a[:2 * w], wall_b[:2 * w]
+    # The surface runs right corner -> left corner, x1 clamped to the strip.
+    surf = slice(2 * w, 2 * w + n_surf)
+    a[surf], b[surf] = x[:0:-1], x[-2::-1]
+    np.clip(a[surf, 0], 0.0, 1.0, out=a[surf, 0])
+    np.clip(b[surf, 0], 0.0, 1.0, out=b[surf, 0])
+    a[surf.stop:], b[surf.stop:] = wall_a[2 * w:], wall_b[2 * w:]
     mesh = BoundaryMesh(a=a, b=b, n_markers=curve.n_markers,
                         wall_panels_per_side=w)
     if polygon_area(mesh) <= 0.0:

@@ -1,5 +1,6 @@
 """Virial functional, growth identities, comparison envelope, detectors."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,18 @@ class TestEnvelope:
                - riccati_envelope(a, c1, t - h)) / (2.0 * h)
         rhs = riccati_envelope(a, c1, t) ** 2 / c1
         assert lhs == pytest.approx(rhs, rel=1e-4)
+
+    def test_one_ulp_below_blowup_is_inf_without_warning(self):
+        # A t / c1 rounds to 1 here, so the denominator is exactly 0.
+        a, c1 = 0.7, 4.0 / 3.0
+        t = np.nextafter(c1 / a, 0.0)
+        assert a * t / c1 == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert riccati_envelope(a, c1, t) == np.inf
+            values = riccati_envelope(a, c1, np.array([0.0, 0.5 * t, t]))
+        assert values[0] == a and values[1] == a / (1.0 - a * (0.5 * t) / c1)
+        assert values[2] == np.inf
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavebox import geometry
 from wavebox.errors import (BottomContactError, GeometryError,
                             SelfIntersectionError)
-from wavebox.geometry import (InterfaceCurve, _segment_pairs,
+from wavebox.evolution import rk4_step
+from wavebox.geometry import (InterfaceCurve, _monotone_margin,
+                              _segment_pairs, _wall_endpoints,
                               build_boundary_mesh,
                               flat_interface, point_segment_distance,
                               points_inside, polygon_area, self_intersects,
                               side_wall_crossing)
+from wavebox.modes import sample_initial_state
+
+from conftest import make_reference_data
 
 
 def bumped_interface(n, amplitude=0.1):
@@ -109,6 +115,47 @@ _grid_point = st.tuples(_grid_x, _offset, _grid_y, _offset).map(
 _free_point = st.tuples(st.floats(-0.2, 1.2), st.floats(0.2, 1.8))
 _curves = st.lists(st.one_of(_grid_point, _free_point), min_size=1, max_size=8)
 
+# Strictly x-monotone curves on a 2**-24 grid.  There every coordinate,
+# difference and product of the crossing test is exact, so the pair test's
+# crossing branch answers exactly and only its tolerance branch, the one
+# the margin delta is sized against, can disagree with the short-cut.
+# Segments of equal slope are exactly parallel whatever their widths.  A
+# "ladder" is a long steep segment, a flat step and a short segment
+# parallel to the first beside it in height: the pair the collinear
+# tolerance reaches furthest, when step and short segment are narrow.
+# Their "near" width is one per curve: a grid step, an eighth of delta, or
+# within two grid steps of delta.
+_UNIT = 2.0 ** -24
+_SLOPES = [0, 1, -1, 2, -2, 3, -3]
+
+
+@st.composite
+def _monotone_curves(draw):
+    segments = []                   # (width in grid steps or None for near, slope)
+    for kind in draw(st.lists(st.sampled_from(["free", "steep", "ladder"]),
+                              min_size=1, max_size=6)):
+        if kind == "free":
+            width = draw(st.integers(1, 2**20))
+            segments.append((width, draw(st.integers(-2**22, 2**22)) / width))
+        elif kind == "steep":
+            segments.append((draw(st.integers(1, 2**18) | st.none()),
+                             draw(st.sampled_from(_SLOPES))))
+        else:
+            slope = draw(st.sampled_from([2, -2, 3, -3]))
+            segments += [(draw(st.integers(2**10, 2**21)), slope), (None, 0), (None, slope)]
+
+    def markers(near):
+        widths = [near if w is None else w for w, _ in segments]
+        rises = [round(w * k) for w, (_, k) in zip(widths, segments)]
+        x = np.cumsum([0] + widths + [2**24 - sum(widths)])
+        y = 2**24 + np.cumsum([0] + rises + [-sum(rises)])
+        return np.column_stack([x, y]) * _UNIT
+
+    # The near widths move the extent, so delta, by far under a grid step.
+    above = int(_monotone_margin(markers(0)) / _UNIT) + 1
+    near = draw(st.sampled_from([1, above // 8] + [above + k for k in range(-2, 3)]))
+    return InterfaceCurve(markers(near))
+
 
 class TestSelfIntersection:
     def test_simple_curve(self):
@@ -173,6 +220,76 @@ class TestSelfIntersection:
     def test_matches_pairwise_reference(self, points):
         curve = marker_curve(points)
         assert self_intersects(curve) == self_intersects_reference(curve)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_monotone_curves())
+    def test_monotone_curves_match_pairwise_reference(self, curve):
+        assert self_intersects(curve) == self_intersects_reference(curve)
+
+    @pytest.mark.parametrize("width, expected", [
+        (1.0e-6, True),     # within the collinear tolerance: the pair test accepts
+        (2.4e-6, False),    # below delta, so the pair test runs, and rejects
+        (2.8e-6, False),    # above delta: the short-cut
+    ])
+    def test_steep_parallel_pair_near_the_margin(self, width, expected):
+        # A long segment of slope 1.25 ends at x2 = 1; a flat step and a
+        # short segment parallel to the first follow, at its top height.
+        # Step and short segment are `width` wide, so the two parallel
+        # segments lie that far apart in x.  The collinear tolerance reaches
+        # widths up to 1.13e-6 here; delta is 2.57e-6.
+        width = round(width / _UNIT / 4) * 4 * _UNIT    # 1.25 * width stays exact
+        x = np.array([[0.0, 1.0], [0.125, 0.375], [0.625, 1.0],
+                      [0.625 + width, 1.0], [0.625 + 2 * width, 1.0 + 1.25 * width],
+                      [1.0, 1.0]])
+        curve = InterfaceCurve(x)
+        assert (width > _monotone_margin(x)) is (width > 2.6e-6)
+        assert self_intersects(curve) is expected
+        assert self_intersects_reference(curve) is expected
+
+    def test_straight_ramp_false_positive_of_the_pair_test(self):
+        # Four markers on one straight ramp, as a tent of two ramps places
+        # them.  Segments 1 and 3 are parallel to 2e-14 relative, just above
+        # the parallel cutoff, so cancellation sets their crossing
+        # parameters and the pair test reports that they meet.  They lie
+        # 3.4e-5 apart in x, like every pair of an x-monotone curve, so the
+        # short-cut's False is the exact answer.
+        s = np.array([0.29916016437005555, 0.3578177514580465,
+                      0.3578519381530927, 0.3604054754898329])
+        curve = marker_curve(np.column_stack(
+            [s, 1.0 + 1.0146563222824532 * (s / 0.7743719413734328)]))
+        assert self_intersects_reference(curve)
+        assert not self_intersects(curve)
+
+
+class _PairTestReached(Exception):
+    pass
+
+
+class TestMonotoneShortCut:
+    @pytest.fixture(autouse=True)
+    def no_pair_test(self, monkeypatch):
+        def refuse(n_seg):
+            raise _PairTestReached
+        monkeypatch.setattr(geometry, "_segment_pairs", refuse)
+
+    def test_reference_surface_takes_it(self):
+        state = sample_initial_state(make_reference_data(1.0), 96, 24)
+        assert not self_intersects(state.curve)
+        for _ in range(4):          # every stage mesh goes through the predicate
+            state = rk4_step(state, 2e-5)
+        assert np.ptp(state.curve.x[:, 1]) > 1e-3
+        assert not self_intersects(state.curve)
+
+    def test_folded_curve_reaches_the_pair_test(self):
+        curve = marker_curve([[0.7, 1.2], [0.7, 0.6], [0.3, 0.6], [0.3, 1.2]])
+        with pytest.raises(_PairTestReached):
+            self_intersects(curve)
+
+    def test_one_narrow_increment_reaches_the_pair_test(self):
+        x = flat_interface(9).x.copy()
+        x[4, 0] = x[3, 0] + 0.5 * _monotone_margin(x)
+        with pytest.raises(_PairTestReached):
+            self_intersects(InterfaceCurve(x))
 
 
 class TestBoundaryMesh:
@@ -250,6 +367,39 @@ class TestBoundaryMesh:
     def test_too_few_wall_panels(self):
         with pytest.raises(ValueError):
             build_boundary_mesh(flat_interface(9), 3)
+
+    @pytest.mark.parametrize("n_markers, w", [(9, 4), (17, 8), (96, 24), (33, 7)])
+    def test_wall_panels_match_closed_form(self, n_markers, w):
+        mesh = build_boundary_mesh(bumped_interface(n_markers), w)
+        k = np.arange(w) / w
+        k1 = np.arange(1, w + 1) / w
+        zero, one = np.zeros(w), np.ones(w)
+        walls = [  # uniform bottom; sides graded by 1 - (1 - t)**2 toward the top
+            (mesh.bottom_slice, (k, zero), (k1, zero)),
+            (mesh.right_slice, (one, 1 - (1 - k) ** 2), (one, 1 - (1 - k1) ** 2)),
+            (mesh.left_slice, (zero, 1 - k ** 2), (zero, 1 - k1 ** 2)),
+        ]
+        for sl, a, b in walls:
+            np.testing.assert_allclose(mesh.a[sl], np.column_stack(a), atol=1e-15)
+            np.testing.assert_allclose(mesh.b[sl], np.column_stack(b), atol=1e-15)
+        surf = bumped_interface(n_markers).x[::-1]
+        np.testing.assert_array_equal(mesh.a[mesh.surface_slice], surf[:-1])
+        np.testing.assert_array_equal(mesh.b[mesh.surface_slice], surf[1:])
+
+    def test_wall_endpoints_shared_and_read_only(self):
+        a, b = _wall_endpoints(8)
+        assert _wall_endpoints(8)[0] is a and _wall_endpoints(8)[1] is b
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b[0, 0] = 1.0
+        first = build_boundary_mesh(flat_interface(17), 8)
+        expected_a, expected_b = first.a.copy(), first.b.copy()
+        first.a[:] = np.nan
+        first.b[:] = np.nan
+        second = build_boundary_mesh(flat_interface(17), 8)
+        assert np.array_equal(second.a, expected_a)
+        assert np.array_equal(second.b, expected_b)
 
 
 class TestPolygonMeasures:
