@@ -41,15 +41,13 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     phi_s = np.asarray(surface_potential, dtype=np.float64)
     if phi_s.shape != (mesh.n_markers - 1,):
         raise ValueError(f"expected {mesh.n_markers - 1} surface values, got {phi_s.shape}")
-    surf = np.zeros(n, dtype=bool)
-    surf[sl] = True
     S, D = kernels.influence_matrices(mesh, mesh.midpoints)
-    D[np.diag_indices(n)] += 0.5             # D + I/2
+    D.reshape(-1)[::n + 1] += 0.5            # D + I/2; D is C-contiguous, so a view
 
     rhs = np.empty(n + 1)
-    # Mask-selected columns come out Fortran-ordered, which picks BLAS's
-    # column-sweeping gemv; a C-ordered slice view would sum in another order.
-    rhs[:n] = D[:, surf] @ phi_s
+    # A Fortran-ordered copy of the columns picks BLAS's column-sweeping
+    # gemv; a C-ordered slice view would sum in another order.
+    rhs[:n] = np.asfortranarray(D[:, sl]) @ phi_s
     rhs[n] = 0.0
     A = np.empty((n + 1, n + 1))
     A[:n, sl] = S[:, sl]                     # unknown surface fluxes
@@ -60,7 +58,8 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     # error.  A Lagrange multiplier spread over all collocation equations
     # enforces sum(length * flux) = 0 without degrading the solve.
     A[:n, n] = 1.0
-    A[n, :n] = np.where(surf, mesh.lengths, 0.0)
+    A[n, :n] = 0.0
+    A[n, sl] = mesh.lengths[sl]
     A[n, n] = 0.0
 
     z = solve_dense(DenseSystem(matrix=A, rhs=rhs))[:n]

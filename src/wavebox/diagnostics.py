@@ -23,8 +23,8 @@ from numpy.typing import NDArray
 from .bem import CauchyData
 from .errors import BreakdownSignal
 from .evolution import FlowState
-from .geometry import (BoundaryMesh, polygon_area, self_intersects,
-                       side_wall_crossing)
+from .geometry import (BoundaryMesh, gradient_1d, polygon_area, row_norms,
+                       self_intersects, side_wall_crossing)
 
 FloatArray = NDArray[np.float64]
 
@@ -71,9 +71,9 @@ def boundary_tangential_derivative(mesh: BoundaryMesh, values: FloatArray) -> Fl
     out = np.empty(mesh.n_panels)
     for sl in (mesh.bottom_slice, mesh.right_slice, mesh.surface_slice, mesh.left_slice):
         mids = mesh.midpoints[sl]
-        seg = np.linalg.norm(np.diff(mids, axis=0), axis=1)
+        seg = row_norms(np.diff(mids, axis=0))
         s = np.concatenate([[0.0], np.cumsum(seg)])
-        out[sl] = np.gradient(np.asarray(values[sl], dtype=np.float64), s)
+        out[sl] = gradient_1d(np.asarray(values[sl], dtype=np.float64), s)
     return out
 
 
@@ -116,7 +116,7 @@ def wall_tangential_speed(mesh: BoundaryMesh, cauchy: CauchyData) -> FloatArray:
     the solved wall potential along x2.
     """
     sl = mesh.right_slice
-    return np.gradient(cauchy.values[sl], mesh.midpoints[sl, 1])
+    return gradient_1d(cauchy.values[sl], mesh.midpoints[sl, 1])
 
 
 def wall_u2_squared(mesh: BoundaryMesh, cauchy: CauchyData) -> float:
@@ -176,13 +176,30 @@ def _squares(column: FloatArray) -> FloatArray:
     return np.array([v ** 2 for v in column.tolist()])
 
 
+def record_steps(t: FloatArray) -> FloatArray:
+    """Steps ``np.diff(t)`` between record times, checked.
+
+    Raises ValueError unless the times are finite, strictly increasing and
+    uniformly spaced: each step within 1e-9 (relative) of the one before.
+    """
+    if not np.isfinite(t).all():
+        raise ValueError("record times are not all finite")
+    dt = np.diff(t)
+    if np.any(dt <= 0.0):
+        raise ValueError("record times do not increase strictly")
+    if np.any(np.abs(dt[1:] - dt[:-1])
+              > 1e-9 * np.maximum(np.abs(dt[:-1]), 1e-30)):
+        raise ValueError("records are not uniformly spaced in time")
+    return dt
+
+
 def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
     """Add the derived CSV columns to a table of primary record columns.
 
     * envelope: A/(1 - A t/c1) before the horizon c1/A, and only for A > 0.
     * slack_28, schwarz_vol, schwarz_wall, riccati_slack: (greater side) -
       (lesser side) of the growth inequality, the two Schwarz bounds and
-      L' >= L^2/c1, with L' from np.gradient (one-sided at the endpoints).
+      L' >= L^2/c1, with L' from ``gradient_1d`` (one-sided at the endpoints).
     * residual_26, residual_27: |centered d/dt of volume_part (wall_part)
       - right side of its growth identity|; the endpoints copy their
       neighbour.
@@ -200,21 +217,18 @@ def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
         table["envelope"][inside] = riccati_envelope(A, c1, t[inside])
     if n < 2:
         return
+    dt = record_steps(t)
     int_u1sq = table["int_u1sq"]
     wall_u2sq = table["wall_u2sq"]
     volume_part = table["volume_part"]
     wall_part = table["wall_part"]
-    dL = np.gradient(L, t)
+    dL = gradient_1d(L, t)
     table["slack_28"] = dL - (int_u1sq + 0.5 * wall_u2sq)
     table["schwarz_vol"] = int_u1sq * table["area"][0] - _squares(volume_part)
     table["schwarz_wall"] = wall_u2sq / 3.0 - _squares(wall_part)
     table["riccati_slack"] = dL - _squares(L) / c1
     if n < 3:
         return
-    dt = np.diff(t)
-    if np.any(np.abs(dt[1:] - dt[:-1])
-              > 1e-9 * np.maximum(np.abs(dt[:-1]), 1e-30)):
-        raise ValueError("records are not uniformly spaced in time")
     two_dt = 2.0 * dt[:-1]
     mid = slice(1, n - 1)
     wall_p = table["wall_p_integral"][mid]

@@ -17,7 +17,7 @@ from .bem import CauchyData, solve_mixed_bvp
 from .errors import (BottomContactError, BreakdownError, BreakdownSignal,
                      GeometryError, SelfIntersectionError, SingularMatrixError)
 from .geometry import (CORNER_LEFT, CORNER_RIGHT, BoundaryMesh, InterfaceCurve,
-                       build_boundary_mesh)
+                       build_boundary_mesh, gradient_1d, row_norms)
 
 FloatArray = NDArray[np.float64]
 
@@ -69,11 +69,11 @@ class FlowState:
         q[-1] = q_panels[-1]
         q[1:-1] = 0.5 * (q_panels[:-1] + q_panels[1:])
 
-        phi_s = np.gradient(self.phi, self.curve.arclength())
+        phi_s = gradient_1d(self.phi, self.curve.arclength())
         tangents, normals = marker_geometry(self.curve)
         u = q[:, None] * normals + phi_s[:, None] * tangents
 
-        speeds = np.linalg.norm(u, axis=1)
+        speeds = row_norms(u)
         max_speed = float(speeds.max())
         corner_speed = float(max(speeds[0], speeds[-1]))
         residual = corner_speed / max_speed if max_speed > 0.0 else 0.0
@@ -94,13 +94,13 @@ class FlowState:
 def marker_geometry(curve: InterfaceCurve):
     """Unit tangents and upward normals at markers, from adjacent segments."""
     d = np.diff(curve.x, axis=0)
-    ell = np.linalg.norm(d, axis=1)
+    ell = row_norms(d)
     seg_t = d / ell[:, None]
     t = np.empty((curve.n_markers, 2))
     t[0] = seg_t[0]
     t[-1] = seg_t[-1]
     t[1:-1] = seg_t[:-1] + seg_t[1:]
-    t /= np.linalg.norm(t, axis=1)[:, None]
+    t /= row_norms(t)[:, None]
     n = np.column_stack([-t[:, 1], t[:, 0]])   # left of travel = out of the fluid
     return t, n
 

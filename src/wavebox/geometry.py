@@ -24,6 +24,41 @@ _PIN_TOL = 1e-12
 _WALL_CLAMP = 1e-10
 
 
+def row_norms(d: FloatArray) -> FloatArray:
+    """Euclidean norm of each row of an (n,2) array.
+
+    ``np.linalg.norm(d, axis=1)`` sums the two squares and takes the root,
+    so this gives its bits without its dispatch.
+    """
+    x, y = d[:, 0], d[:, 1]
+    return np.sqrt(x * x + y * y)
+
+
+def gradient_1d(f: FloatArray, s: FloatArray) -> FloatArray:
+    """``np.gradient(f, s)`` for float64 values f on knots s, bit for bit.
+
+    The same arithmetic in the same order: second-order differences inside,
+    one-sided at the two ends (``edge_order=1``), and numpy's uniform-knot
+    form when every spacing ``np.diff(s)`` is equal.  Needs two or more
+    points; it skips numpy's generic per-axis set-up.
+    """
+    dx = np.diff(s)
+    out = np.empty_like(f)
+    if (dx == dx[0]).all():
+        dx_0 = dx_n = dx[0]
+        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx_0)
+    else:
+        dx_0, dx_n = dx[0], dx[-1]
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+        out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+    out[0] = (f[1] - f[0]) / dx_0
+    out[-1] = (f[-1] - f[-2]) / dx_n
+    return out
+
+
 @dataclass(frozen=True)
 class InterfaceCurve:
     """Ordered marker polyline for the free surface, pinned at both ends.
@@ -52,7 +87,7 @@ class InterfaceCurve:
         return self.x.shape[0]
 
     def segment_lengths(self) -> FloatArray:
-        return np.linalg.norm(np.diff(self.x, axis=0), axis=1)
+        return row_norms(np.diff(self.x, axis=0))
 
     def arclength(self) -> FloatArray:
         """Cumulative arclength coordinate per marker (starts at 0)."""
@@ -63,7 +98,7 @@ class InterfaceCurve:
     def turning_curvature(self) -> FloatArray:
         """Discrete curvature at interior markers: turning angle / mean spacing."""
         d = np.diff(self.x, axis=0)
-        ell = np.linalg.norm(d, axis=1)
+        ell = row_norms(d)
         t = d / np.maximum(ell, 1e-300)[:, None]
         cross = t[:-1, 0] * t[1:, 1] - t[:-1, 1] * t[1:, 0]
         dot = np.einsum("ij,ij->i", t[:-1], t[1:])
@@ -142,7 +177,7 @@ def self_intersects(curve: InterfaceCurve) -> bool:
         return False
     n_seg = d.shape[0]
     i, j = _segment_pairs(n_seg)
-    ell = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    ell = row_norms(d)
     d1x, d1y = d[i, 0], d[i, 1]
     d2x, d2y = d[j, 0], d[j, 1]
     rx = x[j, 0] - x[i, 0]
@@ -203,7 +238,7 @@ class BoundaryMesh:
 
     def __post_init__(self):
         d = self.b - self.a
-        lengths = np.linalg.norm(d, axis=1)
+        lengths = row_norms(d)
         if np.any(lengths <= 1e-14):
             raise GeometryError("degenerate (zero-length) panel")
         tangents = d / lengths[:, None]

@@ -88,14 +88,20 @@ def _local_coords(a, lengths, tangents, normals, targets):
 
     Shapes: targets (m,2), panels (n,...); returns (m,n) arrays u1, u2, eta
     with u1 = -xi, u2 = length - xi (endpoint offsets from the foot point).
-    Built from x/y component arrays, so no (m,n,2) temporary is formed.
+    Built from x/y component arrays, so no (m,n,2) temporary is formed; the
+    components are copied out of their (k,2) arrays once, so that every
+    (m,n) pass reads contiguous rows.
     """
-    rx = np.subtract.outer(targets[:, 0], a[:, 0])
-    ry = np.subtract.outer(targets[:, 1], a[:, 1])
-    xi = rx * tangents[:, 0]
-    xi += ry * tangents[:, 1]
-    eta = np.multiply(rx, normals[:, 0], out=rx)
-    ry *= normals[:, 1]
+    px, py = targets.T.copy()
+    ax, ay = a.T.copy()
+    tx, ty = tangents.T.copy()
+    nx, ny = normals.T.copy()
+    rx = px[:, None] - ax
+    ry = py[:, None] - ay
+    xi = rx * tx
+    xi += ry * ty
+    eta = np.multiply(rx, nx, out=rx)
+    ry *= ny
     eta += ry
     del ry                  # u2 can then take its storage
     u2 = np.subtract(lengths, xi)
@@ -163,8 +169,9 @@ def influence_matrices(mesh, targets: FloatArray):
     on_line = np.abs(eta, out=eta) <= 1e-12 * mesh.lengths
     F1 = _u_log_r_minus_u(u1, eta2, out=eta)
     F1 += eta_atan
-    S -= F1
-    np.negative(S, out=S)
+    # -(F(u2) - F(u1)) in one pass: the same bits, except that an exact
+    # tie F(u1) == F(u2) gives +0 where the negation gave -0.
+    np.subtract(F1, S, out=S)
     S /= TWO_PI
     D /= TWO_PI
     D[on_line] = 0.0
@@ -185,7 +192,7 @@ def influence_gradients(mesh, targets: FloatArray):
     r1sq += eta2
     r2sq = u2 * u2
     r2sq += eta2
-    if np.any(r1sq < 1e-28) or np.any(r2sq < 1e-28):
+    if r1sq.min() < 1e-28 or r2sq.min() < 1e-28:
         raise GeometryError("influence_gradients: target coincides with a panel endpoint")
     # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between limits
     neg_dlog = np.log(r2sq)
@@ -197,21 +204,23 @@ def influence_gradients(mesh, targets: FloatArray):
     # eta == 0 only for collinear off-panel targets; they subtend zero angle.
     dang[eta == 0.0] = 0.0
     # grad of int dG/dn ds, from d/dx atan(u/eta) = (eta*grad u - u*grad eta)/r^2
-    # with grad u = -t, grad eta = n.
+    # with grad u = -t, grad eta = n.  Each component is formed in
+    # contiguous (m,n) arrays and written into the (m,n,2) output once.
     neg_eta = np.negative(eta, out=eta)
     gradS = np.empty(eta.shape + (2,))
     gradD = np.empty(eta.shape + (2,))
-    for c in range(2):
-        t, n = mesh.tangents[:, c], mesh.normals[:, c]
-        gs = np.multiply(neg_dlog, t, out=gradS[..., c])
+    for c, (t, n) in enumerate(zip(mesh.tangents.T.copy(), mesh.normals.T.copy())):
+        gs = neg_dlog * t
         gs += dang * n
         np.negative(gs, out=gs)
         gs /= TWO_PI
-        base = neg_eta * t
+        gradS[..., c] = gs
+        base = np.multiply(neg_eta, t, out=gs)
         term2 = base - u2 * n
         term2 /= r2sq
         term1 = np.subtract(base, u1 * n, out=base)
         term1 /= r1sq
-        np.subtract(term2, term1, out=gradD[..., c])
-        gradD[..., c] /= TWO_PI
+        term2 -= term1
+        term2 /= TWO_PI
+        gradD[..., c] = term2
     return gradS, gradD

@@ -36,11 +36,12 @@ from . import bem
 from .diagnostics import (CSV_FIELDS, DetectorConfig, DiagnosticsRecord,
                           blowup_bound, constant_c1, detect_breakdown,
                           fill_derived, int_pressure, int_u1_squared,
-                          virial_parts, wall_u2_squared)
+                          record_steps, virial_parts, wall_u2_squared)
 from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
-from .geometry import build_boundary_mesh, flat_interface, polygon_area
+from .geometry import (build_boundary_mesh, flat_interface, gradient_1d,
+                       polygon_area, row_norms)
 from .modes import ModePotential, initial_A, sample_initial_state
 from .pressure import PressureField, pressure_min, wall_pressure_integral
 
@@ -272,7 +273,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                 breakdown = signal
                 break
             deriv = state_derivative(state)
-            speeds = np.linalg.norm(deriv.velocity, axis=1)
+            speeds = row_norms(deriv.velocity)
             dt = adaptive_dt(state, speeds, cfg.cfl, cfg.dt_min, cfg.dt_max)
             dt = min(dt, next_record - state.t, cfg.t_end_cap - state.t)
             state = rk4_step(state, dt)
@@ -373,9 +374,9 @@ def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
                    derivative_inequality_held=True)
     else:
         interior = slice(1, n - 1)
-        dvol = np.gradient(columns["volume_part"], t)
-        dwall = np.gradient(columns["wall_part"], t)
-        dL = np.gradient(L, t)
+        dvol = gradient_1d(columns["volume_part"], t)
+        dwall = gradient_1d(columns["wall_part"], t)
+        dL = gradient_1d(L, t)
         scale_26 = np.maximum(1.0, np.abs(dvol) + np.abs(columns["wall_p_integral"]))
         scale_27 = np.maximum(1.0, np.abs(dwall) + np.abs(columns["wall_p_integral"]))
         worst_ident = max(
@@ -531,6 +532,11 @@ def write_report(path: str, report: dict):
 
 
 def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
+    """CSV columns by name; ValueError on a malformed file or time column.
+
+    The ``t`` column must pass ``record_steps``, as in ``fill_derived``, so
+    the derivative checks never see a repeated, non-finite or uneven time.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
@@ -542,7 +548,9 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
     data = np.array([[float(cell) for cell in row] for row in rows])
     if data.shape[1] != len(expected):
         raise ValueError("ragged diagnostics.csv")
-    return {name: data[:, j] for j, name in enumerate(expected)}
+    columns = {name: data[:, j] for j, name in enumerate(expected)}
+    record_steps(columns["t"])
+    return columns
 
 
 def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:

@@ -151,6 +151,18 @@ def refine_runs(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def ladder_runs(tmp_path_factory, refine_runs):
+    """Refinement ladder to t = 1.2e-3, coarse to fine: 64/16, 96/24, 128/32
+    and 192/48 markers / wall panels per side; the middle rungs share the
+    base record times, which the finest run's half-size record_dt includes."""
+    rungs = [_run(tmp_path_factory, f"ladder_{n}",
+                  reference_config_dict(t_end_cap=1.2e-3, n_markers=n,
+                                        wall_panels_per_side=w))
+             for n, w in ((64, 16), (128, 32))]
+    return [rungs[0], refine_runs["base"], rungs[1], refine_runs["fine"]]
+
+
+@pytest.fixture(scope="session")
 def repeat_runs(tmp_path_factory):
     """The same short configuration run twice, for byte-level comparison."""
     cfg = reference_config_dict(t_end_cap=6e-4)

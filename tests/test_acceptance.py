@@ -124,6 +124,58 @@ class TestCriterion6IdentityResiduals:
             assert worst_fine <= worst_base / 2.0, key
 
 
+class TestRefinementLadder:
+    """L, energy and area converge on the 64/96/128/192-marker ladder."""
+
+    # The lowest observed order over the shared records t > 0, measured on
+    # this ladder; a bound below what the code shows would hide a loss.
+    ORDER_FLOOR = {"L": 1.92, "energy": 1.98, "area": 0.65}
+
+    @staticmethod
+    def shared_records(ladder_runs):
+        """Each key's values at the base record times t > 0, one row per rung.
+
+        At t = 0 the surface is flat, so the area is 1 on every rung.
+        """
+        cols = [columns_of(run) for run in ladder_runs]
+        t = cols[1]["t"][1:]
+        rows = []
+        for c in cols:
+            idx = np.abs(c["t"][:, None] - t).argmin(axis=0)
+            np.testing.assert_allclose(c["t"][idx], t, rtol=0.0, atol=1e-12)
+            rows.append({key: c[key][idx] for key in TestRefinementLadder.ORDER_FLOOR})
+        return {key: np.array([r[key] for r in rows])
+                for key in TestRefinementLadder.ORDER_FLOOR}
+
+    @staticmethod
+    def observed_orders(values, ladder_runs):
+        """p from |X64 - X128| / |X96 - X192| = (h64 / h96)**p, h = 1/(n - 1).
+
+        Both pairs refine h by a factor of about 2, so their differences
+        scale as h**p at the coarse end of each pair.
+        """
+        h = [1.0 / (run["cfg"].n_markers - 1) for run in ladder_runs]
+        ratio = np.abs(values[0] - values[2]) / np.abs(values[1] - values[3])
+        return np.log(ratio) / math.log(h[0] / h[1])
+
+    def test_differences_shrink(self, ladder_runs):
+        shared = self.shared_records(ladder_runs)
+        for key in ("L", "energy"):
+            step = np.abs(np.diff(shared[key], axis=0))
+            assert np.all(step[1:] < step[:-1]), key
+        # The area converges slowly (order below 1), and the 96 -> 128 step
+        # refines less than 128 -> 192, so only equal refinements compare.
+        for key, values in shared.items():
+            assert np.all(np.abs(values[1] - values[3])
+                          < np.abs(values[0] - values[2])), key
+
+    def test_observed_orders(self, ladder_runs):
+        shared = self.shared_records(ladder_runs)
+        for key, floor in self.ORDER_FLOOR.items():
+            orders = self.observed_orders(shared[key], ladder_runs)
+            assert orders.min() >= floor, (key, orders)
+
+
 class TestCriterion7Inequalities:
     """Growth inequality, both Schwarz bounds, and the derivative bound."""
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from wavebox import kernels
+from wavebox import bem, kernels
 from wavebox.bem import (CauchyData, admissible_interior, eval_interior,
                          solve_mixed_bvp)
 from wavebox.errors import NearBoundaryError
 from wavebox.geometry import InterfaceCurve, build_boundary_mesh, flat_interface
 
 from conftest import compatibility_residual, compatibility_scale
+from test_kernels import assert_same_bits
 
 
 def mode_data(mesh, k):
@@ -106,22 +107,52 @@ def reference_solve(mesh, phi_s):
     return values, fluxes
 
 
+def bumped_box_mesh(n_markers, wall_panels, bump):
+    x1 = np.linspace(0.0, 1.0, n_markers)
+    x2 = 1.0 + bump * np.sin(np.pi * x1) ** 2
+    return build_boundary_mesh(InterfaceCurve(np.column_stack([x1, x2])),
+                               wall_panels)
+
+
 class TestAssemblyBitEquality:
     """The slice-filled system solves to the same bits as the mask-filled one."""
 
     @pytest.mark.parametrize("n_markers,wall_panels,bump", [
         (24, 8, 0.0), (96, 24, 0.0), (33, 12, 0.2)])
     def test_same_bits(self, n_markers, wall_panels, bump):
-        x1 = np.linspace(0.0, 1.0, n_markers)
-        x2 = 1.0 + bump * np.sin(np.pi * x1) ** 2
-        mesh = build_boundary_mesh(
-            InterfaceCurve(np.column_stack([x1, x2])), wall_panels)
+        mesh = bumped_box_mesh(n_markers, wall_panels, bump)
         rng = np.random.default_rng(n_markers)
         phi_s = rng.standard_normal(n_markers - 1)
         cd = solve_mixed_bvp(mesh, phi_s)
         values, fluxes = reference_solve(mesh, phi_s)
         assert np.array_equal(cd.values, values)
         assert np.array_equal(cd.fluxes, fluxes)
+
+    @pytest.mark.parametrize("n_markers,wall_panels,bump", [
+        (16, 4, 0.0), (33, 12, 0.2), (96, 24, 0.1), (200, 40, 0.3)])
+    def test_system_keeps_blas_layout(self, monkeypatch, n_markers,
+                                      wall_panels, bump):
+        # The diagonal through np.diag_indices and the right-hand side from
+        # the mask-gathered (Fortran-ordered) columns: the layout fixes
+        # which gemv BLAS runs, and so the bits of every right-hand side.
+        mesh = bumped_box_mesh(n_markers, wall_panels, bump)
+        phi_s = np.random.default_rng(n_markers).standard_normal(n_markers - 1)
+        systems = []
+
+        def keep_system(system):
+            systems.append(system)
+            return kernels.solve_dense(system)
+
+        monkeypatch.setattr(bem, "solve_dense", keep_system)
+        solve_mixed_bvp(mesh, phi_s)
+        (system,) = systems
+        n = mesh.n_panels
+        surf = surface_mask(mesh)
+        _, D = kernels.influence_matrices(mesh, mesh.midpoints)
+        D[np.diag_indices(n)] += 0.5
+        assert_same_bits(system.rhs[:n], D[:, surf] @ phi_s)
+        assert_same_bits(system.matrix[:n, :n][:, ~surf], -D[:, ~surf])
+        assert_same_bits(system.matrix[n, :n], np.where(surf, mesh.lengths, 0.0))
 
 
 class TestInteriorEvaluation:

@@ -1,5 +1,7 @@
 """Interface curve, boundary mesh, and polygon utilities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,14 @@ from wavebox.evolution import rk4_step
 from wavebox.geometry import (InterfaceCurve, _monotone_margin,
                               _segment_pairs, _wall_endpoints,
                               build_boundary_mesh,
-                              flat_interface, point_segment_distance,
-                              points_inside, polygon_area, self_intersects,
+                              flat_interface, gradient_1d,
+                              point_segment_distance, points_inside,
+                              polygon_area, row_norms, self_intersects,
                               side_wall_crossing)
 from wavebox.modes import sample_initial_state
 
 from conftest import make_reference_data
+from test_kernels import assert_same_bits
 
 
 def bumped_interface(n, amplitude=0.1):
@@ -446,3 +450,66 @@ class TestPolygonMeasures:
                          np.column_stack([np.zeros(20), rng.uniform(-1, 2, 20)])])
         assert np.array_equal(point_segment_distance(pts, a, b),
                               reference(pts, a, b))
+
+
+# Any float64 but NaN, with the signed zeros, the infinities and the largest
+# finite values drawn often.  NaNs still come out (inf - inf, 0/0, inf * 0),
+# all with the platform's default sign.  NaN inputs are left out: when both
+# operands of an add are NaNs of opposite sign, numpy's loops return either
+# one, by loop and alignment, so no form has fixed bits there.
+_ANY_FLOAT = st.one_of(st.floats(allow_nan=False), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 1.7976931348623157e308,
+     -1.7976931348623157e308, 5e-324]))
+
+
+@st.composite
+def _knots(draw, n):
+    """Knots whose spacings span many decades, are equal, or are arbitrary."""
+    kind = draw(st.sampled_from(["decades", "equal", "linspace", "any"]))
+    if kind == "decades":
+        exponents = np.array(draw(st.lists(st.integers(-40, 40),
+                                           min_size=n - 1, max_size=n - 1)))
+        mantissas = np.array(draw(st.lists(st.floats(1.0, 10.0),
+                                           min_size=n - 1, max_size=n - 1)))
+        start = draw(st.floats(-1e6, 1e6))
+        return start + np.concatenate([[0.0], np.cumsum(mantissas * 10.0 ** exponents)])
+    if kind == "equal":      # a step of few significant bits: spacings exact
+        step = draw(st.integers(1, 2 ** 20)) * 2.0 ** draw(st.integers(-60, 60))
+        return step * np.arange(n, dtype=np.float64)
+    if kind == "linspace":   # nearly equal spacings, as record times have
+        return np.linspace(0.0, draw(st.floats(1e-9, 1e9)), n)
+    return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=n, max_size=n)))
+
+
+class TestNumpyBits:
+    """The package's own forms give numpy's bits, NaN results and signed zeros included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_gradient_1d_is_np_gradient(self, data, n):
+        s = data.draw(_knots(n))
+        f = np.array(data.draw(st.lists(_ANY_FLOAT, min_size=n, max_size=n)))
+        with np.errstate(all="ignore"):
+            want = np.gradient(f, s)
+            got = gradient_1d(f, s)
+        assert_same_bits(got, want)
+
+    def test_gradient_1d_takes_both_knot_forms(self):
+        f = np.array([1.0, 4.0, 9.0, 16.0])
+        equal = np.array([0.0, 0.5, 1.0, 1.5])
+        uneven = np.array([0.0, 0.5, 1.25, 1.5])
+        assert_same_bits(gradient_1d(f, equal), np.gradient(f, equal))
+        assert_same_bits(gradient_1d(f, uneven), np.gradient(f, uneven))
+        assert_same_bits(gradient_1d(f[:2], equal[:2]),
+                         np.gradient(f[:2], equal[:2]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1,
+                         max_size=12))
+    def test_row_norms_is_np_linalg_norm(self, rows):
+        d = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        with np.errstate(all="ignore"):
+            want = np.linalg.norm(d, axis=1)
+            got = row_norms(d)
+        assert_same_bits(got, want)

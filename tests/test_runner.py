@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ class TestVerifyIdentities:
             lines[j] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         assert verify_identities(str(broken)) == 1
+
+    @pytest.mark.parametrize("edit,code", [
+        (None, 0), ("repeat", 2), ("inf", 2)])
+    def test_corrupt_time_column_is_bad_input(self, ref_run, tmp_path, edit,
+                                              code):
+        # A repeated or infinite time made the derivative margins non-finite;
+        # dropped as such, they let every check pass with exit 0.
+        run = tmp_path / "run"
+        shutil.copytree(ref_run["dir"], run)
+        path = run / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        i_t = lines[0].split(",").index("t")
+        rows = [line.split(",") for line in lines[1:]]
+        if edit is not None:
+            rows[3][i_t] = rows[2][i_t] if edit == "repeat" else "inf"
+        path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_identities(str(run)) == code
 
     def test_truncated_single_row(self, ref_run, tmp_path, caplog):
         short = tmp_path / "short"
