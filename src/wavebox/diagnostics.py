@@ -142,27 +142,6 @@ def virial_parts(state: FlowState):
     return volume_part + wall_part, volume_part, wall_part
 
 
-@dataclass
-class DiagnosticsRecord:
-    """Primary diagnostics of one record; the derived columns come from fill_derived."""
-
-    t: float
-    L: float
-    volume_part: float
-    wall_part: float
-    p_min: float
-    wall_p_integral: float
-    energy: float
-    area: float
-    dt: float
-    # inputs of the derived columns and the report, not part of the CSV contract
-    int_u1sq: float
-    int_p: float
-    wall_u2sq: float
-    p_absmax: float
-    corner_residual: float
-
-
 CSV_FIELDS = ("t", "L", "volume_part", "wall_part", "envelope",
               "residual_26", "residual_27", "slack_28", "schwarz_vol",
               "schwarz_wall", "riccati_slack", "p_min", "wall_p_integral",

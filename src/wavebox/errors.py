@@ -12,9 +12,13 @@ class GeometryError(ValueError):
 class SelfIntersectionError(GeometryError):
     """The interface polyline (or the closed boundary polygon) is not simple."""
 
+    kind = "self_intersection"
+
 
 class BottomContactError(GeometryError):
     """The interface reached the bottom wall (x2 <= 0)."""
+
+    kind = "bottom_contact"
 
 
 class SingularMatrixError(RuntimeError):

@@ -14,8 +14,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bem import CauchyData, solve_mixed_bvp
-from .errors import (BottomContactError, BreakdownError, BreakdownSignal,
-                     GeometryError, SelfIntersectionError, SingularMatrixError)
+from .errors import (BreakdownError, BreakdownSignal, GeometryError,
+                     SingularMatrixError)
 from .geometry import (CORNER_LEFT, CORNER_RIGHT, BoundaryMesh, InterfaceCurve,
                        build_boundary_mesh, gradient_1d, row_norms)
 
@@ -121,22 +121,13 @@ def kinetic_energy(state: FlowState) -> float:
     return float(0.5 * np.sum(cauchy.values * cauchy.fluxes * state.mesh.lengths))
 
 
-def _wrap_stage_failure(t: float, stage: int, exc: Exception) -> BreakdownError:
-    if isinstance(exc, SelfIntersectionError):
-        kind = "self_intersection"
-    elif isinstance(exc, BottomContactError):
-        kind = "bottom_contact"
-    else:
-        kind = "solver_failure"
-    return BreakdownError(BreakdownSignal(
-        t_break=t, kind=kind, detail=f"stage {stage}: {exc}"))
-
-
 def rk4_step(state: FlowState, dt: float) -> FlowState:
     """Classical 4-stage step on (marker positions, surface potential).
 
     Any stage failing with a geometric or solver error aborts the step with
-    a BreakdownError recording the stage and reason.
+    a BreakdownError recording the stage and reason; its kind is the
+    error's ``kind`` (a self-intersection or bottom contact), else
+    "solver_failure".
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -147,7 +138,9 @@ def rk4_step(state: FlowState, dt: float) -> FlowState:
             st = state.replace(t=ts, x=xs, phi=phis)
             return state_derivative(st)
         except (GeometryError, SingularMatrixError) as exc:
-            raise _wrap_stage_failure(t0, i, exc) from exc
+            raise BreakdownError(BreakdownSignal(
+                t_break=t0, kind=getattr(exc, "kind", "solver_failure"),
+                detail=f"stage {i}: {exc}")) from exc
 
     k1 = stage(1, x0, phi0, t0)
     k2 = stage(2, x0 + 0.5 * dt * k1.velocity, phi0 + 0.5 * dt * k1.dphi, t0 + 0.5 * dt)

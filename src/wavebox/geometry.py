@@ -112,18 +112,6 @@ def flat_interface(n_markers: int) -> InterfaceCurve:
                                            np.ones(n_markers)]))
 
 
-@functools.lru_cache(maxsize=8)
-def _segment_pairs(n_seg: int) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """Read-only indices (i, j) of the non-adjacent pairs j >= i + 2.
-
-    A run keeps its marker count, so every predicate call shares them.
-    """
-    i, j = np.triu_indices(n_seg, 2)
-    i.flags.writeable = False
-    j.flags.writeable = False
-    return i, j
-
-
 def _monotone_margin(x: FloatArray) -> float:
     """x-increment delta above which no segment pair can pass the pair test.
 
@@ -175,8 +163,7 @@ def self_intersects(curve: InterfaceCurve) -> bool:
     d = np.diff(x, axis=0)
     if d[:, 0].min() > _monotone_margin(x):
         return False
-    n_seg = d.shape[0]
-    i, j = _segment_pairs(n_seg)
+    i, j = np.triu_indices(d.shape[0], 2)
     ell = row_norms(d)
     d1x, d1y = d[i, 0], d[i, 1]
     d2x, d2y = d[j, 0], d[j, 1]
@@ -187,7 +174,7 @@ def self_intersects(curve: InterfaceCurve) -> bool:
     num_s = rx * d1y - ry * d1x
     parallel = np.abs(denom) < 1e-14 * (ell[i] * ell[j] + 1e-300)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = num_t / denom
         s = num_s / denom
     crosses = ~parallel & (0.0 <= t) & (t <= 1.0) & (0.0 <= s) & (s <= 1.0)

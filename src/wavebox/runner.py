@@ -1,11 +1,11 @@
 """Batch driver: configuration, the record loop, artifact writers, and verdicts.
 
-A run integrates the free surface from mode-built initial data, collects a
-DiagnosticsRecord at uniformly spaced record times, and stops at breakdown
-or at the time cap.  The records then become one table of float64 columns,
-shared by the derived columns, the verdicts and the CSV writer.  Breakdown
-is a success outcome — the point of the run is to witness it — so only
-violated checks fail a run.
+A run integrates the free surface from mode-built initial data, collects
+its diagnostics by column name at uniformly spaced record times, and stops
+at breakdown or at the time cap.  The records then become one table of
+float64 columns, shared by the derived columns, the verdicts and the CSV
+writer.  Breakdown is a success outcome — the point of the run is to witness
+it — so only violated checks fail a run.
 
 Artifacts written to the output directory:
 
@@ -33,10 +33,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bem
-from .diagnostics import (CSV_FIELDS, DetectorConfig, DiagnosticsRecord,
-                          blowup_bound, constant_c1, detect_breakdown,
-                          fill_derived, int_pressure, int_u1_squared,
-                          record_steps, virial_parts, wall_u2_squared)
+from .diagnostics import (CSV_FIELDS, DetectorConfig, blowup_bound,
+                          constant_c1, detect_breakdown, fill_derived,
+                          int_pressure, int_u1_squared, record_steps,
+                          virial_parts, wall_u2_squared)
 from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
@@ -204,18 +204,22 @@ class SimulationResult:
     n_steps: int
     t_final: float
     a_quadrature: float
-    a_virial: float
     c1: float
 
 
 def _collect_record(state: FlowState, dt_used: float,
-                    lattice_n: int, near_field_factor: float) -> DiagnosticsRecord:
+                    lattice_n: int, near_field_factor: float) -> dict[str, float]:
+    """The primary columns of one record, by name.
+
+    The columns after ``dt`` feed the derived columns and the report; they
+    are not part of the CSV contract.
+    """
     mesh = state.mesh
     cd = state.cauchy
     field_ = PressureField.from_state(state, near_field_factor)
     L, volume_part, wall_part = virial_parts(state)
     p_min_val, _, p_absmax = pressure_min(field_, lattice_n)
-    return DiagnosticsRecord(
+    return dict(
         t=state.t, L=L, volume_part=volume_part, wall_part=wall_part,
         p_min=p_min_val, wall_p_integral=wall_pressure_integral(field_),
         energy=kinetic_energy(state), area=polygon_area(mesh), dt=dt_used,
@@ -240,7 +244,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         curv_max=cfg.curv_factor * (cfg.n_markers - 1),
         L_max=cfg.L_max)
 
-    records: list[DiagnosticsRecord] = []
+    records: list[dict[str, float]] = []
     snapshots: list[FloatArray] = []
     breakdown: BreakdownSignal | None = None
     n_steps = 0
@@ -256,19 +260,18 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                     # A step that lands on a record time can leave a surface
                     # that bounds no domain; stop as the detector classifies it.
                     breakdown = detect_breakdown(
-                        state, detectors, L=records[-1].L if records else None)
+                        state, detectors, L=records[-1]["L"] if records else None)
                     if breakdown is None:
                         raise
                     break
                 records.append(rec)
                 snapshots.append(state.curve.x.copy())
                 log.info("  t=%.6f  L=%.5f  p_min=%.4g  E=%.6f",
-                         rec.t, rec.L, rec.p_min, rec.energy)
+                         rec["t"], rec["L"], rec["p_min"], rec["energy"])
                 next_record += cfg.record_dt
             if state.t >= cfg.t_end_cap - RECORD_TIME_SLOP:
                 break
-            signal = detect_breakdown(state, detectors,
-                                      L=records[-1].L if records else None)
+            signal = detect_breakdown(state, detectors, L=records[-1]["L"])
             if signal is not None:
                 breakdown = signal
                 break
@@ -284,18 +287,17 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     except BreakdownError as exc:
         breakdown = exc.signal
 
-    table = {field.name: np.array([getattr(r, field.name) for r in records],
-                                  dtype=np.float64)
-             for field in dataclasses.fields(DiagnosticsRecord)}
-    a_virial = records[0].L if records else math.nan
+    # the t = 0 record is always taken: the initial surface is flat
+    table = {name: np.array([r[name] for r in records], dtype=np.float64)
+             for name in records[0]}
     c1 = constant_c1(
         build_boundary_mesh(flat_interface(cfg.n_markers),
                             cfg.wall_panels_per_side))
-    fill_derived(table, c1, a_virial if a_virial > 0.0 else None)
+    fill_derived(table, c1, records[0]["L"])
     return SimulationResult(table=table, snapshots=snapshots,
                             breakdown=breakdown, n_steps=n_steps,
                             t_final=state.t, a_quadrature=initial_A(potential),
-                            a_virial=a_virial, c1=c1)
+                            c1=c1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,41 +324,34 @@ def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
 
     Uses only the frozen CSV columns plus the configuration, so an offline
     re-check of a run directory reproduces the same verdicts.  Records are
-    assumed uniformly spaced in time.  ``broke`` excludes the final record
-    from the conservation drift checks (it may sit on top of the breakdown).
-    A single-record table skips every derivative-based check and reports
-    ``derivatives_checked = False``.
+    assumed uniformly spaced in time, and there is at least one.  ``broke``
+    excludes the final record from the conservation drift checks (it may
+    sit on top of the breakdown).  A margin that cannot be measured is NaN:
+    the derivative-based ones below three records, the Riccati ones unless
+    A = L(0) > 0.  A check fails only on a measured violation, so a NaN
+    margin holds.
     """
     t = columns["t"]
     L = columns["L"]
     n = t.size
-    a_virial = float(L[0]) if n else math.nan
-    riccati_checked = bool(n and np.isfinite(a_virial) and a_virial > 0.0)
+    a_virial = float(L[0])
+    riccati_checked = bool(np.isfinite(a_virial) and a_virial > 0.0)
     derivatives_checked = n >= 3
-
-    out: dict = {"riccati_checked": riccati_checked,
-                 "derivatives_checked": derivatives_checked}
+    l2 = np.maximum(1.0, L ** 2)
 
     # conservation: drift relative to the first record, final record excluded
     # after breakdown
     last = n - 1 if (broke and n > 1) else n
     energy = columns["energy"][:last]
     area = columns["area"][:last]
-    e_scale = max(abs(float(energy[0])), 1e-9) if n else 1.0
-    a_scale = max(abs(float(area[0])), 1e-9) if n else 1.0
-    energy_drift = _max_or(np.abs(energy - energy[0]) / e_scale, 0.0) if n else math.nan
-    area_drift = _max_or(np.abs(area - area[0]) / a_scale, 0.0) if n else math.nan
-    out["energy_drift_max"] = energy_drift
-    out["area_drift_max"] = area_drift
-    out["energy_conserved"] = bool(energy_drift <= cfg.energy_tol)
-    out["area_conserved"] = bool(area_drift <= cfg.area_tol)
+    energy_drift = _max_or(np.abs(energy - energy[0])
+                           / max(abs(float(energy[0])), 1e-9), 0.0)
+    area_drift = _max_or(np.abs(area - area[0])
+                         / max(abs(float(area[0])), 1e-9), 0.0)
 
     # pressure positivity; the scale proxy is the largest |p_min| on record
     p_min = columns["p_min"]
-    p_scale = max(1.0, _max_or(np.abs(p_min), 0.0))
-    margin_pressure = _min_or(p_min) / p_scale
-    out["margin_pressure"] = margin_pressure
-    out["pressure_positive"] = bool(margin_pressure >= -cfg.positivity_tol)
+    margin_pressure = _min_or(p_min) / max(1.0, _max_or(np.abs(p_min), 0.0))
 
     # Schwarz slacks; the product of the two bounding factors is the scale
     sv = columns["schwarz_vol"]
@@ -364,57 +359,54 @@ def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
     scale_v = np.maximum(1.0, sv + columns["volume_part"] ** 2)
     scale_w = np.maximum(1.0, sw + columns["wall_part"] ** 2)
     margin_schwarz = min(_min_or(sv / scale_v), _min_or(sw / scale_w))
-    out["margin_schwarz"] = margin_schwarz
-    out["schwarz_held"] = bool(margin_schwarz >= -cfg.check_tol)
 
-    if not derivatives_checked:
-        out.update(max_identity_residual=math.nan, margin_growth=math.nan,
-                   margin_derivative=math.nan,
-                   identities_converged=True, inequality_28_held=True,
-                   derivative_inequality_held=True)
-    else:
+    # derivative-based margins score the interior records only
+    worst_ident = margin_growth = margin_derivative = math.nan
+    if derivatives_checked:
         interior = slice(1, n - 1)
+        wall_p = np.abs(columns["wall_p_integral"])
         dvol = gradient_1d(columns["volume_part"], t)
         dwall = gradient_1d(columns["wall_part"], t)
         dL = gradient_1d(L, t)
-        scale_26 = np.maximum(1.0, np.abs(dvol) + np.abs(columns["wall_p_integral"]))
-        scale_27 = np.maximum(1.0, np.abs(dwall) + np.abs(columns["wall_p_integral"]))
+        scale_26 = np.maximum(1.0, np.abs(dvol) + wall_p)
+        scale_27 = np.maximum(1.0, np.abs(dwall) + wall_p)
         worst_ident = max(
             _max_or(columns["residual_26"][interior] / scale_26[interior], 0.0),
             _max_or(columns["residual_27"][interior] / scale_27[interior], 0.0))
-        out["max_identity_residual"] = worst_ident
-        out["identities_converged"] = bool(worst_ident <= cfg.ident_tol)
-
         scale_growth = np.maximum(1.0, np.abs(dL))
         margin_growth = _min_or(columns["slack_28"][interior]
                                 / scale_growth[interior])
-        out["margin_growth"] = margin_growth
-        out["inequality_28_held"] = bool(margin_growth >= -cfg.check_tol)
-
         if riccati_checked:
-            l2 = np.maximum(1.0, L ** 2)
             margin_derivative = _min_or(columns["riccati_slack"][interior]
                                         / l2[interior])
-            out["margin_derivative"] = margin_derivative
-            out["derivative_inequality_held"] = bool(
-                margin_derivative >= -cfg.deriv_tol)
-        else:
-            out["margin_derivative"] = math.nan
-            out["derivative_inequality_held"] = True
 
     # Riccati domination against the closed-form envelope
+    margin_riccati = math.nan
     if riccati_checked:
         envelope = columns["envelope"]
         valid = np.isfinite(envelope)
-        l2 = np.maximum(1.0, L ** 2)
         margin_riccati = _min_or((L[valid] - envelope[valid]) / l2[valid])
-        out["margin_riccati"] = margin_riccati
-        out["riccati_dominated"] = bool(margin_riccati >= -cfg.riccati_tol)
-    else:
-        out["margin_riccati"] = math.nan
-        out["riccati_dominated"] = True
 
-    return out
+    return {
+        "riccati_checked": riccati_checked,
+        "derivatives_checked": derivatives_checked,
+        "energy_drift_max": energy_drift,
+        "area_drift_max": area_drift,
+        "energy_conserved": not energy_drift > cfg.energy_tol,
+        "area_conserved": not area_drift > cfg.area_tol,
+        "margin_pressure": margin_pressure,
+        "pressure_positive": not margin_pressure < -cfg.positivity_tol,
+        "margin_schwarz": margin_schwarz,
+        "schwarz_held": not margin_schwarz < -cfg.check_tol,
+        "max_identity_residual": worst_ident,
+        "identities_converged": not worst_ident > cfg.ident_tol,
+        "margin_growth": margin_growth,
+        "inequality_28_held": not margin_growth < -cfg.check_tol,
+        "margin_derivative": margin_derivative,
+        "derivative_inequality_held": not margin_derivative < -cfg.deriv_tol,
+        "margin_riccati": margin_riccati,
+        "riccati_dominated": not margin_riccati < -cfg.riccati_tol,
+    }
 
 
 CHECK_KEYS = ("energy_conserved", "area_conserved", "pressure_positive",
@@ -429,20 +421,15 @@ def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
     broke = result.breakdown is not None
     checks = evaluate_checks(table, cfg, broke)
 
-    a = result.a_virial
+    a = float(table["L"][0])
     a_rel_diff = (abs(a - result.a_quadrature)
                   / max(1.0, abs(result.a_quadrature)))
     a_consistent = bool(a_rel_diff <= cfg.a_match_tol)
     t_star = blowup_bound(a, result.c1) if checks["riccati_checked"] else math.nan
-
-    if checks["riccati_checked"]:
-        bound = t_star * (1.0 + cfg.bound_slack)
-        if broke:
-            blowup_bound_held = bool(result.breakdown.t_break <= bound)
-        else:
-            blowup_bound_held = bool(result.t_final < bound)
-    else:
-        blowup_bound_held = True
+    # as in evaluate_checks, only a measured overrun fails: a NaN bound holds
+    bound = t_star * (1.0 + cfg.bound_slack)
+    blowup_bound_held = (not result.breakdown.t_break > bound if broke
+                         else not result.t_final >= bound)
 
     passed = (a_consistent and blowup_bound_held
               and all(checks[k] for k in CHECK_KEYS))
@@ -465,7 +452,7 @@ def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
         "n_markers": cfg.n_markers,
         "wall_panels_per_side": cfg.wall_panels_per_side,
         "record_dt": cfg.record_dt,
-        "area0": table["area"][0] if n_records else math.nan,
+        "area0": table["area"][0],
         "p_absmax_max": _max_or(table["p_absmax"], math.nan),
         "max_corner_residual": _max_or(table["corner_residual"], math.nan),
     }
@@ -477,17 +464,10 @@ def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
 # artifact writers (deterministic text, floats at 17 significant digits)
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".17g")
-
-
 def _write_csv(path: str, header, rows):
-    """A header line, then one line of ``_fmt`` cells per row."""
+    """A header line, then one line of float cells at 17 digits per row."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavebox.diagnostics import (DERIVED_FIELDS, DetectorConfig,
-                                 DiagnosticsRecord, blowup_bound,
+from wavebox.diagnostics import (DERIVED_FIELDS, DetectorConfig, blowup_bound,
                                  boundary_domain_integral, boundary_velocity,
                                  constant_c1, detect_breakdown, fill_derived,
                                  int_u1_squared, riccati_envelope,

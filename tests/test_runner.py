@@ -260,15 +260,24 @@ class TestVerifyIdentities:
     def test_missing_dir(self, tmp_path):
         assert verify_identities(str(tmp_path / "nope")) == 2
 
-    def test_one_record_run(self, tmp_path):
-        # one record leaves no finite Schwarz slack: margin_schwarz is inf
-        cfg = RunConfig.from_dict(reference_config_dict(t_end_cap=1e-4))
-        out = str(tmp_path / "one")
-        assert runner.simulate(cfg, out_dir=out) == 0
-        with open(os.path.join(out, "report.json")) as fh:
-            report = json.load(fh, parse_constant=reject_constant)
-        assert report["n_records"] == 1 and report["margin_schwarz"] is None
-        assert verify_identities(out) == 0
+    def test_one_record_run(self, ref_run, tmp_path):
+        # One record leaves no finite Schwarz slack: margin_schwarz is inf.
+        # Runs too short for the derivative checks write the same keys in
+        # the same order as a run with three or more records.
+        keys = list(ref_run["report"])
+        assert ref_run["report"]["n_records"] >= 3
+        for n_records, t_end_cap in ((1, 1e-4), (2, 2e-4)):
+            cfg = RunConfig.from_dict(reference_config_dict(t_end_cap=t_end_cap))
+            out = str(tmp_path / f"records_{n_records}")
+            assert runner.simulate(cfg, out_dir=out) == 0
+            with open(os.path.join(out, "report.json")) as fh:
+                report = json.load(fh, parse_constant=reject_constant)
+            assert report["n_records"] == n_records
+            assert list(report) == keys
+            assert report["max_identity_residual"] is None
+            assert verify_identities(out) == 0
+            if n_records == 1:
+                assert report["margin_schwarz"] is None
 
 
 class TestRunSimulation:
