@@ -39,8 +39,6 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     n = mesh.n_panels
     sl = mesh.surface_slice
     phi_s = np.asarray(surface_potential, dtype=np.float64)
-    if phi_s.shape != (mesh.n_markers - 1,):
-        raise ValueError(f"expected {mesh.n_markers - 1} surface values, got {phi_s.shape}")
     S, D = kernels.influence_matrices(mesh, mesh.midpoints)
     D.reshape(-1)[::n + 1] += 0.5            # D + I/2; D is C-contiguous, so a view
 

@@ -15,7 +15,7 @@ Every volume integral needed here is reduced to panel quadratures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -25,6 +25,9 @@ from .errors import BreakdownSignal
 from .evolution import FlowState
 from .geometry import (BoundaryMesh, gradient_1d, polygon_area, row_norms,
                        self_intersects, side_wall_crossing)
+
+if TYPE_CHECKING:
+    from .runner import RunConfig
 
 FloatArray = NDArray[np.float64]
 
@@ -222,22 +225,17 @@ def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
         table[name][-1] = residual[-1]
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    initial_spacing: float
-    curv_max: float
-    collide_tol: float
-    L_max: float
-
-
-def detect_breakdown(state: FlowState, detectors: DetectorConfig,
+def detect_breakdown(state: FlowState, cfg: RunConfig,
                      L: float | None = None) -> BreakdownSignal | None:
     """First matching detector in fixed priority order, or None.
 
     Priority: bottom contact, self-intersection (a side-wall crossing
     included, as in ``build_boundary_mesh``), marker collision,
-    curvature blow-up, virial overflow.  Timestep collapse and solver
-    failure are raised where they occur (adaptive_dt / rk4_step).
+    curvature blow-up, virial overflow.  With n markers, a collision is a
+    spacing below ``cfg.collide_tol`` times the initial spacing 1/(n-1),
+    and a blow-up a curvature above ``cfg.curv_factor`` times (n-1).
+    Timestep collapse and solver failure are raised where they occur
+    (adaptive_dt / rk4_step).
     """
     t = state.t
     x = state.curve.x
@@ -252,18 +250,20 @@ def detect_breakdown(state: FlowState, detectors: DetectorConfig,
     if self_intersects(state.curve):
         return BreakdownSignal(t_break=t, kind="self_intersection",
                                detail="interface polyline crosses itself")
+    n = state.curve.n_markers
     spacing = state.curve.segment_lengths()
-    floor = detectors.collide_tol * detectors.initial_spacing
+    floor = cfg.collide_tol * (1.0 / (n - 1))
     if float(spacing.min()) < floor:
         return BreakdownSignal(
             t_break=t, kind="marker_collision",
             detail=f"spacing {spacing.min():.3e} below {floor:.3e}")
     curv = state.curve.turning_curvature()
-    if curv.size and float(curv.max()) > detectors.curv_max:
+    curv_max = cfg.curv_factor * (n - 1)
+    if curv.size and float(curv.max()) > curv_max:
         return BreakdownSignal(
             t_break=t, kind="curvature_blowup",
-            detail=f"discrete curvature {curv.max():.3e} above {detectors.curv_max:.3e}")
-    if L is not None and abs(L) > detectors.L_max:
+            detail=f"discrete curvature {curv.max():.3e} above {curv_max:.3e}")
+    if L is not None and abs(L) > cfg.L_max:
         return BreakdownSignal(t_break=t, kind="L_overflow",
-                               detail=f"|L|={abs(L):.3e} above {detectors.L_max:.3e}")
+                               detail=f"|L|={abs(L):.3e} above {cfg.L_max:.3e}")
     return None

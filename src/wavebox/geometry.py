@@ -71,10 +71,6 @@ class InterfaceCurve:
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=np.float64)
         object.__setattr__(self, "x", x)
-        if x.ndim != 2 or x.shape[1] != 2:
-            raise GeometryError("markers must be (n,2)")
-        if x.shape[0] < 2:
-            raise GeometryError("need at least 2 markers")
         if not np.isfinite(x).all():
             raise GeometryError("non-finite marker data")
         if not (abs(x[0, 0]) <= _PIN_TOL and abs(x[0, 1] - 1.0) <= _PIN_TOL):
@@ -300,8 +296,6 @@ def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> Bou
     that leaves the strip 0 <= x1 <= 1 beyond roundoff) and GeometryError
     for bottom contact.
     """
-    if wall_panels_per_side < 4:
-        raise ValueError("wall_panels_per_side must be >= 4")
     if side_wall_crossing(curve) is not None:
         raise SelfIntersectionError("interface crosses a side wall (x1 outside [0,1])")
     x = curve.x

@@ -58,8 +58,8 @@ class DenseSystem:
         r = np.asarray(self.rhs, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or r.shape != (m.shape[0],):
             raise ValueError("DenseSystem: matrix must be n x n with length-n rhs")
-        if not (np.isfinite(m).all() and np.isfinite(r).all()):
-            raise ValueError("DenseSystem: non-finite entries")
+        if not np.isfinite(r).all():
+            raise ValueError("DenseSystem: non-finite right-hand side")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rhs", r)
 
@@ -71,10 +71,16 @@ def solve_dense(system: DenseSystem) -> FloatArray:
     defaults (dgetrf factors a Fortran-ordered copy), so the bits are theirs.
     An exactly zero pivot (dgetrf's ``info > 0``) is singular too; it is the
     only sign of an all-zero matrix, whose pivot floor is itself zero.
+    A non-finite entry makes the row-sum norm behind the pivot floor
+    non-finite, so that one pass also rejects it, with ValueError, before
+    the factorisation.
     """
     A, b = system.matrix, system.rhs
+    norm = np.max(np.sum(np.abs(A), axis=1))
+    if not np.isfinite(norm):
+        raise ValueError("solve_dense: matrix row sums are not finite")
     lu, piv, info = _flapack.dgetrf(A)
-    pivot_floor = 1e-13 * np.max(np.sum(np.abs(A), axis=1))
+    pivot_floor = 1e-13 * norm
     diag = np.abs(np.diag(lu))
     if info > 0 or np.any(diag < pivot_floor):
         raise SingularMatrixError(

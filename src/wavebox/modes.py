@@ -23,12 +23,6 @@ class ModePotential:
 
     terms: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        terms = tuple((int(k), float(a)) for k, a in self.terms)
-        if any(k < 1 for k, _ in terms):
-            raise ValueError("mode numbers must be positive integers")
-        object.__setattr__(self, "terms", terms)
-
     def phi(self, x1, x2):
         x1 = np.asarray(x1, dtype=np.float64)
         x2 = np.asarray(x2, dtype=np.float64)
@@ -89,8 +83,6 @@ def sample_initial_state(potential: ModePotential, n_markers: int,
     from .evolution import FlowState
     from .geometry import flat_interface
 
-    if n_markers < 8:
-        raise ValueError("need at least 8 markers")
     curve = flat_interface(n_markers)
     phi = potential.phi(curve.x[:, 0], curve.x[:, 1])
     return FlowState(t=0.0, curve=curve, phi=phi,

@@ -33,10 +33,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bem
-from .diagnostics import (CSV_FIELDS, DetectorConfig, blowup_bound,
-                          constant_c1, detect_breakdown, fill_derived,
-                          int_pressure, int_u1_squared, record_steps,
-                          virial_parts, wall_u2_squared)
+from .diagnostics import (CSV_FIELDS, blowup_bound, constant_c1,
+                          detect_breakdown, fill_derived, int_pressure,
+                          int_u1_squared, record_steps, virial_parts,
+                          wall_u2_squared)
 from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
@@ -78,8 +78,9 @@ class RunConfig:
 
     ``modes`` is a list of (wavenumber k, coefficient a_k) pairs defining the
     initial potential sum a_k cos(k pi x1) cosh(k pi x2); an empty list is
-    still fluid.  Tolerances are grouped at the bottom; detector thresholds
-    follow DetectorConfig with ``curv_factor`` scaled by initial spacing.
+    still fluid.  Tolerances are grouped at the bottom; ``detect_breakdown``
+    scales ``collide_tol`` and ``curv_factor`` by the initial marker spacing.
+    Every range is checked here, once: the numerics trust these values.
     """
 
     modes: tuple[tuple[int, float], ...] = ()
@@ -136,6 +137,8 @@ class RunConfig:
                               "each at least 8 (a convergence order needs two)")
         if any(k < 1 for k in self.bem_mode_ks):
             raise ConfigError("bem_mode_ks entries must be positive")
+        if any(k < 1 for k, _ in self.modes):
+            raise ConfigError("mode wavenumbers must be at least 1")
         if self.n_markers < 8:
             raise ConfigError("n_markers must be at least 8")
         if self.wall_panels_per_side < 4:
@@ -186,8 +189,8 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def potential(self) -> ModePotential:
+        pot = ModePotential(terms=self.modes)
         try:
-            pot = ModePotential(terms=self.modes)
             pot.check_corners()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -238,12 +241,6 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     potential = cfg.potential()
     state = sample_initial_state(potential, cfg.n_markers,
                                  cfg.wall_panels_per_side)
-    detectors = DetectorConfig(
-        initial_spacing=1.0 / (cfg.n_markers - 1),
-        collide_tol=cfg.collide_tol,
-        curv_max=cfg.curv_factor * (cfg.n_markers - 1),
-        L_max=cfg.L_max)
-
     records: list[dict[str, float]] = []
     snapshots: list[FloatArray] = []
     breakdown: BreakdownSignal | None = None
@@ -260,7 +257,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                     # A step that lands on a record time can leave a surface
                     # that bounds no domain; stop as the detector classifies it.
                     breakdown = detect_breakdown(
-                        state, detectors, L=records[-1]["L"] if records else None)
+                        state, cfg, L=records[-1]["L"] if records else None)
                     if breakdown is None:
                         raise
                     break
@@ -271,7 +268,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                 next_record += cfg.record_dt
             if state.t >= cfg.t_end_cap - RECORD_TIME_SLOP:
                 break
-            signal = detect_breakdown(state, detectors, L=records[-1]["L"])
+            signal = detect_breakdown(state, cfg, L=records[-1]["L"])
             if signal is not None:
                 breakdown = signal
                 break
@@ -488,15 +485,9 @@ def write_snapshots(directory: str, snapshots):
 
 
 def _json_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return format(v, ".17g") if math.isfinite(v) else "null"
+    """A float at 17 digits, or null when not finite; else ``json.dumps``."""
+    if isinstance(value, float):
+        return format(value, ".17g") if math.isfinite(value) else "null"
     return json.dumps(value)
 
 

@@ -73,13 +73,6 @@ class TestMixedSolve:
             res = compatibility_residual(cd, mesh.lengths)
             assert res <= 1e-8 * compatibility_scale(cd, mesh.lengths)
 
-    def test_input_shape_checks(self):
-        mesh = build_boundary_mesh(flat_interface(9), 4)
-        with pytest.raises(ValueError):
-            solve_mixed_bvp(mesh, np.ones(5))
-        with pytest.raises(ValueError):
-            solve_mixed_bvp(mesh, np.ones(9))
-
 
 def reference_solve(mesh, phi_s):
     """The collocation system as first assembled: D + I/2, mask-filled

@@ -136,6 +136,20 @@ def test_malformed_config_is_exit_2(cfg):
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("bad", [
+    {"modes": [[0, 1.0]]}, {"n_markers": 4}, {"wall_panels_per_side": 2},
+    {"cfl": 0.0}, {"cfl": 1.5},
+], ids=["mode_k0", "n_markers_4", "wall_panels_2", "cfl_0", "cfl_1.5"])
+def test_out_of_range_value_is_exit_2(tmp_path, capsys, bad):
+    # RunConfig alone checks these ranges; the numerics trust them.
+    path = write_cfg(tmp_path, {**SMALL_CONFIG, **bad})
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", path, "--out", out]) == 2
+    assert main(["validate-bem", "--config", path]) == 2
+    assert not os.path.exists(out)
+    assert capsys.readouterr().err.count("configuration error") == 2
+
+
 class TestVerifyCommand:
     def test_round_trip(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(modes=reference_modes(), n_markers=24,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavebox.diagnostics import (DERIVED_FIELDS, DetectorConfig, blowup_bound,
+from wavebox.diagnostics import (DERIVED_FIELDS, blowup_bound,
                                  boundary_domain_integral, boundary_velocity,
                                  constant_c1, detect_breakdown, fill_derived,
                                  int_u1_squared, riccati_envelope,
@@ -18,6 +18,7 @@ from wavebox.evolution import FlowState
 from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
                               flat_interface, self_intersects)
 from wavebox.modes import initial_A, sample_initial_state
+from wavebox.runner import RunConfig
 
 from conftest import make_reference_data
 
@@ -398,27 +399,26 @@ class TestDetectors:
         return FlowState(t=1.0, curve=curve, phi=np.zeros(curve.n_markers),
                          wall_panels_per_side=16)
 
-    def detectors(self, curv_max=1000.0, collide_tol=0.1, L_max=1e6):
-        return DetectorConfig(initial_spacing=0.1, curv_max=curv_max,
-                              collide_tol=collide_tol, L_max=L_max)
+    # RunConfig's defaults give an 11-marker curve a spacing floor of 0.01
+    # and a curvature limit of 1000.
 
     def test_quiet_state(self):
         state = self.make_state(flat_interface(11))
-        assert detect_breakdown(state, self.detectors()) is None
+        assert detect_breakdown(state, RunConfig()) is None
 
     def test_bottom_contact(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = -0.01
         state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = detect_breakdown(state, self.detectors())
+        sig = detect_breakdown(state, RunConfig())
         assert sig.kind == "bottom_contact" and sig.t_break == 1.0
 
     def test_self_intersection(self):
         x1 = np.array([0.0, 0.7, 0.7, 0.3, 0.3, 1.0])
         x2 = np.array([1.0, 1.2, 0.6, 0.6, 1.2, 1.0])
         state = self.make_state(InterfaceCurve(np.column_stack([x1, x2])))
-        assert detect_breakdown(state, self.detectors()).kind == "self_intersection"
+        assert detect_breakdown(state, RunConfig()).kind == "self_intersection"
 
     def test_side_wall_crossing(self):
         # A simple polyline that bulges through the right wall: the mesh
@@ -429,7 +429,7 @@ class TestDetectors:
         x[22, 0] = 1.02
         state = self.make_state(InterfaceCurve(x))
         assert not self_intersects(state.curve)
-        sig = detect_breakdown(state, self.detectors())
+        sig = detect_breakdown(state, RunConfig())
         assert sig.kind == "self_intersection" and sig.t_break == 1.0
         assert "marker 22" in sig.detail
         with pytest.raises(SelfIntersectionError):
@@ -440,32 +440,49 @@ class TestDetectors:
         x1 = s.copy()
         x1[5] = x1[4] + 1e-4    # nearly coincident pair
         state = self.make_state(InterfaceCurve(np.column_stack([x1, np.ones(11)])))
-        assert detect_breakdown(state, self.detectors()).kind == "marker_collision"
+        assert detect_breakdown(state, RunConfig()).kind == "marker_collision"
 
     def test_curvature_blowup(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = 1.4             # sharp spike
         state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = detect_breakdown(state, self.detectors(curv_max=5.0))
+        sig = detect_breakdown(state, RunConfig(curv_factor=0.5))
         assert sig.kind == "curvature_blowup"
 
     def test_L_overflow(self):
         state = self.make_state(flat_interface(11))
-        sig = detect_breakdown(state, self.detectors(L_max=10.0), L=11.0)
+        sig = detect_breakdown(state, RunConfig(L_max=10.0), L=11.0)
         assert sig.kind == "L_overflow"
+
+    @pytest.mark.parametrize("n", [11, 96])
+    def test_limits_follow_the_marker_count(self, n):
+        cfg = RunConfig()
+        floor = cfg.collide_tol * (1.0 / (n - 1))
+        for gap, kind in ((0.99 * floor, "marker_collision"), (1.01 * floor, None)):
+            x = flat_interface(n).x.copy()
+            x[n // 2, 0] = x[n // 2 - 1, 0] + gap
+            sig = detect_breakdown(self.make_state(InterfaceCurve(x)), cfg)
+            assert (sig and sig.kind) == kind
+        x = flat_interface(n).x.copy()
+        x[n // 2, 1] = 1.01
+        state = self.make_state(InterfaceCurve(x))
+        curv_factor = state.curve.turning_curvature().max() / (n - 1)
+        for factor, kind in ((0.99, "curvature_blowup"), (1.01, None)):
+            sig = detect_breakdown(state, RunConfig(curv_factor=factor * curv_factor))
+            assert (sig and sig.kind) == kind
+
+    def test_L_limit_is_exclusive(self):
+        state = self.make_state(flat_interface(11))
+        cfg = RunConfig(L_max=10.0)
+        for L in (10.0, -10.0):
+            assert detect_breakdown(state, cfg, L=L) is None
+            sig = detect_breakdown(state, cfg, L=np.nextafter(L, 2.0 * L))
+            assert sig.kind == "L_overflow"
 
     def test_priority_bottom_before_collision(self):
         s = np.linspace(0.0, 1.0, 11)
         x = np.column_stack([s, np.ones(11)])
         x[5] = [x[4, 0] + 1e-4, -0.01]    # collides AND touches bottom
         state = self.make_state(InterfaceCurve(x))
-        assert detect_breakdown(state, self.detectors()).kind == "bottom_contact"
-
-    def test_curv_max_required(self):
-        with pytest.raises(TypeError):
-            DetectorConfig(initial_spacing=0.01)
-
-    def test_thresholds_required(self):
-        with pytest.raises(TypeError):
-            DetectorConfig(initial_spacing=0.01, curv_max=1000.0)
+        assert detect_breakdown(state, RunConfig()).kind == "bottom_contact"

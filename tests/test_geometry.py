@@ -370,10 +370,6 @@ class TestBoundaryMesh:
         with pytest.raises(BottomContactError):
             build_boundary_mesh(curve, 4)
 
-    def test_too_few_wall_panels(self):
-        with pytest.raises(ValueError):
-            build_boundary_mesh(flat_interface(9), 3)
-
     @pytest.mark.parametrize("n_markers, w", [(9, 4), (17, 8), (96, 24), (33, 7)])
     def test_wall_panels_match_closed_form(self, n_markers, w):
         mesh = build_boundary_mesh(bumped_interface(n_markers), w)

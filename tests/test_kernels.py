@@ -50,8 +50,14 @@ class TestSolveDense:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             DenseSystem(matrix=np.ones((3, 2)), rhs=np.ones(3))
-        with pytest.raises(ValueError):
-            DenseSystem(matrix=np.full((3, 3), np.nan), rhs=np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises_before_lu(self, monkeypatch, bad):
+        A = np.eye(3)
+        A[1, 2] = bad
+        monkeypatch.setattr(kernels, "_flapack", None)   # no LAPACK call
+        with pytest.raises(ValueError, match="not finite"):
+            solve_dense(DenseSystem(matrix=A, rhs=np.ones(3)))
 
 
 def scipy_solve(A, b):

@@ -46,10 +46,6 @@ class TestModePotential:
         assert pot.phi(0.5, 0.5) == 0.0
         pot.check_corners()
 
-    def test_rejects_bad_wavenumber(self):
-        with pytest.raises(ValueError):
-            ModePotential(terms=((0, 1.0),))
-
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ValueError):
             make_reference_data(0.0)
@@ -96,7 +92,3 @@ class TestSampleInitialState:
         pot = make_reference_data(1.0)
         np.testing.assert_allclose(
             state.phi, pot.phi(state.curve.x[:, 0], np.ones(33)))
-
-    def test_marker_minimum(self):
-        with pytest.raises(ValueError):
-            sample_initial_state(make_reference_data(1.0), 4, 16)

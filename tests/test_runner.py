@@ -59,6 +59,7 @@ class TestRunConfig:
         {"bem_panel_counts": [4, 8]},
         {"bem_panel_counts": [32, 64.5]},
         {"bem_mode_ks": [0]},
+        {"modes": [[0, 1.0]]},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
