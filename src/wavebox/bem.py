@@ -35,11 +35,15 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     Collocation equation at panel midpoint i (flat-panel coefficient 1/2):
 
         sum_j S_ij q_j - sum_j D_ij phi_j - phi_i / 2 = 0
+
+    The walls carry zero flux, so S is formed against the surface panels
+    only; the walls' fixed block of D comes from a cache per wall count
+    (``kernels.influence_matrices`` with ``collocation=True``).
     """
     n = mesh.n_panels
     sl = mesh.surface_slice
     phi_s = np.asarray(surface_potential, dtype=np.float64)
-    S, D = kernels.influence_matrices(mesh, mesh.midpoints)
+    S, D = kernels.influence_matrices(mesh, mesh.midpoints, collocation=True)
     D.reshape(-1)[::n + 1] += 0.5            # D + I/2; D is C-contiguous, so a view
 
     rhs = np.empty(n + 1)
@@ -48,7 +52,7 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     rhs[:n] = np.asfortranarray(D[:, sl]) @ phi_s
     rhs[n] = 0.0
     A = np.empty((n + 1, n + 1))
-    A[:n, sl] = S[:, sl]                     # unknown surface fluxes
+    A[:n, sl] = S                            # unknown surface fluxes
     np.negative(D[:, :sl.start], out=A[:n, :sl.start])   # unknown wall values
     np.negative(D[:, sl.stop:], out=A[:n, sl.stop:n])
     # Exact discrete compatibility: the net boundary flux of a harmonic

@@ -289,6 +289,17 @@ def _wall_endpoints(w: int) -> tuple[FloatArray, FloatArray]:
     return a, b
 
 
+def wall_mesh(w: int) -> BoundaryMesh:
+    """The 3w wall panels alone (bottom, right, left).
+
+    The mesh of a one-marker curve, so it has no surface panel.  Each
+    panel's midpoint, tangent, normal and length come from its own ends,
+    so they have the bits of the same wall panel in every mesh.
+    """
+    a, b = _wall_endpoints(w)
+    return BoundaryMesh(a=a, b=b, n_markers=1, wall_panels_per_side=w)
+
+
 def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> BoundaryMesh:
     """Panelize the closed boundary: fixed wall panels, surface from markers.
 

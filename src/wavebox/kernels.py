@@ -7,6 +7,7 @@ so assembly needs no near-singular quadrature.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -17,6 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import GeometryError, SingularMatrixError
+from .geometry import wall_mesh
 
 FloatArray = NDArray[np.float64]
 
@@ -89,19 +91,20 @@ def solve_dense(system: DenseSystem) -> FloatArray:
     return x
 
 
-def _local_coords(a, lengths, tangents, normals, targets):
+def _local_coords(mesh, targets, cols=slice(None)):
     """Panel-local coordinates of targets: (xi along tangent from a, eta along normal).
 
-    Shapes: targets (m,2), panels (n,...); returns (m,n) arrays u1, u2, eta
-    with u1 = -xi, u2 = length - xi (endpoint offsets from the foot point).
+    Shapes: targets (m,2), the n panels of the contiguous block cols of the
+    mesh; returns (m,n) arrays u1, u2, eta with u1 = -xi, u2 = length - xi
+    (endpoint offsets from the foot point).
     Built from x/y component arrays, so no (m,n,2) temporary is formed; the
     components are copied out of their (k,2) arrays once, so that every
     (m,n) pass reads contiguous rows.
     """
     px, py = targets.T.copy()
-    ax, ay = a.T.copy()
-    tx, ty = tangents.T.copy()
-    nx, ny = normals.T.copy()
+    ax, ay = mesh.a[cols].T.copy()
+    tx, ty = mesh.tangents[cols].T.copy()
+    nx, ny = mesh.normals[cols].T.copy()
     rx = px[:, None] - ax
     ry = py[:, None] - ay
     xi = rx * tx
@@ -110,7 +113,7 @@ def _local_coords(a, lengths, tangents, normals, targets):
     ry *= ny
     eta += ry
     del ry                  # u2 can then take its storage
-    u2 = np.subtract(lengths, xi)
+    u2 = np.subtract(mesh.lengths[cols], xi)
     return np.negative(xi, out=xi), u2, eta
 
 
@@ -137,12 +140,8 @@ def _u_log_r_minus_u(u: FloatArray, eta2: FloatArray, out: FloatArray) -> FloatA
     return out
 
 
-def influence_matrices(mesh, targets: FloatArray):
-    """Single- and double-layer panel integrals for all (target, panel) pairs.
-
-    Returns (S, D) of shape (m, n):
-      S[i,j] = int_panel_j G(x_i, y) ds(y)
-      D[i,j] = int_panel_j dG/dn_y(x_i, y) ds(y)   (principal value on-panel)
+def _layers(mesh, targets: FloatArray, cols=slice(None)):
+    """(S, D) of every target against the contiguous panel block cols.
 
     In panel-local coordinates S = -(F(u2) - F(u1)) / 2pi with the
     antiderivative F(u) = u ln sqrt(u^2+eta^2) - u + eta atan(u/eta),
@@ -151,9 +150,7 @@ def influence_matrices(mesh, targets: FloatArray):
     array's storage takes the next value, so at most six (m,n) arrays are
     live at once.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = _local_coords(mesh.a, mesh.lengths, mesh.tangents,
-                                mesh.normals, targets)
+    u1, u2, eta = _local_coords(mesh, targets, cols)
     on_axis = eta == 0.0
     eta2 = eta * eta
 
@@ -172,7 +169,7 @@ def influence_matrices(mesh, targets: FloatArray):
     # principal value 0; without the mask, roundoff-scale eta would make the
     # subtended angle flip to +-pi and D to +-1/2.  eta's storage then takes
     # F(u1).
-    on_line = np.abs(eta, out=eta) <= 1e-12 * mesh.lengths
+    on_line = np.abs(eta, out=eta) <= 1e-12 * mesh.lengths[cols]
     F1 = _u_log_r_minus_u(u1, eta2, out=eta)
     F1 += eta_atan
     # -(F(u2) - F(u1)) in one pass: the same bits, except that an exact
@@ -184,6 +181,61 @@ def influence_matrices(mesh, targets: FloatArray):
     return S, D
 
 
+def _double_layer(mesh, targets: FloatArray, cols=slice(None)) -> FloatArray:
+    """D alone, with ``_layers``' arithmetic for D, so with its bits."""
+    u1, u2, eta = _local_coords(mesh, targets, cols)
+    D = _arctan_ratio(u2, eta)
+    D -= _arctan_ratio(u1, eta, out=u2)
+    D /= TWO_PI
+    D[np.abs(eta, out=eta) <= 1e-12 * mesh.lengths[cols]] = 0.0
+    return D
+
+
+@functools.lru_cache(maxsize=8)
+def _wall_double_layer(w: int) -> FloatArray:
+    """Read-only D of the 3w wall midpoints against the 3w wall panels.
+
+    Rows and columns run bottom, right, left, as in ``geometry.wall_mesh``.
+    The walls never move, and D[i,j] depends on target i and panel j
+    alone, so this block has the bits of every mesh's wall x wall block.
+    """
+    walls = wall_mesh(w)
+    D = _double_layer(walls, walls.midpoints)
+    D.flags.writeable = False
+    return D
+
+
+def influence_matrices(mesh, targets: FloatArray, collocation: bool = False):
+    """Single- and double-layer panel integrals for all (target, panel) pairs.
+
+    Returns (S, D) of shape (m, n):
+      S[i,j] = int_panel_j G(x_i, y) ds(y)
+      D[i,j] = int_panel_j dG/dn_y(x_i, y) ds(y)   (principal value on-panel)
+
+    ``collocation=True`` is for targets that are ``mesh.midpoints``, where
+    the solver needs S only against the surface panels (the walls carry
+    zero flux).  S then has shape (n, n_surface).  D is still (n, n), with
+    the same bits, but its wall x wall block comes from a per-wall-count
+    cache, and only surface midpoints are evaluated against wall panels.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if not collocation:
+        return _layers(mesh, targets)
+    n, w, sl = mesh.n_panels, mesh.wall_panels_per_side, mesh.surface_slice
+    S, D_surface = _layers(mesh, targets, sl)
+    D = np.empty((n, n))
+    D[:, sl] = D_surface
+    D_walls = _wall_double_layer(w)
+    # The walls as two contiguous blocks, bottom and right, then left, each
+    # with its rows and columns in the cached block.
+    blocks = ((slice(0, 2 * w), slice(0, 2 * w)), (mesh.left_slice, slice(2 * w, None)))
+    for cols, wall_cols in blocks:
+        D[sl, cols] = _double_layer(mesh, targets[sl], cols)
+        for rows, wall_rows in blocks:
+            D[rows, cols] = D_walls[wall_rows, wall_cols]
+    return S, D
+
+
 def influence_gradients(mesh, targets: FloatArray):
     """Gradients (w.r.t. target) of the single/double layer panel integrals.
 
@@ -191,8 +243,7 @@ def influence_gradients(mesh, targets: FloatArray):
     every panel (interior evaluation only).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = _local_coords(mesh.a, mesh.lengths, mesh.tangents,
-                                mesh.normals, targets)
+    u1, u2, eta = _local_coords(mesh, targets)
     eta2 = eta * eta
     r1sq = u1 * u1
     r1sq += eta2

@@ -14,9 +14,9 @@ import pytest
 from wavebox.bem import solve_mixed_bvp
 from wavebox.diagnostics import constant_c1
 from wavebox.geometry import build_boundary_mesh, flat_interface
-from wavebox.modes import initial_A, sample_initial_state
+from wavebox.modes import sample_initial_state
 from wavebox.pressure import PressureField
-from wavebox.runner import RunConfig, _mode_bvp_error, read_diagnostics_csv
+from wavebox.runner import _mode_bvp_error, read_diagnostics_csv
 
 from conftest import (compatibility_residual, compatibility_scale,
                       make_reference_data, pressure_poisson_residual)

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,8 +211,8 @@ class TestValidateBemCommand:
         # negative control: flip the single-layer sign and the sweep must fail
         original = kernels.influence_matrices
 
-        def broken(mesh, targets):
-            S, D = original(mesh, targets)
+        def broken(mesh, targets, **kwargs):
+            S, D = original(mesh, targets, **kwargs)
             return -S, D
 
         monkeypatch.setattr(bem.kernels, "influence_matrices", broken)

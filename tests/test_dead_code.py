@@ -6,13 +6,15 @@ appears as a name or attribute anywhere in the package's code; names in
 comments and docstrings do not count, and dunder methods are exempt.  A
 parameter with a default counts as used when some call inside the package,
 matched by the callee's name, passes it by keyword or by position.  A
-last scan keeps ``print`` calls to cli.py.
+third scan keeps ``print`` calls to cli.py.  The last scan parses each
+module of tests/ and finds every name it imports used in its code.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "wavebox"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wavebox"
 
 # The console-script entry point is called with no arguments by design.
 ENTRY_POINT_DEFAULTS = {"cli.main(argv)"}
@@ -105,3 +107,22 @@ def test_only_the_command_line_prints():
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert printing == []
+
+
+def test_every_name_a_test_module_imports_is_used_in_it():
+    # Names inside the scripts that some tests hand to a child interpreter
+    # are string contents, so they do not count.
+    imported, unused = 0, []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported += 1
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert imported > 100
+    assert unused == []

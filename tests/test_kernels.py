@@ -13,7 +13,7 @@ import wavebox.bem as bem
 import wavebox.kernels as kernels
 from wavebox.errors import GeometryError, SingularMatrixError
 from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
-                              build_boundary_mesh, flat_interface)
+                              build_boundary_mesh, flat_interface, wall_mesh)
 from wavebox.kernels import (TWO_PI, DenseSystem, influence_gradients,
                              influence_matrices, solve_dense)
 from wavebox.modes import sample_initial_state
@@ -457,3 +457,51 @@ class TestBitEquality:
                                         mesh.tangents, mesh.normals, pts)
         if min((u1 * u1 + eta * eta).min(), (u2 * u2 + eta * eta).min()) >= 1e-28:
             assert_gradients_match(mesh, pts)
+
+
+# ---------------------------------------------------------------------------
+# The solver's collocation mode: S against the surface panels only, and the
+# walls' fixed wall x wall block of D from a cache per wall count.  Both must
+# carry the default mode's bits.
+# ---------------------------------------------------------------------------
+
+class TestCollocationMode:
+    @staticmethod
+    def mesh(name, w):
+        if name == "flat":
+            return build_boundary_mesh(flat_interface(33), w)
+        if name == "reference":
+            return sample_initial_state(make_reference_data(1.0), 96, w).mesh
+        return bumped_mesh(33, w)
+
+    @pytest.mark.parametrize("w", [16, 24, 32, 64, 128])
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_matches_default_mode(self, name, w):
+        mesh = self.mesh(name, w)
+        S, D = influence_matrices(mesh, mesh.midpoints)
+        kernels._wall_double_layer.cache_clear()
+        for _ in ("cold", "warm"):
+            S_c, D_c = influence_matrices(mesh, mesh.midpoints, collocation=True)
+            assert_same_bits(S_c, S[:, mesh.surface_slice])
+            assert_same_bits(D_c, D)
+
+    def test_cached_arrays_are_read_only(self):
+        # The wall block, and the wall panel ends it is built from.
+        walls = wall_mesh(8)
+        D = kernels._wall_double_layer(8)
+        assert kernels._wall_double_layer(8) is D
+        assert D.shape == (24, 24)
+        for array in (D, walls.a, walls.b):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_two_solves_in_a_row_agree(self):
+        # A solver that wrote D + I/2 into the cached block would change the
+        # second solve.
+        mesh = bumped_mesh(33, 12)
+        phi_s = np.random.default_rng(5).standard_normal(mesh.n_markers - 1)
+        kernels._wall_double_layer.cache_clear()
+        first = bem.solve_mixed_bvp(mesh, phi_s)
+        second = bem.solve_mixed_bvp(mesh, phi_s)
+        assert_same_bits(second.values, first.values)
+        assert_same_bits(second.fluxes, first.fluxes)
