@@ -23,7 +23,10 @@ FloatArray = NDArray[np.float64]
 
 @dataclass(frozen=True)
 class CauchyData:
-    """Per-panel (value, flux) pair on the whole boundary."""
+    """Per-panel (value, flux) pair on the whole boundary.
+
+    Each array is (n,), or (k, n) for a stack of k solves, one per row.
+    """
 
     values: FloatArray
     fluxes: FloatArray
@@ -39,6 +42,10 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     The walls carry zero flux, so S is formed against the surface panels
     only; the walls' fixed block of D comes from a cache per wall count
     (``kernels.influence_matrices`` with ``collocation=True``).
+
+    ``surface_potential`` is one datum (n_surface,) or a stack
+    (k, n_surface), one datum per row.  A stack is assembled and factored
+    once, and each datum's solution has the bits of its own solve.
     """
     n = mesh.n_panels
     sl = mesh.surface_slice
@@ -46,11 +53,15 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     S, D = kernels.influence_matrices(mesh, mesh.midpoints, collocation=True)
     D.reshape(-1)[::n + 1] += 0.5            # D + I/2; D is C-contiguous, so a view
 
-    rhs = np.empty(n + 1)
+    rhs = np.empty(phi_s.shape[:-1] + (n + 1,))
     # A Fortran-ordered copy of the columns picks BLAS's column-sweeping
-    # gemv; a C-ordered slice view would sum in another order.
-    rhs[:n] = np.asfortranarray(D[:, sl]) @ phi_s
-    rhs[n] = 0.0
+    # gemv; a C-ordered slice view would sum in another order.  Each datum
+    # gets its own gemv on its row as given, so it sums as a solve of that
+    # row alone; one matrix product over the stack would not.
+    D_surface = np.asfortranarray(D[:, sl])
+    for datum, b in zip(np.atleast_2d(phi_s), np.atleast_2d(rhs)):
+        b[:n] = D_surface @ datum
+    rhs[..., n] = 0.0
     A = np.empty((n + 1, n + 1))
     A[:n, sl] = S                            # unknown surface fluxes
     np.negative(D[:, :sl.start], out=A[:n, :sl.start])   # unknown wall values
@@ -64,12 +75,12 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     A[n, sl] = mesh.lengths[sl]
     A[n, n] = 0.0
 
-    z = solve_dense(DenseSystem(matrix=A, rhs=rhs))[:n]
+    z = solve_dense(DenseSystem(matrix=A, rhs=rhs))[..., :n]
 
     values = z.copy()
-    values[sl] = phi_s
-    fluxes = np.zeros(n)
-    fluxes[sl] = z[sl]
+    values[..., sl] = phi_s
+    fluxes = np.zeros(z.shape)
+    fluxes[..., sl] = z[..., sl]
     return CauchyData(values=values, fluxes=fluxes)
 
 

@@ -52,14 +52,19 @@ _flapack = _load_flapack()
 
 @dataclass(frozen=True)
 class DenseSystem:
+    """An n x n matrix and one right-hand side (n,), or a stack (k, n) of
+    them, one per row."""
+
     matrix: FloatArray
     rhs: FloatArray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
         r = np.asarray(self.rhs, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or r.shape != (m.shape[0],):
-            raise ValueError("DenseSystem: matrix must be n x n with length-n rhs")
+        if (m.ndim != 2 or m.shape[0] != m.shape[1] or r.ndim not in (1, 2)
+                or r.shape[-1] != m.shape[0]):
+            raise ValueError("DenseSystem: matrix must be n x n with length-n "
+                             "right-hand sides")
         if not np.isfinite(r).all():
             raise ValueError("DenseSystem: non-finite right-hand side")
         object.__setattr__(self, "matrix", m)
@@ -76,6 +81,11 @@ def solve_dense(system: DenseSystem) -> FloatArray:
     A non-finite entry makes the row-sum norm behind the pivot floor
     non-finite, so that one pass also rejects it, with ValueError, before
     the factorisation.
+
+    A stack of right-hand sides shares the one factorisation and pivot
+    check, and each row gets its own ``dgetrs`` call, so each solution has
+    the bits of a single-datum solve (one call with all rows as columns
+    would not).  The solutions keep the stack's shape.
     """
     A, b = system.matrix, system.rhs
     norm = np.max(np.sum(np.abs(A), axis=1))
@@ -87,7 +97,9 @@ def solve_dense(system: DenseSystem) -> FloatArray:
     if info > 0 or np.any(diag < pivot_floor):
         raise SingularMatrixError(
             f"pivot {diag.min():.3e} below threshold {pivot_floor:.3e}")
-    x, _ = _flapack.dgetrs(lu, piv, b)
+    x = np.empty_like(b)
+    for row, rhs in zip(np.atleast_2d(x), np.atleast_2d(b)):
+        row[:] = _flapack.dgetrs(lu, piv, rhs)[0]
     return x
 
 

@@ -63,13 +63,26 @@ def _checked_number(name: str, value, integral: bool = False):
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:               # an int beyond float64's range
+        finite = False
+    if not finite:
         raise ConfigError(f"{name} must be finite, got {value!r}")
     if integral:
         if not float(value).is_integer():
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
     return value
+
+
+def _mode_fits_float64(k: int) -> bool:
+    """Whether k pi cosh(k pi), the largest gradient term of the mode
+    cos(k pi x1) cosh(k pi x2) in the unit box, is a finite float64."""
+    try:
+        return math.isfinite(k * math.pi * math.cosh(k * math.pi))
+    except OverflowError:               # math.cosh itself overflowed
+        return False
 
 
 @dataclass(frozen=True)
@@ -137,6 +150,10 @@ class RunConfig:
                               "each at least 8 (a convergence order needs two)")
         if any(k < 1 for k in self.bem_mode_ks):
             raise ConfigError("bem_mode_ks entries must be positive")
+        too_large = [k for k in self.bem_mode_ks if not _mode_fits_float64(k)]
+        if too_large:
+            raise ConfigError(f"bem_mode_ks entries {too_large}: the mode's gradient "
+                              "k pi cosh(k pi) exceeds float64's range")
         if any(k < 1 for k, _ in self.modes):
             raise ConfigError("mode wavenumbers must be at least 1")
         if self.n_markers < 8:
@@ -597,27 +614,36 @@ def verify_identities(run_dir: str) -> int:
 # BEM validation sweep
 # ---------------------------------------------------------------------------
 
-def _mode_bvp_error(k: int, n_markers: int, wall_panels: int) -> float:
-    """L-inf solve error for the harmonic mode cos(k pi x1) cosh(k pi x2).
+def _flat_mesh_errors(n_markers: int, ks) -> list[float]:
+    """L-inf solve errors of harmonic modes on one flat mesh, from one solve.
 
-    The mode has zero flux on all three walls; its surface trace is imposed
-    as Dirichlet data on the flat interface and the solved wall values and
-    surface fluxes are compared against the closed form.
+    The mesh has ``n_markers`` markers and ``n_markers // 2`` wall panels
+    per side.  Mode k is cos(k pi x1) cosh(k pi x2); k = 0 is the constant
+    1.  A mode has zero flux on all three walls; its surface trace is
+    imposed as Dirichlet data and the solved wall values and surface fluxes
+    are compared against the closed form.  All modes share the mesh's one
+    assembly and LU (a stacked ``bem.solve_mixed_bvp``).  Returns one error
+    per k, relative to the mode's amplitude cosh(k pi) so that different k
+    are comparable.
     """
-    mesh = build_boundary_mesh(flat_interface(n_markers), wall_panels)
+    mesh = build_boundary_mesh(flat_interface(n_markers), n_markers // 2)
     mid = mesh.midpoints
-    exact_phi = np.cos(k * np.pi * mid[:, 0]) * np.cosh(k * np.pi * mid[:, 1])
-    grad = np.column_stack([
-        -k * np.pi * np.sin(k * np.pi * mid[:, 0]) * np.cosh(k * np.pi * mid[:, 1]),
-        k * np.pi * np.cos(k * np.pi * mid[:, 0]) * np.sinh(k * np.pi * mid[:, 1])])
-    exact_q = np.einsum("ij,ij->i", grad, mesh.normals)
     sl = mesh.surface_slice
-    cd = bem.solve_mixed_bvp(mesh, exact_phi[sl])
-    # the surface values are the given data, so only wall values can differ
-    err_phi = float(np.abs(cd.values - exact_phi).max())
-    err_q = float(np.abs(cd.fluxes[sl] - exact_q[sl]).max())
-    # relative to the mode's amplitude so different k are comparable
-    return max(err_phi, err_q) / math.cosh(k * math.pi)
+    exact = []
+    for k in ks:
+        exact_phi = np.cos(k * np.pi * mid[:, 0]) * np.cosh(k * np.pi * mid[:, 1])
+        grad = np.column_stack([
+            -k * np.pi * np.sin(k * np.pi * mid[:, 0]) * np.cosh(k * np.pi * mid[:, 1]),
+            k * np.pi * np.cos(k * np.pi * mid[:, 0]) * np.sinh(k * np.pi * mid[:, 1])])
+        exact.append((exact_phi, np.einsum("ij,ij->i", grad, mesh.normals)))
+    cd = bem.solve_mixed_bvp(mesh, np.array([phi[sl] for phi, _ in exact]))
+    errs = []
+    for k, (exact_phi, exact_q), values, fluxes in zip(ks, exact, cd.values, cd.fluxes):
+        # the surface values are the given data, so only wall values can differ
+        err_phi = float(np.abs(values - exact_phi).max())
+        err_q = float(np.abs(fluxes[sl] - exact_q[sl]).max())
+        errs.append(max(err_phi, err_q) / math.cosh(k * math.pi))
+    return errs
 
 
 def validate_bem(cfg: RunConfig) -> int:
@@ -625,21 +651,19 @@ def validate_bem(cfg: RunConfig) -> int:
 
     Passes when every mode's error decreases monotonically with a mean
     measured order of at least one, and the constant-data solve is exact to
-    1e-8.  Logs the error table at INFO.
+    1e-8.  Logs the error table at INFO.  Each panel count's mesh is built,
+    assembled and factored once, for all of its data: every mode, and at
+    the first count the constant datum (mode 0) too.
     """
-    counts = cfg.bem_panel_counts
+    counts, ks = cfg.bem_panel_counts, cfg.bem_mode_ks
     ok = True
-
-    mesh = build_boundary_mesh(flat_interface(counts[0]), counts[0] // 2)
-    cd = bem.solve_mixed_bvp(mesh, np.ones(mesh.n_markers - 1))
-    const_err = max(float(np.abs(cd.values - 1.0).max()),
-                    float(np.abs(cd.fluxes).max()))
+    const_err, *first = _flat_mesh_errors(counts[0], (0, *ks))
     log.info("constant data: max error %.3e", const_err)
     if const_err > 1e-8:
         ok = False
 
-    for k in cfg.bem_mode_ks:
-        errs = [_mode_bvp_error(k, n, n // 2) for n in counts]
+    rest = [_flat_mesh_errors(n, ks) for n in counts[1:]] if ks else []
+    for k, errs in zip(ks, zip(first, *rest)):
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         mean_order = sum(orders) / len(orders)
         monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))

@@ -16,7 +16,7 @@ from wavebox.diagnostics import constant_c1
 from wavebox.geometry import build_boundary_mesh, flat_interface
 from wavebox.modes import sample_initial_state
 from wavebox.pressure import PressureField
-from wavebox.runner import _mode_bvp_error, read_diagnostics_csv
+from wavebox.runner import _flat_mesh_errors, read_diagnostics_csv
 
 from conftest import (compatibility_residual, compatibility_scale,
                       make_reference_data, pressure_poisson_residual)
@@ -47,16 +47,14 @@ class TestCriterion2BemConvergence:
     @pytest.mark.parametrize("k", [1, 2])
     def test_mode_sweep(self, k):
         counts = (32, 64, 128, 256)
-        errs = [_mode_bvp_error(k, n, n // 2) for n in counts]
+        errs = [_flat_mesh_errors(n, [k])[0] for n in counts]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert sum(orders) / len(orders) >= 1.0
 
     def test_constant_data(self):
-        mesh = build_boundary_mesh(flat_interface(33), 16)
-        cd = solve_mixed_bvp(mesh, np.ones(32))
-        assert max(np.abs(cd.values - 1.0).max(),
-                   np.abs(cd.fluxes).max()) <= 1e-8
+        (err,) = _flat_mesh_errors(33, [0])      # mode 0 is the constant 1
+        assert err <= 1e-8
 
 
 class TestCriterion3FluxCompatibility:

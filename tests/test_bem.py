@@ -8,8 +8,10 @@ from wavebox.bem import (CauchyData, admissible_interior, eval_interior,
                          solve_mixed_bvp)
 from wavebox.errors import NearBoundaryError
 from wavebox.geometry import InterfaceCurve, build_boundary_mesh, flat_interface
+from wavebox.modes import sample_initial_state
 
-from conftest import compatibility_residual, compatibility_scale
+from conftest import (compatibility_residual, compatibility_scale,
+                      make_reference_data)
 from test_kernels import assert_same_bits
 
 
@@ -146,6 +148,60 @@ class TestAssemblyBitEquality:
         assert_same_bits(system.rhs[:n], D[:, surf] @ phi_s)
         assert_same_bits(system.matrix[:n, :n][:, ~surf], -D[:, ~surf])
         assert_same_bits(system.matrix[n, :n], np.where(surf, mesh.lengths, 0.0))
+
+
+def assert_same_uint64(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def reference_state_data():
+    """The 96/24 reference state's curved mesh, with its own surface
+    potential, a constant and a mode's trace as a stack of data."""
+    state = sample_initial_state(make_reference_data(1.0), 96, 24)
+    mesh = state.mesh
+    phi, _, _ = mode_data(mesh, 1)
+    sl = mesh.surface_slice
+    return mesh, np.array([mesh.surface_panel_values(state.phi),
+                           np.ones(sl.stop - sl.start), phi[sl]])
+
+
+class TestStackedSolve:
+    """A stack of data shares one assembly and LU, and each datum's solution
+    has the bits of its own solve."""
+
+    def check(self, monkeypatch, mesh, data):
+        systems = []
+
+        def keep_system(system):
+            systems.append(system)
+            return kernels.solve_dense(system)
+
+        monkeypatch.setattr(bem, "solve_dense", keep_system)
+        stacked = solve_mixed_bvp(mesh, data)
+        singles = [solve_mixed_bvp(mesh, datum) for datum in data]
+        stack_system, *single_systems = systems
+        assert stacked.values.shape == stacked.fluxes.shape == (len(data), mesh.n_panels)
+        for i, (single, system) in enumerate(zip(singles, single_systems)):
+            assert_same_uint64(stacked.values[i], single.values)
+            assert_same_uint64(stacked.fluxes[i], single.fluxes)
+            assert_same_uint64(stack_system.rhs[i], system.rhs)
+            assert_same_uint64(stack_system.matrix, system.matrix)
+        # solve_dense alone: the stack against each of its rows
+        x = kernels.solve_dense(stack_system)
+        for row, system in zip(x, single_systems):
+            assert_same_uint64(row, kernels.solve_dense(system))
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_sweep_sizes(self, monkeypatch, n):
+        # validate-bem's meshes and data: the constant, then modes 1 and 2
+        mesh = build_boundary_mesh(flat_interface(n), n // 2)
+        sl = mesh.surface_slice
+        data = np.array([np.ones(n - 1)] + [mode_data(mesh, k)[0][sl] for k in (1, 2)])
+        self.check(monkeypatch, mesh, data)
+
+    def test_reference_state_mesh(self, monkeypatch):
+        self.check(monkeypatch, *reference_state_data())
 
 
 class TestInteriorEvaluation:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -90,7 +91,8 @@ SITES.update({"mode wavenumber": True, "mode coefficient": False,
 WRONG_TYPES = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
                         st.lists(st.integers(0, 9), max_size=2),
                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
-NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# An integer beyond float64's range (JSON allows any) is as unusable.
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan, 10**400, -10**400])
 NON_INTEGRAL = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
 SMALL_CONFIG = dict(modes=reference_modes(), n_markers=16,
                     wall_panels_per_side=8, t_end_cap=1e-4,
@@ -137,8 +139,9 @@ def test_malformed_config_is_exit_2(cfg):
 
 @pytest.mark.parametrize("bad", [
     {"modes": [[0, 1.0]]}, {"n_markers": 4}, {"wall_panels_per_side": 2},
-    {"cfl": 0.0}, {"cfl": 1.5},
-], ids=["mode_k0", "n_markers_4", "wall_panels_2", "cfl_0", "cfl_1.5"])
+    {"cfl": 0.0}, {"cfl": 1.5}, {"bem_mode_ks": [1, 225]}, {"bem_mode_ks": [300]},
+], ids=["mode_k0", "n_markers_4", "wall_panels_2", "cfl_0", "cfl_1.5",
+        "bem_mode_225", "bem_mode_300"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, bad):
     # RunConfig alone checks these ranges; the numerics trust them.
     path = write_cfg(tmp_path, {**SMALL_CONFIG, **bad})
@@ -206,6 +209,17 @@ class TestValidateBemCommand:
         cfg = write_cfg(tmp_path, {"bem_panel_counts": [32],
                                    "bem_mode_ks": [1]})
         assert main(["validate-bem", "--config", cfg]) == 2
+
+    def test_largest_float64_mode_runs_without_warning(self, tmp_path, capsys):
+        # 224 pi cosh(224 pi) is 1.47e308, the last finite one (225 is
+        # rejected at load): the sweep must reach a verdict without a
+        # numpy warning.
+        assert math.isfinite(224 * math.pi * math.cosh(224 * math.pi))
+        cfg = write_cfg(tmp_path, {"bem_mode_ks": [224]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate-bem", "--config", cfg]) in (0, 1)
+        assert "mode k=224:" in capsys.readouterr().out
 
     def test_broken_kernel_sign_fails(self, monkeypatch, capsys):
         # negative control: flip the single-layer sign and the sweep must fail

@@ -91,8 +91,10 @@ def _segments_intersect_reference(p, p2, q, q2):
         lo1, hi1 = sorted((p[axis], p2[axis]))
         lo2, hi2 = sorted((q[axis], q2[axis]))
         return max(lo1, lo2) <= min(hi1, hi2)
-    t = num_t / denom
-    s = num_s / denom
+    # A near-parallel pair can overflow to +-inf, which fails 0 <= t <= 1.
+    with np.errstate(over="ignore"):
+        t = num_t / denom
+        s = num_s / denom
     return 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0
 
 

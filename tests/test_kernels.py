@@ -51,6 +51,35 @@ class TestSolveDense:
         with pytest.raises(ValueError):
             DenseSystem(matrix=np.ones((3, 2)), rhs=np.ones(3))
 
+    @pytest.mark.parametrize("rhs", [np.ones((2, 4)), np.ones((2, 1, 3)), np.ones(())],
+                             ids=["stack_of_wrong_length", "3d", "0d"])
+    def test_stack_shape_validation(self, rhs):
+        with pytest.raises(ValueError, match="length-n right-hand sides"):
+            DenseSystem(matrix=np.eye(3), rhs=rhs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_datum_in_a_stack_is_rejected(self, bad):
+        rhs = np.ones((3, 3))
+        rhs[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite right-hand side"):
+            DenseSystem(matrix=np.eye(3), rhs=rhs)
+
+    def test_singular_stack_raises_once(self, monkeypatch):
+        # One factorisation and one pivot check for the whole stack: the
+        # error comes before any datum is solved.
+        calls = []
+        flapack = kernels._flapack
+
+        class Counting:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(flapack, name)
+
+        monkeypatch.setattr(kernels, "_flapack", Counting())
+        with pytest.raises(SingularMatrixError):
+            solve_dense(DenseSystem(matrix=np.ones((4, 4)), rhs=np.ones((3, 4))))
+        assert calls == ["dgetrf"]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_raises_before_lu(self, monkeypatch, bad):
         A = np.eye(3)
