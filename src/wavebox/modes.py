@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-FloatArray = NDArray[np.float64]
+from .evolution import FlowState
+from .geometry import flat_interface
 
-CORNER_TOL = 1e-12
+FloatArray = NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,6 @@ class ModePotential:
         right = sum(a * k * np.pi * (-1.0) ** k * np.sinh(k * np.pi) for k, a in self.terms)
         return abs(left) / scale, abs(right) / scale
 
-    def check_corners(self):
-        rl, rr = self.corner_residuals()
-        if rl > CORNER_TOL or rr > CORNER_TOL:
-            raise ValueError(
-                f"mode potential violates the corner conditions: residuals {rl:.3e}, {rr:.3e}")
-
 
 def initial_A(potential: ModePotential) -> float:
     """Starting value of the virial functional, by direct quadrature.
@@ -80,9 +75,6 @@ def initial_A(potential: ModePotential) -> float:
 def sample_initial_state(potential: ModePotential, n_markers: int,
                          wall_panels_per_side: int):
     """Flat-surface state at t=0 with the potential sampled on the interface."""
-    from .evolution import FlowState
-    from .geometry import flat_interface
-
     curve = flat_interface(n_markers)
     phi = potential.phi(curve.x[:, 0], curve.x[:, 1])
     return FlowState(t=0.0, curve=curve, phi=phi,

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from wavebox.bem import eval_interior
-from wavebox.modes import ModePotential
 from wavebox.pressure import pressure_at
 from wavebox.runner import RunConfig, simulate
 
@@ -32,9 +31,8 @@ def make_reference_data(amplitude):
         raise ValueError("amplitude must be nonzero")
     a1 = -float(amplitude)
     a3 = -a1 * np.sinh(np.pi) / (3.0 * np.sinh(3.0 * np.pi))
-    pot = ModePotential(terms=((1, a1), (3, a3)))
-    pot.check_corners()
-    return pot
+    # RunConfig raises ConfigError unless both corner conditions hold
+    return RunConfig(modes=((1, a1), (3, a3))).potential()
 
 
 def velocity_at(field, points):

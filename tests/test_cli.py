@@ -137,19 +137,60 @@ def test_malformed_config_is_exit_2(cfg):
         assert not os.path.exists(out)
 
 
+def scaled_reference_modes(factor):
+    return [[k, factor * a] for k, a in reference_modes()]
+
+
 @pytest.mark.parametrize("bad", [
     {"modes": [[0, 1.0]]}, {"n_markers": 4}, {"wall_panels_per_side": 2},
     {"cfl": 0.0}, {"cfl": 1.5}, {"bem_mode_ks": [1, 225]}, {"bem_mode_ks": [300]},
+    {"modes": [[1, 1.0]]}, {"modes": [[1, -1.0], [300, 1e-300]]},
+    {"modes": scaled_reference_modes(1e153)},
 ], ids=["mode_k0", "n_markers_4", "wall_panels_2", "cfl_0", "cfl_1.5",
-        "bem_mode_225", "bem_mode_300"])
-def test_out_of_range_value_is_exit_2(tmp_path, capsys, bad):
-    # RunConfig alone checks these ranges; the numerics trust them.
+        "bem_mode_225", "bem_mode_300", "corner_violation", "mode_300",
+        "reference_x1e153"])
+def test_out_of_range_value_is_exit_2(tmp_path, capsys, still_run, bad):
+    # RunConfig alone checks these rules, for every command; the numerics
+    # trust them.  A run directory whose config.json says the same is bad
+    # input too.
     path = write_cfg(tmp_path, {**SMALL_CONFIG, **bad})
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", path, "--out", out]) == 2
     assert main(["validate-bem", "--config", path]) == 2
     assert not os.path.exists(out)
     assert capsys.readouterr().err.count("configuration error") == 2
+    run = tmp_path / "run"
+    shutil.copytree(still_run["dir"], run)
+    stored = json.loads((run / "config.json").read_text())
+    (run / "config.json").write_text(json.dumps({**stored, **bad}))
+    assert main(["verify-identities", "--run", str(run)]) == 2
+    assert capsys.readouterr().out.startswith("error: ")
+
+
+def test_largest_carried_datum_reaches_a_verdict(tmp_path, capsys):
+    # The reference datum x 1.8e152 keeps its squared speed bound below
+    # float64's largest value (x 1e153 does not): the run must stop at
+    # t = 0 on L_overflow, under the suite's RuntimeWarning filter.
+    path = write_cfg(tmp_path, {**SMALL_CONFIG,
+                                "modes": scaled_reference_modes(1.8e152)})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["breakdown_kind"] == "L_overflow" and report["t_break"] == 0.0
+
+
+@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")],
+                         ids=["is_a_file", "under_a_file"])
+def test_unusable_out_is_exit_2(tmp_path, capsys, out):
+    # --out naming a file, or a path under one, is bad input, found before
+    # any run starts.
+    path = write_cfg(tmp_path, SMALL_CONFIG)
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / out)
+    assert main(["simulate", "--config", path, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create output directory {out}:")
+    assert (tmp_path / "afile").read_text() == ""
 
 
 class TestVerifyCommand:

@@ -6,8 +6,9 @@ appears as a name or attribute anywhere in the package's code; names in
 comments and docstrings do not count, and dunder methods are exempt.  A
 parameter with a default counts as used when some call inside the package,
 matched by the callee's name, passes it by keyword or by position.  A
-third scan keeps ``print`` calls to cli.py.  The last scan parses each
-module of tests/ and finds every name it imports used in its code.
+third scan keeps ``print`` calls to cli.py, and a fourth keeps every import
+at module level.  The last scan parses each module of tests/ and finds
+every name it imports used in its code.
 """
 
 import ast
@@ -107,6 +108,18 @@ def test_only_the_command_line_prints():
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert printing == []
+
+
+def test_no_import_inside_a_function():
+    # ``import wavebox.cli`` loads every module of the package, which
+    # perfbench's Tracer.install relies on.  Module-level blocks, such as
+    # ``if TYPE_CHECKING:``, are not function bodies and stay allowed.
+    lazy = sorted({f"{stem}:{node.lineno}" for stem, tree in _modules()
+                   for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert lazy == []
 
 
 def test_every_name_a_test_module_imports_is_used_in_it():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavebox.modes import ModePotential, initial_A, sample_initial_state
+from wavebox.runner import CORNER_TOL
 
 from conftest import make_reference_data
 
@@ -36,15 +37,14 @@ class TestModePotential:
         assert abs(lap) < 1e-5
 
     def test_corner_conditions(self):
-        make_reference_data(1.0).check_corners()
+        assert max(make_reference_data(1.0).corner_residuals()) <= CORNER_TOL
         lone = ModePotential(terms=((1, 1.0),))
-        with pytest.raises(ValueError):
-            lone.check_corners()
+        assert min(lone.corner_residuals()) > CORNER_TOL
 
     def test_empty_potential_is_still(self):
         pot = ModePotential(terms=())
         assert pot.phi(0.5, 0.5) == 0.0
-        pot.check_corners()
+        assert pot.corner_residuals() == (0.0, 0.0)
 
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ValueError):

@@ -90,9 +90,8 @@ class TestRunConfig:
             RunConfig.from_json(str(path))
 
     def test_corner_violation_rejected(self):
-        cfg = RunConfig.from_dict({"modes": [[1, 1.0]]})
         with pytest.raises(ConfigError, match="corner"):
-            cfg.potential()
+            RunConfig.from_dict({"modes": [[1, 1.0]]})
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(8, 64), cfl=st.floats(0.01, 1.0),
