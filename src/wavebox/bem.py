@@ -110,10 +110,8 @@ def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     ok = admissible_interior(mesh, pts, near_field_factor)
     if not ok.all():
-        bad = np.nonzero(~ok)[0]
-        raise NearBoundaryError(
-            f"{bad.size} point(s) outside the domain or in the near-field band",
-            bad_indices=bad)
+        raise NearBoundaryError(f"{np.count_nonzero(~ok)} point(s) outside "
+                                "the domain or in the near-field band")
     S, D = kernels.influence_matrices(mesh, pts)
     gS, gD = kernels.influence_gradients(mesh, pts)
     values = S @ cauchy.fluxes - D @ cauchy.values

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bem import CauchyData
-from .errors import BreakdownSignal
+from .errors import BreakdownError, BreakdownSignal
 from .evolution import FlowState
 from .geometry import (BoundaryMesh, gradient_1d, polygon_area, row_norms,
                        self_intersects, side_wall_crossing)
@@ -226,8 +226,8 @@ def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
 
 
 def detect_breakdown(state: FlowState, cfg: RunConfig,
-                     L: float | None = None) -> BreakdownSignal | None:
-    """First matching detector in fixed priority order, or None.
+                     L: float | None = None) -> None:
+    """Raise BreakdownError for the first matching detector, if any.
 
     Priority: bottom contact, self-intersection (a side-wall crossing
     included, as in ``build_boundary_mesh``), marker collision,
@@ -235,35 +235,34 @@ def detect_breakdown(state: FlowState, cfg: RunConfig,
     spacing below ``cfg.collide_tol`` times the initial spacing 1/(n-1),
     and a blow-up a curvature above ``cfg.curv_factor`` times (n-1).
     Timestep collapse and solver failure are raised where they occur
-    (adaptive_dt / rk4_step).
+    (adaptive_dt / rk4_step), so every breakdown reaches the record loop
+    the same way.
     """
     t = state.t
     x = state.curve.x
     if np.any(x[:, 1] <= 0.0):
         i = int(np.argmin(x[:, 1]))
-        return BreakdownSignal(t_break=t, kind="bottom_contact",
-                               detail=f"marker {i} at x2={x[i, 1]:.3e}")
+        raise BreakdownError(BreakdownSignal(
+            t, "bottom_contact", f"marker {i} at x2={x[i, 1]:.3e}"))
     i = side_wall_crossing(state.curve)
     if i is not None:
-        return BreakdownSignal(t_break=t, kind="self_intersection",
-                               detail=f"marker {i} crosses a side wall at x1={x[i, 0]:.3e}")
+        raise BreakdownError(BreakdownSignal(
+            t, "self_intersection", f"marker {i} crosses a side wall at x1={x[i, 0]:.3e}"))
     if self_intersects(state.curve):
-        return BreakdownSignal(t_break=t, kind="self_intersection",
-                               detail="interface polyline crosses itself")
+        raise BreakdownError(BreakdownSignal(
+            t, "self_intersection", "interface polyline crosses itself"))
     n = state.curve.n_markers
     spacing = state.curve.segment_lengths()
     floor = cfg.collide_tol * (1.0 / (n - 1))
     if float(spacing.min()) < floor:
-        return BreakdownSignal(
-            t_break=t, kind="marker_collision",
-            detail=f"spacing {spacing.min():.3e} below {floor:.3e}")
+        raise BreakdownError(BreakdownSignal(
+            t, "marker_collision", f"spacing {spacing.min():.3e} below {floor:.3e}"))
     curv = state.curve.turning_curvature()
     curv_max = cfg.curv_factor * (n - 1)
     if curv.size and float(curv.max()) > curv_max:
-        return BreakdownSignal(
-            t_break=t, kind="curvature_blowup",
-            detail=f"discrete curvature {curv.max():.3e} above {curv_max:.3e}")
+        raise BreakdownError(BreakdownSignal(
+            t, "curvature_blowup",
+            f"discrete curvature {curv.max():.3e} above {curv_max:.3e}"))
     if L is not None and abs(L) > cfg.L_max:
-        return BreakdownSignal(t_break=t, kind="L_overflow",
-                               detail=f"|L|={abs(L):.3e} above {cfg.L_max:.3e}")
-    return None
+        raise BreakdownError(BreakdownSignal(
+            t, "L_overflow", f"|L|={abs(L):.3e} above {cfg.L_max:.3e}"))

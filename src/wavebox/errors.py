@@ -28,10 +28,6 @@ class SingularMatrixError(RuntimeError):
 class NearBoundaryError(ValueError):
     """Interior evaluation requested inside the near-field exclusion band."""
 
-    def __init__(self, message: str, bad_indices=None):
-        super().__init__(message)
-        self.bad_indices = [] if bad_indices is None else list(bad_indices)
-
 
 BREAKDOWN_KINDS = (
     "self_intersection",

@@ -2,11 +2,13 @@
 
 Each basis term a_k cos(k pi x1) cosh(k pi x2) has zero normal derivative on
 all three walls by construction; the corner conditions (zero vertical
-velocity at the two pinned corners) constrain the amplitudes.
+velocity at the two pinned corners) constrain the amplitudes.  This module
+is the one place that evaluates a mode.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,15 @@ class ModePotential:
         left = sum(a * k * np.pi * np.sinh(k * np.pi) for k, a in self.terms)
         right = sum(a * k * np.pi * (-1.0) ** k * np.sinh(k * np.pi) for k, a in self.terms)
         return abs(left) / scale, abs(right) / scale
+
+    def gradient_bound(self) -> float:
+        """sum |a_k| k pi cosh(k pi): a bound on the speed |grad phi0| in the
+        unit box; inf beyond float64's range."""
+        try:
+            return sum(abs(a) * k * math.pi * math.cosh(k * math.pi)
+                       for k, a in self.terms)
+        except OverflowError:               # math.cosh itself overflowed
+            return math.inf
 
 
 def initial_A(potential: ModePotential) -> float:

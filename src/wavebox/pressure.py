@@ -65,13 +65,12 @@ def interior_lattice(field: PressureField, n_per_side: int) -> FloatArray:
 
 
 def pressure_min(field: PressureField, n_per_side: int):
-    """(min p, argmin point, max |p|) over the admissible interior lattice."""
+    """(min p, max |p|) over the admissible interior lattice."""
     pts = interior_lattice(field, n_per_side)
     if pts.shape[0] == 0:
         raise ValueError("no admissible lattice points (lattice too coarse)")
     p = pressure_at(field, pts)
-    i = int(np.argmin(p))
-    return float(p[i]), pts[i], float(np.abs(p).max())
+    return float(p[np.argmin(p)]), float(np.abs(p).max())
 
 
 def wall_pressure_values(field: PressureField) -> FloatArray:

@@ -4,13 +4,18 @@ The expensive simulations (reference blow-up run, negative control,
 refinement pair) run once per session and are reused by every test that
 inspects their artifacts.  The oracles below (reference data, interior
 velocity, Poisson residual of the pressure, flux compatibility) serve only
-the tests, so they live here rather than in the package.
+the tests, so they live here rather than in the package, as do the helpers
+more than one test module shares: the config writer, the child-process
+runner and the bit-equality assertion.  ``perfbench`` goes on the import
+path for its thread variables and artifact digests.
 """
 
 import json
 import logging
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +23,11 @@ import pytest
 from wavebox.bem import eval_interior
 from wavebox.pressure import pressure_at
 from wavebox.runner import RunConfig, simulate
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from run import THREAD_VARS  # noqa: E402
 
 
 def make_reference_data(amplitude):
@@ -181,10 +191,31 @@ def fresh_package_logger():
     logger.setLevel(logging.NOTSET)
 
 
-def write_config(path, cfg_dict):
-    with open(os.path.join(path, "config.json"), "w") as fh:
+def write_config(directory, cfg_dict):
+    """Write ``cfg_dict`` as ``directory/cfg.json``; return the path."""
+    path = os.path.join(directory, "cfg.json")
+    with open(path, "w") as fh:
         json.dump(cfg_dict, fh)
-    return os.path.join(path, "config.json")
+    return path
+
+
+def run_child(args, **kwargs):
+    """Stdout of ``python *args`` run with one BLAS thread and the package
+    on its path; the child must exit 0."""
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=300, **kwargs)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def assert_same_bits(got, want):
+    """Same shape, both float64, and the same bits: NaN payloads and the
+    signs of zeros included."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.fixture

@@ -6,8 +6,6 @@ import math
 import os
 import platform
 import shutil
-import subprocess
-import sys
 import tempfile
 import warnings
 
@@ -20,24 +18,18 @@ import wavebox.kernels as kernels
 from wavebox.cli import main
 from wavebox.runner import RunConfig, validate_bem
 
-from conftest import reference_modes
+from conftest import reference_modes, run_child, still_config_dict, write_config
 
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
-
-
-def write_cfg(tmp_path, cfg_dict, name="cfg.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(cfg_dict))
-    return str(path)
+# A valid config whose near-field band swallows every lattice point.
+NO_LATTICE = dict(modes=reference_modes(), n_markers=24, wall_panels_per_side=8,
+                  t_end_cap=1e-3, near_field_factor=50)
 
 
 class TestSimulateCommand:
     def test_still_fluid_run(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, dict(modes=[], n_markers=16,
-                                       wall_panels_per_side=8,
-                                       record_dt=0.25, t_end_cap=0.5))
+        cfg = write_config(tmp_path, dict(modes=[], n_markers=16,
+                                          wall_panels_per_side=8,
+                                          record_dt=0.25, t_end_cap=0.5))
         out = str(tmp_path / "out")
         code = main(["simulate", "--config", cfg, "--out", out, "--quiet"])
         assert code == 0
@@ -51,35 +43,57 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", "/no/such/file.json"]) == 2
 
     def test_unknown_key_is_exit_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"n_markers": 16, "frobnicate": True})
+        cfg = write_config(tmp_path, {"n_markers": 16, "frobnicate": True})
         assert main(["simulate", "--config", cfg]) == 2
 
     def test_bad_mode_data_is_exit_2(self, tmp_path, capsys):
         # single odd mode violates the pinned-corner conditions
-        cfg = write_cfg(tmp_path, {"modes": [[1, 1.0]], "n_markers": 16})
+        cfg = write_config(tmp_path, {"modes": [[1, 1.0]], "n_markers": 16})
         assert main(["simulate", "--config", cfg]) == 2
 
 
     @pytest.mark.parametrize("coefficient", [math.inf, math.nan])
     def test_non_finite_mode_is_exit_2(self, tmp_path, capsys, coefficient):
-        cfg = write_cfg(tmp_path, {"modes": [[1, coefficient]], "n_markers": 16})
+        cfg = write_config(tmp_path, {"modes": [[1, coefficient]], "n_markers": 16})
         assert main(["simulate", "--config", cfg]) == 2
 
     def test_fractional_marker_count_is_exit_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"n_markers": 16.5})
+        cfg = write_config(tmp_path, {"n_markers": 16.5})
         assert main(["simulate", "--config", cfg]) == 2
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
-        # a valid config whose near-field band swallows every lattice point:
         # pressure_min raises a plain ValueError, which is no failed check
-        cfg = write_cfg(tmp_path, dict(modes=reference_modes(), n_markers=24,
-                                       wall_panels_per_side=8, t_end_cap=1e-3,
-                                       near_field_factor=50))
+        cfg = write_config(tmp_path, NO_LATTICE)
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failure: ValueError: no admissible lattice")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_shorter_rerun_keeps_only_its_records(self, tmp_path, capsys):
+        # An output directory holds one run: the rerun's 11 records replace
+        # the first run's 21, and a file no run writes stays.
+        out = tmp_path / "out"
+        for t_end_cap, n_records in ((1.0, 21), (0.5, 11)):
+            cfg = write_config(tmp_path, dict(still_config_dict(),
+                                              t_end_cap=t_end_cap))
+            assert main(["simulate", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+            (out / "notes.txt").write_text("kept")
+            assert len(os.listdir(out / "snapshots")) == n_records
+        assert json.loads((out / "report.json").read_text())["n_records"] == 11
+        assert (out / "notes.txt").read_text() == "kept"
+        assert main(["verify-identities", "--run", str(out), "--quiet"]) == 0
+
+    def test_failed_rerun_leaves_no_artifacts(self, tmp_path, capsys):
+        # A run that exits 3 leaves no earlier run's report to verify.
+        out = str(tmp_path / "out")
+        cfg = write_config(tmp_path, still_config_dict())
+        assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
+        cfg = write_config(tmp_path, NO_LATTICE)
+        assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 3
+        assert os.listdir(out) == []
+        assert main(["verify-identities", "--run", out, "--quiet"]) == 2
 
 
 # Each numeric config value, top level or inside a list, and whether it must
@@ -153,7 +167,7 @@ def test_out_of_range_value_is_exit_2(tmp_path, capsys, still_run, bad):
     # RunConfig alone checks these rules, for every command; the numerics
     # trust them.  A run directory whose config.json says the same is bad
     # input too.
-    path = write_cfg(tmp_path, {**SMALL_CONFIG, **bad})
+    path = write_config(tmp_path, {**SMALL_CONFIG, **bad})
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", path, "--out", out]) == 2
     assert main(["validate-bem", "--config", path]) == 2
@@ -171,8 +185,8 @@ def test_largest_carried_datum_reaches_a_verdict(tmp_path, capsys):
     # The reference datum x 1.8e152 keeps its squared speed bound below
     # float64's largest value (x 1e153 does not): the run must stop at
     # t = 0 on L_overflow, under the suite's RuntimeWarning filter.
-    path = write_cfg(tmp_path, {**SMALL_CONFIG,
-                                "modes": scaled_reference_modes(1.8e152)})
+    path = write_config(tmp_path, {**SMALL_CONFIG,
+                                   "modes": scaled_reference_modes(1.8e152)})
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -184,7 +198,7 @@ def test_largest_carried_datum_reaches_a_verdict(tmp_path, capsys):
 def test_unusable_out_is_exit_2(tmp_path, capsys, out):
     # --out naming a file, or a path under one, is bad input, found before
     # any run starts.
-    path = write_cfg(tmp_path, SMALL_CONFIG)
+    path = write_config(tmp_path, SMALL_CONFIG)
     (tmp_path / "afile").write_text("")
     out = str(tmp_path / out)
     assert main(["simulate", "--config", path, "--out", out, "--quiet"]) == 2
@@ -195,9 +209,9 @@ def test_unusable_out_is_exit_2(tmp_path, capsys, out):
 
 class TestVerifyCommand:
     def test_round_trip(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, dict(modes=reference_modes(), n_markers=24,
-                                       wall_panels_per_side=8, record_dt=2e-4,
-                                       t_end_cap=6e-4))
+        cfg = write_config(tmp_path, dict(modes=reference_modes(), n_markers=24,
+                                          wall_panels_per_side=8, record_dt=2e-4,
+                                          t_end_cap=6e-4))
         out = str(tmp_path / "out")
         assert main(["simulate", "--config", cfg, "--out", out,
                      "--quiet"]) == 0
@@ -214,9 +228,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("report", [
         "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1},
-        {"breakdown_kind": False}, {"breakdown_kind": 5}],
+        {"breakdown_kind": False}, {"breakdown_kind": 5},
+        {"all_passed": "true"}, {"a_consistent": None}],
         ids=["list", "string", "check-as-string", "check-as-number",
-             "breakdown-as-false", "breakdown-as-number"])
+             "breakdown-as-false", "breakdown-as-number",
+             "all-passed-as-string", "verdict-as-null"])
     def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
                                         report):
         run = tmp_path / "run"
@@ -227,19 +243,32 @@ class TestVerifyCommand:
         assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
         assert "solver failure" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        {"a_consistent": False, "blowup_bound_held": False, "t_star": 1e-9},
+        {"all_passed": False}], ids=["failed-verdicts", "passed-verdicts"])
+    def test_all_passed_must_match_the_verdicts(self, ref_run, tmp_path, capsys,
+                                                edit):
+        # all_passed is a_consistent and blowup_bound_held and every check
+        run = tmp_path / "run"
+        shutil.copytree(ref_run["dir"], run)
+        assert ref_run["report"]["all_passed"] is True
+        (run / "report.json").write_text(json.dumps(dict(ref_run["report"], **edit)))
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert "report mismatch: all_passed" in capsys.readouterr().out
+
 
 class TestValidateBemCommand:
     def test_default_sweep_passes(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"bem_panel_counts": [32, 64, 128],
-                                   "bem_mode_ks": [1]})
+        cfg = write_config(tmp_path, {"bem_panel_counts": [32, 64, 128],
+                                      "bem_mode_ks": [1]})
         assert main(["validate-bem", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "constant data" in out and "order" in out
 
     def test_repeated_calls_print_once(self, tmp_path, capsys):
         # each call replaces the stdout handler of the last, not adds one
-        cfg = write_cfg(tmp_path, {"bem_panel_counts": [32, 64],
-                                   "bem_mode_ks": [1]})
+        cfg = write_config(tmp_path, {"bem_panel_counts": [32, 64],
+                                      "bem_mode_ks": [1]})
         assert main(["validate-bem", "--config", cfg]) == 0
         first = capsys.readouterr().out
         assert first.count("validation passed") == 1
@@ -247,8 +276,8 @@ class TestValidateBemCommand:
         assert capsys.readouterr().out == first
 
     def test_single_panel_count_is_exit_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, {"bem_panel_counts": [32],
-                                   "bem_mode_ks": [1]})
+        cfg = write_config(tmp_path, {"bem_panel_counts": [32],
+                                      "bem_mode_ks": [1]})
         assert main(["validate-bem", "--config", cfg]) == 2
 
     def test_largest_float64_mode_runs_without_warning(self, tmp_path, capsys):
@@ -256,11 +285,20 @@ class TestValidateBemCommand:
         # rejected at load): the sweep must reach a verdict without a
         # numpy warning.
         assert math.isfinite(224 * math.pi * math.cosh(224 * math.pi))
-        cfg = write_cfg(tmp_path, {"bem_mode_ks": [224]})
+        cfg = write_config(tmp_path, {"bem_mode_ks": [224]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["validate-bem", "--config", cfg]) in (0, 1)
         assert "mode k=224:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", [40, 60, 200])
+    def test_unresolved_mode_fails(self, tmp_path, capsys, k):
+        # Each error falls monotonically at order >= 1, yet at 256 panels it
+        # is still 1.52, 3.92 or 2.45: above the bound, so not resolved.
+        cfg = write_config(tmp_path, {"bem_mode_ks": [k]})
+        assert main(["validate-bem", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert f"mode k={k}: error" in out and "validation FAILED" in out
 
     def test_broken_kernel_sign_fails(self, monkeypatch, capsys):
         # negative control: flip the single-layer sign and the sweep must fail
@@ -307,31 +345,21 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def run_child(code):
-    """Run ``code`` in a fresh interpreter on the source tree; return stdout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="keeping freed memory needs glibc's mallopt")
 def test_freed_solver_arrays_are_reused():
     # Without the call the 50 rounds take about 9,500 minor faults.
-    assert int(run_child(CHURN)) < 1000
+    assert int(run_child(["-c", CHURN], text=True)) < 1000
 
 
 def test_cli_import_loads_no_scipy_interpolate():
     # scipy.interpolate pulls in scipy.optimize, sparse, spatial and special:
     # about 0.3 s and 23 MB of every process, for one PCHIP
-    loaded = run_child(
+    loaded = run_child(["-c",
         "import sys, wavebox.cli\n"
         "print(*(m for m in sys.modules\n"
         "        if m.split('.')[:2] in (['scipy', 'interpolate'],\n"
-        "                                ['scipy', 'optimize'])))")
+        "                                ['scipy', 'optimize'])))"], text=True)
     assert loaded.split() == []
 
 
@@ -359,6 +387,6 @@ print(scipy.linalg._flapack.__name__,
 def test_cli_import_loads_no_scipy_linalg_package():
     # scipy.linalg's package loads scipy._lib, numpy.f2py and numpy.testing:
     # about 0.3 s and 24 MB of every process, for dgetrf and dgetrs
-    loaded, after = run_child(LINALG_GUARD).splitlines()
+    loaded, after = run_child(["-c", LINALG_GUARD], text=True).splitlines()
     assert loaded.split() == []
     assert after.split() == ["scipy.linalg._flapack", "True"]

@@ -13,7 +13,7 @@ from wavebox.diagnostics import (DERIVED_FIELDS, blowup_bound,
                                  constant_c1, detect_breakdown, fill_derived,
                                  int_u1_squared, riccati_envelope,
                                  virial_parts, wall_u2_squared)
-from wavebox.errors import SelfIntersectionError
+from wavebox.errors import BreakdownError, SelfIntersectionError
 from wavebox.evolution import FlowState
 from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
                               flat_interface, self_intersects)
@@ -394,6 +394,16 @@ class TestFillDerivedBits:
         assert_same_derived(columns, 2.0, 1.5)
 
 
+def signal_of(state, cfg, L=None):
+    """The signal ``detect_breakdown`` raises for ``state``, or None; it
+    returns nothing."""
+    try:
+        assert detect_breakdown(state, cfg, L=L) is None
+    except BreakdownError as exc:
+        return exc.signal
+    return None
+
+
 class TestDetectors:
     def make_state(self, curve):
         return FlowState(t=1.0, curve=curve, phi=np.zeros(curve.n_markers),
@@ -404,21 +414,21 @@ class TestDetectors:
 
     def test_quiet_state(self):
         state = self.make_state(flat_interface(11))
-        assert detect_breakdown(state, RunConfig()) is None
+        assert signal_of(state, RunConfig()) is None
 
     def test_bottom_contact(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = -0.01
         state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = detect_breakdown(state, RunConfig())
+        sig = signal_of(state, RunConfig())
         assert sig.kind == "bottom_contact" and sig.t_break == 1.0
 
     def test_self_intersection(self):
         x1 = np.array([0.0, 0.7, 0.7, 0.3, 0.3, 1.0])
         x2 = np.array([1.0, 1.2, 0.6, 0.6, 1.2, 1.0])
         state = self.make_state(InterfaceCurve(np.column_stack([x1, x2])))
-        assert detect_breakdown(state, RunConfig()).kind == "self_intersection"
+        assert signal_of(state, RunConfig()).kind == "self_intersection"
 
     def test_side_wall_crossing(self):
         # A simple polyline that bulges through the right wall: the mesh
@@ -429,7 +439,7 @@ class TestDetectors:
         x[22, 0] = 1.02
         state = self.make_state(InterfaceCurve(x))
         assert not self_intersects(state.curve)
-        sig = detect_breakdown(state, RunConfig())
+        sig = signal_of(state, RunConfig())
         assert sig.kind == "self_intersection" and sig.t_break == 1.0
         assert "marker 22" in sig.detail
         with pytest.raises(SelfIntersectionError):
@@ -440,19 +450,19 @@ class TestDetectors:
         x1 = s.copy()
         x1[5] = x1[4] + 1e-4    # nearly coincident pair
         state = self.make_state(InterfaceCurve(np.column_stack([x1, np.ones(11)])))
-        assert detect_breakdown(state, RunConfig()).kind == "marker_collision"
+        assert signal_of(state, RunConfig()).kind == "marker_collision"
 
     def test_curvature_blowup(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = 1.4             # sharp spike
         state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = detect_breakdown(state, RunConfig(curv_factor=0.5))
+        sig = signal_of(state, RunConfig(curv_factor=0.5))
         assert sig.kind == "curvature_blowup"
 
     def test_L_overflow(self):
         state = self.make_state(flat_interface(11))
-        sig = detect_breakdown(state, RunConfig(L_max=10.0), L=11.0)
+        sig = signal_of(state, RunConfig(L_max=10.0), L=11.0)
         assert sig.kind == "L_overflow"
 
     @pytest.mark.parametrize("n", [11, 96])
@@ -462,22 +472,22 @@ class TestDetectors:
         for gap, kind in ((0.99 * floor, "marker_collision"), (1.01 * floor, None)):
             x = flat_interface(n).x.copy()
             x[n // 2, 0] = x[n // 2 - 1, 0] + gap
-            sig = detect_breakdown(self.make_state(InterfaceCurve(x)), cfg)
+            sig = signal_of(self.make_state(InterfaceCurve(x)), cfg)
             assert (sig and sig.kind) == kind
         x = flat_interface(n).x.copy()
         x[n // 2, 1] = 1.01
         state = self.make_state(InterfaceCurve(x))
         curv_factor = state.curve.turning_curvature().max() / (n - 1)
         for factor, kind in ((0.99, "curvature_blowup"), (1.01, None)):
-            sig = detect_breakdown(state, RunConfig(curv_factor=factor * curv_factor))
+            sig = signal_of(state, RunConfig(curv_factor=factor * curv_factor))
             assert (sig and sig.kind) == kind
 
     def test_L_limit_is_exclusive(self):
         state = self.make_state(flat_interface(11))
         cfg = RunConfig(L_max=10.0)
         for L in (10.0, -10.0):
-            assert detect_breakdown(state, cfg, L=L) is None
-            sig = detect_breakdown(state, cfg, L=np.nextafter(L, 2.0 * L))
+            assert signal_of(state, cfg, L=L) is None
+            sig = signal_of(state, cfg, L=np.nextafter(L, 2.0 * L))
             assert sig.kind == "L_overflow"
 
     def test_priority_bottom_before_collision(self):
@@ -485,4 +495,4 @@ class TestDetectors:
         x = np.column_stack([s, np.ones(11)])
         x[5] = [x[4, 0] + 1e-4, -0.01]    # collides AND touches bottom
         state = self.make_state(InterfaceCurve(x))
-        assert detect_breakdown(state, RunConfig()).kind == "bottom_contact"
+        assert signal_of(state, RunConfig()).kind == "bottom_contact"

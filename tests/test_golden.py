@@ -17,16 +17,12 @@ the recorded text.
 import hashlib
 import json
 import os
-import subprocess
-import sys
 
-from conftest import neg_config_dict, reference_config_dict, still_config_dict
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-from run import THREAD_VARS, tree_digest  # noqa: E402
-from workloads import GOLDEN_SHA256 as BENCH_SHA256  # noqa: E402
+# conftest puts perfbench on the import path
+from conftest import (neg_config_dict, reference_config_dict, run_child,
+                      still_config_dict)
+from run import tree_digest
+from workloads import GOLDEN_SHA256 as BENCH_SHA256
 
 GOLDEN_SHA256 = {
     "reference":
@@ -97,27 +93,14 @@ all recomputed checks passed and match the stored report
 """
 
 
-def run_child(args, **kwargs):
-    """A Python child with one BLAS thread and the package on its path."""
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, timeout=300, **kwargs)
-
-
 def run_cli(*args):
-    proc = run_child(["-m", "wavebox.cli", *args])
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return run_child(["-m", "wavebox.cli", *args])
 
 
 def test_artifacts_match_golden_digests(tmp_path):
-    proc = run_child(["-c", CHILD, str(tmp_path)],
-                     input=json.dumps(CONFIGS), text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {name: 0 for name in CONFIGS}
+    stdout = run_child(["-c", CHILD, str(tmp_path)],
+                       input=json.dumps(CONFIGS), text=True)
+    assert json.loads(stdout) == {name: 0 for name in CONFIGS}
     digests = {name: tree_digest(os.path.join(tmp_path, name))
                for name in CONFIGS}
     assert digests == GOLDEN_SHA256

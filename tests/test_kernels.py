@@ -18,7 +18,7 @@ from wavebox.kernels import (TWO_PI, DenseSystem, influence_gradients,
                              influence_matrices, solve_dense)
 from wavebox.modes import sample_initial_state
 
-from conftest import make_reference_data
+from conftest import assert_same_bits, make_reference_data
 
 
 class TestSolveDense:
@@ -346,13 +346,6 @@ def _ref_influence_gradients(mesh, targets):
     term1 = (-eta[:, :, None] * t - u1[:, :, None] * n) / r1sq[:, :, None]
     gradD = (term2 - term1) / TWO_PI
     return gradS, gradD
-
-
-def assert_same_bits(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-    assert np.array_equal(got, want, equal_nan=True)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def assert_matrices_match(mesh, targets):

@@ -66,10 +66,9 @@ class TestPhiT:
 
 class TestPressureInterior:
     def test_positive_on_lattice(self, ref_field):
-        p_min, argmin, p_absmax = pressure_min(ref_field, 16)
+        p_min, p_absmax = pressure_min(ref_field, 16)
         assert p_min > 0.0
         assert p_absmax >= p_min
-        assert argmin.shape == (2,)
 
     def test_velocity_matches_modes(self, ref_field):
         pts = np.array([[0.31, 0.52], [0.74, 0.66]])

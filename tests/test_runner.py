@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import wavebox.runner as runner
 from wavebox.diagnostics import CSV_FIELDS
+from wavebox.errors import GeometryError
 from wavebox.evolution import FlowState
 from wavebox.geometry import InterfaceCurve
 from wavebox.runner import (ConfigError, RunConfig, evaluate_checks,
@@ -345,3 +346,15 @@ class TestRecordTimeBreakdown:
         assert result.breakdown.kind == "self_intersection"
         assert result.breakdown.t_break == result.t_final == 0.05
         assert "marker 22" in result.breakdown.detail
+
+    def test_unclassified_failure_is_raised(self, monkeypatch):
+        # A record that fails on a surface no detector flags is no
+        # breakdown: the GeometryError reaches the caller.
+        def failing_record(*args):
+            raise GeometryError("degenerate panel")
+
+        monkeypatch.setattr(runner, "_collect_record", failing_record)
+        cfg = RunConfig.from_dict(dict(modes=[], n_markers=24,
+                                       wall_panels_per_side=8))
+        with pytest.raises(GeometryError, match="degenerate panel"):
+            run_simulation(cfg)
