@@ -53,19 +53,23 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     S, D = kernels.influence_matrices(mesh, mesh.midpoints, collocation=True)
     D.reshape(-1)[::n + 1] += 0.5            # D + I/2; D is C-contiguous, so a view
 
-    rhs = np.empty(phi_s.shape[:-1] + (n + 1,))
+    # Each array is released once spent: at the LU only A and LAPACK's copy live.
+    A = np.empty((n + 1, n + 1))
+    A[:n, sl] = S                            # unknown surface fluxes
+    del S
+    np.negative(D[:, :sl.start], out=A[:n, :sl.start])   # unknown wall values
+    np.negative(D[:, sl.stop:], out=A[:n, sl.stop:n])
     # A Fortran-ordered copy of the columns picks BLAS's column-sweeping
     # gemv; a C-ordered slice view would sum in another order.  Each datum
     # gets its own gemv on its row as given, so it sums as a solve of that
     # row alone; one matrix product over the stack would not.
     D_surface = np.asfortranarray(D[:, sl])
+    del D
+    rhs = np.empty(phi_s.shape[:-1] + (n + 1,))
     for datum, b in zip(np.atleast_2d(phi_s), np.atleast_2d(rhs)):
         b[:n] = D_surface @ datum
+    del D_surface
     rhs[..., n] = 0.0
-    A = np.empty((n + 1, n + 1))
-    A[:n, sl] = S                            # unknown surface fluxes
-    np.negative(D[:, :sl.start], out=A[:n, :sl.start])   # unknown wall values
-    np.negative(D[:, sl.stop:], out=A[:n, sl.stop:n])
     # Exact discrete compatibility: the net boundary flux of a harmonic
     # function vanishes, but midpoint collocation only gets it to truncation
     # error.  A Lagrange multiplier spread over all collocation equations
@@ -113,8 +117,9 @@ def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,
         raise NearBoundaryError(f"{np.count_nonzero(~ok)} point(s) outside "
                                 "the domain or in the near-field band")
     S, D = kernels.influence_matrices(mesh, pts)
-    gS, gD = kernels.influence_gradients(mesh, pts)
     values = S @ cauchy.fluxes - D @ cauchy.values
+    del S, D                    # released before the gradients' arrays
+    gS, gD = kernels.influence_gradients(mesh, pts)
     gradients = (np.einsum("mnj,n->mj", gS, cauchy.fluxes)
                  - np.einsum("mnj,n->mj", gD, cauchy.values))
     return values, gradients

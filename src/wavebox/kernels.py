@@ -23,6 +23,9 @@ from .geometry import wall_mesh
 FloatArray = NDArray[np.float64]
 
 TWO_PI = 2.0 * np.pi
+# (target, panel) pairs per block of influence_matrices: 128 rows of the
+# 639-panel validate-bem mesh's 255 surface columns
+PAIR_BUDGET = 32768
 
 
 def _load_flapack():
@@ -152,45 +155,48 @@ def _u_log_r_minus_u(u: FloatArray, eta2: FloatArray, out: FloatArray) -> FloatA
     return out
 
 
-def _layers(mesh, targets: FloatArray, cols=slice(None)):
-    """(S, D) of every target against the contiguous panel block cols.
+def _layers(mesh, targets: FloatArray, cols, S: FloatArray, D: FloatArray):
+    """(S, D) of every target against the contiguous panel block cols,
+    written into the given (m, n_cols) arrays.
 
     In panel-local coordinates S = -(F(u2) - F(u1)) / 2pi with the
     antiderivative F(u) = u ln sqrt(u^2+eta^2) - u + eta atan(u/eta),
     continuous at eta = 0, and D = (atan(u2/eta) - atan(u1/eta)) / 2pi.
     Each arctan is evaluated once and shared by S and D, and each spent
-    array's storage takes the next value, so at most six (m,n) arrays are
-    live at once.
+    array's storage takes the next value, so besides S and D at most four
+    (m,n) arrays are live at once.  D may be a strided view (a block of
+    columns): it is formed in a spent array and copied in once, so that no
+    ufunc works on it.
     """
     u1, u2, eta = _local_coords(mesh, targets, cols)
     on_axis = eta == 0.0
-    eta2 = eta * eta
-
-    # F(u2) into S; u2's storage then takes eta*atan(u2/eta), 0 at eta = 0,
-    # and next atan(u1/eta).
-    D = _arctan_ratio(u2, eta)
-    S = _u_log_r_minus_u(u2, eta2, out=np.empty_like(eta))
-    eta_atan = np.multiply(eta, D, out=u2)
-    eta_atan[on_axis] = 0.0
-    S += eta_atan
-    atan1 = _arctan_ratio(u1, eta, out=u2)
-    D -= atan1
-    eta_atan = np.multiply(eta, atan1, out=atan1)
-    eta_atan[on_axis] = 0.0
     # Targets on the panel line (self-panel midpoints in particular) get the
     # principal value 0; without the mask, roundoff-scale eta would make the
-    # subtended angle flip to +-pi and D to +-1/2.  eta's storage then takes
-    # F(u1).
-    on_line = np.abs(eta, out=eta) <= 1e-12 * mesh.lengths[cols]
-    F1 = _u_log_r_minus_u(u1, eta2, out=eta)
+    # subtended angle flip to +-pi and D to +-1/2.  |eta| takes S's storage
+    # until F(u2) does.
+    on_line = np.abs(eta, out=S) <= 1e-12 * mesh.lengths[cols]
+
+    # F(u2) into S; u2's storage then takes atan(u2/eta), and a fourth
+    # array eta*atan(u2/eta), 0 at eta = 0, and next atan(u1/eta).
+    _u_log_r_minus_u(u2, eta * eta, out=S)
+    atan2 = _arctan_ratio(u2, eta, out=u2)
+    eta_atan = np.multiply(eta, atan2)
+    eta_atan[on_axis] = 0.0
+    S += eta_atan
+    atan1 = _arctan_ratio(u1, eta, out=eta_atan)
+    D_block = np.subtract(atan2, atan1, out=atan2)
+    D_block /= TWO_PI
+    D_block[on_line] = 0.0
+    D[...] = D_block
+    eta_atan = np.multiply(eta, atan1, out=atan1)
+    eta_atan[on_axis] = 0.0
+    # eta's storage takes F(u1).
+    F1 = _u_log_r_minus_u(u1, np.multiply(eta, eta, out=D_block), out=eta)
     F1 += eta_atan
     # -(F(u2) - F(u1)) in one pass: the same bits, except that an exact
     # tie F(u1) == F(u2) gives +0 where the negation gave -0.
     np.subtract(F1, S, out=S)
     S /= TWO_PI
-    D /= TWO_PI
-    D[on_line] = 0.0
-    return S, D
 
 
 def _double_layer(mesh, targets: FloatArray, cols=slice(None)) -> FloatArray:
@@ -229,14 +235,20 @@ def influence_matrices(mesh, targets: FloatArray, collocation: bool = False):
     zero flux).  S then has shape (n, n_surface).  D is still (n, n), with
     the same bits, but its wall x wall block comes from a per-wall-count
     cache, and only surface midpoints are evaluated against wall panels.
+
+    ``_layers`` runs over blocks of target rows, at most ``PAIR_BUDGET``
+    pairs each, and writes into S and D in place.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if not collocation:
-        return _layers(mesh, targets)
     n, w, sl = mesh.n_panels, mesh.wall_panels_per_side, mesh.surface_slice
-    S, D_surface = _layers(mesh, targets, sl)
-    D = np.empty((n, n))
-    D[:, sl] = D_surface
+    cols = sl if collocation else slice(0, n)
+    S = np.empty((len(targets), cols.stop - cols.start))
+    D = np.empty((len(targets), n))
+    step = max(1, PAIR_BUDGET // S.shape[1])
+    for i in range(0, len(targets), step):
+        _layers(mesh, targets[i:i + step], cols, S[i:i + step], D[i:i + step, cols])
+    if not collocation:
+        return S, D
     D_walls = _wall_double_layer(w)
     # The walls as two contiguous blocks, bottom and right, then left, each
     # with its rows and columns in the cached block.
@@ -252,7 +264,9 @@ def influence_gradients(mesh, targets: FloatArray):
     """Gradients (w.r.t. target) of the single/double layer panel integrals.
 
     Returns (gradS, gradD), each of shape (m, n, 2).  Targets must be off
-    every panel (interior evaluation only).
+    every panel (interior evaluation only).  gradD is formed first, while
+    u1, u2 and eta are intact; the logs and arctangents of gradS then take
+    the storage of the arrays gradD has spent.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     u1, u2, eta = _local_coords(mesh, targets)
@@ -261,30 +275,17 @@ def influence_gradients(mesh, targets: FloatArray):
     r1sq += eta2
     r2sq = u2 * u2
     r2sq += eta2
+    del eta2
     if r1sq.min() < 1e-28 or r2sq.min() < 1e-28:
         raise GeometryError("influence_gradients: target coincides with a panel endpoint")
-    # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between limits
-    neg_dlog = np.log(r2sq)
-    neg_dlog -= np.log(r1sq)
-    neg_dlog *= 0.5
-    np.negative(neg_dlog, out=neg_dlog)
-    dang = _arctan_ratio(u2, eta)
-    dang -= _arctan_ratio(u1, eta)
-    # eta == 0 only for collinear off-panel targets; they subtend zero angle.
-    dang[eta == 0.0] = 0.0
+    tangents, normals = mesh.tangents.T.copy(), mesh.normals.T.copy()
     # grad of int dG/dn ds, from d/dx atan(u/eta) = (eta*grad u - u*grad eta)/r^2
     # with grad u = -t, grad eta = n.  Each component is formed in
     # contiguous (m,n) arrays and written into the (m,n,2) output once.
-    neg_eta = np.negative(eta, out=eta)
-    gradS = np.empty(eta.shape + (2,))
+    neg_eta = np.negative(eta)
     gradD = np.empty(eta.shape + (2,))
-    for c, (t, n) in enumerate(zip(mesh.tangents.T.copy(), mesh.normals.T.copy())):
-        gs = neg_dlog * t
-        gs += dang * n
-        np.negative(gs, out=gs)
-        gs /= TWO_PI
-        gradS[..., c] = gs
-        base = np.multiply(neg_eta, t, out=gs)
+    for c, (t, n) in enumerate(zip(tangents, normals)):
+        base = neg_eta * t
         term2 = base - u2 * n
         term2 /= r2sq
         term1 = np.subtract(base, u1 * n, out=base)
@@ -292,4 +293,22 @@ def influence_gradients(mesh, targets: FloatArray):
         term2 -= term1
         term2 /= TWO_PI
         gradD[..., c] = term2
+        del base, term1, term2
+    # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between limits
+    neg_dlog = np.log(r2sq, out=r2sq)
+    neg_dlog -= np.log(r1sq, out=r1sq)
+    neg_dlog *= 0.5
+    np.negative(neg_dlog, out=neg_dlog)
+    dang = _arctan_ratio(u2, eta, out=u2)
+    dang -= _arctan_ratio(u1, eta, out=u1)
+    # eta == 0 only for collinear off-panel targets; they subtend zero angle.
+    dang[eta == 0.0] = 0.0
+    del u1, r1sq, eta, neg_eta
+    gradS = np.empty(dang.shape + (2,))
+    for c, (t, n) in enumerate(zip(tangents, normals)):
+        gs = neg_dlog * t
+        gs += dang * n
+        np.negative(gs, out=gs)
+        gs /= TWO_PI
+        gradS[..., c] = gs
     return gradS, gradD

@@ -580,6 +580,10 @@ def verify_identities(run_dir: str) -> int:
         if not (kind is None or isinstance(kind, str)):
             raise ValueError(f"{report_path}: breakdown_kind is neither "
                              f"null nor a string: {kind!r}")
+        n_records = stored.get("n_records")
+        if type(n_records) is not int:
+            raise ValueError(f"{report_path}: n_records is not an integer")
+        snapshots = set(os.listdir(os.path.join(run_dir, "snapshots")))
     except (OSError, ValueError, ConfigError) as exc:
         log.warning("error: %s", exc)
         return 2
@@ -595,6 +599,11 @@ def verify_identities(run_dir: str) -> int:
     passed = stored["a_consistent"] and stored["blowup_bound_held"] and not failed
     if stored["all_passed"] != passed:
         mismatched.append("all_passed")
+    # one snapshot per record, named as write_snapshots names them; the
+    # directory is only listed, never read
+    n = columns["t"].size
+    if n_records != n or snapshots != {f"{i:04d}.csv" for i in range(n)}:
+        mismatched.append("snapshots")
     for key in CHECK_KEYS:
         note = " (mismatches report)" if key in mismatched else ""
         log.info("  %s: %s%s", key, checks[key], note)

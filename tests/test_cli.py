@@ -229,10 +229,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("report", [
         "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1},
         {"breakdown_kind": False}, {"breakdown_kind": 5},
-        {"all_passed": "true"}, {"a_consistent": None}],
+        {"all_passed": "true"}, {"a_consistent": None}, {"n_records": 11.0},
+        {"n_records": True}],
         ids=["list", "string", "check-as-string", "check-as-number",
              "breakdown-as-false", "breakdown-as-number",
-             "all-passed-as-string", "verdict-as-null"])
+             "all-passed-as-string", "verdict-as-null", "records-as-float",
+             "records-as-bool"])
     def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
                                         report):
         run = tmp_path / "run"
@@ -255,6 +257,25 @@ class TestVerifyCommand:
         (run / "report.json").write_text(json.dumps(dict(ref_run["report"], **edit)))
         assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
         assert "report mismatch: all_passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", ["copied", "deleted", "n_records"])
+    def test_snapshots_must_match_the_records(self, tmp_path, capsys, edit):
+        # The still fluid's 11 records: snapshots/ must hold 0000.csv to
+        # 0010.csv, and report.json must say 11.
+        cfg = write_config(tmp_path, dict(still_config_dict(), t_end_cap=0.5))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert main(["verify-identities", "--run", str(out), "--quiet"]) == 0
+        snapshots = out / "snapshots"
+        if edit == "copied":
+            shutil.copy(snapshots / "0010.csv", snapshots / "0011.csv")
+        elif edit == "deleted":
+            os.remove(snapshots / "0004.csv")
+        else:
+            report = json.loads((out / "report.json").read_text())
+            (out / "report.json").write_text(json.dumps(dict(report, n_records=12)))
+        assert main(["verify-identities", "--run", str(out), "--quiet"]) == 1
+        assert "report mismatch: snapshots" in capsys.readouterr().out
 
 
 class TestValidateBemCommand:

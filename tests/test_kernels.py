@@ -17,6 +17,7 @@ from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
 from wavebox.kernels import (TWO_PI, DenseSystem, influence_gradients,
                              influence_matrices, solve_dense)
 from wavebox.modes import sample_initial_state
+from wavebox.pressure import PressureField, interior_lattice
 
 from conftest import assert_same_bits, make_reference_data
 
@@ -527,3 +528,107 @@ class TestCollocationMode:
         second = bem.solve_mixed_bvp(mesh, phi_s)
         assert_same_bits(second.values, first.values)
         assert_same_bits(second.fluxes, first.fluxes)
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: influence_matrices runs _layers over blocks of target rows, at
+# most PAIR_BUDGET (target, panel) pairs each, written into S and D in place.
+# A ragged last block must leave every bit as one block gives it.
+# ---------------------------------------------------------------------------
+
+def assert_blocks_match(monkeypatch, mesh, budget, collocation):
+    n_cols = mesh.n_markers - 1 if collocation else mesh.n_panels
+    assert budget // n_cols > 1 and mesh.n_panels % (budget // n_cols) != 0
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+    blocked = influence_matrices(mesh, mesh.midpoints, collocation=collocation)
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", 10**9)
+    whole = influence_matrices(mesh, mesh.midpoints, collocation=collocation)
+    for got, want in zip(blocked, whole):
+        assert_same_bits(got, want)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("collocation", [True, False],
+                             ids=["collocation", "default"])
+    @pytest.mark.parametrize("w", [16, 24])
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_ragged_blocks(self, monkeypatch, name, w, collocation):
+        assert_blocks_match(monkeypatch, TestCollocationMode.mesh(name, w),
+                            1000, collocation)
+
+    @pytest.mark.parametrize("budget", [kernels.PAIR_BUDGET, 2000])
+    def test_sweep_mesh(self, monkeypatch, budget):
+        # validate-bem's finest mesh: 639 rows, 128 to a block by default
+        mesh = build_boundary_mesh(flat_interface(256), 128)
+        assert kernels.PAIR_BUDGET // (mesh.n_markers - 1) == 128
+        assert_blocks_match(monkeypatch, mesh, budget, collocation=True)
+
+
+def _gradS_first_gradients(mesh, targets):
+    """influence_gradients with gradS formed before gradD and every log and
+    arctangent in a fresh array, as it was written before gradD moved
+    first.  The oracle of the reordered kernel's bits."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    u1, u2, eta = kernels._local_coords(mesh, targets)
+    eta2 = eta * eta
+    r1sq = u1 * u1
+    r1sq += eta2
+    r2sq = u2 * u2
+    r2sq += eta2
+    if r1sq.min() < 1e-28 or r2sq.min() < 1e-28:
+        raise GeometryError("influence_gradients: target coincides with a panel endpoint")
+    neg_dlog = np.log(r2sq)
+    neg_dlog -= np.log(r1sq)
+    neg_dlog *= 0.5
+    np.negative(neg_dlog, out=neg_dlog)
+    dang = kernels._arctan_ratio(u2, eta)
+    dang -= kernels._arctan_ratio(u1, eta)
+    dang[eta == 0.0] = 0.0
+    neg_eta = np.negative(eta, out=eta)
+    gradS = np.empty(eta.shape + (2,))
+    gradD = np.empty(eta.shape + (2,))
+    for c, (t, n) in enumerate(zip(mesh.tangents.T.copy(), mesh.normals.T.copy())):
+        gs = neg_dlog * t
+        gs += dang * n
+        np.negative(gs, out=gs)
+        gs /= TWO_PI
+        gradS[..., c] = gs
+        base = np.multiply(neg_eta, t, out=gs)
+        term2 = base - u2 * n
+        term2 /= r2sq
+        term1 = np.subtract(base, u1 * n, out=base)
+        term1 /= r1sq
+        term2 -= term1
+        term2 /= TWO_PI
+        gradD[..., c] = term2
+    return gradS, gradD
+
+
+def assert_gradients_keep_their_bits(mesh, targets):
+    for got, want in zip(influence_gradients(mesh, targets),
+                         _gradS_first_gradients(mesh, targets)):
+        assert_same_bits(got, want)
+
+
+class TestGradientOrder:
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_lattice_points(self, name):
+        mesh = TestCollocationMode.mesh(name, 24)
+        if name == "reference":
+            state = sample_initial_state(make_reference_data(1.0), 96, 24)
+            pts = interior_lattice(PressureField.from_state(state, 2.0), 16)
+        else:
+            xs = (np.arange(16) + 0.5) / 16
+            pts = np.column_stack([np.repeat(xs, 16), np.tile(xs, 16)])
+        assert_gradients_keep_their_bits(mesh, pts)
+
+    @pytest.mark.parametrize("name", ["flat", "bumped"])
+    def test_collinear_targets(self, name):
+        mesh = TestCollocationMode.mesh(name, 16)
+        d = mesh.b - mesh.a
+        pts = np.vstack([line_targets(np.random.default_rng(15)),
+                         mesh.a - 0.5 * d, mesh.b + 0.5 * d])
+        _, _, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
+                                      mesh.tangents, mesh.normals, pts)
+        assert np.count_nonzero(eta == 0.0) > 0
+        assert_gradients_keep_their_bits(mesh, pts)

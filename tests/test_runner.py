@@ -247,11 +247,17 @@ class TestVerifyIdentities:
             assert verify_identities(str(run)) == code
 
     def test_truncated_single_row(self, ref_run, tmp_path, caplog):
+        # The first record alone: its CSV row, its snapshot and n_records = 1.
         short = tmp_path / "short"
         shutil.copytree(ref_run["dir"], short)
         path = short / "diagnostics.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2]) + "\n")
+        (short / "report.json").write_text(
+            json.dumps(dict(ref_run["report"], n_records=1)))
+        for name in os.listdir(short / "snapshots"):
+            if name != "0000.csv":
+                os.remove(short / "snapshots" / name)
         with caplog.at_level(logging.INFO, logger="wavebox"):
             code = verify_identities(str(short))
         out = caplog.text
