@@ -40,8 +40,11 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
         sum_j S_ij q_j - sum_j D_ij phi_j - phi_i / 2 = 0
 
     The walls carry zero flux, so S is formed against the surface panels
-    only; the walls' fixed block of D comes from a cache per wall count
-    (``kernels.influence_matrices`` with ``collocation=True``).
+    only; the walls' fixed block of D comes from a cache per wall count.
+    ``kernels.influence_matrices`` in its collocation mode writes S and D
+    straight into the Fortran-ordered system matrix and right-hand-side
+    columns, and ``solve_dense`` factors that matrix in place: the solve
+    holds one (n+1) x (n+1) array and never copies it.
 
     ``surface_potential`` is one datum (n_surface,) or a stack
     (k, n_surface), one datum per row.  A stack is assembled and factored
@@ -50,25 +53,23 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     n = mesh.n_panels
     sl = mesh.surface_slice
     phi_s = np.asarray(surface_potential, dtype=np.float64)
-    S, D = kernels.influence_matrices(mesh, mesh.midpoints, collocation=True)
-    D.reshape(-1)[::n + 1] += 0.5            # D + I/2; D is C-contiguous, so a view
-
-    # Each array is released once spent: at the LU only A and LAPACK's copy live.
-    A = np.empty((n + 1, n + 1))
-    A[:n, sl] = S                            # unknown surface fluxes
-    del S
-    np.negative(D[:, :sl.start], out=A[:n, :sl.start])   # unknown wall values
-    np.negative(D[:, sl.stop:], out=A[:n, sl.stop:n])
-    # A Fortran-ordered copy of the columns picks BLAS's column-sweeping
-    # gemv; a C-ordered slice view would sum in another order.  Each datum
-    # gets its own gemv on its row as given, so it sums as a solve of that
-    # row alone; one matrix product over the stack would not.
-    D_surface = np.asfortranarray(D[:, sl])
-    del D
+    # Fortran order is LAPACK's, so dgetrf factors A without a copy, and
+    # the right-hand-side columns in it pick BLAS's column-sweeping gemv.
+    A = np.empty((n + 1, n + 1), order="F")
+    D_surface = np.empty((n, sl.stop - sl.start), order="F")
+    kernels.influence_matrices(mesh, mesh.midpoints, collocation=(A[:n, :n], D_surface))
+    # D + I/2, then the unknown wall values' columns are -(D + I/2).
+    walls = np.r_[0:sl.start, sl.stop:n]
+    A[walls, walls] += 0.5
+    D_surface[np.arange(sl.start, sl.stop), np.arange(sl.stop - sl.start)] += 0.5
+    np.negative(A[:n, :sl.start], out=A[:n, :sl.start])
+    np.negative(A[:n, sl.stop:n], out=A[:n, sl.stop:n])
+    # Each datum gets its own gemv on its row as given, so it sums as a
+    # solve of that row alone; one matrix product over the stack would not.
     rhs = np.empty(phi_s.shape[:-1] + (n + 1,))
     for datum, b in zip(np.atleast_2d(phi_s), np.atleast_2d(rhs)):
         b[:n] = D_surface @ datum
-    del D_surface
+    del D_surface                            # at the LU only A is live
     rhs[..., n] = 0.0
     # Exact discrete compatibility: the net boundary flux of a harmonic
     # function vanishes, but midpoint collocation only gets it to truncation

@@ -56,7 +56,12 @@ _flapack = _load_flapack()
 @dataclass(frozen=True)
 class DenseSystem:
     """An n x n matrix and one right-hand side (n,), or a stack (k, n) of
-    them, one per row."""
+    them, one per row.
+
+    ``solve_dense`` consumes the matrix: a Fortran-ordered one is factored
+    in place and holds its LU factors afterwards.  Copy it first to read
+    the system after the solve.
+    """
 
     matrix: FloatArray
     rhs: FloatArray
@@ -77,24 +82,26 @@ class DenseSystem:
 def solve_dense(system: DenseSystem) -> FloatArray:
     """LU with partial pivoting; raises SingularMatrixError on tiny pivots.
 
-    The LAPACK calls of ``scipy.linalg.lu_factor``/``lu_solve``, with their
-    defaults (dgetrf factors a Fortran-ordered copy), so the bits are theirs.
+    The LAPACK calls of ``scipy.linalg.lu_factor``/``lu_solve``, so the
+    bits are theirs.  A Fortran-ordered matrix is factored in place, with
+    no copy: the system's matrix is consumed.  Any other matrix is first
+    copied to Fortran order, the copy lu_factor's dgetrf would make.
     An exactly zero pivot (dgetrf's ``info > 0``) is singular too; it is the
     only sign of an all-zero matrix, whose pivot floor is itself zero.
-    A non-finite entry makes the row-sum norm behind the pivot floor
-    non-finite, so that one pass also rejects it, with ValueError, before
-    the factorisation.
+    The pivot floor scales with the row-sum norm, LAPACK's ``dlange``, which
+    needs no n x n temporary and is non-finite when any entry is; that
+    rejects the matrix with ValueError, before the factorisation.
 
     A stack of right-hand sides shares the one factorisation and pivot
     check, and each row gets its own ``dgetrs`` call, so each solution has
     the bits of a single-datum solve (one call with all rows as columns
     would not).  The solutions keep the stack's shape.
     """
-    A, b = system.matrix, system.rhs
-    norm = np.max(np.sum(np.abs(A), axis=1))
+    A, b = np.asfortranarray(system.matrix), system.rhs
+    norm = _flapack.dlange("I", A)
     if not np.isfinite(norm):
         raise ValueError("solve_dense: matrix row sums are not finite")
-    lu, piv, info = _flapack.dgetrf(A)
+    lu, piv, info = _flapack.dgetrf(A, overwrite_a=1)
     pivot_floor = 1e-13 * norm
     diag = np.abs(np.diag(lu))
     if info > 0 or np.any(diag < pivot_floor):
@@ -164,25 +171,27 @@ def _layers(mesh, targets: FloatArray, cols, S: FloatArray, D: FloatArray):
     continuous at eta = 0, and D = (atan(u2/eta) - atan(u1/eta)) / 2pi.
     Each arctan is evaluated once and shared by S and D, and each spent
     array's storage takes the next value, so besides S and D at most four
-    (m,n) arrays are live at once.  D may be a strided view (a block of
-    columns): it is formed in a spent array and copied in once, so that no
-    ufunc works on it.
+    (m,n) arrays are live at once.  S and D may be strided views (blocks of
+    a Fortran-ordered system), but every ufunc works on contiguous arrays:
+    a C-contiguous S holds F(u2) while it is formed, a strided S gets a
+    fifth array for it, and each result is copied in once.
     """
     u1, u2, eta = _local_coords(mesh, targets, cols)
+    F2 = S if S.flags.c_contiguous else np.empty(eta.shape)
     on_axis = eta == 0.0
     # Targets on the panel line (self-panel midpoints in particular) get the
     # principal value 0; without the mask, roundoff-scale eta would make the
-    # subtended angle flip to +-pi and D to +-1/2.  |eta| takes S's storage
+    # subtended angle flip to +-pi and D to +-1/2.  |eta| takes F2's storage
     # until F(u2) does.
-    on_line = np.abs(eta, out=S) <= 1e-12 * mesh.lengths[cols]
+    on_line = np.abs(eta, out=F2) <= 1e-12 * mesh.lengths[cols]
 
-    # F(u2) into S; u2's storage then takes atan(u2/eta), and a fourth
+    # F(u2) into F2; u2's storage then takes atan(u2/eta), and a fourth
     # array eta*atan(u2/eta), 0 at eta = 0, and next atan(u1/eta).
-    _u_log_r_minus_u(u2, eta * eta, out=S)
+    _u_log_r_minus_u(u2, eta * eta, out=F2)
     atan2 = _arctan_ratio(u2, eta, out=u2)
     eta_atan = np.multiply(eta, atan2)
     eta_atan[on_axis] = 0.0
-    S += eta_atan
+    F2 += eta_atan
     atan1 = _arctan_ratio(u1, eta, out=eta_atan)
     D_block = np.subtract(atan2, atan1, out=atan2)
     D_block /= TWO_PI
@@ -195,18 +204,29 @@ def _layers(mesh, targets: FloatArray, cols, S: FloatArray, D: FloatArray):
     F1 += eta_atan
     # -(F(u2) - F(u1)) in one pass: the same bits, except that an exact
     # tie F(u1) == F(u2) gives +0 where the negation gave -0.
-    np.subtract(F1, S, out=S)
-    S /= TWO_PI
+    np.subtract(F1, F2, out=F2)
+    F2 /= TWO_PI
+    if F2 is not S:
+        S[...] = F2
 
 
-def _double_layer(mesh, targets: FloatArray, cols=slice(None)) -> FloatArray:
-    """D alone, with ``_layers``' arithmetic for D, so with its bits."""
+def _double_layer(mesh, targets: FloatArray, cols, D: FloatArray):
+    """D alone, with ``_layers``' arithmetic for D, so with its bits,
+    written into the given (m, n_cols) array."""
     u1, u2, eta = _local_coords(mesh, targets, cols)
-    D = _arctan_ratio(u2, eta)
-    D -= _arctan_ratio(u1, eta, out=u2)
-    D /= TWO_PI
-    D[np.abs(eta, out=eta) <= 1e-12 * mesh.lengths[cols]] = 0.0
-    return D
+    D_block = _arctan_ratio(u2, eta, out=u2)
+    D_block -= _arctan_ratio(u1, eta, out=u1)
+    D_block /= TWO_PI
+    D_block[np.abs(eta, out=eta) <= 1e-12 * mesh.lengths[cols]] = 0.0
+    D[...] = D_block
+
+
+def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray):
+    """``kernel`` over blocks of target rows, each of at most ``PAIR_BUDGET``
+    (target, panel) pairs, each block written into its rows of ``out``."""
+    step = max(1, PAIR_BUDGET // (cols.stop - cols.start))
+    for i in range(0, len(targets), step):
+        kernel(mesh, targets[i:i + step], cols, *(o[i:i + step] for o in out))
 
 
 @functools.lru_cache(maxsize=8)
@@ -216,48 +236,54 @@ def _wall_double_layer(w: int) -> FloatArray:
     Rows and columns run bottom, right, left, as in ``geometry.wall_mesh``.
     The walls never move, and D[i,j] depends on target i and panel j
     alone, so this block has the bits of every mesh's wall x wall block.
+    It is filled in row blocks, as every other block of D is.
     """
     walls = wall_mesh(w)
-    D = _double_layer(walls, walls.midpoints)
+    D = np.empty((3 * w, 3 * w))
+    _by_row_blocks(_double_layer, walls, walls.midpoints, slice(0, 3 * w), D)
     D.flags.writeable = False
     return D
 
 
-def influence_matrices(mesh, targets: FloatArray, collocation: bool = False):
+def influence_matrices(mesh, targets: FloatArray, collocation=None):
     """Single- and double-layer panel integrals for all (target, panel) pairs.
 
-    Returns (S, D) of shape (m, n):
+    Returns (S, D), C-ordered, of shape (m, n):
       S[i,j] = int_panel_j G(x_i, y) ds(y)
       D[i,j] = int_panel_j dG/dn_y(x_i, y) ds(y)   (principal value on-panel)
 
-    ``collocation=True`` is for targets that are ``mesh.midpoints``, where
-    the solver needs S only against the surface panels (the walls carry
-    zero flux).  S then has shape (n, n_surface).  D is still (n, n), with
-    the same bits, but its wall x wall block comes from a per-wall-count
-    cache, and only surface midpoints are evaluated against wall panels.
+    ``collocation=(A, D_surface)`` is the solver's mode, for targets that
+    are ``mesh.midpoints``.  It returns nothing and writes the collocation
+    system's blocks, with the bits of the default mode, into the given
+    arrays: S against the surface panels into A's surface columns, D
+    against the walls into A's wall columns, and D against the surface
+    panels into D_surface.  A is (n, n) and D_surface (n, n_surface), and
+    either may be a strided view.  The walls carry zero flux, so S against
+    them is never formed.  The wall x wall block of D comes from a
+    per-wall-count cache, and only surface midpoints are evaluated against
+    wall panels.
 
-    ``_layers`` runs over blocks of target rows, at most ``PAIR_BUDGET``
-    pairs each, and writes into S and D in place.
+    Every kernel runs over blocks of target rows, at most ``PAIR_BUDGET``
+    pairs each, written in place.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     n, w, sl = mesh.n_panels, mesh.wall_panels_per_side, mesh.surface_slice
-    cols = sl if collocation else slice(0, n)
-    S = np.empty((len(targets), cols.stop - cols.start))
-    D = np.empty((len(targets), n))
-    step = max(1, PAIR_BUDGET // S.shape[1])
-    for i in range(0, len(targets), step):
-        _layers(mesh, targets[i:i + step], cols, S[i:i + step], D[i:i + step, cols])
-    if not collocation:
+    if collocation is None:
+        S = np.empty((len(targets), n))
+        D = np.empty((len(targets), n))
+        _by_row_blocks(_layers, mesh, targets, slice(0, n), S, D)
         return S, D
+    A, D_surface = collocation
+    _by_row_blocks(_layers, mesh, targets, sl, A[:, sl], D_surface)
     D_walls = _wall_double_layer(w)
     # The walls as two contiguous blocks, bottom and right, then left, each
     # with its rows and columns in the cached block.
     blocks = ((slice(0, 2 * w), slice(0, 2 * w)), (mesh.left_slice, slice(2 * w, None)))
     for cols, wall_cols in blocks:
-        D[sl, cols] = _double_layer(mesh, targets[sl], cols)
+        _by_row_blocks(_double_layer, mesh, targets[sl], cols, A[sl, cols])
         for rows, wall_rows in blocks:
-            D[rows, cols] = D_walls[wall_rows, wall_cols]
-    return S, D
+            A[rows, cols] = D_walls[wall_rows, wall_cols]
+    return None
 
 
 def influence_gradients(mesh, targets: FloatArray):

@@ -34,10 +34,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bem
-from .diagnostics import (CSV_FIELDS, blowup_bound, constant_c1,
-                          detect_breakdown, fill_derived, int_pressure,
-                          int_u1_squared, record_steps, virial_parts,
-                          wall_u2_squared)
+from .diagnostics import (CSV_FIELDS, DERIVED_FIELDS, blowup_bound,
+                          constant_c1, detect_breakdown, fill_derived,
+                          int_pressure, int_u1_squared, record_steps,
+                          virial_parts, wall_u2_squared)
 from .errors import BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
@@ -318,6 +318,21 @@ def _max_or(values: FloatArray, default: float = -math.inf) -> float:
     return float(values.max()) if values.size else default
 
 
+def _scored(margin, violation: float) -> float:
+    """``margin()``, or ``violation`` when its float64 arithmetic overflows.
+
+    Only a value no run writes is that large (an L whose square exceeds
+    float64's range, say), so it fails the check it enters; it must not
+    hold as an unmeasured NaN margin.  A non-finite derived cell (inf/inf)
+    leaves the margin NaN, unmeasured, without a warning.
+    """
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            return margin()
+    except FloatingPointError:
+        return violation
+
+
 def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
                     broke: bool) -> dict:
     """Boolean verdicts and worst-case margins from the diagnostics table.
@@ -328,8 +343,9 @@ def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
     excludes the final record from the conservation drift checks (it may
     sit on top of the breakdown).  A margin that cannot be measured is NaN:
     the derivative-based ones below three records, the Riccati ones unless
-    A = L(0) > 0.  A check fails only on a measured violation, so a NaN
-    margin holds.
+    A = L(0) > 0, and any that a non-finite derived cell enters.  A check fails
+    only on a measured violation, so a NaN margin holds; a margin whose
+    arithmetic overflows float64 is a violation (``_scored``).
     """
     t = columns["t"]
     L = columns["L"]
@@ -337,55 +353,62 @@ def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
     a_virial = float(L[0])
     riccati_checked = bool(np.isfinite(a_virial) and a_virial > 0.0)
     derivatives_checked = n >= 3
-    l2 = np.maximum(1.0, L ** 2)
+
+    def l2():
+        return np.maximum(1.0, L ** 2)
 
     # conservation: drift relative to the first record, final record excluded
     # after breakdown
     last = n - 1 if (broke and n > 1) else n
-    energy = columns["energy"][:last]
-    area = columns["area"][:last]
-    energy_drift = _max_or(np.abs(energy - energy[0])
-                           / max(abs(float(energy[0])), 1e-9), 0.0)
-    area_drift = _max_or(np.abs(area - area[0])
-                         / max(abs(float(area[0])), 1e-9), 0.0)
+
+    def drift(name):
+        values = columns[name][:last]
+        return _max_or(np.abs(values - values[0])
+                       / max(abs(float(values[0])), 1e-9), 0.0)
+
+    energy_drift = _scored(lambda: drift("energy"), math.inf)
+    area_drift = _scored(lambda: drift("area"), math.inf)
 
     # pressure positivity; the scale proxy is the largest |p_min| on record
     p_min = columns["p_min"]
     margin_pressure = _min_or(p_min) / max(1.0, _max_or(np.abs(p_min), 0.0))
 
     # Schwarz slacks; the product of the two bounding factors is the scale
-    sv = columns["schwarz_vol"]
-    sw = columns["schwarz_wall"]
-    scale_v = np.maximum(1.0, sv + columns["volume_part"] ** 2)
-    scale_w = np.maximum(1.0, sw + columns["wall_part"] ** 2)
-    margin_schwarz = min(_min_or(sv / scale_v), _min_or(sw / scale_w))
+    def schwarz(slack, part):
+        slack, part = columns[slack], columns[part]
+        return _min_or(slack / np.maximum(1.0, slack + part ** 2))
+
+    margin_schwarz = min(
+        _scored(lambda: schwarz("schwarz_vol", "volume_part"), -math.inf),
+        _scored(lambda: schwarz("schwarz_wall", "wall_part"), -math.inf))
 
     # derivative-based margins score the interior records only
     worst_ident = margin_growth = margin_derivative = math.nan
     if derivatives_checked:
         interior = slice(1, n - 1)
         wall_p = np.abs(columns["wall_p_integral"])
-        dvol = gradient_1d(columns["volume_part"], t)
-        dwall = gradient_1d(columns["wall_part"], t)
-        dL = gradient_1d(L, t)
-        scale_26 = np.maximum(1.0, np.abs(dvol) + wall_p)
-        scale_27 = np.maximum(1.0, np.abs(dwall) + wall_p)
+
+        def identity(residual, part):
+            scale = np.maximum(1.0, np.abs(gradient_1d(columns[part], t)) + wall_p)
+            return _max_or(columns[residual][interior] / scale[interior], 0.0)
+
         worst_ident = max(
-            _max_or(columns["residual_26"][interior] / scale_26[interior], 0.0),
-            _max_or(columns["residual_27"][interior] / scale_27[interior], 0.0))
-        scale_growth = np.maximum(1.0, np.abs(dL))
-        margin_growth = _min_or(columns["slack_28"][interior]
-                                / scale_growth[interior])
+            _scored(lambda: identity("residual_26", "volume_part"), math.inf),
+            _scored(lambda: identity("residual_27", "wall_part"), math.inf))
+        margin_growth = _scored(lambda: _min_or(
+            columns["slack_28"][interior]
+            / np.maximum(1.0, np.abs(gradient_1d(L, t)))[interior]), -math.inf)
         if riccati_checked:
-            margin_derivative = _min_or(columns["riccati_slack"][interior]
-                                        / l2[interior])
+            margin_derivative = _scored(lambda: _min_or(
+                columns["riccati_slack"][interior] / l2()[interior]), -math.inf)
 
     # Riccati domination against the closed-form envelope
     margin_riccati = math.nan
     if riccati_checked:
         envelope = columns["envelope"]
         valid = np.isfinite(envelope)
-        margin_riccati = _min_or((L[valid] - envelope[valid]) / l2[valid])
+        margin_riccati = _scored(lambda: _min_or(
+            (L[valid] - envelope[valid]) / l2()[valid]), -math.inf)
 
     return {
         "riccati_checked": riccati_checked,
@@ -505,7 +528,8 @@ def write_report(path: str, report: dict):
 
 
 def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
-    """CSV columns by name; ValueError on a malformed file or time column.
+    """CSV columns by name; ValueError on a malformed file or time column,
+    or on a non-finite value in a primary column.
 
     The ``t`` column must pass ``record_steps``, as in ``fill_derived``, so
     the derivative checks never see a repeated, non-finite or uneven time.
@@ -522,6 +546,12 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
     if data.shape[1] != len(expected):
         raise ValueError("ragged diagnostics.csv")
     columns = {name: data[:, j] for j, name in enumerate(expected)}
+    # A run measures every primary column at every record, except dt at
+    # record 0, which no step precedes.
+    not_finite = [name for name in CSV_FIELDS if name not in DERIVED_FIELDS
+                  and not np.isfinite(columns[name][1 if name == "dt" else 0:]).all()]
+    if not_finite:
+        raise ValueError(f"non-finite values in diagnostics.csv: {', '.join(not_finite)}")
     record_steps(columns["t"])
     return columns
 

@@ -108,6 +108,23 @@ def bumped_box_mesh(n_markers, wall_panels, bump):
                                wall_panels)
 
 
+def keep_systems(monkeypatch):
+    """The list that gets a copy of each system ``solve_mixed_bvp`` solves.
+
+    ``solve_dense`` factors a Fortran-ordered matrix in place, so each copy
+    is taken before the solve, in the matrix's own order.
+    """
+    systems = []
+
+    def keep_system(system):
+        systems.append(kernels.DenseSystem(matrix=system.matrix.copy(order="K"),
+                                           rhs=system.rhs.copy()))
+        return kernels.solve_dense(system)
+
+    monkeypatch.setattr(bem, "solve_dense", keep_system)
+    return systems
+
+
 class TestAssemblyBitEquality:
     """The slice-filled system solves to the same bits as the mask-filled one."""
 
@@ -131,15 +148,10 @@ class TestAssemblyBitEquality:
         # which gemv BLAS runs, and so the bits of every right-hand side.
         mesh = bumped_box_mesh(n_markers, wall_panels, bump)
         phi_s = np.random.default_rng(n_markers).standard_normal(n_markers - 1)
-        systems = []
-
-        def keep_system(system):
-            systems.append(system)
-            return kernels.solve_dense(system)
-
-        monkeypatch.setattr(bem, "solve_dense", keep_system)
+        systems = keep_systems(monkeypatch)
         solve_mixed_bvp(mesh, phi_s)
         (system,) = systems
+        assert system.matrix.flags.f_contiguous     # LAPACK's order: no copy
         n = mesh.n_panels
         surf = surface_mask(mesh)
         _, D = kernels.influence_matrices(mesh, mesh.midpoints)
@@ -165,13 +177,7 @@ class TestStackedSolve:
     has the bits of its own solve."""
 
     def check(self, monkeypatch, mesh, data):
-        systems = []
-
-        def keep_system(system):
-            systems.append(system)
-            return kernels.solve_dense(system)
-
-        monkeypatch.setattr(bem, "solve_dense", keep_system)
+        systems = keep_systems(monkeypatch)
         stacked = solve_mixed_bvp(mesh, data)
         singles = [solve_mixed_bvp(mesh, datum) for datum in data]
         stack_system, *single_systems = systems

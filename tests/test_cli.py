@@ -9,6 +9,7 @@ import shutil
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 import wavebox.bem as bem
 import wavebox.kernels as kernels
 from wavebox.cli import main
+from wavebox.diagnostics import CSV_FIELDS, DERIVED_FIELDS
 from wavebox.runner import RunConfig, validate_bem
 
-from conftest import reference_modes, run_child, still_config_dict, write_config
+from conftest import (reference_config_dict, reference_modes, run_child,
+                      still_config_dict, write_config)
 
 # A valid config whose near-field band swallows every lattice point.
 NO_LATTICE = dict(modes=reference_modes(), n_markers=24, wall_panels_per_side=8,
@@ -278,6 +281,112 @@ class TestVerifyCommand:
         assert "report mismatch: snapshots" in capsys.readouterr().out
 
 
+# The columns a run measures; every record has them finite, except dt at
+# record 0, which no step precedes.
+PRIMARY = tuple(name for name in CSV_FIELDS if name not in DERIVED_FIELDS)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A passing 48/16 run of the reference datum to t = 1.5e-3: 11 records."""
+    tmp = tmp_path_factory.mktemp("small_run")
+    cfg = write_config(tmp, reference_config_dict(n_markers=48, wall_panels_per_side=16,
+                                                  t_end_cap=1.5e-3))
+    out = tmp / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "report.json").read_text())["n_records"] == 11
+    return out
+
+
+def edit_cell(run, row, name, value):
+    """Set one cell of ``run``'s diagnostics.csv, as the writer prints it."""
+    path = run / "diagnostics.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[CSV_FIELDS.index(name)] = format(value, ".17g")
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestVerifyRejectsWhatNoRunWrites:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", PRIMARY)
+    def test_non_finite_primary_cell_is_exit_2(self, small_run, tmp_path, capsys,
+                                               name, value):
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        edit_cell(run, 2, name, value)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
+        assert (f"error: non-finite values in diagnostics.csv: {name}"
+                in capsys.readouterr().out)
+
+    def test_dt_is_nan_at_record_0(self, small_run, capsys):
+        # as simulate writes it: no step precedes the first record
+        csv = (small_run / "diagnostics.csv").read_text().splitlines()
+        assert csv[1].split(",")[CSV_FIELDS.index("dt")] == "nan"
+        assert main(["verify-identities", "--run", str(small_run), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_overflowing_L_squared_is_a_violation(self, small_run, tmp_path,
+                                                  capsys, value):
+        # L^2 exceeds float64's range: the Riccati margins it scales fail,
+        # under the suite's RuntimeWarning filter.
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        edit_cell(run, 2, "L", value)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        failed = capsys.readouterr().out
+        assert "failed checks: " in failed
+        for check in ("derivative_inequality_held", "riccati_dominated"):
+            assert check in failed
+
+
+# Cell values for the run-directory fuzzer: the non-finite ones, float64's
+# extremes, and any finite float.
+CELL_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False))
+REPORT_VALUES = st.one_of(st.booleans(), st.none(), st.integers(-2, 20),
+                          st.floats(), st.text(max_size=3))
+
+
+@pytest.fixture(scope="module")
+def fuzzed_run(small_run, tmp_path_factory):
+    run = tmp_path_factory.mktemp("fuzzed") / "run"
+    shutil.copytree(small_run, run)
+    return run
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_edited_run_directory_reaches_a_verdict(fuzzed_run, data):
+    # One CSV cell or one report key edited: verify-identities exits 0, 1
+    # or 2, never 3, and a non-finite primary cell is always bad input.
+    csv, report = fuzzed_run / "diagnostics.csv", fuzzed_run / "report.json"
+    originals = {path: path.read_text() for path in (csv, report)}
+    try:
+        if data.draw(st.booleans(), label="edit the CSV"):
+            row = data.draw(st.integers(0, 10), label="row")
+            name = data.draw(st.sampled_from(CSV_FIELDS), label="column")
+            value = data.draw(CELL_VALUES, label="value")
+            edit_cell(fuzzed_run, row, name, value)
+            bad_input = (name in PRIMARY and not math.isfinite(value)
+                         and not (name == "dt" and row == 0))
+        else:
+            stored = json.loads(originals[report])
+            key = data.draw(st.sampled_from(sorted(stored)), label="key")
+            stored[key] = data.draw(REPORT_VALUES, label="value")
+            report.write_text(json.dumps(stored))
+            bad_input = False
+        code = main(["verify-identities", "--run", str(fuzzed_run), "--quiet"])
+        assert code in (0, 1, 2)
+        if bad_input:
+            assert code == 2
+    finally:
+        for path, text in originals.items():
+            path.write_text(text)
+
+
 class TestValidateBemCommand:
     def test_default_sweep_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bem_panel_counts": [32, 64, 128],
@@ -322,12 +431,15 @@ class TestValidateBemCommand:
         assert f"mode k={k}: error" in out and "validation FAILED" in out
 
     def test_broken_kernel_sign_fails(self, monkeypatch, capsys):
-        # negative control: flip the single-layer sign and the sweep must fail
+        # negative control: flip the single-layer sign and the sweep must
+        # fail.  The solver's collocation mode writes S into the system's
+        # surface columns, so the sign is flipped there.
         original = kernels.influence_matrices
 
-        def broken(mesh, targets, **kwargs):
-            S, D = original(mesh, targets, **kwargs)
-            return -S, D
+        def broken(mesh, targets, collocation=None):
+            A, _ = collocation
+            original(mesh, targets, collocation=collocation)
+            np.negative(A[:, mesh.surface_slice], out=A[:, mesh.surface_slice])
 
         monkeypatch.setattr(bem.kernels, "influence_matrices", broken)
         cfg = RunConfig.from_dict({"bem_panel_counts": [32, 64],

@@ -22,6 +22,21 @@ from wavebox.pressure import PressureField, interior_lattice
 from conftest import assert_same_bits, make_reference_data
 
 
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The names of the LAPACK routines ``solve_dense`` looks up, in order."""
+    calls = []
+    flapack = kernels._flapack
+
+    class Counting:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(flapack, name)
+
+    monkeypatch.setattr(kernels, "_flapack", Counting())
+    return calls
+
+
 class TestSolveDense:
     def test_solves(self):
         rng = np.random.default_rng(7)
@@ -65,29 +80,37 @@ class TestSolveDense:
         with pytest.raises(ValueError, match="non-finite right-hand side"):
             DenseSystem(matrix=np.eye(3), rhs=rhs)
 
-    def test_singular_stack_raises_once(self, monkeypatch):
+    def test_singular_stack_raises_once(self, lapack_calls):
         # One factorisation and one pivot check for the whole stack: the
         # error comes before any datum is solved.
-        calls = []
-        flapack = kernels._flapack
-
-        class Counting:
-            def __getattr__(self, name):
-                calls.append(name)
-                return getattr(flapack, name)
-
-        monkeypatch.setattr(kernels, "_flapack", Counting())
         with pytest.raises(SingularMatrixError):
             solve_dense(DenseSystem(matrix=np.ones((4, 4)), rhs=np.ones((3, 4))))
-        assert calls == ["dgetrf"]
+        assert lapack_calls == ["dlange", "dgetrf"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_raises_before_lu(self, monkeypatch, bad):
-        A = np.eye(3)
-        A[1, 2] = bad
-        monkeypatch.setattr(kernels, "_flapack", None)   # no LAPACK call
-        with pytest.raises(ValueError, match="not finite"):
-            solve_dense(DenseSystem(matrix=A, rhs=np.ones(3)))
+    def test_non_finite_entry_raises_before_lu(self, lapack_calls, bad):
+        # The row-sum norm (dlange) is the only LAPACK call: no
+        # factorisation, in either storage order, and -inf alike.
+        for order in ("C", "F"):
+            for value in (bad, -bad):
+                A = np.eye(3, order=order)
+                A[1, 2] = value
+                with pytest.raises(ValueError, match="not finite"):
+                    solve_dense(DenseSystem(matrix=A, rhs=np.ones(3)))
+        assert lapack_calls == ["dlange"] * 4
+
+    def test_fortran_matrix_is_factored_in_place(self):
+        # The system's own storage takes the LU factors; a C-ordered
+        # matrix is copied and left as it was.
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+        b = rng.standard_normal(6)
+        lu, _ = scipy.linalg.lu_factor(A)
+        F, C = np.asfortranarray(A), A.copy()
+        assert_same_bits(solve_dense(DenseSystem(matrix=F, rhs=b)),
+                         solve_dense(DenseSystem(matrix=C, rhs=b)))
+        assert_same_bits(F, lu)
+        assert_same_bits(C, A)
 
 
 def scipy_solve(A, b):
@@ -179,7 +202,9 @@ class TestSolveDenseBits:
         systems = []
 
         def record(system):
-            systems.append(system)
+            # a copy, taken before solve_dense factors the matrix in place
+            systems.append(DenseSystem(matrix=system.matrix.copy(order="K"),
+                                       rhs=system.rhs.copy()))
             return solve_dense(system)
 
         monkeypatch.setattr(bem, "solve_dense", record)
@@ -484,9 +509,30 @@ class TestBitEquality:
 
 # ---------------------------------------------------------------------------
 # The solver's collocation mode: S against the surface panels only, and the
-# walls' fixed wall x wall block of D from a cache per wall count.  Both must
-# carry the default mode's bits.
+# walls' fixed wall x wall block of D from a cache per wall count, written
+# into the solver's Fortran-ordered storage.  Every block must carry the
+# default mode's bits.
 # ---------------------------------------------------------------------------
+
+def collocation_blocks(mesh):
+    """(S against the surface panels, D) as the collocation mode writes them.
+
+    The storage is the solver's: the leading n x n view of an (n+1) x
+    (n+1) Fortran-ordered system, whose surface columns take S and wall
+    columns D, and a Fortran-ordered D_surface for D's surface columns.
+    It starts as NaN, so an entry left unwritten cannot match, and the
+    multiplier's row and column must stay so.
+    """
+    n, sl = mesh.n_panels, mesh.surface_slice
+    A = np.full((n + 1, n + 1), np.nan, order="F")
+    D_surface = np.full((n, sl.stop - sl.start), np.nan, order="F")
+    assert influence_matrices(mesh, mesh.midpoints,
+                              collocation=(A[:n, :n], D_surface)) is None
+    assert np.isnan(A[n]).all() and np.isnan(A[:, n]).all()
+    D = A[:n, :n].copy()
+    D[:, sl] = D_surface
+    return A[:n, sl].copy(), D
+
 
 class TestCollocationMode:
     @staticmethod
@@ -504,7 +550,7 @@ class TestCollocationMode:
         S, D = influence_matrices(mesh, mesh.midpoints)
         kernels._wall_double_layer.cache_clear()
         for _ in ("cold", "warm"):
-            S_c, D_c = influence_matrices(mesh, mesh.midpoints, collocation=True)
+            S_c, D_c = collocation_blocks(mesh)
             assert_same_bits(S_c, S[:, mesh.surface_slice])
             assert_same_bits(D_c, D)
 
@@ -531,18 +577,26 @@ class TestCollocationMode:
 
 
 # ---------------------------------------------------------------------------
-# Row blocks: influence_matrices runs _layers over blocks of target rows, at
-# most PAIR_BUDGET (target, panel) pairs each, written into S and D in place.
+# Row blocks: every kernel runs over blocks of target rows, at most
+# PAIR_BUDGET (target, panel) pairs each, written in place: _layers, the
+# surface rows against the wall panels, and the cached wall x wall block.
 # A ragged last block must leave every bit as one block gives it.
 # ---------------------------------------------------------------------------
 
 def assert_blocks_match(monkeypatch, mesh, budget, collocation):
     n_cols = mesh.n_markers - 1 if collocation else mesh.n_panels
     assert budget // n_cols > 1 and mesh.n_panels % (budget // n_cols) != 0
+
+    def matrices():
+        kernels._wall_double_layer.cache_clear()
+        if collocation:
+            return collocation_blocks(mesh)
+        return influence_matrices(mesh, mesh.midpoints)
+
     monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-    blocked = influence_matrices(mesh, mesh.midpoints, collocation=collocation)
+    blocked = matrices()
     monkeypatch.setattr(kernels, "PAIR_BUDGET", 10**9)
-    whole = influence_matrices(mesh, mesh.midpoints, collocation=collocation)
+    whole = matrices()
     for got, want in zip(blocked, whole):
         assert_same_bits(got, want)
 

@@ -111,7 +111,9 @@ class TestCsvRoundTrip:
                      volume_part=np.array([0.5 * i for i in range(4)]),
                      wall_part=np.array([0.25 * i for i in range(4)]),
                      energy=np.array([math.pi * (i + 1) for i in range(4)]),
-                     area=np.ones(4))
+                     area=np.ones(4), p_min=np.full(4, 2.0),
+                     wall_p_integral=np.full(4, -0.5),
+                     dt=np.array([math.nan, 0.1, 0.1, 0.1]))
         return table
 
     def test_round_trip_exact(self, tmp_path):
