@@ -109,6 +109,9 @@ def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,
 
         phi(x) = sum_j S_j(x) q_j - sum_j D_j(x) phi_j
 
+    The gradient comes from ``kernels.influence_gradients``, which
+    contracts grad S and grad D with q and phi block by block as it forms
+    them, so the (m, n, 2) gradient arrays never exist.
     Raises NearBoundaryError if any point is outside the domain or inside
     the near-field exclusion band.
     """
@@ -120,7 +123,5 @@ def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,
     S, D = kernels.influence_matrices(mesh, pts)
     values = S @ cauchy.fluxes - D @ cauchy.values
     del S, D                    # released before the gradients' arrays
-    gS, gD = kernels.influence_gradients(mesh, pts)
-    gradients = (np.einsum("mnj,n->mj", gS, cauchy.fluxes)
-                 - np.einsum("mnj,n->mj", gD, cauchy.values))
+    gradients = kernels.influence_gradients(mesh, pts, cauchy.fluxes, cauchy.values)
     return values, gradients

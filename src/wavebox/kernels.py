@@ -113,29 +113,35 @@ def solve_dense(system: DenseSystem) -> FloatArray:
     return x
 
 
-def _local_coords(mesh, targets, cols=slice(None)):
+def _local_coords(mesh, targets, cols=slice(None), panel_major=False):
     """Panel-local coordinates of targets: (xi along tangent from a, eta along normal).
 
     Shapes: targets (m,2), the n panels of the contiguous block cols of the
     mesh; returns (m,n) arrays u1, u2, eta with u1 = -xi, u2 = length - xi
-    (endpoint offsets from the foot point).
+    (endpoint offsets from the foot point), or (n,m) arrays if
+    ``panel_major``.  Each element takes the same operations in either
+    orientation, so it has the same bits.
     Built from x/y component arrays, so no (m,n,2) temporary is formed; the
     components are copied out of their (k,2) arrays once, so that every
-    (m,n) pass reads contiguous rows.
+    (m,n) or (n,m) pass reads contiguous rows.
     """
     px, py = targets.T.copy()
-    ax, ay = mesh.a[cols].T.copy()
-    tx, ty = mesh.tangents[cols].T.copy()
-    nx, ny = mesh.normals[cols].T.copy()
-    rx = px[:, None] - ax
-    ry = py[:, None] - ay
+    panels = np.vstack([mesh.a[cols].T, mesh.tangents[cols].T,
+                        mesh.normals[cols].T, mesh.lengths[cols]])
+    if panel_major:
+        panels = panels[:, :, None]
+    else:
+        px, py = px[:, None], py[:, None]
+    ax, ay, tx, ty, nx, ny, lengths = panels
+    rx = px - ax
+    ry = py - ay
     xi = rx * tx
     xi += ry * ty
     eta = np.multiply(rx, nx, out=rx)
     ry *= ny
     eta += ry
     del ry                  # u2 can then take its storage
-    u2 = np.subtract(mesh.lengths[cols], xi)
+    u2 = np.subtract(lengths, xi)
     return np.negative(xi, out=xi), u2, eta
 
 
@@ -286,16 +292,23 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
     return None
 
 
-def influence_gradients(mesh, targets: FloatArray):
-    """Gradients (w.r.t. target) of the single/double layer panel integrals.
+def _sum_over_panels(products: FloatArray) -> FloatArray:
+    """Column sums of (n, m) products, each added row by row from the
+    first, in the order ``influence_gradients`` explains."""
+    if products.shape[1] == 1:
+        return np.add.accumulate(products[:, 0])[-1:]
+    return np.add.reduce(products, axis=0)
 
-    Returns (gradS, gradD), each of shape (m, n, 2).  Targets must be off
-    every panel (interior evaluation only).  gradD is formed first, while
-    u1, u2 and eta are intact; the logs and arctangents of gradS then take
-    the storage of the arrays gradD has spent.
+
+def _contracted_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
+                          values: FloatArray, out: FloatArray):
+    """``influence_gradients`` of one block of targets, written into out.
+
+    The double layer's components come first, while u1, u2 and eta are
+    intact; the logs and arctangents of the single layer's then take the
+    storage of the arrays they have spent.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = _local_coords(mesh, targets)
+    u1, u2, eta = _local_coords(mesh, targets, panel_major=True)
     eta2 = eta * eta
     r1sq = u1 * u1
     r1sq += eta2
@@ -304,12 +317,11 @@ def influence_gradients(mesh, targets: FloatArray):
     del eta2
     if r1sq.min() < 1e-28 or r2sq.min() < 1e-28:
         raise GeometryError("influence_gradients: target coincides with a panel endpoint")
-    tangents, normals = mesh.tangents.T.copy(), mesh.normals.T.copy()
+    tangents, normals = mesh.tangents.T[:, :, None].copy(), mesh.normals.T[:, :, None].copy()
+    fluxes, values = fluxes[:, None], values[:, None]
     # grad of int dG/dn ds, from d/dx atan(u/eta) = (eta*grad u - u*grad eta)/r^2
-    # with grad u = -t, grad eta = n.  Each component is formed in
-    # contiguous (m,n) arrays and written into the (m,n,2) output once.
+    # with grad u = -t, grad eta = n.
     neg_eta = np.negative(eta)
-    gradD = np.empty(eta.shape + (2,))
     for c, (t, n) in enumerate(zip(tangents, normals)):
         base = neg_eta * t
         term2 = base - u2 * n
@@ -318,7 +330,8 @@ def influence_gradients(mesh, targets: FloatArray):
         term1 /= r1sq
         term2 -= term1
         term2 /= TWO_PI
-        gradD[..., c] = term2
+        term2 *= values
+        out[:, c] = _sum_over_panels(term2)
         del base, term1, term2
     # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between limits
     neg_dlog = np.log(r2sq, out=r2sq)
@@ -330,11 +343,41 @@ def influence_gradients(mesh, targets: FloatArray):
     # eta == 0 only for collinear off-panel targets; they subtend zero angle.
     dang[eta == 0.0] = 0.0
     del u1, r1sq, eta, neg_eta
-    gradS = np.empty(dang.shape + (2,))
     for c, (t, n) in enumerate(zip(tangents, normals)):
         gs = neg_dlog * t
         gs += dang * n
         np.negative(gs, out=gs)
         gs /= TWO_PI
-        gradS[..., c] = gs
-    return gradS, gradD
+        gs *= fluxes
+        out[:, c] = _sum_over_panels(gs) - out[:, c]
+
+
+def influence_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
+                        values: FloatArray) -> FloatArray:
+    """Gradient (w.r.t. target) of S @ fluxes - D @ values, shape (m, 2).
+
+    S and D are ``influence_matrices``' integrals, and fluxes and values
+    (n,) panel densities; targets must be off every panel (interior
+    evaluation only).  Each component of grad S and grad D is contracted
+    as it is formed, so no (m, n, 2) array exists.  The targets run in
+    near-equal blocks of at most PAIR_BUDGET // 2 pairs (a block holds
+    about twice the arrays of ``_layers``) and at least two targets.  In a
+    block each component is an (n, m_block) array, multiplied in place by
+    its density column and summed by ``np.add.reduce(..., axis=0)``, which
+    adds the rows in turn, left to right: the order and rounding of
+    ``np.einsum("mnj,n->mj", grad, density)``, so the bits are einsum's.
+    A one-target block would make the reduction contiguous, which numpy
+    sums pairwise, so a lone target (m == 1) is summed by
+    ``np.add.accumulate`` instead.  One difference remains: the sum starts
+    from the first product, einsum from +0, so a component whose every
+    product is -0 gives -0 where einsum gives +0.
+    """
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    m = len(targets)
+    per_block = max(2, PAIR_BUDGET // 2 // mesh.n_panels)
+    n_blocks = max(1, min(-(-m // per_block), m // 2))
+    bounds = [i * m // n_blocks for i in range(n_blocks + 1)]
+    gradients = np.empty((m, 2))
+    for lo, hi in zip(bounds, bounds[1:]):
+        _contracted_gradients(mesh, targets[lo:hi], fluxes, values, gradients[lo:hi])
+    return gradients

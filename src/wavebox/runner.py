@@ -247,7 +247,11 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Integrate from the configured initial data, recording diagnostics.
 
     Logs one INFO line per record.  Stops at the time cap or at the
-    BreakdownError any detector raises (recorded, not re-raised).
+    BreakdownError any detector raises (recorded, not re-raised).  Raises
+    FloatingPointError for a record whose pressure is not finite: data
+    large enough for the pressure solve to overflow inside BLAS, which
+    raises no warning, give NaN there, and no run may write a record that
+    ``verify-identities`` rejects.
     """
     potential = cfg.potential()
     state = sample_initial_state(potential, cfg.n_markers,
@@ -271,6 +275,11 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                     detect_breakdown(state, cfg,
                                      L=records[-1]["L"] if records else None)
                     raise
+                non_finite = [name for name in ("p_min", "wall_p_integral")
+                              if not math.isfinite(rec[name])]
+                if non_finite:
+                    raise FloatingPointError(f"non-finite {', '.join(non_finite)} "
+                                             f"at t={state.t:.6g}")
                 records.append(rec)
                 snapshots.append(state.curve.x.copy())
                 log.info("  t=%.6f  L=%.5f  p_min=%.4g  E=%.6f",

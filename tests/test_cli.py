@@ -186,14 +186,17 @@ def test_out_of_range_value_is_exit_2(tmp_path, capsys, still_run, bad):
 
 def test_largest_carried_datum_reaches_a_verdict(tmp_path, capsys):
     # The reference datum x 1.8e152 keeps its squared speed bound below
-    # float64's largest value (x 1e153 does not): the run must stop at
-    # t = 0 on L_overflow, under the suite's RuntimeWarning filter.
+    # float64's largest value (x 1e153 does not), but its pressure solve
+    # overflows at t = 0 and gives NaN: simulate refuses that record as a
+    # solver failure and leaves no artifact, under the suite's
+    # RuntimeWarning filter.
     path = write_config(tmp_path, {**SMALL_CONFIG,
                                    "modes": scaled_reference_modes(1.8e152)})
     out = tmp_path / "out"
-    assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["breakdown_kind"] == "L_overflow" and report["t_break"] == 0.0
+    assert main(["simulate", "--config", path, "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "solver failure: FloatingPointError: non-finite p_min, wall_p_integral at t=0")
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")],
@@ -357,34 +360,73 @@ def fuzzed_run(small_run, tmp_path_factory):
     return run
 
 
+# Names a snapshot may be renamed or copied to: the next record's, others
+# that write_snapshots never writes, and any short name.
+SNAPSHOT_NAMES = st.one_of(
+    st.sampled_from(["0011.csv", "0000.CSV", "11.csv", "00000.csv", "0003.csv.bak",
+                     ".0003.csv", "0003"]),
+    st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters=".-_"),
+            min_size=1, max_size=9).filter(lambda name: name not in (".", "..")))
+
+
+def edit_snapshots(directory, data):
+    """Rename, delete or duplicate one snapshot file."""
+    names = sorted(os.listdir(directory))
+    name = data.draw(st.sampled_from(names), label="snapshot")
+    edit = data.draw(st.sampled_from(["rename", "delete", "duplicate"]), label="edit")
+    if edit == "delete":
+        os.remove(directory / name)
+        return
+    if edit == "rename":
+        # onto another snapshot's name it replaces that file
+        target = data.draw(st.one_of(SNAPSHOT_NAMES, st.sampled_from(names))
+                           .filter(lambda t: t != name), label="renamed to")
+        os.replace(directory / name, directory / target)
+    else:
+        target = data.draw(SNAPSHOT_NAMES.filter(lambda t: t not in names),
+                           label="copied to")
+        shutil.copyfile(directory / name, directory / target)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_edited_run_directory_reaches_a_verdict(fuzzed_run, data):
-    # One CSV cell or one report key edited: verify-identities exits 0, 1
-    # or 2, never 3, and a non-finite primary cell is always bad input.
+def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
+    # One CSV cell, one report key or one snapshot name edited:
+    # verify-identities exits 0, 1 or 2, never 3; a non-finite primary cell
+    # is always bad input, and a snapshot edit never passes.
     csv, report = fuzzed_run / "diagnostics.csv", fuzzed_run / "report.json"
+    snapshots = fuzzed_run / "snapshots"
     originals = {path: path.read_text() for path in (csv, report)}
+    target = data.draw(st.sampled_from(["csv", "report", "snapshots"]), label="edit")
     try:
-        if data.draw(st.booleans(), label="edit the CSV"):
+        if target == "csv":
             row = data.draw(st.integers(0, 10), label="row")
             name = data.draw(st.sampled_from(CSV_FIELDS), label="column")
             value = data.draw(CELL_VALUES, label="value")
             edit_cell(fuzzed_run, row, name, value)
             bad_input = (name in PRIMARY and not math.isfinite(value)
                          and not (name == "dt" and row == 0))
-        else:
+        elif target == "report":
             stored = json.loads(originals[report])
             key = data.draw(st.sampled_from(sorted(stored)), label="key")
             stored[key] = data.draw(REPORT_VALUES, label="value")
             report.write_text(json.dumps(stored))
             bad_input = False
+        else:
+            edit_snapshots(snapshots, data)
         code = main(["verify-identities", "--run", str(fuzzed_run), "--quiet"])
-        assert code in (0, 1, 2)
-        if bad_input:
-            assert code == 2
+        if target == "snapshots":
+            assert code in (1, 2)
+        else:
+            assert code in (0, 1, 2)
+            if bad_input:
+                assert code == 2
     finally:
         for path, text in originals.items():
             path.write_text(text)
+        if target == "snapshots":
+            shutil.rmtree(snapshots)
+            shutil.copytree(small_run / "snapshots", snapshots)
 
 
 class TestValidateBemCommand:

@@ -293,26 +293,60 @@ class TestJumpRelations:
         np.testing.assert_allclose(D.sum(axis=1), -0.5, atol=1e-12)
 
 
+def unit_densities(n):
+    """(fluxes, values) pairs that pick one panel's gradients each: e_j and
+    0, then 0 and e_j.  The contracted gradient is then grad S[:, j] and
+    -grad D[:, j] exactly, since every other product is a zero."""
+    zero = np.zeros(n)
+    for e in np.eye(n):
+        yield (e, zero), (zero, e)
+
+
 class TestInfluenceGradients:
-    def test_matches_finite_differences(self):
+    @staticmethod
+    def mesh_and_points():
         mesh = build_boundary_mesh(flat_interface(17), 8)
-        pts = np.array([[0.37, 0.55], [0.81, 0.33]])
-        gS, gD = influence_gradients(mesh, pts)
+        return mesh, np.array([[0.37, 0.55], [0.81, 0.33]])
+
+    @staticmethod
+    def differences(mesh, pts, axis, h):
+        e = np.zeros(2)
+        e[axis] = h
+        Sp, Dp = influence_matrices(mesh, pts + e)
+        Sm, Dm = influence_matrices(mesh, pts - e)
+        return (Sp - Sm) / (2.0 * h), (Dp - Dm) / (2.0 * h)
+
+    def test_matches_finite_differences(self):
+        # Each panel's grad S and grad D, picked out by unit densities,
+        # against central differences of S and D.
+        mesh, pts = self.mesh_and_points()
         h = 1e-6
         for axis in range(2):
-            e = np.zeros(2)
-            e[axis] = h
-            Sp, Dp = influence_matrices(mesh, pts + e)
-            Sm, Dm = influence_matrices(mesh, pts - e)
-            np.testing.assert_allclose(gS[:, :, axis], (Sp - Sm) / (2.0 * h),
-                                       atol=1e-8)
-            np.testing.assert_allclose(gD[:, :, axis], (Dp - Dm) / (2.0 * h),
-                                       atol=1e-7)
+            dS, dD = self.differences(mesh, pts, axis, h)
+            for j, (pick_S, pick_D) in enumerate(unit_densities(mesh.n_panels)):
+                np.testing.assert_allclose(
+                    influence_gradients(mesh, pts, *pick_S)[:, axis], dS[:, j], atol=1e-8)
+                np.testing.assert_allclose(
+                    -influence_gradients(mesh, pts, *pick_D)[:, axis], dD[:, j], atol=1e-7)
+
+    def test_contracted_gradient_matches_finite_differences(self):
+        # The gradient of S q - D phi against central differences of it;
+        # each panel's term carries the per-panel tolerance above.
+        mesh, pts = self.mesh_and_points()
+        q, phi = np.random.default_rng(21).uniform(-1.0, 1.0, (2, mesh.n_panels))
+        h = 1e-6
+        grad = influence_gradients(mesh, pts, q, phi)
+        for axis in range(2):
+            dS, dD = self.differences(mesh, pts, axis, h)
+            np.testing.assert_allclose(
+                grad[:, axis], dS @ q - dD @ phi,
+                rtol=0, atol=1e-8 * np.abs(q).sum() + 1e-7 * np.abs(phi).sum())
 
     def test_rejects_endpoint_target(self):
         mesh = build_boundary_mesh(flat_interface(9), 4)
+        ones = np.ones(mesh.n_panels)
         with pytest.raises(GeometryError):
-            influence_gradients(mesh, mesh.a[3][None, :])
+            influence_gradients(mesh, mesh.a[3][None, :], ones, ones)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +414,43 @@ def assert_matrices_match(mesh, targets):
         assert_same_bits(got, want)
 
 
+def contract(gradients, fluxes, values):
+    """einsum's contraction of (m, n, 2) gradient arrays with densities:
+    the oracle of ``influence_gradients``' bits."""
+    gS, gD = gradients
+    return (np.einsum("mnj,n->mj", gS, fluxes)
+            - np.einsum("mnj,n->mj", gD, values))
+
+
+def density_pairs(n, seed=0):
+    """(fluxes, values) pairs: standard normal; with about half the fluxes
+    zero, as the walls' are; and spread over sixteen decades."""
+    rng = np.random.default_rng(seed)
+    q, phi = rng.standard_normal((2, n))
+    half_zero = np.where(rng.random(n) < 0.5, 0.0, q)
+    spread = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
+    return [(q, phi), (half_zero, phi), tuple(spread)]
+
+
+def assert_contracts_alike(mesh, targets, oracle, seed=0):
+    """``influence_gradients`` has, for several density pairs, the bits of
+    ``oracle``'s (m, n, 2) gradient arrays contracted by einsum; and unit
+    densities recover every element of them on a small mesh."""
+    want = oracle(mesh, targets)
+    for q, phi in density_pairs(mesh.n_panels, seed):
+        assert_same_bits(influence_gradients(mesh, targets, q, phi),
+                         contract(want, q, phi))
+    if mesh.n_panels <= 64:
+        gS, gD = want
+        for j, (pick_S, pick_D) in enumerate(unit_densities(mesh.n_panels)):
+            np.testing.assert_array_equal(influence_gradients(mesh, targets, *pick_S),
+                                          gS[:, j])
+            np.testing.assert_array_equal(-influence_gradients(mesh, targets, *pick_D),
+                                          gD[:, j])
+
+
 def assert_gradients_match(mesh, targets):
-    for got, want in zip(influence_gradients(mesh, targets),
-                         _ref_influence_gradients(mesh, targets)):
-        assert_same_bits(got, want)
+    assert_contracts_alike(mesh, targets, _ref_influence_gradients)
 
 
 def bumped_mesh(n_markers=33, wall_panels=12, amplitude=0.15):
@@ -466,11 +533,12 @@ class TestBitEquality:
 
     def test_gradients_reject_endpoints_alike(self, meshes):
         mesh = meshes["bumped"]
+        q, phi = density_pairs(mesh.n_panels)[0]
         for pts in (mesh.a[5:6], mesh.b[-3:-2]):
             with pytest.raises(GeometryError):
                 _ref_influence_gradients(mesh, pts)
             with pytest.raises(GeometryError):
-                influence_gradients(mesh, pts)
+                influence_gradients(mesh, pts, q, phi)
 
     @pytest.mark.parametrize("offset", [8, 16, 24, 32, 40, 48, 56])
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
@@ -480,9 +548,11 @@ class TestBitEquality:
         # bits must not depend on it.
         mesh = meshes[name]
         interior = np.random.default_rng(14).uniform(0.05, 0.95, (300, 2))
+        q, phi = density_pairs(mesh.n_panels)[0]
         for kernel, pts in ((influence_matrices,
                              np.vstack([interior, mesh.midpoints])),
-                            (influence_gradients, interior)):
+                            (lambda mesh, pts: [influence_gradients(mesh, pts, q, phi)],
+                             interior)):
             aligned, moved = copy_at_offset(pts, 0), copy_at_offset(pts, offset)
             assert (aligned.ctypes.data % 64, moved.ctypes.data % 64) == (0, offset)
             for g, w in zip(kernel(mesh, moved), kernel(mesh, aligned)):
@@ -658,10 +728,14 @@ def _gradS_first_gradients(mesh, targets):
     return gradS, gradD
 
 
-def assert_gradients_keep_their_bits(mesh, targets):
-    for got, want in zip(influence_gradients(mesh, targets),
-                         _gradS_first_gradients(mesh, targets)):
-        assert_same_bits(got, want)
+def assert_gradients_keep_their_bits(mesh, targets, seed=0):
+    assert_contracts_alike(mesh, targets, _gradS_first_gradients, seed)
+
+
+def reference_lattice():
+    """The reference mesh at t = 0 and its 194-point pressure lattice."""
+    state = sample_initial_state(make_reference_data(1.0), 96, 24)
+    return state.mesh, interior_lattice(PressureField.from_state(state, 2.0), 16)
 
 
 class TestGradientOrder:
@@ -669,8 +743,7 @@ class TestGradientOrder:
     def test_lattice_points(self, name):
         mesh = TestCollocationMode.mesh(name, 24)
         if name == "reference":
-            state = sample_initial_state(make_reference_data(1.0), 96, 24)
-            pts = interior_lattice(PressureField.from_state(state, 2.0), 16)
+            mesh, pts = reference_lattice()
         else:
             xs = (np.arange(16) + 0.5) / 16
             pts = np.column_stack([np.repeat(xs, 16), np.tile(xs, 16)])
@@ -686,3 +759,54 @@ class TestGradientOrder:
                                       mesh.tangents, mesh.normals, pts)
         assert np.count_nonzero(eta == 0.0) > 0
         assert_gradients_keep_their_bits(mesh, pts)
+
+
+# ---------------------------------------------------------------------------
+# Target blocks of influence_gradients: near-equal blocks of at most
+# PAIR_BUDGET // 2 pairs and at least two targets, each summed over the
+# panels in einsum's order; a lone target is summed sequentially.
+# ---------------------------------------------------------------------------
+
+class TestTargetBlocks:
+    @pytest.fixture
+    @staticmethod
+    def block_sizes(monkeypatch):
+        sizes = []
+        block = kernels._contracted_gradients
+
+        def recording(mesh, targets, *args):
+            sizes.append(len(targets))
+            return block(mesh, targets, *args)
+
+        monkeypatch.setattr(kernels, "_contracted_gradients", recording)
+        return sizes
+
+    @pytest.mark.parametrize("budget, sizes", [
+        (kernels.PAIR_BUDGET, [97, 97]),   # the default: 16,384 // 167 = 98 a block
+        (2 * 80 * 167, [64, 65, 65]),      # three blocks, of uneven size
+        (2 * 60 * 167, [48, 49, 48, 49]),  # four, the last one longer
+    ], ids=["two", "three", "four"])
+    def test_reference_lattice(self, monkeypatch, block_sizes, budget, sizes):
+        mesh, pts = reference_lattice()
+        assert pts.shape == (194, 2) and mesh.n_panels == 167
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        assert_gradients_keep_their_bits(mesh, pts, seed=budget)
+        assert block_sizes == sizes * 3       # one call per density pair
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_few_targets(self, block_sizes, m):
+        # One target alone, summed pairwise as a contiguous column, drifts
+        # from einsum's sequential sum on the 167-panel mesh.
+        mesh, pts = reference_lattice()
+        for start in range(0, 12, m):
+            block_sizes.clear()
+            assert_gradients_keep_their_bits(mesh, pts[start:start + m], seed=start)
+            assert block_sizes == [m] * 3
+
+    def test_blocks_keep_two_targets(self, monkeypatch, block_sizes):
+        # A budget of under two targets a block still gives every block two
+        # or more, of near-equal size.
+        mesh, pts = reference_lattice()
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", 2)
+        assert_gradients_keep_their_bits(mesh, pts[:7])
+        assert block_sizes == [2, 2, 3] * 3

@@ -4,15 +4,18 @@
 array memory a call holds at once.  Each solve writes S and D straight into
 the Fortran-ordered system matrix and right-hand-side columns, releases the
 columns once the right-hand sides are formed, and factors the matrix in
-place; each interior evaluation releases S and D before the gradients.  A
-layer that keeps a spent array, or copies the matrix, breaks these bounds.
+place; each interior evaluation releases S and D before the gradients,
+which it contracts block by block as it forms them.  A layer that keeps a
+spent array, copies the matrix or forms the (m, n, 2) gradient arrays
+breaks these bounds.
 Each peak bound is the peak measured when it was set, rounded up by less
 than 1%, and at the LU the solver may hold 1% of A besides the system; do
 not loosen them.  What tracemalloc cannot see (the allocator's retention,
-BLAS buffers, the interpreter) is bounded once, on a whole ``validate-bem``
-process.
+BLAS buffers, the interpreter) is bounded on whole ``validate-bem`` and
+``simulate`` processes.
 """
 
+import json
 import sys
 import tracemalloc
 
@@ -23,9 +26,9 @@ from wavebox import bem, kernels, runner
 from wavebox.geometry import build_boundary_mesh, flat_interface
 from wavebox.kernels import DenseSystem, solve_dense
 from wavebox.modes import sample_initial_state
-from wavebox.pressure import PressureField, interior_lattice
+from wavebox.pressure import PressureField, interior_lattice, pressure_min
 
-from conftest import make_reference_data, run_child
+from conftest import make_reference_data, reference_config_dict, run_child
 
 
 def traced_peak(call, cold=False):
@@ -100,23 +103,38 @@ def test_only_the_system_is_live_at_the_lu(monkeypatch):
     assert held[-1] <= 0.01 * (mesh.n_panels + 1) ** 2 * 8
 
 
-def test_interior_evaluation_at_the_reference_lattice():
-    # 194 lattice points x 167 panels: the gradients' arrays alone (2.93 MB);
-    # with S and D kept beside them and every log in a fresh array it was
-    # 4.93 MB.
+def reference_lattice_field():
     state = sample_initial_state(make_reference_data(1.0), 96, 24)
     field = PressureField.from_state(state, 2.0)
     pts = interior_lattice(field, 16)
     assert pts.shape == (194, 2)
+    return state, field, pts
+
+
+def test_interior_evaluation_at_the_reference_lattice():
+    # 194 lattice points x 167 panels: S, D and _layers' arrays (1.66 MB);
+    # the gradients, contracted in two blocks of 97 targets as they are
+    # formed, hold less.  With the (m, n, 2) gradient arrays it was 2.93 MB,
+    # and with S and D kept beside them and every log in a fresh array
+    # 4.93 MB.
+    state, _, pts = reference_lattice_field()
     peak = traced_peak(lambda: bem.eval_interior(state.mesh, state.cauchy, pts, 2.0))
-    assert peak <= 2.95e6
+    assert peak <= 1.66e6
+
+
+def test_pressure_minimum_at_the_reference_lattice():
+    # One record's lattice pressure: its two interior evaluations run one
+    # after the other (1.66 MB).  With the (m, n, 2) gradients, 2.94 MB.
+    _, field, _ = reference_lattice_field()
+    peak = traced_peak(lambda: pressure_min(field, 16))
+    assert peak <= 1.67e6
 
 
 # VmHWM is the peak resident set of the process's own address space.  The
 # child's ru_maxrss would not do: Linux carries the hiwater mark of the
 # address space that exec replaced, the forked copy of the test process.
-VALIDATE_BEM_RSS = """
-import os, tempfile
+PROCESS_RSS = """
+import os, sys, tempfile
 import wavebox.cli
 
 def status_kib(field):
@@ -124,26 +142,43 @@ def status_kib(field):
         return next(int(line.split()[1]) for line in fh if line.startswith(field))
 
 before = status_kib("VmRSS:")
+command, config = sys.argv[1:]
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "cfg.json")
     with open(path, "w") as fh:
-        fh.write("{}")
-    code = wavebox.cli.main(["validate-bem", "--config", path, "--quiet"])
+        fh.write(config)
+    out = ["--out", os.path.join(tmp, "out")] if command == "simulate" else []
+    code = wavebox.cli.main([command, "--config", path, *out, "--quiet"])
 print(code, status_kib("VmHWM:") - before)
 """
+
+
+def process_peak_growth_kib(command, config):
+    """Growth of a fresh ``wavebox`` process's peak resident set, one BLAS
+    thread, above what it held right after importing the CLI."""
+    code, growth_kib = run_child(["-c", PROCESS_RSS, command, config], text=True).split()
+    assert code == "0"
+    return int(growth_kib)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads the peak resident set from /proc/self/status")
 def test_validate_bem_process_peak():
-    # The default sweep in a fresh process, one BLAS thread: growth of the
-    # peak resident set above what the process held right after importing
-    # the CLI.  This sees what tracemalloc cannot: the allocator's
-    # retention, BLAS buffers, the wall block's cold fill.  23 runs read
-    # 10.58-10.90 MiB; before the solve assembled in place and factored
-    # without a copy, 16.5 MiB.  The bound sits 5% above the highest
-    # reading, since the peak resident set moves by about 3% from run to
-    # run; tracemalloc's peaks above are exact.
-    code, growth_kib = run_child(["-c", VALIDATE_BEM_RSS], text=True).split()
-    assert code == "0"
-    assert int(growth_kib) <= 11.5 * 1024
+    # The default sweep.  This sees what tracemalloc cannot: the
+    # allocator's retention, BLAS buffers, the wall block's cold fill.  23
+    # runs read 10.58-10.90 MiB; before the solve assembled in place and
+    # factored without a copy, 16.5 MiB.  The bound sits 5% above the
+    # highest reading, since the peak resident set moves by about 3% from
+    # run to run; tracemalloc's peaks above are exact.
+    assert process_peak_growth_kib("validate-bem", "{}") <= 11.5 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak resident set from /proc/self/status")
+def test_simulate_process_peak():
+    # The reference run (96/24) to t = 1e-4: its one record, at t = 0,
+    # evaluates the 194-point lattice twice.  52 runs read 4.61-4.86 MiB;
+    # with the (m, n, 2) gradient arrays 18 runs read 5.88-6.02 MiB.  The
+    # bound sits 5% above the highest reading, as for validate-bem.
+    config = json.dumps(reference_config_dict(t_end_cap=1e-4))
+    assert process_peak_growth_kib("simulate", config) <= 5.1 * 1024
