@@ -23,8 +23,9 @@ from .geometry import wall_mesh
 FloatArray = NDArray[np.float64]
 
 TWO_PI = 2.0 * np.pi
-# (target, panel) pairs per block of influence_matrices: 128 rows of the
-# 639-panel validate-bem mesh's 255 surface columns
+# (target, panel) pairs per block of influence_matrices' collocation mode:
+# 128 rows of the 639-panel validate-bem mesh's 255 surface columns.  The
+# default mode and influence_gradients take half as many.
 PAIR_BUDGET = 32768
 
 
@@ -227,10 +228,13 @@ def _double_layer(mesh, targets: FloatArray, cols, D: FloatArray):
     D[...] = D_block
 
 
-def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray):
-    """``kernel`` over blocks of target rows, each of at most ``PAIR_BUDGET``
-    (target, panel) pairs, each block written into its rows of ``out``."""
-    step = max(1, PAIR_BUDGET // (cols.stop - cols.start))
+def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray,
+                   pairs=None):
+    """``kernel`` over blocks of target rows, each of at most ``pairs``
+    (target, panel) pairs, ``PAIR_BUDGET`` if None, each block written into
+    its rows of ``out``."""
+    pairs = PAIR_BUDGET if pairs is None else pairs
+    step = max(1, pairs // (cols.stop - cols.start))
     for i in range(0, len(targets), step):
         kernel(mesh, targets[i:i + step], cols, *(o[i:i + step] for o in out))
 
@@ -269,15 +273,18 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
     per-wall-count cache, and only surface midpoints are evaluated against
     wall panels.
 
-    Every kernel runs over blocks of target rows, at most ``PAIR_BUDGET``
-    pairs each, written in place.
+    Every kernel runs over blocks of target rows, written in place: at
+    most ``PAIR_BUDGET`` pairs each in the collocation mode, and at most
+    ``PAIR_BUDGET // 2`` in the default mode, whose whole S and D are live
+    beside each block's arrays.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     n, w, sl = mesh.n_panels, mesh.wall_panels_per_side, mesh.surface_slice
     if collocation is None:
         S = np.empty((len(targets), n))
         D = np.empty((len(targets), n))
-        _by_row_blocks(_layers, mesh, targets, slice(0, n), S, D)
+        _by_row_blocks(_layers, mesh, targets, slice(0, n), S, D,
+                       pairs=PAIR_BUDGET // 2)
         return S, D
     A, D_surface = collocation
     _by_row_blocks(_layers, mesh, targets, sl, A[:, sl], D_surface)

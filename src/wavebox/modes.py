@@ -19,6 +19,23 @@ from .geometry import flat_interface
 
 FloatArray = NDArray[np.float64]
 
+# The 16-point Gauss-Legendre rule on [-1, 1], bit for bit the nodes and
+# weights of np.polynomial.legendre.leggauss(16): the positive nodes and
+# their weights, mirrored, since that rule is exactly symmetric.  Written
+# out, so that a run loads neither numpy.polynomial nor numpy's own LAPACK
+# (leggauss solves an eigenproblem), whose pages would set the run's peak.
+_HALF_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499])
+_HALF_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176])
+GAUSS_NODES = np.concatenate([-_HALF_NODES[::-1], _HALF_NODES])
+GAUSS_WEIGHTS = np.concatenate([_HALF_WEIGHTS[::-1], _HALF_WEIGHTS])
+GAUSS_NODES.flags.writeable = GAUSS_WEIGHTS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class ModePotential:
@@ -69,12 +86,13 @@ def initial_A(potential: ModePotential) -> float:
     """Starting value of the virial functional, by direct quadrature.
 
     Interior term: 16-point tensor-product Gauss on the unit square of
-    u1 * x1.  Wall term: 1D Gauss of x2 * u2 on the wall x1 = 1.
+    u1 * x1.  Wall term: 1D Gauss of x2 * u2 on the wall x1 = 1.  The
+    rule is the written-out ``GAUSS_NODES``/``GAUSS_WEIGHTS``, with the
+    bits of ``leggauss(16)``, so no eigensolver runs.
     Independent of the boundary-reduced evaluation used during runs.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    x = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    x = 0.5 * (GAUSS_NODES + 1.0)
+    w = 0.5 * GAUSS_WEIGHTS
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     u1, _ = potential.velocity(X1, X2)
     interior = float(np.einsum("i,j,ij->", w, w, u1 * X1))

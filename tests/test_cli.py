@@ -565,3 +565,22 @@ def test_cli_import_loads_no_scipy_linalg_package():
     loaded, after = run_child(["-c", LINALG_GUARD], text=True).splitlines()
     assert loaded.split() == []
     assert after.split() == ["scipy.linalg._flapack", "True"]
+
+
+# A run must load no second LAPACK beside SciPy's: leggauss would load
+# numpy.polynomial and run its eigensolver through numpy's own.
+RUN_GUARD = """
+import sys
+import wavebox.cli
+code = wavebox.cli.main(["simulate", "--config", sys.argv[1],
+                         "--out", sys.argv[2], "--quiet"])
+print(code, *(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))
+"""
+
+
+def test_simulate_loads_no_numpy_polynomial(tmp_path):
+    # initial_A's rule, built by leggauss(16), set the run's peak resident
+    # set: 0.8 MB above anything else the blowup workload holds.
+    cfg = write_config(tmp_path, reference_config_dict(t_end_cap=1e-4))
+    out = run_child(["-c", RUN_GUARD, cfg, str(tmp_path / "out")], text=True)
+    assert out.split() == ["0"]

@@ -6,9 +6,10 @@ appears as a name or attribute anywhere in the package's code; names in
 comments and docstrings do not count, and dunder methods are exempt.  A
 parameter with a default counts as used when some call inside the package,
 matched by the callee's name, passes it by keyword or by position.  A
-third scan keeps ``print`` calls to cli.py, and a fourth keeps every import
-at module level.  The last scan parses each module of tests/ and finds
-every name it imports used in its code.
+third scan keeps ``print`` calls to cli.py, a fourth keeps every import
+at module level, and a fifth keeps numpy's linalg and polynomial out of the
+package.  The last scan parses each module of tests/ and finds every name
+it imports used in its code.
 """
 
 import ast
@@ -120,6 +121,32 @@ def test_no_import_inside_a_function():
                    for node in ast.walk(func)
                    if isinstance(node, (ast.Import, ast.ImportFrom))})
     assert lazy == []
+
+
+def _numpy_paths(tree):
+    """(line, dotted path) of every attribute of ``np``/``numpy`` and every
+    imported module or name."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            yield node.lineno, f"numpy.{node.attr}"
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from ((node.lineno, f"{node.module}.{alias.name}")
+                        for alias in node.names)
+
+
+def test_no_module_uses_numpy_linalg_or_polynomial():
+    # kernels.solve_dense factors through SciPy's LAPACK.  numpy's own, which
+    # np.linalg and np.polynomial's eigensolvers call, would be a second
+    # one: leggauss(16) alone set a simulate run's peak resident set.
+    paths = [(stem, line, path) for stem, tree in _modules()
+             for line, path in _numpy_paths(tree)]
+    assert len(paths) > 100
+    assert [f"{stem}:{line} {path}" for stem, line, path in paths
+            if path.split(".")[:2] in (["numpy", "linalg"],
+                                       ["numpy", "polynomial"])] == []
 
 
 def test_every_name_a_test_module_imports_is_used_in_it():

@@ -647,15 +647,17 @@ class TestCollocationMode:
 
 
 # ---------------------------------------------------------------------------
-# Row blocks: every kernel runs over blocks of target rows, at most
-# PAIR_BUDGET (target, panel) pairs each, written in place: _layers, the
-# surface rows against the wall panels, and the cached wall x wall block.
+# Row blocks: every kernel runs over blocks of target rows, written in
+# place: _layers, the surface rows against the wall panels, and the cached
+# wall x wall block.  A block holds at most PAIR_BUDGET (target, panel)
+# pairs in the collocation mode and PAIR_BUDGET // 2 in the default mode.
 # A ragged last block must leave every bit as one block gives it.
 # ---------------------------------------------------------------------------
 
 def assert_blocks_match(monkeypatch, mesh, budget, collocation):
     n_cols = mesh.n_markers - 1 if collocation else mesh.n_panels
-    assert budget // n_cols > 1 and mesh.n_panels % (budget // n_cols) != 0
+    rows = (budget if collocation else budget // 2) // n_cols
+    assert rows > 1 and mesh.n_panels % rows != 0
 
     def matrices():
         kernels._wall_double_layer.cache_clear()
@@ -677,8 +679,9 @@ class TestRowBlocks:
     @pytest.mark.parametrize("w", [16, 24])
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
     def test_ragged_blocks(self, monkeypatch, name, w, collocation):
+        # The default mode at twice the budget: the same 1000-pair blocks.
         assert_blocks_match(monkeypatch, TestCollocationMode.mesh(name, w),
-                            1000, collocation)
+                            1000 if collocation else 2000, collocation)
 
     @pytest.mark.parametrize("budget", [kernels.PAIR_BUDGET, 2000])
     def test_sweep_mesh(self, monkeypatch, budget):
@@ -686,6 +689,27 @@ class TestRowBlocks:
         mesh = build_boundary_mesh(flat_interface(256), 128)
         assert kernels.PAIR_BUDGET // (mesh.n_markers - 1) == 128
         assert_blocks_match(monkeypatch, mesh, budget, collocation=True)
+
+    def test_reference_lattice(self, monkeypatch):
+        # The default mode, as eval_interior calls it: 194 lattice points x
+        # 167 panels in blocks of 16,384 // 167 = 98 rows, not in one block
+        # of 32,398 pairs, with the bits of one block.
+        mesh, pts = reference_lattice()
+        sizes = []
+        layers = kernels._layers
+
+        def recording(mesh, targets, *args):
+            sizes.append(len(targets))
+            return layers(mesh, targets, *args)
+
+        monkeypatch.setattr(kernels, "_layers", recording)
+        blocked = influence_matrices(mesh, pts)
+        assert sizes == [98, 96]
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", 10**9)
+        whole = influence_matrices(mesh, pts)
+        assert sizes == [98, 96, 194]
+        for got, want in zip(blocked, whole):
+            assert_same_bits(got, want)
 
 
 def _gradS_first_gradients(mesh, targets):

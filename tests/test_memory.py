@@ -4,10 +4,10 @@
 array memory a call holds at once.  Each solve writes S and D straight into
 the Fortran-ordered system matrix and right-hand-side columns, releases the
 columns once the right-hand sides are formed, and factors the matrix in
-place; each interior evaluation releases S and D before the gradients,
-which it contracts block by block as it forms them.  A layer that keeps a
-spent array, copies the matrix or forms the (m, n, 2) gradient arrays
-breaks these bounds.
+place; each interior evaluation forms S and D in row blocks and releases
+them before the gradients, which it contracts block by block as it forms
+them.  A layer that keeps a spent array, copies the matrix, forms S and D
+in one block or forms the (m, n, 2) gradient arrays breaks these bounds.
 Each peak bound is the peak measured when it was set, rounded up by less
 than 1%, and at the LU the solver may hold 1% of A besides the system; do
 not loosen them.  What tracemalloc cannot see (the allocator's retention,
@@ -112,22 +112,24 @@ def reference_lattice_field():
 
 
 def test_interior_evaluation_at_the_reference_lattice():
-    # 194 lattice points x 167 panels: S, D and _layers' arrays (1.66 MB);
-    # the gradients, contracted in two blocks of 97 targets as they are
-    # formed, hold less.  With the (m, n, 2) gradient arrays it was 2.93 MB,
-    # and with S and D kept beside them and every log in a fresh array
-    # 4.93 MB.
+    # 194 lattice points x 167 panels: the gradients, contracted in two
+    # blocks of 97 targets as they are formed, set the peak (1.246 MB).  S,
+    # D and _layers' arrays, formed in row blocks of 98 and 96 targets, hold
+    # 1.12 MB; formed in one block they held 1.66 MB.  With the (m, n, 2)
+    # gradient arrays it was 2.93 MB, and with S and D kept beside them and
+    # every log in a fresh array 4.93 MB.
     state, _, pts = reference_lattice_field()
     peak = traced_peak(lambda: bem.eval_interior(state.mesh, state.cauchy, pts, 2.0))
-    assert peak <= 1.66e6
+    assert peak <= 1.25e6
 
 
 def test_pressure_minimum_at_the_reference_lattice():
     # One record's lattice pressure: its two interior evaluations run one
-    # after the other (1.66 MB).  With the (m, n, 2) gradients, 2.94 MB.
+    # after the other (1.255 MB).  With S and D in one block, 1.66 MB; with
+    # the (m, n, 2) gradients, 2.94 MB.
     _, field, _ = reference_lattice_field()
     peak = traced_peak(lambda: pressure_min(field, 16))
-    assert peak <= 1.67e6
+    assert peak <= 1.26e6
 
 
 # VmHWM is the peak resident set of the process's own address space.  The
@@ -177,8 +179,11 @@ def test_validate_bem_process_peak():
                     reason="reads the peak resident set from /proc/self/status")
 def test_simulate_process_peak():
     # The reference run (96/24) to t = 1e-4: its one record, at t = 0,
-    # evaluates the 194-point lattice twice.  52 runs read 4.61-4.86 MiB;
-    # with the (m, n, 2) gradient arrays 18 runs read 5.88-6.02 MiB.  The
-    # bound sits 5% above the highest reading, as for validate-bem.
+    # evaluates the 194-point lattice twice, and initial_A integrates on
+    # the written-out 16-point Gauss rule.  55 runs read 3.23-3.41 MiB.
+    # With leggauss(16), which runs numpy's own LAPACK, and S and D formed
+    # in one block, 30 runs read 4.73-4.84 MiB; with the (m, n, 2) gradient
+    # arrays as well, 18 runs read 5.88-6.02 MiB.  The bound sits 5% above
+    # the highest reading, as for validate-bem.
     config = json.dumps(reference_config_dict(t_end_cap=1e-4))
-    assert process_peak_growth_kib("simulate", config) <= 5.1 * 1024
+    assert process_peak_growth_kib("simulate", config) <= 3.58 * 1024

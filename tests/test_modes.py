@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from wavebox.modes import ModePotential, initial_A, sample_initial_state
+from wavebox.modes import (GAUSS_NODES, GAUSS_WEIGHTS, ModePotential,
+                           initial_A, sample_initial_state)
 from wavebox.runner import CORNER_TOL
 
-from conftest import make_reference_data
+from conftest import assert_same_bits, make_reference_data
 
 # frozen: A for the amplitude-1 reference data, from the closed form
 # sum_k a_k (-1)^k cosh(k pi) with a_1 = -1, a_3 = sinh(pi)/(3 sinh(3 pi))
@@ -49,6 +50,27 @@ class TestModePotential:
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ValueError):
             make_reference_data(0.0)
+
+
+class TestGaussRule:
+    """The written-out 16-point rule that ``initial_A`` integrates with."""
+
+    def test_bits_of_leggauss(self):
+        # report.json's a_quadrature keeps its bits only with these.
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert_same_bits(GAUSS_NODES, nodes)
+        assert_same_bits(GAUSS_WEIGHTS, weights)
+
+    def test_symmetric(self):
+        assert_same_bits(GAUSS_NODES, -GAUSS_NODES[::-1])
+        assert_same_bits(GAUSS_WEIGHTS, GAUSS_WEIGHTS[::-1])
+
+    def test_integrates_monomials_to_degree_30(self):
+        # exact to degree 31: x^k on [-1, 1] is 2/(k+1) for even k, 0 for odd
+        errors = [abs(np.dot(GAUSS_WEIGHTS, GAUSS_NODES ** k)
+                      - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
+                  for k in range(31)]
+        assert max(errors) <= 1e-15
 
 
 class TestInitialA:
