@@ -23,10 +23,8 @@ from .geometry import wall_mesh
 FloatArray = NDArray[np.float64]
 
 TWO_PI = 2.0 * np.pi
-# (target, panel) pairs per block of influence_matrices' collocation mode:
-# 128 rows of the 639-panel validate-bem mesh's 255 surface columns.  The
-# default mode and influence_gradients take half as many.
-PAIR_BUDGET = 32768
+# (target, panel) pairs per row block of every panel kernel; see _row_blocks.
+PAIR_BUDGET = 16384
 
 
 def _load_flapack():
@@ -228,15 +226,24 @@ def _double_layer(mesh, targets: FloatArray, cols, D: FloatArray):
     D[...] = D_block
 
 
-def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray,
-                   pairs=None):
-    """``kernel`` over blocks of target rows, each of at most ``pairs``
-    (target, panel) pairs, ``PAIR_BUDGET`` if None, each block written into
-    its rows of ``out``."""
-    pairs = PAIR_BUDGET if pairs is None else pairs
-    step = max(1, pairs // (cols.stop - cols.start))
-    for i in range(0, len(targets), step):
-        kernel(mesh, targets[i:i + step], cols, *(o[i:i + step] for o in out))
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """The one split of m target rows against n panels: the fewest
+    near-equal blocks, in order, of at most ``PAIR_BUDGET`` pairs and at
+    least two rows, unless m == 1; none if m == 0.
+
+    Two rows is the floor that ``influence_gradients`` needs for its bits,
+    so a budget under three rows can give blocks of three.
+    """
+    per_block = max(2, PAIR_BUDGET // n)
+    n_blocks = min(-(-m // per_block), max(1, m // 2))
+    return [slice(i * m // n_blocks, (i + 1) * m // n_blocks) for i in range(n_blocks)]
+
+
+def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray):
+    """``kernel`` over ``_row_blocks`` of the targets against the panels
+    cols, each block written into its rows of ``out``."""
+    for rows in _row_blocks(len(targets), cols.stop - cols.start):
+        kernel(mesh, targets[rows], cols, *(o[rows] for o in out))
 
 
 @functools.lru_cache(maxsize=8)
@@ -273,18 +280,14 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
     per-wall-count cache, and only surface midpoints are evaluated against
     wall panels.
 
-    Every kernel runs over blocks of target rows, written in place: at
-    most ``PAIR_BUDGET`` pairs each in the collocation mode, and at most
-    ``PAIR_BUDGET // 2`` in the default mode, whose whole S and D are live
-    beside each block's arrays.
+    Every kernel runs over ``_row_blocks`` of the targets, written in place.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     n, w, sl = mesh.n_panels, mesh.wall_panels_per_side, mesh.surface_slice
     if collocation is None:
         S = np.empty((len(targets), n))
         D = np.empty((len(targets), n))
-        _by_row_blocks(_layers, mesh, targets, slice(0, n), S, D,
-                       pairs=PAIR_BUDGET // 2)
+        _by_row_blocks(_layers, mesh, targets, slice(0, n), S, D)
         return S, D
     A, D_surface = collocation
     _by_row_blocks(_layers, mesh, targets, sl, A[:, sl], D_surface)
@@ -367,11 +370,10 @@ def influence_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
     (n,) panel densities; targets must be off every panel (interior
     evaluation only).  Each component of grad S and grad D is contracted
     as it is formed, so no (m, n, 2) array exists.  The targets run in
-    near-equal blocks of at most PAIR_BUDGET // 2 pairs (a block holds
-    about twice the arrays of ``_layers``) and at least two targets.  In a
-    block each component is an (n, m_block) array, multiplied in place by
-    its density column and summed by ``np.add.reduce(..., axis=0)``, which
-    adds the rows in turn, left to right: the order and rounding of
+    ``_row_blocks``, of two targets or more.  In a block each component is
+    an (n, m_block) array, multiplied in place by its density column and
+    summed by ``np.add.reduce(..., axis=0)``, which adds the rows in turn,
+    left to right: the order and rounding of
     ``np.einsum("mnj,n->mj", grad, density)``, so the bits are einsum's.
     A one-target block would make the reduction contiguous, which numpy
     sums pairwise, so a lone target (m == 1) is summed by
@@ -380,11 +382,7 @@ def influence_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
     product is -0 gives -0 where einsum gives +0.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    m = len(targets)
-    per_block = max(2, PAIR_BUDGET // 2 // mesh.n_panels)
-    n_blocks = max(1, min(-(-m // per_block), m // 2))
-    bounds = [i * m // n_blocks for i in range(n_blocks + 1)]
-    gradients = np.empty((m, 2))
-    for lo, hi in zip(bounds, bounds[1:]):
-        _contracted_gradients(mesh, targets[lo:hi], fluxes, values, gradients[lo:hi])
+    gradients = np.empty((len(targets), 2))
+    for rows in _row_blocks(len(targets), mesh.n_panels):
+        _contracted_gradients(mesh, targets[rows], fluxes, values, gradients[rows])
     return gradients

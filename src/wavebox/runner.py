@@ -38,7 +38,7 @@ from .diagnostics import (CSV_FIELDS, DERIVED_FIELDS, blowup_bound,
                           constant_c1, detect_breakdown, fill_derived,
                           int_pressure, int_u1_squared, record_steps,
                           virial_parts, wall_u2_squared)
-from .errors import BreakdownError, BreakdownSignal, GeometryError
+from .errors import BREAKDOWN_KINDS, BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
 from .geometry import (build_boundary_mesh, flat_interface, gradient_1d,
@@ -134,6 +134,8 @@ class RunConfig:
                     f.name, value, integral=True))
             elif f.type == "float" and not _checked_number(f.name, value) > 0.0:
                 raise ConfigError(f"{f.name} must be positive")
+            elif f.type == "str" and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
         object.__setattr__(self, "modes", tuple(
             (_checked_number("mode wavenumber", k, integral=True),
              float(_checked_number("mode coefficient", a)))
@@ -616,9 +618,9 @@ def verify_identities(run_dir: str) -> int:
             raise ValueError(f"{report_path}: not true or false: "
                              f"{', '.join(not_bool)}")
         kind = stored.get("breakdown_kind")
-        if not (kind is None or isinstance(kind, str)):
+        if not (kind is None or kind in BREAKDOWN_KINDS):
             raise ValueError(f"{report_path}: breakdown_kind is neither "
-                             f"null nor a string: {kind!r}")
+                             f"null nor a breakdown kind: {kind!r}")
         n_records = stored.get("n_records")
         if type(n_records) is not int:
             raise ValueError(f"{report_path}: n_records is not an integer")

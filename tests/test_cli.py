@@ -162,14 +162,16 @@ def scaled_reference_modes(factor):
     {"modes": [[0, 1.0]]}, {"n_markers": 4}, {"wall_panels_per_side": 2},
     {"cfl": 0.0}, {"cfl": 1.5}, {"bem_mode_ks": [1, 225]}, {"bem_mode_ks": [300]},
     {"modes": [[1, 1.0]]}, {"modes": [[1, -1.0], [300, 1e-300]]},
-    {"modes": scaled_reference_modes(1e153)},
+    {"modes": scaled_reference_modes(1e153)}, {"out_dir": 5}, {"out_dir": None},
+    {"out_dir": ["a"]}, {"out_dir": True},
 ], ids=["mode_k0", "n_markers_4", "wall_panels_2", "cfl_0", "cfl_1.5",
         "bem_mode_225", "bem_mode_300", "corner_violation", "mode_300",
-        "reference_x1e153"])
+        "reference_x1e153", "out_dir_number", "out_dir_null", "out_dir_list",
+        "out_dir_bool"])
 def test_out_of_range_value_is_exit_2(tmp_path, capsys, still_run, bad):
     # RunConfig alone checks these rules, for every command; the numerics
     # trust them.  A run directory whose config.json says the same is bad
-    # input too.
+    # input too.  out_dir must be a string even when --out overrides it.
     path = write_config(tmp_path, {**SMALL_CONFIG, **bad})
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", path, "--out", out]) == 2
@@ -235,12 +237,13 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("report", [
         "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1},
         {"breakdown_kind": False}, {"breakdown_kind": 5},
+        {"breakdown_kind": "banana"}, {"breakdown_kind": ""},
         {"all_passed": "true"}, {"a_consistent": None}, {"n_records": 11.0},
         {"n_records": True}],
         ids=["list", "string", "check-as-string", "check-as-number",
              "breakdown-as-false", "breakdown-as-number",
-             "all-passed-as-string", "verdict-as-null", "records-as-float",
-             "records-as-bool"])
+             "breakdown-unknown", "breakdown-empty", "all-passed-as-string",
+             "verdict-as-null", "records-as-float", "records-as-bool"])
     def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
                                         report):
         run = tmp_path / "run"

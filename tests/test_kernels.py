@@ -647,17 +647,16 @@ class TestCollocationMode:
 
 
 # ---------------------------------------------------------------------------
-# Row blocks: every kernel runs over blocks of target rows, written in
-# place: _layers, the surface rows against the wall panels, and the cached
-# wall x wall block.  A block holds at most PAIR_BUDGET (target, panel)
-# pairs in the collocation mode and PAIR_BUDGET // 2 in the default mode.
-# A ragged last block must leave every bit as one block gives it.
+# Row blocks: every kernel runs over kernels._row_blocks of its target rows,
+# written in place: _layers in both modes, the surface rows against the
+# wall panels, the cached wall x wall block and influence_gradients.  The
+# one split gives the fewest near-equal blocks, in order, of at most
+# PAIR_BUDGET (target, panel) pairs and at least two rows.  Blocks of two
+# sizes must leave every bit as one block gives it.
 # ---------------------------------------------------------------------------
 
 def assert_blocks_match(monkeypatch, mesh, budget, collocation):
     n_cols = mesh.n_markers - 1 if collocation else mesh.n_panels
-    rows = (budget if collocation else budget // 2) // n_cols
-    assert rows > 1 and mesh.n_panels % rows != 0
 
     def matrices():
         kernels._wall_double_layer.cache_clear()
@@ -666,6 +665,8 @@ def assert_blocks_match(monkeypatch, mesh, budget, collocation):
         return influence_matrices(mesh, mesh.midpoints)
 
     monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+    blocks = kernels._row_blocks(mesh.n_panels, n_cols)
+    assert len({rows.stop - rows.start for rows in blocks}) == 2
     blocked = matrices()
     monkeypatch.setattr(kernels, "PAIR_BUDGET", 10**9)
     whole = matrices()
@@ -674,26 +675,58 @@ def assert_blocks_match(monkeypatch, mesh, budget, collocation):
 
 
 class TestRowBlocks:
+    @pytest.mark.parametrize("budget", [2, 100, 1000, kernels.PAIR_BUDGET])
+    def test_split(self, monkeypatch, budget):
+        # Budget 2 is under two rows for every n, and 100 from n = 51 on;
+        # under three rows, an odd m needs one block of three.
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
+        for m in (0, 1, 2, 3, 4, 5, 7, 97, 194, 639):
+            for n in (1, 2, 3, 95, 167, 255):
+                blocks = kernels._row_blocks(m, n)
+                if m == 0:
+                    assert blocks == []
+                    continue
+                # they tile 0..m in order
+                assert ([0, *(rows.stop for rows in blocks)]
+                        == [*(rows.start for rows in blocks), m])
+                sizes = [rows.stop - rows.start for rows in blocks]
+                assert min(sizes) >= min(m, 2)
+                assert max(sizes) - min(sizes) <= 1
+                assert max(sizes) * n <= max(budget, min(m, 3) * n)
+                # the fewest blocks: one fewer would need a longer one
+                assert (len(blocks) == 1
+                        or -(-m // (len(blocks) - 1)) * n > max(budget, 2 * n))
+
+    def test_no_targets(self):
+        mesh = TestCollocationMode.mesh("reference", 24)
+        S, D = influence_matrices(mesh, np.empty((0, 2)))
+        assert S.shape == D.shape == (0, mesh.n_panels)
+        ones = np.ones(mesh.n_panels)
+        assert influence_gradients(mesh, np.empty((0, 2)), ones, ones).shape == (0, 2)
+
     @pytest.mark.parametrize("collocation", [True, False],
                              ids=["collocation", "default"])
     @pytest.mark.parametrize("w", [16, 24])
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
     def test_ragged_blocks(self, monkeypatch, name, w, collocation):
-        # The default mode at twice the budget: the same 1000-pair blocks.
+        # Budgets at which every one of these meshes gets blocks of two
+        # sizes, against its surface panels or against all its panels.
         assert_blocks_match(monkeypatch, TestCollocationMode.mesh(name, w),
-                            1000 if collocation else 2000, collocation)
+                            500 if collocation else 1000, collocation)
 
     @pytest.mark.parametrize("budget", [kernels.PAIR_BUDGET, 2000])
     def test_sweep_mesh(self, monkeypatch, budget):
-        # validate-bem's finest mesh: 639 rows, 128 to a block by default
+        # validate-bem's finest mesh: 639 rows against 255 surface panels,
+        # by default ten blocks of 63 or 64 rows
         mesh = build_boundary_mesh(flat_interface(256), 128)
-        assert kernels.PAIR_BUDGET // (mesh.n_markers - 1) == 128
+        sizes = [rows.stop - rows.start for rows in kernels._row_blocks(639, 255)]
+        assert mesh.n_markers - 1 == 255 and sizes == [63] + [64] * 9
         assert_blocks_match(monkeypatch, mesh, budget, collocation=True)
 
     def test_reference_lattice(self, monkeypatch):
         # The default mode, as eval_interior calls it: 194 lattice points x
-        # 167 panels in blocks of 16,384 // 167 = 98 rows, not in one block
-        # of 32,398 pairs, with the bits of one block.
+        # 167 panels in two blocks of 97 rows (16,384 // 167 = 98 at most),
+        # not in one block of 32,398 pairs, with the bits of one block.
         mesh, pts = reference_lattice()
         sizes = []
         layers = kernels._layers
@@ -704,10 +737,10 @@ class TestRowBlocks:
 
         monkeypatch.setattr(kernels, "_layers", recording)
         blocked = influence_matrices(mesh, pts)
-        assert sizes == [98, 96]
+        assert sizes == [97, 97]
         monkeypatch.setattr(kernels, "PAIR_BUDGET", 10**9)
         whole = influence_matrices(mesh, pts)
-        assert sizes == [98, 96, 194]
+        assert sizes == [97, 97, 194]
         for got, want in zip(blocked, whole):
             assert_same_bits(got, want)
 
@@ -786,9 +819,8 @@ class TestGradientOrder:
 
 
 # ---------------------------------------------------------------------------
-# Target blocks of influence_gradients: near-equal blocks of at most
-# PAIR_BUDGET // 2 pairs and at least two targets, each summed over the
-# panels in einsum's order; a lone target is summed sequentially.
+# Target blocks of influence_gradients: the row blocks above, each summed
+# over the panels in einsum's order; a lone target is summed sequentially.
 # ---------------------------------------------------------------------------
 
 class TestTargetBlocks:
@@ -807,8 +839,8 @@ class TestTargetBlocks:
 
     @pytest.mark.parametrize("budget, sizes", [
         (kernels.PAIR_BUDGET, [97, 97]),   # the default: 16,384 // 167 = 98 a block
-        (2 * 80 * 167, [64, 65, 65]),      # three blocks, of uneven size
-        (2 * 60 * 167, [48, 49, 48, 49]),  # four, the last one longer
+        (80 * 167, [64, 65, 65]),          # three blocks, of uneven size
+        (60 * 167, [48, 49, 48, 49]),      # four, the last one longer
     ], ids=["two", "three", "four"])
     def test_reference_lattice(self, monkeypatch, block_sizes, budget, sizes):
         mesh, pts = reference_lattice()

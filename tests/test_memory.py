@@ -52,19 +52,20 @@ def traced_peak(call, cold=False):
 
 def test_validate_bem_finest_solve():
     # 639 panels, two modes, wall block cached: A, D's surface columns and
-    # one row block of the kernel are the most live at once (6.08 MB).
-    # With S and D formed apart and copied into a C-ordered A it was 7.94 MB.
+    # one row block of the kernel (63 or 64 of its 639 rows) are the most
+    # live at once (5.38 MB).  In blocks of 128 rows it was 6.08 MB; with
+    # S and D formed apart and copied into a C-ordered A, 7.94 MB.
     peak = traced_peak(lambda: runner._flat_mesh_errors(256, (1, 2)))
-    assert peak <= 6.1e6
+    assert peak <= 5.42e6
 
 
 def test_validate_bem_finest_solve_filling_the_cache():
     # The same solve as a validate-bem process's first at this wall count:
-    # the 384 x 384 wall block is filled in row blocks beside A and D's
-    # surface columns (7.01 MB).  Filled in one block beside S, D and A,
-    # as before, it was 9.62 MB.
+    # the 384 x 384 wall block is filled in ten row blocks beside A and D's
+    # surface columns (6.46 MB).  In blocks twice as large it was
+    # 7.01 MB; filled in one block beside S, D and A, 9.62 MB.
     peak = traced_peak(lambda: runner._flat_mesh_errors(256, (1, 2)), cold=True)
-    assert peak <= 7.05e6
+    assert peak <= 6.5e6
 
 
 def test_fortran_ordered_lu_makes_no_copy():
@@ -114,7 +115,7 @@ def reference_lattice_field():
 def test_interior_evaluation_at_the_reference_lattice():
     # 194 lattice points x 167 panels: the gradients, contracted in two
     # blocks of 97 targets as they are formed, set the peak (1.246 MB).  S,
-    # D and _layers' arrays, formed in row blocks of 98 and 96 targets, hold
+    # D and _layers' arrays, formed in the same two row blocks, hold
     # 1.12 MB; formed in one block they held 1.66 MB.  With the (m, n, 2)
     # gradient arrays it was 2.93 MB, and with S and D kept beside them and
     # every log in a fresh array 4.93 MB.
