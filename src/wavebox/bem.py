@@ -58,10 +58,12 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     A = np.empty((n + 1, n + 1), order="F")
     D_surface = np.empty((n, sl.stop - sl.start), order="F")
     kernels.influence_matrices(mesh, mesh.midpoints, collocation=(A[:n, :n], D_surface))
-    # D + I/2, then the unknown wall values' columns are -(D + I/2).
-    walls = np.r_[0:sl.start, sl.stop:n]
-    A[walls, walls] += 0.5
-    D_surface[np.arange(sl.start, sl.stop), np.arange(sl.stop - sl.start)] += 0.5
+    # D + I/2, through writeable views of the diagonals (einsum's "ii->i")
+    # of the wall x wall blocks and of D_surface's surface rows; then the
+    # unknown wall values' columns are -(D + I/2).
+    for square in (A[:sl.start, :sl.start], A[sl.stop:n, sl.stop:n], D_surface[sl]):
+        np.einsum("ii->i", square)[...] += 0.5
+    del square                                # a view of D_surface, freed below
     np.negative(A[:n, :sl.start], out=A[:n, :sl.start])
     np.negative(A[:n, sl.stop:n], out=A[:n, sl.stop:n])
     # Each datum gets its own gemv on its row as given, so it sums as a
@@ -128,5 +130,6 @@ def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,
     S, D = kernels.influence_matrices(mesh, pts)
     values = S @ cauchy.fluxes - D @ cauchy.values
     del S, D                    # released before the gradients' arrays
-    gradients = kernels.influence_gradients(mesh, pts, cauchy.fluxes, cauchy.values)
+    gradients = kernels.influence_gradients(mesh, pts, cauchy.fluxes[mesh.surface_slice],
+                                            cauchy.values)
     return values, gradients

@@ -207,6 +207,12 @@ class BoundaryMesh:
 
     Panel order: bottom wall, right wall, free surface (reversed marker
     order), left wall. Outward normals, midpoint collocation.
+
+    ``panel_rows`` is the one table the panel kernels read: a read-only,
+    C-contiguous (7, n) array whose rows are a_x, a_y, t_x, t_y, -n_x,
+    -n_y and the length, so a block of panels is a slice of contiguous
+    rows.  Each entry has the bits of the matching ``a``, ``tangents``,
+    ``normals`` (negated) or ``lengths`` entry.
     """
 
     a: FloatArray          # (n,2) panel start points
@@ -218,6 +224,7 @@ class BoundaryMesh:
     tangents: FloatArray = field(init=False)
     normals: FloatArray = field(init=False)
     lengths: FloatArray = field(init=False)
+    panel_rows: FloatArray = field(init=False)
 
     def __post_init__(self):
         d = self.b - self.a
@@ -226,10 +233,17 @@ class BoundaryMesh:
             raise GeometryError("degenerate (zero-length) panel")
         tangents = d / lengths[:, None]
         normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+        rows = np.empty((7, len(lengths)))
+        rows[0:2] = self.a.T
+        rows[2:4] = tangents.T
+        np.negative(normals.T, out=rows[4:6])
+        rows[6] = lengths
+        rows.flags.writeable = False
         object.__setattr__(self, "midpoints", 0.5 * (self.a + self.b))
         object.__setattr__(self, "tangents", tangents)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "panel_rows", rows)
 
     @property
     def n_panels(self) -> int:
@@ -289,15 +303,20 @@ def _wall_endpoints(w: int) -> tuple[FloatArray, FloatArray]:
     return a, b
 
 
+@functools.lru_cache(maxsize=8)
 def wall_mesh(w: int) -> BoundaryMesh:
-    """The 3w wall panels alone (bottom, right, left).
+    """The 3w wall panels alone (bottom, right, left), one shared mesh per w.
 
     The mesh of a one-marker curve, so it has no surface panel.  Each
     panel's midpoint, tangent, normal and length come from its own ends,
-    so they have the bits of the same wall panel in every mesh.
+    so they have the bits of the same wall panel in every mesh.  Callers
+    share it, so every array of it is read-only.
     """
     a, b = _wall_endpoints(w)
-    return BoundaryMesh(a=a, b=b, n_markers=1, wall_panels_per_side=w)
+    walls = BoundaryMesh(a=a, b=b, n_markers=1, wall_panels_per_side=w)
+    for array in (walls.midpoints, walls.tangents, walls.normals, walls.lengths):
+        array.flags.writeable = False
+    return walls
 
 
 def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> BoundaryMesh:
@@ -365,14 +384,18 @@ def point_segment_distance(points: FloatArray, a: FloatArray, b: FloatArray) -> 
 
 
 def points_inside(mesh: BoundaryMesh, points: FloatArray) -> NDArray[np.bool_]:
-    """Crossing-number inside test against the closed panel polygon."""
+    """Crossing-number inside test against the closed panel polygon.
+
+    Only the (point, panel) pairs whose panel straddles the point's height
+    get a crossing abscissa, with the same arithmetic per pair as an
+    all-pairs form.  A straddling panel has by != ay, so no division is
+    by zero.
+    """
     pts = np.atleast_2d(points)
     a, b = mesh.a, mesh.b
-    ax, ay = a[:, 0][None, :], a[:, 1][None, :]
-    bx, by = b[:, 0][None, :], b[:, 1][None, :]
-    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
-    straddles = (ay > py) != (by > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
-    hits = straddles & (px < x_cross)
-    return np.sum(hits, axis=1) % 2 == 1
+    py = pts[:, 1][:, None]
+    i, j = np.nonzero((a[:, 1] > py) != (b[:, 1] > py))
+    ax, ay, bx, by = a[j, 0], a[j, 1], b[j, 0], b[j, 1]
+    x_cross = ax + (pts[i, 1] - ay) * (bx - ax) / (by - ay)
+    crossings = np.bincount(i[pts[i, 0] < x_cross], minlength=len(pts))
+    return crossings % 2 == 1

@@ -113,60 +113,74 @@ def solve_dense(system: DenseSystem) -> FloatArray:
 
 
 def _local_coords(mesh, targets, cols=slice(None), panel_major=False):
-    """Panel-local coordinates of targets: (xi along tangent from a, eta along normal).
+    """Panel-local coordinates of targets against the contiguous panel block cols.
 
-    Shapes: targets (m,2), the n panels of the contiguous block cols of the
-    mesh; returns (m,n) arrays u1, u2, eta with u1 = -xi, u2 = length - xi
-    (endpoint offsets from the foot point), or (n,m) arrays if
-    ``panel_major``.  Each element takes the same operations in either
+    Shapes: targets (m,2) and the n panels of cols; returns (m,n) arrays
+    u1, u2, eta, or (n,m) arrays if ``panel_major``.  With a, t, n and l a
+    panel's start, tangent, outward normal and length and p a target,
+    u1 = (a - p).t and u2 = l + u1 are the panel ends' offsets from p's
+    foot point, and eta = (a - p).(-n) is p's height above the panel line.
+    They are bitwise -xi, l - xi and (p - a).n with xi = (p - a).t, since
+    negations are exact, except that an exactly zero u1 or eta may carry
+    the other sign.  Each element takes the same operations in either
     orientation, so it has the same bits.
-    Built from x/y component arrays, so no (m,n,2) temporary is formed; the
-    components are copied out of their (k,2) arrays once, so that every
-    (m,n) or (n,m) pass reads contiguous rows.
+    The panels are slices of ``mesh.panel_rows``, and the target
+    components are copied out of their (m,2) array once, so every pass
+    reads contiguous rows and no (m,n,2) temporary is formed.
     """
     px, py = targets.T.copy()
-    panels = np.vstack([mesh.a[cols].T, mesh.tangents[cols].T,
-                        mesh.normals[cols].T, mesh.lengths[cols]])
+    panels = mesh.panel_rows[:, cols]
     if panel_major:
         panels = panels[:, :, None]
     else:
         px, py = px[:, None], py[:, None]
-    ax, ay, tx, ty, nx, ny, lengths = panels
-    rx = px - ax
-    ry = py - ay
-    xi = rx * tx
-    xi += ry * ty
-    eta = np.multiply(rx, nx, out=rx)
-    ry *= ny
-    eta += ry
-    del ry                  # u2 can then take its storage
-    u2 = np.subtract(lengths, xi)
-    return np.negative(xi, out=xi), u2, eta
+    ax, ay, tx, ty, neg_nx, neg_ny, lengths = panels
+    rx = ax - px
+    ry = ay - py
+    u1 = rx * tx
+    eta = ry * neg_ny
+    ry *= ty
+    u1 += ry
+    rx *= neg_nx
+    eta += rx               # IEEE addition commutes: rx*(-nx) + ry*(-ny)
+    return u1, np.add(lengths, u1, out=rx), eta
+
+
+def _zero_where(array: FloatArray, mask) -> None:
+    """array[mask] = 0, skipped when the mask selects nothing."""
+    if mask.any():
+        array[mask] = 0.0
+
+
+# The panel kernels divide by eta == 0 and take log(0) on purpose, and mask
+# those elements afterwards; each enters this error state once per call.
+_masked_errors = np.errstate(divide="ignore", invalid="ignore")
 
 
 def _arctan_ratio(u: FloatArray, eta: FloatArray, out=None) -> FloatArray:
-    """atan(u/eta), +-pi/2 or nan where eta == 0 (callers mask those)."""
+    """atan(u/eta), +-pi/2 or nan where eta == 0 (callers mask those and
+    hold ``_masked_errors``)."""
     # Plain arctan of the ratio: arctan2 would wrap to +-pi for eta < 0
     # (targets on the interior side) and corrupt the subtended angle.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.divide(u, eta, out=out)
+    out = np.divide(u, eta, out=out)
     return np.arctan(out, out=out)
 
 
 def _u_log_r_minus_u(u: FloatArray, eta2: FloatArray, out: FloatArray) -> FloatArray:
-    """u ln sqrt(u^2 + eta^2) - u into out, with ln r taken as 0 at r = 0."""
+    """u ln sqrt(u^2 + eta^2) - u into out, with ln r taken as 0 at r = 0
+    (under ``_masked_errors``)."""
     np.multiply(u, u, out=out)
     out += eta2
     at_endpoint = out == 0.0
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-    out[at_endpoint] = 0.0
+    np.log(out, out=out)
+    _zero_where(out, at_endpoint)
     out *= 0.5
     out *= u
     out -= u
     return out
 
 
+@_masked_errors
 def _layers(mesh, targets: FloatArray, cols, S: FloatArray, D: FloatArray):
     """(S, D) of every target against the contiguous panel block cols,
     written into the given (m, n_cols) arrays.
@@ -188,22 +202,22 @@ def _layers(mesh, targets: FloatArray, cols, S: FloatArray, D: FloatArray):
     # principal value 0; without the mask, roundoff-scale eta would make the
     # subtended angle flip to +-pi and D to +-1/2.  |eta| takes F2's storage
     # until F(u2) does.
-    on_line = np.abs(eta, out=F2) <= 1e-12 * mesh.lengths[cols]
+    on_line = np.abs(eta, out=F2) <= 1e-12 * mesh.panel_rows[6, cols]
 
     # F(u2) into F2; u2's storage then takes atan(u2/eta), and a fourth
     # array eta*atan(u2/eta), 0 at eta = 0, and next atan(u1/eta).
     _u_log_r_minus_u(u2, eta * eta, out=F2)
     atan2 = _arctan_ratio(u2, eta, out=u2)
     eta_atan = np.multiply(eta, atan2)
-    eta_atan[on_axis] = 0.0
+    _zero_where(eta_atan, on_axis)
     F2 += eta_atan
     atan1 = _arctan_ratio(u1, eta, out=eta_atan)
     D_block = np.subtract(atan2, atan1, out=atan2)
     D_block /= TWO_PI
-    D_block[on_line] = 0.0
+    _zero_where(D_block, on_line)
     D[...] = D_block
     eta_atan = np.multiply(eta, atan1, out=atan1)
-    eta_atan[on_axis] = 0.0
+    _zero_where(eta_atan, on_axis)
     # eta's storage takes F(u1).
     F1 = _u_log_r_minus_u(u1, np.multiply(eta, eta, out=D_block), out=eta)
     F1 += eta_atan
@@ -215,15 +229,22 @@ def _layers(mesh, targets: FloatArray, cols, S: FloatArray, D: FloatArray):
         S[...] = F2
 
 
-def _double_layer(mesh, targets: FloatArray, cols, D: FloatArray):
-    """D alone, with ``_layers``' arithmetic for D, so with its bits,
-    written into the given (m, n_cols) array."""
+@_masked_errors
+def _double_layer(mesh, targets: FloatArray, cols, *D: FloatArray):
+    """D alone, with ``_layers``' arithmetic for D, so with its bits.
+
+    Written into the given arrays, each (m, k), which take the block's
+    panel columns in turn: the first the first k, the next the next.
+    """
     u1, u2, eta = _local_coords(mesh, targets, cols)
     D_block = _arctan_ratio(u2, eta, out=u2)
     D_block -= _arctan_ratio(u1, eta, out=u1)
     D_block /= TWO_PI
-    D_block[np.abs(eta, out=eta) <= 1e-12 * mesh.lengths[cols]] = 0.0
-    D[...] = D_block
+    _zero_where(D_block, np.abs(eta, out=eta) <= 1e-12 * mesh.panel_rows[6, cols])
+    start = 0
+    for out in D:
+        out[...] = D_block[:, start:start + out.shape[1]]
+        start += out.shape[1]
 
 
 def _row_blocks(m: int, n: int) -> list[slice]:
@@ -278,7 +299,8 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
     either may be a strided view.  The walls carry zero flux, so S against
     them is never formed.  The wall x wall block of D comes from a
     per-wall-count cache, and only surface midpoints are evaluated against
-    wall panels.
+    wall panels, all 3w at once from ``geometry.wall_mesh``, whose panel
+    rows have the bits of this mesh's wall panels.
 
     Every kernel runs over ``_row_blocks`` of the targets, written in place.
     """
@@ -291,12 +313,13 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
         return S, D
     A, D_surface = collocation
     _by_row_blocks(_layers, mesh, targets, sl, A[:, sl], D_surface)
-    D_walls = _wall_double_layer(w)
-    # The walls as two contiguous blocks, bottom and right, then left, each
-    # with its rows and columns in the cached block.
+    # The walls as two contiguous blocks of A, bottom and right, then left,
+    # each with its rows and columns in the wall mesh and the cached block.
     blocks = ((slice(0, 2 * w), slice(0, 2 * w)), (mesh.left_slice, slice(2 * w, None)))
+    _by_row_blocks(_double_layer, wall_mesh(w), targets[sl], slice(0, 3 * w),
+                   *(A[sl, cols] for cols, _ in blocks))
+    D_walls = _wall_double_layer(w)
     for cols, wall_cols in blocks:
-        _by_row_blocks(_double_layer, mesh, targets[sl], cols, A[sl, cols])
         for rows, wall_rows in blocks:
             A[rows, cols] = D_walls[wall_rows, wall_cols]
     return None
@@ -310,13 +333,16 @@ def _sum_over_panels(products: FloatArray) -> FloatArray:
     return np.add.reduce(products, axis=0)
 
 
-def _contracted_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
+@_masked_errors
+def _contracted_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
                           values: FloatArray, out: FloatArray):
     """``influence_gradients`` of one block of targets, written into out.
 
     The double layer's components come first, while u1, u2 and eta are
     intact; the logs and arctangents of the single layer's then take the
-    storage of the arrays they have spent.
+    storage of the arrays they have spent.  The single layer is formed on
+    the surface rows of the panel-major arrays only: the walls' flux is
+    zero, so each of their products would be an exact +-0.
     """
     u1, u2, eta = _local_coords(mesh, targets, panel_major=True)
     eta2 = eta * eta
@@ -327,62 +353,73 @@ def _contracted_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
     del eta2
     if r1sq.min() < 1e-28 or r2sq.min() < 1e-28:
         raise GeometryError("influence_gradients: target coincides with a panel endpoint")
-    tangents, normals = mesh.tangents.T[:, :, None].copy(), mesh.normals.T[:, :, None].copy()
-    fluxes, values = fluxes[:, None], values[:, None]
+    panels = mesh.panel_rows[:, :, None]
+    tangents, neg_normals = panels[2:4], panels[4:6]
+    values = values[:, None]
     # grad of int dG/dn ds, from d/dx atan(u/eta) = (eta*grad u - u*grad eta)/r^2
-    # with grad u = -t, grad eta = n.
-    neg_eta = np.negative(eta)
-    for c, (t, n) in enumerate(zip(tangents, normals)):
-        base = neg_eta * t
-        term2 = base - u2 * n
+    # with grad u = -t, grad eta = n; u*n enters as -(u*(-n)), bit for bit.
+    for c, (neg_t, neg_n) in enumerate(zip(-tangents, neg_normals)):
+        base = eta * neg_t
+        term2 = base + u2 * neg_n
         term2 /= r2sq
-        term1 = np.subtract(base, u1 * n, out=base)
+        term1 = np.add(base, u1 * neg_n, out=base)
         term1 /= r1sq
         term2 -= term1
         term2 /= TWO_PI
         term2 *= values
         out[:, c] = _sum_over_panels(term2)
         del base, term1, term2
-    # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between limits
-    neg_dlog = np.log(r2sq, out=r2sq)
-    neg_dlog -= np.log(r1sq, out=r1sq)
-    neg_dlog *= 0.5
-    np.negative(neg_dlog, out=neg_dlog)
-    dang = _arctan_ratio(u2, eta, out=u2)
-    dang -= _arctan_ratio(u1, eta, out=u1)
+    # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between
+    # limits; the two negations ride, exactly, on -0.5 and -TWO_PI.
+    sl = mesh.surface_slice
+    neg_dlog = np.log(r2sq[sl], out=r2sq[sl])
+    neg_dlog -= np.log(r1sq[sl], out=r1sq[sl])
+    neg_dlog *= -0.5
+    eta = eta[sl]
+    dang = _arctan_ratio(u2[sl], eta, out=u2[sl])
+    dang -= _arctan_ratio(u1[sl], eta, out=u1[sl])
     # eta == 0 only for collinear off-panel targets; they subtend zero angle.
-    dang[eta == 0.0] = 0.0
-    del u1, r1sq, eta, neg_eta
-    for c, (t, n) in enumerate(zip(tangents, normals)):
+    _zero_where(dang, eta == 0.0)
+    del u1, r1sq, eta
+    fluxes = surface_fluxes[:, None]
+    for c, (t, neg_n) in enumerate(zip(tangents[:, sl], neg_normals[:, sl])):
         gs = neg_dlog * t
-        gs += dang * n
-        np.negative(gs, out=gs)
-        gs /= TWO_PI
+        gs -= dang * neg_n
+        gs /= -TWO_PI
         gs *= fluxes
         out[:, c] = _sum_over_panels(gs) - out[:, c]
 
 
-def influence_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
+def influence_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
                         values: FloatArray) -> FloatArray:
-    """Gradient (w.r.t. target) of S @ fluxes - D @ values, shape (m, 2).
+    """Gradient (w.r.t. target) of S @ q - D @ values, shape (m, 2).
 
-    S and D are ``influence_matrices``' integrals, and fluxes and values
-    (n,) panel densities; targets must be off every panel (interior
-    evaluation only).  Each component of grad S and grad D is contracted
-    as it is formed, so no (m, n, 2) array exists.  The targets run in
-    ``_row_blocks``, of two targets or more.  In a block each component is
-    an (n, m_block) array, multiplied in place by its density column and
-    summed by ``np.add.reduce(..., axis=0)``, which adds the rows in turn,
-    left to right: the order and rounding of
+    S and D are ``influence_matrices``' integrals, values (n,) panel
+    values, and q the panel fluxes: ``surface_fluxes`` (n_surface,) on the
+    surface panels and zero on the walls, as every solve gives them.
+    Targets must be off every panel (interior evaluation only).  Each
+    component of grad S and grad D is contracted as it is formed, so no
+    (m, n, 2) array exists.  The targets run in ``_row_blocks``, of two
+    targets or more.  In a block each component is an (n, m_block) array,
+    multiplied in place by its density column and summed by
+    ``np.add.reduce(..., axis=0)``, which adds the rows in turn, left to
+    right: the order and rounding of
     ``np.einsum("mnj,n->mj", grad, density)``, so the bits are einsum's.
     A one-target block would make the reduction contiguous, which numpy
     sums pairwise, so a lone target (m == 1) is summed by
-    ``np.add.accumulate`` instead.  One difference remains: the sum starts
-    from the first product, einsum from +0, so a component whose every
-    product is -0 gives -0 where einsum gives +0.
+    ``np.add.accumulate`` instead.  The single layer's sum runs over the
+    surface panels alone, since a wall's product is an exact +-0.  One
+    difference remains: the sum starts from the first product, einsum from
+    +0, so a component whose every product is zero may give -0 where
+    einsum gives +0.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    sl = mesh.surface_slice
+    surface_fluxes = np.asarray(surface_fluxes, dtype=np.float64)
+    if surface_fluxes.shape != (sl.stop - sl.start,):
+        raise ValueError(f"influence_gradients: {surface_fluxes.shape} fluxes given, "
+                         f"one per surface panel ({sl.stop - sl.start}) expected")
     gradients = np.empty((len(targets), 2))
     for rows in _row_blocks(len(targets), mesh.n_panels):
-        _contracted_gradients(mesh, targets[rows], fluxes, values, gradients[rows])
+        _contracted_gradients(mesh, targets[rows], surface_fluxes, values, gradients[rows])
     return gradients

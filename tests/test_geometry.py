@@ -315,6 +315,18 @@ class TestBoundaryMesh:
         assert np.all(mid[mesh.surface_slice, 1] == 1.0)
         assert np.all(mid[mesh.left_slice, 0] == 0.0)
 
+    def test_panel_rows(self):
+        # The kernels' one read-only table, with the bits of the arrays
+        # it is built from, the normals negated.
+        mesh = build_boundary_mesh(bumped_interface(33), 12)
+        rows = mesh.panel_rows
+        assert rows.shape == (7, mesh.n_panels) and rows.flags.c_contiguous
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        want = [*mesh.a.T, *mesh.tangents.T, *(-mesh.normals).T, mesh.lengths]
+        for got, expected in zip(rows, want):
+            assert_same_bits(got, np.ascontiguousarray(expected))
+
     def test_closed_and_ccw(self):
         mesh = build_boundary_mesh(bumped_interface(25), 8)
         np.testing.assert_allclose(np.roll(mesh.a, -1, axis=0), mesh.b,
@@ -450,6 +462,72 @@ class TestPolygonMeasures:
                          np.column_stack([np.zeros(20), rng.uniform(-1, 2, 20)])])
         assert np.array_equal(point_segment_distance(pts, a, b),
                               reference(pts, a, b))
+
+
+def points_inside_reference(mesh, points):
+    """The all-pairs crossing-number test that ``points_inside`` replaced:
+    a crossing abscissa for every (point, panel) pair, masked by the
+    straddle test afterwards."""
+    pts = np.atleast_2d(points)
+    a, b = mesh.a, mesh.b
+    ax, ay = a[:, 0][None, :], a[:, 1][None, :]
+    bx, by = b[:, 0][None, :], b[:, 1][None, :]
+    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
+    straddles = (ay > py) != (by > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
+    hits = straddles & (px < x_cross)
+    return np.sum(hits, axis=1) % 2 == 1
+
+
+class TestPointsInsideOracle:
+    """``points_inside`` forms a crossing only where a panel straddles the
+    point's height; its mask must be the all-pairs form's."""
+
+    @staticmethod
+    def random_mesh(rng):
+        # Strictly increasing x1, so the curve is simple; runs of equal
+        # heights give horizontal surface panels, as the walls' bottom has.
+        n = int(rng.integers(4, 40))
+        x1 = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+        x2 = 1.0 + rng.uniform(-0.6, 0.6, n)
+        for k in rng.integers(0, n - 1, n // 3):
+            x2[k + 1] = x2[k]
+        x2[[0, -1]] = 1.0
+        return build_boundary_mesh(InterfaceCurve(np.column_stack([x1, x2])),
+                                   int(rng.integers(2, 12)))
+
+    @staticmethod
+    def probe_points(rng, mesh):
+        ends = np.vstack([mesh.a, mesh.b])
+        k = len(ends)
+        return np.vstack([
+            rng.uniform(-0.5, 1.5, (300, 2)),                     # in and beyond the box
+            ends,                                                 # the vertices themselves
+            np.column_stack([rng.uniform(-0.5, 1.5, k), ends[:, 1]]),   # at vertex heights
+            np.column_stack([rng.choice([0.0, 1.0], k), ends[:, 1]]),   # on the side walls
+            np.column_stack([rng.uniform(-0.5, 1.5, 40),
+                             rng.choice([0.0, 1.0], 40)]),       # on the bottom and top lines
+            [[-10.0, 0.5], [10.0, 0.5], [0.5, -10.0], [0.5, 10.0], [1e6, 1e6]],
+        ])
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_meshes(self, seed):
+        rng = np.random.default_rng(seed)
+        mesh = self.random_mesh(rng)
+        pts = self.probe_points(rng, mesh)
+        assert np.count_nonzero(mesh.a[:, 1] == mesh.b[:, 1]) >= mesh.wall_panels_per_side
+        got = points_inside(mesh, pts)
+        assert got.dtype == np.bool_ and got.shape == (len(pts),)
+        np.testing.assert_array_equal(got, points_inside_reference(mesh, pts))
+
+    def test_reference_and_flat_meshes(self):
+        rng = np.random.default_rng(40)
+        for mesh in (sample_initial_state(make_reference_data(1.0), 96, 24).mesh,
+                     build_boundary_mesh(flat_interface(17), 8)):
+            pts = self.probe_points(rng, mesh)
+            np.testing.assert_array_equal(points_inside(mesh, pts),
+                                          points_inside_reference(mesh, pts))
 
 
 # Any float64 but NaN, with the signed zeros, the infinities and the largest

@@ -293,13 +293,24 @@ class TestJumpRelations:
         np.testing.assert_allclose(D.sum(axis=1), -0.5, atol=1e-12)
 
 
-def unit_densities(n):
-    """(fluxes, values) pairs that pick one panel's gradients each: e_j and
-    0, then 0 and e_j.  The contracted gradient is then grad S[:, j] and
-    -grad D[:, j] exactly, since every other product is a zero."""
+def unit_densities(mesh):
+    """(surface fluxes, values) pairs that pick one panel's gradients each:
+    e_j's surface part and 0, then 0 and e_j.  The contracted gradient is
+    then grad S[:, j] and -grad D[:, j] exactly, since every other product
+    is a zero.  A wall panel's flux is always zero, so its first pair is
+    None."""
+    n, sl = mesh.n_panels, mesh.surface_slice
     zero = np.zeros(n)
-    for e in np.eye(n):
-        yield (e, zero), (zero, e)
+    for j, e in enumerate(np.eye(n)):
+        yield (e[sl], zero) if sl.start <= j < sl.stop else None, (zero[sl], e)
+
+
+def zero_wall_fluxes(mesh, q):
+    """q with its wall entries set to zero, as every solve gives them."""
+    sl = mesh.surface_slice
+    q[:sl.start] = 0.0
+    q[sl.stop:] = 0.0
+    return q
 
 
 class TestInfluenceGradients:
@@ -323,9 +334,11 @@ class TestInfluenceGradients:
         h = 1e-6
         for axis in range(2):
             dS, dD = self.differences(mesh, pts, axis, h)
-            for j, (pick_S, pick_D) in enumerate(unit_densities(mesh.n_panels)):
-                np.testing.assert_allclose(
-                    influence_gradients(mesh, pts, *pick_S)[:, axis], dS[:, j], atol=1e-8)
+            for j, (pick_S, pick_D) in enumerate(unit_densities(mesh)):
+                if pick_S is not None:
+                    np.testing.assert_allclose(
+                        influence_gradients(mesh, pts, *pick_S)[:, axis], dS[:, j],
+                        atol=1e-8)
                 np.testing.assert_allclose(
                     -influence_gradients(mesh, pts, *pick_D)[:, axis], dD[:, j], atol=1e-7)
 
@@ -334,8 +347,9 @@ class TestInfluenceGradients:
         # each panel's term carries the per-panel tolerance above.
         mesh, pts = self.mesh_and_points()
         q, phi = np.random.default_rng(21).uniform(-1.0, 1.0, (2, mesh.n_panels))
+        zero_wall_fluxes(mesh, q)
         h = 1e-6
-        grad = influence_gradients(mesh, pts, q, phi)
+        grad = influence_gradients(mesh, pts, q[mesh.surface_slice], phi)
         for axis in range(2):
             dS, dD = self.differences(mesh, pts, axis, h)
             np.testing.assert_allclose(
@@ -346,7 +360,15 @@ class TestInfluenceGradients:
         mesh = build_boundary_mesh(flat_interface(9), 4)
         ones = np.ones(mesh.n_panels)
         with pytest.raises(GeometryError):
-            influence_gradients(mesh, mesh.a[3][None, :], ones, ones)
+            influence_gradients(mesh, mesh.a[3][None, :], ones[mesh.surface_slice], ones)
+
+    def test_takes_surface_fluxes_only(self):
+        # A flux per panel, walls included, is not a second form of the call.
+        mesh, pts = self.mesh_and_points()
+        ones = np.ones(mesh.n_panels)
+        for fluxes in (ones, ones[:-1], ones[mesh.surface_slice][None, :]):
+            with pytest.raises(ValueError, match="one per surface panel"):
+                influence_gradients(mesh, pts, fluxes, ones)
 
 
 # ---------------------------------------------------------------------------
@@ -422,29 +444,34 @@ def contract(gradients, fluxes, values):
             - np.einsum("mnj,n->mj", gD, values))
 
 
-def density_pairs(n, seed=0):
-    """(fluxes, values) pairs: standard normal; with about half the fluxes
-    zero, as the walls' are; and spread over sixteen decades."""
+def density_pairs(mesh, seed=0):
+    """(fluxes, values) pairs, the fluxes zero on the walls as every solve
+    gives them: standard normal; with about half the surface fluxes zero
+    too; and spread over sixteen decades."""
+    n = mesh.n_panels
     rng = np.random.default_rng(seed)
     q, phi = rng.standard_normal((2, n))
     half_zero = np.where(rng.random(n) < 0.5, 0.0, q)
     spread = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
-    return [(q, phi), (half_zero, phi), tuple(spread)]
+    pairs = [(q, phi), (half_zero, phi), tuple(spread)]
+    return [(zero_wall_fluxes(mesh, q), phi) for q, phi in pairs]
 
 
 def assert_contracts_alike(mesh, targets, oracle, seed=0):
     """``influence_gradients`` has, for several density pairs, the bits of
-    ``oracle``'s (m, n, 2) gradient arrays contracted by einsum; and unit
-    densities recover every element of them on a small mesh."""
+    ``oracle``'s (m, n, 2) gradient arrays contracted by einsum, given the
+    surface part of the fluxes; and unit densities recover every element
+    of them that a flux or value can reach on a small mesh."""
     want = oracle(mesh, targets)
-    for q, phi in density_pairs(mesh.n_panels, seed):
-        assert_same_bits(influence_gradients(mesh, targets, q, phi),
+    for q, phi in density_pairs(mesh, seed):
+        assert_same_bits(influence_gradients(mesh, targets, q[mesh.surface_slice], phi),
                          contract(want, q, phi))
     if mesh.n_panels <= 64:
         gS, gD = want
-        for j, (pick_S, pick_D) in enumerate(unit_densities(mesh.n_panels)):
-            np.testing.assert_array_equal(influence_gradients(mesh, targets, *pick_S),
-                                          gS[:, j])
+        for j, (pick_S, pick_D) in enumerate(unit_densities(mesh)):
+            if pick_S is not None:
+                np.testing.assert_array_equal(influence_gradients(mesh, targets, *pick_S),
+                                              gS[:, j])
             np.testing.assert_array_equal(-influence_gradients(mesh, targets, *pick_D),
                                           gD[:, j])
 
@@ -533,12 +560,12 @@ class TestBitEquality:
 
     def test_gradients_reject_endpoints_alike(self, meshes):
         mesh = meshes["bumped"]
-        q, phi = density_pairs(mesh.n_panels)[0]
+        q, phi = density_pairs(mesh)[0]
         for pts in (mesh.a[5:6], mesh.b[-3:-2]):
             with pytest.raises(GeometryError):
                 _ref_influence_gradients(mesh, pts)
             with pytest.raises(GeometryError):
-                influence_gradients(mesh, pts, q, phi)
+                influence_gradients(mesh, pts, q[mesh.surface_slice], phi)
 
     @pytest.mark.parametrize("offset", [8, 16, 24, 32, 40, 48, 56])
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
@@ -548,7 +575,8 @@ class TestBitEquality:
         # bits must not depend on it.
         mesh = meshes[name]
         interior = np.random.default_rng(14).uniform(0.05, 0.95, (300, 2))
-        q, phi = density_pairs(mesh.n_panels)[0]
+        q, phi = density_pairs(mesh)[0]
+        q = q[mesh.surface_slice]
         for kernel, pts in ((influence_matrices,
                              np.vstack([interior, mesh.midpoints])),
                             (lambda mesh, pts: [influence_gradients(mesh, pts, q, phi)],
@@ -625,12 +653,14 @@ class TestCollocationMode:
             assert_same_bits(D_c, D)
 
     def test_cached_arrays_are_read_only(self):
-        # The wall block, and the wall panel ends it is built from.
+        # The wall block, and the shared wall mesh it is built from.
         walls = wall_mesh(8)
+        assert wall_mesh(8) is walls
         D = kernels._wall_double_layer(8)
         assert kernels._wall_double_layer(8) is D
         assert D.shape == (24, 24)
-        for array in (D, walls.a, walls.b):
+        for array in (D, walls.a, walls.b, walls.midpoints, walls.tangents,
+                      walls.normals, walls.lengths, walls.panel_rows):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -702,7 +732,8 @@ class TestRowBlocks:
         S, D = influence_matrices(mesh, np.empty((0, 2)))
         assert S.shape == D.shape == (0, mesh.n_panels)
         ones = np.ones(mesh.n_panels)
-        assert influence_gradients(mesh, np.empty((0, 2)), ones, ones).shape == (0, 2)
+        assert influence_gradients(mesh, np.empty((0, 2)), ones[mesh.surface_slice],
+                                   ones).shape == (0, 2)
 
     @pytest.mark.parametrize("collocation", [True, False],
                              ids=["collocation", "default"])
@@ -762,8 +793,9 @@ def _gradS_first_gradients(mesh, targets):
     neg_dlog -= np.log(r1sq)
     neg_dlog *= 0.5
     np.negative(neg_dlog, out=neg_dlog)
-    dang = kernels._arctan_ratio(u2, eta)
-    dang -= kernels._arctan_ratio(u1, eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dang = kernels._arctan_ratio(u2, eta)
+        dang -= kernels._arctan_ratio(u1, eta)
     dang[eta == 0.0] = 0.0
     neg_eta = np.negative(eta, out=eta)
     gradS = np.empty(eta.shape + (2,))

@@ -1,0 +1,49 @@
+"""The kernel arguments that the benchmark's tracer reads by name.
+
+``perfbench/tracer.py`` binds each call of ``kernels.influence_matrices``,
+``kernels.influence_gradients`` and ``kernels.solve_dense`` to the
+function's signature and computes the ``pairs`` and ``flop`` counters from
+the arguments named ``mesh``, ``targets`` and ``system``.  A renamed
+parameter would stop those counters; this test fails first.
+"""
+
+import importlib.util
+import inspect
+import pathlib
+from collections import defaultdict
+
+import numpy as np
+
+from wavebox import kernels
+from wavebox.geometry import build_boundary_mesh, flat_interface
+
+TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("wavebox_perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_each_kernel_call_from_its_named_arguments():
+    mesh = build_boundary_mesh(flat_interface(9), 4)      # 20 panels, 8 on the surface
+    sl, n = mesh.surface_slice, mesh.n_panels
+    points = np.array([[0.3, 0.4], [0.6, 0.5], [0.5, 0.2]])
+    ones = np.ones(n)
+    calls = {
+        "kernels.influence_matrices": ((mesh, points), 3 * n),
+        "kernels.influence_gradients": ((mesh, points, ones[sl], ones), 3 * n),
+        "kernels.solve_dense": ((kernels.DenseSystem(np.eye(5), np.ones(5)),),
+                                2.0 * 5 ** 3 / 3.0 + 2.0 * 5 ** 2),
+    }
+    tracer = load_tracer()
+    assert set(tracer._BEFORE) == set(calls)
+    for key, count in tracer._BEFORE.items():
+        args, expected = calls[key]
+        function = getattr(kernels, key.split(".")[1])
+        function(*args)
+        counters = defaultdict(float)
+        count(counters, tracer._arguments(inspect.signature(function), args, {}))
+        assert list(counters.values()) == [expected], key
