@@ -208,11 +208,12 @@ class BoundaryMesh:
     Panel order: bottom wall, right wall, free surface (reversed marker
     order), left wall. Outward normals, midpoint collocation.
 
-    ``panel_rows`` is the one table the panel kernels read: a read-only,
+    ``panel_rows`` is the one store of the panel starts, tangents, normals
+    and lengths, and the one table the panel kernels read: a read-only,
     C-contiguous (7, n) array whose rows are a_x, a_y, t_x, t_y, -n_x,
     -n_y and the length, so a block of panels is a slice of contiguous
-    rows.  Each entry has the bits of the matching ``a``, ``tangents``,
-    ``normals`` (negated) or ``lengths`` entry.
+    rows.  ``a``, ``tangents`` and ``lengths`` are views of it, and
+    ``normals`` is its rows 4-5 negated, exactly.
     """
 
     a: FloatArray          # (n,2) panel start points
@@ -221,29 +222,34 @@ class BoundaryMesh:
     wall_panels_per_side: int
 
     midpoints: FloatArray = field(init=False)
-    tangents: FloatArray = field(init=False)
-    normals: FloatArray = field(init=False)
-    lengths: FloatArray = field(init=False)
     panel_rows: FloatArray = field(init=False)
 
     def __post_init__(self):
-        d = self.b - self.a
-        lengths = row_norms(d)
-        if np.any(lengths <= 1e-14):
-            raise GeometryError("degenerate (zero-length) panel")
-        tangents = d / lengths[:, None]
-        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-        rows = np.empty((7, len(lengths)))
+        rows = np.empty((7, len(self.a)))
         rows[0:2] = self.a.T
-        rows[2:4] = tangents.T
-        np.negative(normals.T, out=rows[4:6])
-        rows[6] = lengths
+        np.subtract(self.b.T, rows[0:2], out=rows[2:4])
+        rows[6] = row_norms(rows[2:4].T)
+        if np.any(rows[6] <= 1e-14):
+            raise GeometryError("degenerate (zero-length) panel")
+        rows[2:4] /= rows[6]
+        np.negative(rows[3], out=rows[4])
+        rows[5] = rows[2]
         rows.flags.writeable = False
         object.__setattr__(self, "midpoints", 0.5 * (self.a + self.b))
-        object.__setattr__(self, "tangents", tangents)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "a", rows[0:2].T)
         object.__setattr__(self, "panel_rows", rows)
+
+    @property
+    def tangents(self) -> FloatArray:
+        return self.panel_rows[2:4].T
+
+    @property
+    def normals(self) -> FloatArray:
+        return -self.panel_rows[4:6].T
+
+    @property
+    def lengths(self) -> FloatArray:
+        return self.panel_rows[6]
 
     @property
     def n_panels(self) -> int:
@@ -280,10 +286,15 @@ class BoundaryMesh:
 
 
 @functools.lru_cache(maxsize=8)
-def _wall_endpoints(w: int) -> tuple[FloatArray, FloatArray]:
-    """Read-only panel ends (a, b) of the 3w wall panels: bottom, right, left.
+def wall_mesh(w: int) -> BoundaryMesh:
+    """The 3w wall panels alone (bottom, right, left), one shared mesh per w.
 
-    The walls never move, so every mesh with w panels per side shares them.
+    The walls never move, so every mesh with w panels per side copies its
+    wall ends from this one, the mesh of a one-marker curve, which has no
+    surface panel.  Each panel's midpoint and ``panel_rows`` column come
+    from its own ends, so they have the bits of the same wall panel in
+    every mesh.  Callers share it, so every array of it is read-only.
+
     The bottom wall is uniform.  Side walls are graded quadratically toward
     the top corners, where the Dirichlet surface meets the Neumann walls:
     with uniform walls the collocation error at those corners is
@@ -298,24 +309,9 @@ def _wall_endpoints(w: int) -> tuple[FloatArray, FloatArray]:
     a[w:2 * w, 0] = b[w:2 * w, 0] = 1.0
     a[w:2 * w, 1], b[w:2 * w, 1] = side[:-1], side[1:]
     a[2 * w:, 1], b[2 * w:, 1] = left_down[:-1], left_down[1:]
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return a, b
-
-
-@functools.lru_cache(maxsize=8)
-def wall_mesh(w: int) -> BoundaryMesh:
-    """The 3w wall panels alone (bottom, right, left), one shared mesh per w.
-
-    The mesh of a one-marker curve, so it has no surface panel.  Each
-    panel's midpoint, tangent, normal and length come from its own ends,
-    so they have the bits of the same wall panel in every mesh.  Callers
-    share it, so every array of it is read-only.
-    """
-    a, b = _wall_endpoints(w)
     walls = BoundaryMesh(a=a, b=b, n_markers=1, wall_panels_per_side=w)
-    for array in (walls.midpoints, walls.tangents, walls.normals, walls.lengths):
-        array.flags.writeable = False
+    walls.b.flags.writeable = False
+    walls.midpoints.flags.writeable = False
     return walls
 
 
@@ -336,16 +332,16 @@ def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> Bou
 
     w = wall_panels_per_side
     n_surf = curve.n_markers - 1
-    wall_a, wall_b = _wall_endpoints(w)
+    walls = wall_mesh(w)
     a = np.empty((3 * w + n_surf, 2))
     b = np.empty_like(a)
-    a[:2 * w], b[:2 * w] = wall_a[:2 * w], wall_b[:2 * w]
+    a[:2 * w], b[:2 * w] = walls.a[:2 * w], walls.b[:2 * w]
     # The surface runs right corner -> left corner, x1 clamped to the strip.
     surf = slice(2 * w, 2 * w + n_surf)
     a[surf], b[surf] = x[:0:-1], x[-2::-1]
     np.clip(a[surf, 0], 0.0, 1.0, out=a[surf, 0])
     np.clip(b[surf, 0], 0.0, 1.0, out=b[surf, 0])
-    a[surf.stop:], b[surf.stop:] = wall_a[2 * w:], wall_b[2 * w:]
+    a[surf.stop:], b[surf.stop:] = walls.a[2 * w:], walls.b[2 * w:]
     mesh = BoundaryMesh(a=a, b=b, n_markers=curve.n_markers,
                         wall_panels_per_side=w)
     if polygon_area(mesh) <= 0.0:

@@ -202,7 +202,7 @@ class RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -625,7 +625,7 @@ def verify_identities(run_dir: str) -> int:
         if type(n_records) is not int:
             raise ValueError(f"{report_path}: n_records is not an integer")
         snapshots = set(os.listdir(os.path.join(run_dir, "snapshots")))
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         log.warning("error: %s", exc)
         return 2
 

@@ -136,6 +136,20 @@ def malformed_configs(draw):
     return cfg
 
 
+# Bytes no JSON reader accepts: not UTF-8, or nested past the decoder's
+# recursion limit.
+BAD_BYTES = {"not-utf8": b"\xff\xfe{}", "too-deep": b"[" * 200000}
+
+
+@pytest.mark.parametrize("bad", BAD_BYTES.values(), ids=BAD_BYTES.keys())
+@pytest.mark.parametrize("command", ["simulate", "validate-bem"])
+def test_unreadable_config_bytes_are_exit_2(tmp_path, capsys, command, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(bad)
+    assert main([command, "--config", str(cfg), "--quiet"]) == 2
+    assert "solver failure" not in capsys.readouterr().err
+
+
 def test_small_config_is_valid():
     RunConfig.from_dict(SMALL_CONFIG)
 
@@ -251,6 +265,16 @@ class TestVerifyCommand:
         if isinstance(report, dict):
             report = json.dumps(dict(still_run["report"], **report))
         (run / "report.json").write_text(report)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
+        assert "solver failure" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", BAD_BYTES.values(), ids=BAD_BYTES.keys())
+    @pytest.mark.parametrize("name", ["config.json", "report.json"])
+    def test_unreadable_run_file_bytes_are_exit_2(self, still_run, tmp_path,
+                                                  capsys, name, bad):
+        run = tmp_path / "run"
+        shutil.copytree(still_run["dir"], run)
+        (run / name).write_bytes(bad)
         assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
         assert "solver failure" not in capsys.readouterr().err
 

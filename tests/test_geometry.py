@@ -1,5 +1,6 @@
 """Interface curve, boundary mesh, and polygon utilities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 from wavebox.errors import (BottomContactError, GeometryError,
                             SelfIntersectionError)
 from wavebox.evolution import rk4_step
-from wavebox.geometry import (InterfaceCurve, _monotone_margin,
-                              _wall_endpoints, build_boundary_mesh,
+from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
+                              _monotone_margin, build_boundary_mesh,
                               flat_interface, gradient_1d,
                               point_segment_distance, points_inside,
                               polygon_area, row_norms, self_intersects,
-                              side_wall_crossing)
+                              side_wall_crossing, wall_mesh)
 from wavebox.modes import sample_initial_state
 
 from conftest import make_reference_data
@@ -316,16 +317,35 @@ class TestBoundaryMesh:
         assert np.all(mid[mesh.left_slice, 0] == 0.0)
 
     def test_panel_rows(self):
-        # The kernels' one read-only table, with the bits of the arrays
-        # it is built from, the normals negated.
+        # The kernels' one read-only table: rows 0-1 are the starts ``a``
+        # themselves, and the tangent, negated-normal and length rows are
+        # re-derived here from the panel ends.
         mesh = build_boundary_mesh(bumped_interface(33), 12)
         rows = mesh.panel_rows
         assert rows.shape == (7, mesh.n_panels) and rows.flags.c_contiguous
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
-        want = [*mesh.a.T, *mesh.tangents.T, *(-mesh.normals).T, mesh.lengths]
+        d = mesh.b - mesh.a
+        lengths = row_norms(d)
+        t = d / lengths[:, None]
+        want = [mesh.a[:, 0], mesh.a[:, 1], t[:, 0], t[:, 1],
+                -t[:, 1], t[:, 0], lengths]
         for got, expected in zip(rows, want):
             assert_same_bits(got, np.ascontiguousarray(expected))
+        assert_same_bits(mesh.normals, np.column_stack([t[:, 1], -t[:, 0]]))
+
+    def test_panel_rows_is_the_one_store(self):
+        mesh = build_boundary_mesh(bumped_interface(33), 12)
+        for view in (mesh.a, mesh.tangents, mesh.lengths):
+            assert np.shares_memory(view, mesh.panel_rows)
+        assert [f.name for f in dataclasses.fields(BoundaryMesh)] == [
+            "a", "b", "n_markers", "wall_panels_per_side", "midpoints",
+            "panel_rows"]
+        walls = wall_mesh(12)
+        assert wall_mesh(12) is walls
+        for array in (walls.a, walls.b, walls.midpoints, walls.panel_rows,
+                      walls.tangents, walls.lengths):
+            assert not array.flags.writeable
 
     def test_closed_and_ccw(self):
         mesh = build_boundary_mesh(bumped_interface(25), 8)
@@ -402,19 +422,18 @@ class TestBoundaryMesh:
         np.testing.assert_array_equal(mesh.a[mesh.surface_slice], surf[:-1])
         np.testing.assert_array_equal(mesh.b[mesh.surface_slice], surf[1:])
 
-    def test_wall_endpoints_shared_and_read_only(self):
-        a, b = _wall_endpoints(8)
-        assert _wall_endpoints(8)[0] is a and _wall_endpoints(8)[1] is b
+    def test_wall_mesh_shared_and_read_only(self):
+        walls = wall_mesh(8)
         with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+            walls.a[0, 0] = 1.0
         with pytest.raises(ValueError):
-            b[0, 0] = 1.0
+            walls.b[0, 0] = 1.0
         first = build_boundary_mesh(flat_interface(17), 8)
-        expected_a, expected_b = first.a.copy(), first.b.copy()
-        first.a[:] = np.nan
+        expected_b = first.b.copy()
+        with pytest.raises(ValueError):
+            first.a[:] = np.nan
         first.b[:] = np.nan
         second = build_boundary_mesh(flat_interface(17), 8)
-        assert np.array_equal(second.a, expected_a)
         assert np.array_equal(second.b, expected_b)
 
 

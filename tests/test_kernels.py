@@ -379,11 +379,21 @@ class TestInfluenceGradients:
 # zero included.
 # ---------------------------------------------------------------------------
 
-def _ref_local_coords(a, b, lengths, tangents, normals, targets):
-    rel = targets[:, None, :] - a[None, :, :]
+def _ref_frame(mesh):
+    """C-ordered copies of the mesh's (n, 2) tangents and normals.
+
+    The mesh serves them as strided views of its panel table, and einsum
+    sums a contraction of strided arrays in another order.
+    """
+    return np.ascontiguousarray(mesh.tangents), np.ascontiguousarray(mesh.normals)
+
+
+def _ref_local_coords(mesh, targets):
+    tangents, normals = _ref_frame(mesh)
+    rel = targets[:, None, :] - mesh.a[None, :, :]
     xi = np.einsum("mnj,nj->mn", rel, tangents)
     eta = np.einsum("mnj,nj->mn", rel, normals)
-    return -xi, lengths[None, :] - xi, eta
+    return -xi, mesh.lengths[None, :] - xi, eta
 
 
 def _ref_log_antiderivative(u, eta):
@@ -399,8 +409,7 @@ def _ref_log_antiderivative(u, eta):
 
 def _ref_influence_matrices(mesh, targets):
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths, mesh.tangents,
-                                    mesh.normals, targets)
+    u1, u2, eta = _ref_local_coords(mesh, targets)
     S = -(_ref_log_antiderivative(u2, eta) - _ref_log_antiderivative(u1, eta)) / TWO_PI
     with np.errstate(divide="ignore", invalid="ignore"):
         D = (np.arctan(u2 / eta) - np.arctan(u1 / eta)) / TWO_PI
@@ -411,14 +420,12 @@ def _ref_influence_matrices(mesh, targets):
 
 def _ref_influence_gradients(mesh, targets):
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths, mesh.tangents,
-                                    mesh.normals, targets)
+    u1, u2, eta = _ref_local_coords(mesh, targets)
     r1sq = u1 * u1 + eta * eta
     r2sq = u2 * u2 + eta * eta
     if np.any(r1sq < 1e-28) or np.any(r2sq < 1e-28):
         raise GeometryError("influence_gradients: target coincides with a panel endpoint")
-    t = mesh.tangents[None, :, :]
-    n = mesh.normals[None, :, :]
+    t, n = (v[None, :, :] for v in _ref_frame(mesh))
     dlog = 0.5 * (np.log(r2sq) - np.log(r1sq))
     with np.errstate(divide="ignore", invalid="ignore"):
         dang = np.arctan(u2 / eta) - np.arctan(u1 / eta)
@@ -544,8 +551,7 @@ class TestBitEquality:
         d = mesh.b - mesh.a
         pts = np.vstack([line_targets(rng), mesh.a - 0.5 * d, mesh.b + 0.5 * d])
         S, D = influence_matrices(mesh, pts)
-        _, _, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
-                                      mesh.tangents, mesh.normals, pts)
+        _, _, eta = _ref_local_coords(mesh, pts)
         assert np.count_nonzero(eta == 0.0) > 0
         assert_matrices_match(mesh, pts)
 
@@ -553,8 +559,7 @@ class TestBitEquality:
     def test_targets_at_panel_endpoints(self, meshes, name):
         mesh = meshes[name]
         pts = np.vstack([mesh.a, mesh.b])
-        u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
-                                        mesh.tangents, mesh.normals, pts)
+        u1, u2, eta = _ref_local_coords(mesh, pts)
         assert np.count_nonzero(u1 * u1 + eta * eta == 0.0) >= mesh.n_panels
         assert_matrices_match(mesh, pts)
 
@@ -599,8 +604,7 @@ class TestBitEquality:
         pts = np.vstack([np.array(cells, dtype=np.float64) / 16.0 + jitter,
                          mesh.midpoints[::3]])
         assert_matrices_match(mesh, np.vstack([pts, mesh.a[::5]]))
-        u1, u2, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
-                                        mesh.tangents, mesh.normals, pts)
+        u1, u2, eta = _ref_local_coords(mesh, pts)
         if min((u1 * u1 + eta * eta).min(), (u2 * u2 + eta * eta).min()) >= 1e-28:
             assert_gradients_match(mesh, pts)
 
@@ -660,7 +664,7 @@ class TestCollocationMode:
         assert kernels._wall_double_layer(8) is D
         assert D.shape == (24, 24)
         for array in (D, walls.a, walls.b, walls.midpoints, walls.tangents,
-                      walls.normals, walls.lengths, walls.panel_rows):
+                      walls.lengths, walls.panel_rows):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -844,8 +848,7 @@ class TestGradientOrder:
         d = mesh.b - mesh.a
         pts = np.vstack([line_targets(np.random.default_rng(15)),
                          mesh.a - 0.5 * d, mesh.b + 0.5 * d])
-        _, _, eta = _ref_local_coords(mesh.a, mesh.b, mesh.lengths,
-                                      mesh.tangents, mesh.normals, pts)
+        _, _, eta = _ref_local_coords(mesh, pts)
         assert np.count_nonzero(eta == 0.0) > 0
         assert_gradients_keep_their_bits(mesh, pts)
 

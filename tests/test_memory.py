@@ -53,22 +53,25 @@ def traced_peak(call, cold=False):
 def test_validate_bem_finest_solve():
     # 639 panels, two modes, wall block cached: A, D's surface columns and
     # one row block of the kernel (63 or 64 of its 639 rows) are the most
-    # live at once, beside the mesh's 36 KB panel table (5.42 MB).  In
-    # blocks of 128 rows it was 6.08 MB; with S and D formed apart and
-    # copied into a C-ordered A, 7.94 MB.
+    # live at once, beside the mesh's 36 KB panel table, its one store of
+    # the panel starts, tangents, normals and lengths (5.38 MB).  With
+    # those four also kept as arrays of their own it was 5.42 MB; in
+    # blocks of 128 rows 6.08 MB; with S and D formed apart and copied
+    # into a C-ordered A, 7.94 MB.
     peak = traced_peak(lambda: runner._flat_mesh_errors(256, (1, 2)))
-    assert peak <= 5.42e6
+    assert peak <= 5.39e6
 
 
 def test_validate_bem_finest_solve_filling_the_cache():
     # The same solve as a validate-bem process's first at this wall count:
     # the 384 x 384 wall block is filled in ten row blocks beside A and D's
-    # surface columns (6.44 MB).  With the surface rows against the walls
-    # in two calls, whose blocks were larger, it was 6.46 MB; in blocks
-    # twice as large 7.01 MB; filled in one block beside S, D and A,
-    # 9.62 MB.
+    # surface columns (6.40 MB).  With the mesh's panel starts, tangents,
+    # normals and lengths stored twice it was 6.44 MB; with the surface
+    # rows against the walls in two calls, whose blocks were larger,
+    # 6.46 MB; in blocks twice as large 7.01 MB; filled in one block
+    # beside S, D and A, 9.62 MB.
     peak = traced_peak(lambda: runner._flat_mesh_errors(256, (1, 2)), cold=True)
-    assert peak <= 6.44e6
+    assert peak <= 6.41e6
 
 
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
