@@ -15,6 +15,7 @@ Every volume integral needed here is reduced to panel quadratures:
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -152,10 +153,19 @@ CSV_FIELDS = ("t", "L", "volume_part", "wall_part", "envelope",
 DERIVED_FIELDS = CSV_FIELDS[4:11]     # envelope .. riccati_slack, from fill_derived
 
 
-def _squares(column: FloatArray) -> FloatArray:
+def _square(v: float) -> float:
     # Python-float ** 2 goes through libm pow, which rounds some squares
     # differently from numpy's x*x; the frozen artifacts carry pow's bits.
-    return np.array([v ** 2 for v in column.tolist()])
+    # A square past float64's range, which pow reports as OverflowError, is
+    # inf, as numpy's would be.
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _squares(column: FloatArray) -> FloatArray:
+    return np.array([_square(v) for v in column.tolist()])
 
 
 def record_steps(t: FloatArray) -> FloatArray:
@@ -175,6 +185,25 @@ def record_steps(t: FloatArray) -> FloatArray:
     return dt
 
 
+def riccati_columns(t: FloatArray, L: FloatArray, c1: float,
+                    A: float | None) -> tuple[FloatArray, FloatArray]:
+    """The envelope and riccati_slack columns of ``fill_derived``.
+
+    envelope is A/(1 - A t/c1) before the horizon c1/A, and only for A > 0;
+    riccati_slack is L' - L^2/c1 from two records on, with L' from
+    ``gradient_1d``.  Every other cell is NaN.  ``verify-identities``
+    recomputes the stored columns with it, from A = L(0).
+    """
+    envelope = np.full(t.size, np.nan)
+    if A is not None and A > 0.0:
+        inside = t < blowup_bound(A, c1)
+        envelope[inside] = riccati_envelope(A, c1, t[inside])
+    slack = np.full(t.size, np.nan)
+    if t.size >= 2:
+        slack = gradient_1d(L, t) - _squares(L) / c1
+    return envelope, slack
+
+
 def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
     """Add the derived CSV columns to a table of primary record columns.
 
@@ -192,23 +221,19 @@ def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
     t = table["t"]
     L = table["L"]
     n = t.size
+    dt = record_steps(t) if n >= 2 else None
     for name in DERIVED_FIELDS:
         table[name] = np.full(n, np.nan)
-    if A is not None and A > 0.0:
-        inside = t < blowup_bound(A, c1)
-        table["envelope"][inside] = riccati_envelope(A, c1, t[inside])
+    table["envelope"], table["riccati_slack"] = riccati_columns(t, L, c1, A)
     if n < 2:
         return
-    dt = record_steps(t)
     int_u1sq = table["int_u1sq"]
     wall_u2sq = table["wall_u2sq"]
     volume_part = table["volume_part"]
     wall_part = table["wall_part"]
-    dL = gradient_1d(L, t)
-    table["slack_28"] = dL - (int_u1sq + 0.5 * wall_u2sq)
+    table["slack_28"] = gradient_1d(L, t) - (int_u1sq + 0.5 * wall_u2sq)
     table["schwarz_vol"] = int_u1sq * table["area"][0] - _squares(volume_part)
     table["schwarz_wall"] = wall_u2sq / 3.0 - _squares(wall_part)
-    table["riccati_slack"] = dL - _squares(L) / c1
     if n < 3:
         return
     two_dt = 2.0 * dt[:-1]

@@ -37,7 +37,7 @@ from . import bem
 from .diagnostics import (CSV_FIELDS, DERIVED_FIELDS, blowup_bound,
                           constant_c1, detect_breakdown, fill_derived,
                           int_pressure, int_u1_squared, record_steps,
-                          virial_parts, wall_u2_squared)
+                          riccati_columns, virial_parts, wall_u2_squared)
 from .errors import BREAKDOWN_KINDS, BreakdownError, BreakdownSignal, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
@@ -542,8 +542,9 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
     """CSV columns by name; ValueError on a malformed file or time column,
     or on a non-finite value in a primary column.
 
-    The ``t`` column must pass ``record_steps``, as in ``fill_derived``, so
-    the derivative checks never see a repeated, non-finite or uneven time.
+    The ``t`` column must start at 0, as every run's does, and pass
+    ``record_steps``, as in ``fill_derived``, so the derivative checks never
+    see a repeated, non-finite or uneven time, nor the envelope a negative one.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -563,6 +564,8 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
                   and not np.isfinite(columns[name][1 if name == "dt" else 0:]).all()]
     if not_finite:
         raise ValueError(f"non-finite values in diagnostics.csv: {', '.join(not_finite)}")
+    if columns["t"][0] != 0.0:
+        raise ValueError("the first record of diagnostics.csv is not at t = 0")
     record_steps(columns["t"])
     return columns
 
@@ -600,6 +603,13 @@ def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:
     return 0 if report["all_passed"] else 1
 
 
+def _differs(stored: FloatArray, recomputed: FloatArray) -> bool:
+    """Whether a stored column differs from its recomputed bits; NaN is NaN."""
+    both_nan = np.isnan(stored) & np.isnan(recomputed)
+    return bool(np.any((stored.view(np.uint64) != recomputed.view(np.uint64))
+                       & ~both_nan))
+
+
 def verify_identities(run_dir: str) -> int:
     """Offline re-check of a run directory; exit-code semantics of the CLI."""
     csv_path = os.path.join(run_dir, "diagnostics.csv")
@@ -629,6 +639,20 @@ def verify_identities(run_dir: str) -> int:
         log.warning("error: %s", exc)
         return 2
 
+    # The Riccati columns are recomputed, not trusted: A = L(0), and c1 is
+    # constant_c1 of the flat initial surface, whose area the first record
+    # carries.  One record has no L', and no check reads its slack.
+    n = columns["t"].size
+    c1 = max(2.0 * float(columns["area"][0]), 4.0 / 3.0)
+    with np.errstate(all="ignore"):     # an edited L may overflow L' or L^2
+        envelope, slack = riccati_columns(columns["t"], columns["L"], c1,
+                                          float(columns["L"][0]))
+    recomputed = {"envelope": envelope, "riccati_slack": slack}
+    if n < 2:
+        del recomputed["riccati_slack"]
+    altered = [name for name, column in recomputed.items()
+               if _differs(columns[name], column)]
+    columns.update(recomputed)
     broke = kind is not None
     checks = evaluate_checks(columns, cfg, broke)
 
@@ -642,7 +666,6 @@ def verify_identities(run_dir: str) -> int:
         mismatched.append("all_passed")
     # one snapshot per record, named as write_snapshots names them; the
     # directory is only listed, never read
-    n = columns["t"].size
     if n_records != n or snapshots != {f"{i:04d}.csv" for i in range(n)}:
         mismatched.append("snapshots")
     for key in CHECK_KEYS:
@@ -652,7 +675,10 @@ def verify_identities(run_dir: str) -> int:
         log.warning("failed checks: %s", ", ".join(failed))
     if mismatched:
         log.warning("report mismatch: %s", ", ".join(mismatched))
-    if failed or mismatched:
+    if altered:
+        log.warning("stored columns differ from their recomputed values: %s",
+                    ", ".join(altered))
+    if failed or mismatched or altered:
         return 1
     log.info("all recomputed checks passed and match the stored report")
     return 0
@@ -699,14 +725,20 @@ def validate_bem(cfg: RunConfig) -> int:
     finest count, and the constant-data solve is exact to 1e-8.  Logs the
     error table at INFO.  Each panel count's mesh is built, assembled and
     factored once, for all of its data: every mode, and at the first count
-    the constant datum (mode 0) too.
+    the constant datum (mode 0) too.  The other counts are solved from the
+    largest down, so that the coarser solves reuse the heap pages the
+    largest one faulted in instead of each growing the process past the
+    last; no count's errors depend on another's, and the table is logged
+    in the configured order.
     """
     counts, ks = cfg.bem_panel_counts, cfg.bem_mode_ks
     const_err, *first = _flat_mesh_errors(counts[0], (0, *ks))
     log.info("constant data: max error %.3e", const_err)
     ok = not const_err > 1e-8
 
-    rest = [_flat_mesh_errors(n, ks) for n in counts[1:]] if ks else []
+    later = sorted(range(1, len(counts)), key=counts.__getitem__, reverse=True)
+    solved = {i: _flat_mesh_errors(counts[i], ks) for i in later} if ks else {}
+    rest = [solved[i] for i in sorted(solved)]
     finest = counts.index(max(counts))
     for k, errs in zip(ks, zip(first, *rest)):
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

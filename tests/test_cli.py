@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import wavebox.bem as bem
 import wavebox.kernels as kernels
+import wavebox.runner as runner
 from wavebox.cli import main
 from wavebox.diagnostics import CSV_FIELDS, DERIVED_FIELDS
-from wavebox.runner import RunConfig, validate_bem
+from wavebox.runner import RunConfig, read_diagnostics_csv, validate_bem
 
 from conftest import (reference_config_dict, reference_modes, run_child,
                       still_config_dict, write_config)
@@ -356,6 +357,18 @@ class TestVerifyRejectsWhatNoRunWrites:
         assert csv[1].split(",")[CSV_FIELDS.index("dt")] == "nan"
         assert main(["verify-identities", "--run", str(small_run), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("value", [-7.299643448209582e-28, 5e-324])
+    def test_first_record_off_t_0_is_exit_2(self, small_run, tmp_path, capsys,
+                                            value):
+        # Uniform steps within record_steps' tolerance, but every run's
+        # first record is at t = 0, and a negative time has no envelope.
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        edit_cell(run, 0, "t", value)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
+        assert ("error: the first record of diagnostics.csv is not at t = 0"
+                in capsys.readouterr().out)
+
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_overflowing_L_squared_is_a_violation(self, small_run, tmp_path,
                                                   capsys, value):
@@ -369,6 +382,45 @@ class TestVerifyRejectsWhatNoRunWrites:
         assert "failed checks: " in failed
         for check in ("derivative_inequality_held", "riccati_dominated"):
             assert check in failed
+
+
+# The derived columns verify-identities recomputes rather than trusts.
+RECOMPUTED = ("envelope", "riccati_slack")
+
+
+class TestVerifyRecomputesTheRiccatiColumns:
+    @pytest.mark.parametrize("edits", [
+        {"envelope": lambda v: v * (1.0 + 1e-9), "riccati_slack": lambda v: v + 1e-9},
+        {"envelope": lambda v: v * (1.0 + 1e-9)},
+        {"riccati_slack": lambda v: v + 1e-9},
+        {"envelope": lambda v: math.nan},
+        {"riccati_slack": lambda v: -math.inf}],
+        ids=["both", "envelope", "riccati_slack", "envelope-nan", "slack-inf"])
+    def test_edited_cell_is_exit_1(self, small_run, tmp_path, capsys, edits):
+        # Row 10 of a passing run, its cells off in their last bits or no
+        # longer finite: every check still holds, so only the recomputation
+        # of the two columns from t, L and area(0) can see the edit.
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        stored = read_diagnostics_csv(str(run / "diagnostics.csv"))
+        for name, edit in edits.items():
+            assert math.isfinite(stored[name][10])
+            assert edit(stored[name][10]) != stored[name][10]
+            edit_cell(run, 10, name, edit(stored[name][10]))
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert ("stored columns differ from their recomputed values: "
+                + ", ".join(edits)) in capsys.readouterr().out
+
+    def test_finite_envelope_without_positive_A_is_exit_1(self, still_run, tmp_path,
+                                                          capsys):
+        # The still fluid has A = L(0) = 0, so no envelope: a finite cell
+        # where the run writes NaN.
+        run = tmp_path / "run"
+        shutil.copytree(still_run["dir"], run)
+        edit_cell(run, 3, "envelope", 0.0)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert ("stored columns differ from their recomputed values: envelope"
+                in capsys.readouterr().out)
 
 
 # Cell values for the run-directory fuzzer: the non-finite ones, float64's
@@ -420,7 +472,8 @@ def edit_snapshots(directory, data):
 def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
     # One CSV cell, one report key or one snapshot name edited:
     # verify-identities exits 0, 1 or 2, never 3; a non-finite primary cell
-    # is always bad input, and a snapshot edit never passes.
+    # is always bad input, a recomputed cell whose bits change always fails,
+    # and a snapshot edit never passes.
     csv, report = fuzzed_run / "diagnostics.csv", fuzzed_run / "report.json"
     snapshots = fuzzed_run / "snapshots"
     originals = {path: path.read_text() for path in (csv, report)}
@@ -430,15 +483,17 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
             row = data.draw(st.integers(0, 10), label="row")
             name = data.draw(st.sampled_from(CSV_FIELDS), label="column")
             value = data.draw(CELL_VALUES, label="value")
+            before = originals[csv].splitlines()[row + 1].split(",")[CSV_FIELDS.index(name)]
             edit_cell(fuzzed_run, row, name, value)
             bad_input = (name in PRIMARY and not math.isfinite(value)
                          and not (name == "dt" and row == 0))
+            altered = name in RECOMPUTED and format(value, ".17g") != before
         elif target == "report":
             stored = json.loads(originals[report])
             key = data.draw(st.sampled_from(sorted(stored)), label="key")
             stored[key] = data.draw(REPORT_VALUES, label="value")
             report.write_text(json.dumps(stored))
-            bad_input = False
+            bad_input = altered = False
         else:
             edit_snapshots(snapshots, data)
         code = main(["verify-identities", "--run", str(fuzzed_run), "--quiet"])
@@ -448,6 +503,8 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
             assert code in (0, 1, 2)
             if bad_input:
                 assert code == 2
+            if altered:
+                assert code == 1
     finally:
         for path, text in originals.items():
             path.write_text(text)
@@ -498,6 +555,35 @@ class TestValidateBemCommand:
         assert main(["validate-bem", "--config", cfg]) == 1
         out = capsys.readouterr().out
         assert f"mode k={k}: error" in out and "validation FAILED" in out
+
+    @pytest.mark.parametrize("config, solves, code", [
+        ({}, [(32, (0, 1, 2)), (256, (1, 2)), (128, (1, 2)), (64, (1, 2))], 0),
+        ({"bem_panel_counts": [48, 16, 32]},
+         [(48, (0, 1, 2)), (32, (1, 2)), (16, (1, 2))], 1),
+        ({"bem_mode_ks": []}, [(32, (0,))], 0)],
+        ids=["default", "unsorted", "no-modes"])
+    def test_largest_count_is_solved_first(self, tmp_path, monkeypatch, capsys,
+                                           config, solves, code):
+        # The first count with the constant datum, so its line streams
+        # first; then the largest count down, so the coarser solves reuse
+        # its heap.  The table keeps the configured order, in which the
+        # unsorted counts' errors do not fall.
+        calls = []
+        flat_mesh_errors = runner._flat_mesh_errors
+
+        def recording(n_markers, ks):
+            calls.append((n_markers, tuple(ks)))
+            return flat_mesh_errors(n_markers, ks)
+
+        monkeypatch.setattr(runner, "_flat_mesh_errors", recording)
+        assert main(["validate-bem", "--config", write_config(tmp_path, config)]) == code
+        assert calls == solves
+        out = capsys.readouterr().out
+        cfg = RunConfig.from_dict(config)
+        for k in cfg.bem_mode_ks:
+            line = next(line for line in out.splitlines() if line.startswith(f"mode k={k}:"))
+            assert [cell.split(":")[0] for cell in line.split()[2:-1]] == [
+                str(n) for n in cfg.bem_panel_counts]
 
     def test_broken_kernel_sign_fails(self, monkeypatch, capsys):
         # negative control: flip the single-layer sign and the sweep must

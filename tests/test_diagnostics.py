@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavebox.diagnostics import (DERIVED_FIELDS, blowup_bound,
+from wavebox.diagnostics import (DERIVED_FIELDS, _squares, blowup_bound,
                                  boundary_domain_integral, boundary_velocity,
                                  constant_c1, detect_breakdown, fill_derived,
                                  int_u1_squared, riccati_envelope,
@@ -386,6 +386,12 @@ class TestFillDerivedBits:
         fill_derived(table, 2.0, 4.0)
         np.testing.assert_array_equal(table["envelope"],
                                       [4.0, 8.0, np.nan, np.nan])
+
+    def test_squares_past_float64_are_inf(self):
+        # libm pow reports these squares as OverflowError; an edited CSV's
+        # L can carry them into verify-identities' recomputed slack.
+        np.testing.assert_array_equal(_squares(np.array([1e308, -1.4e154, 3.0])),
+                                      [np.inf, np.inf, 9.0])
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_short_tables(self, n):
