@@ -22,10 +22,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bem import CauchyData
-from .errors import BreakdownError, BreakdownSignal
+from .errors import BreakdownError
 from .evolution import FlowState
-from .geometry import (BoundaryMesh, gradient_1d, polygon_area, row_norms,
-                       self_intersects, side_wall_crossing)
+from .geometry import (BoundaryMesh, gradient_1d, row_norms, self_intersects,
+                       side_wall_crossing)
 
 if TYPE_CHECKING:
     from .runner import RunConfig
@@ -33,9 +33,9 @@ if TYPE_CHECKING:
 FloatArray = NDArray[np.float64]
 
 
-def constant_c1(initial_mesh: BoundaryMesh) -> float:
+def constant_c1(initial_area: float) -> float:
     """max(2 |O(0)|, 4/3) — the Riccati comparison constant."""
-    return max(2.0 * polygon_area(initial_mesh), 4.0 / 3.0)
+    return max(2.0 * initial_area, 4.0 / 3.0)
 
 
 def riccati_envelope(A: float, c1: float, t):
@@ -186,7 +186,7 @@ def record_steps(t: FloatArray) -> FloatArray:
 
 
 def riccati_columns(t: FloatArray, L: FloatArray, c1: float,
-                    A: float | None) -> tuple[FloatArray, FloatArray]:
+                    A: float) -> tuple[FloatArray, FloatArray]:
     """The envelope and riccati_slack columns of ``fill_derived``.
 
     envelope is A/(1 - A t/c1) before the horizon c1/A, and only for A > 0;
@@ -195,7 +195,7 @@ def riccati_columns(t: FloatArray, L: FloatArray, c1: float,
     recomputes the stored columns with it, from A = L(0).
     """
     envelope = np.full(t.size, np.nan)
-    if A is not None and A > 0.0:
+    if A > 0.0:
         inside = t < blowup_bound(A, c1)
         envelope[inside] = riccati_envelope(A, c1, t[inside])
     slack = np.full(t.size, np.nan)
@@ -204,7 +204,7 @@ def riccati_columns(t: FloatArray, L: FloatArray, c1: float,
     return envelope, slack
 
 
-def fill_derived(table: dict[str, FloatArray], c1: float, A: float | None):
+def fill_derived(table: dict[str, FloatArray], c1: float, A: float):
     """Add the derived CSV columns to a table of primary record columns.
 
     * envelope: A/(1 - A t/c1) before the horizon c1/A, and only for A > 0.
@@ -267,27 +267,23 @@ def detect_breakdown(state: FlowState, cfg: RunConfig,
     x = state.curve.x
     if np.any(x[:, 1] <= 0.0):
         i = int(np.argmin(x[:, 1]))
-        raise BreakdownError(BreakdownSignal(
-            t, "bottom_contact", f"marker {i} at x2={x[i, 1]:.3e}"))
+        raise BreakdownError(t, "bottom_contact", f"marker {i} at x2={x[i, 1]:.3e}")
     i = side_wall_crossing(state.curve)
     if i is not None:
-        raise BreakdownError(BreakdownSignal(
-            t, "self_intersection", f"marker {i} crosses a side wall at x1={x[i, 0]:.3e}"))
+        raise BreakdownError(t, "self_intersection",
+                             f"marker {i} crosses a side wall at x1={x[i, 0]:.3e}")
     if self_intersects(state.curve):
-        raise BreakdownError(BreakdownSignal(
-            t, "self_intersection", "interface polyline crosses itself"))
+        raise BreakdownError(t, "self_intersection", "interface polyline crosses itself")
     n = state.curve.n_markers
     spacing = state.curve.segment_lengths()
     floor = cfg.collide_tol * (1.0 / (n - 1))
     if float(spacing.min()) < floor:
-        raise BreakdownError(BreakdownSignal(
-            t, "marker_collision", f"spacing {spacing.min():.3e} below {floor:.3e}"))
+        raise BreakdownError(t, "marker_collision",
+                             f"spacing {spacing.min():.3e} below {floor:.3e}")
     curv = state.curve.turning_curvature()
     curv_max = cfg.curv_factor * (n - 1)
     if curv.size and float(curv.max()) > curv_max:
-        raise BreakdownError(BreakdownSignal(
-            t, "curvature_blowup",
-            f"discrete curvature {curv.max():.3e} above {curv_max:.3e}"))
+        raise BreakdownError(t, "curvature_blowup",
+                             f"discrete curvature {curv.max():.3e} above {curv_max:.3e}")
     if L is not None and abs(L) > cfg.L_max:
-        raise BreakdownError(BreakdownSignal(
-            t, "L_overflow", f"|L|={abs(L):.3e} above {cfg.L_max:.3e}"))
+        raise BreakdownError(t, "L_overflow", f"|L|={abs(L):.3e} above {cfg.L_max:.3e}")

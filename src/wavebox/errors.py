@@ -1,8 +1,6 @@
-"""Exception types and the breakdown signal shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class GeometryError(ValueError):
@@ -40,22 +38,13 @@ BREAKDOWN_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class BreakdownSignal:
-    """Why and when a run stopped being able to continue."""
-
-    t_break: float
-    kind: str
-    detail: str = ""
-
-    def __post_init__(self):
-        if self.kind not in BREAKDOWN_KINDS:
-            raise ValueError(f"unknown breakdown kind {self.kind!r}")
-
-
 class BreakdownError(RuntimeError):
-    """Raised by the stepper when the run cannot continue; carries the signal."""
+    """Why and when a run stopped; raised by the stepper and the detectors."""
 
-    def __init__(self, signal):
-        super().__init__(f"{signal.kind} at t={signal.t_break:.6g}: {signal.detail}")
-        self.signal = signal
+    def __init__(self, t_break: float, kind: str, detail: str = ""):
+        if kind not in BREAKDOWN_KINDS:
+            raise ValueError(f"unknown breakdown kind {kind!r}")
+        super().__init__(f"{kind} at t={t_break:.6g}: {detail}")
+        self.t_break = t_break
+        self.kind = kind
+        self.detail = detail

@@ -14,8 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bem import CauchyData, solve_mixed_bvp
-from .errors import (BreakdownError, BreakdownSignal, GeometryError,
-                     SingularMatrixError)
+from .errors import BreakdownError, GeometryError, SingularMatrixError
 from .geometry import (CORNER_LEFT, CORNER_RIGHT, BoundaryMesh, InterfaceCurve,
                        build_boundary_mesh, gradient_1d, row_norms)
 
@@ -133,9 +132,8 @@ def rk4_step(state: FlowState, dt: float) -> FlowState:
             st = state.replace(t=ts, x=xs, phi=phis)
             return state_derivative(st)
         except (GeometryError, SingularMatrixError) as exc:
-            raise BreakdownError(BreakdownSignal(
-                t_break=t0, kind=getattr(exc, "kind", "solver_failure"),
-                detail=f"stage {i}: {exc}")) from exc
+            raise BreakdownError(t0, getattr(exc, "kind", "solver_failure"),
+                                 f"stage {i}: {exc}") from exc
 
     k1 = stage(1, x0, phi0, t0)
     k2 = stage(2, x0 + 0.5 * dt * k1.velocity, phi0 + 0.5 * dt * k1.dphi, t0 + 0.5 * dt)
@@ -163,9 +161,8 @@ def adaptive_dt(state: FlowState, speeds: FloatArray, cfl: float,
     spacing[1:-1] = np.minimum(ell[:-1], ell[1:])
     dt = cfl * float(np.min(spacing / (speeds + 1e-30)))
     if dt < dt_min:
-        raise BreakdownError(BreakdownSignal(
-            t_break=state.t, kind="timestep_collapse",
-            detail=f"dt {dt:.3e} below dt_min {dt_min:.3e}"))
+        raise BreakdownError(state.t, "timestep_collapse",
+                             f"dt {dt:.3e} below dt_min {dt_min:.3e}")
     return min(dt, dt_max)
 
 

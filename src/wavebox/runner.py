@@ -7,12 +7,8 @@ float64 columns, shared by the derived columns, the verdicts and the CSV
 writer.  Breakdown is a success outcome — the point of the run is to witness
 it — so only violated checks fail a run.
 
-Artifacts written to the output directory:
-
-* ``config.json``       — the fully resolved configuration (round-trippable),
-* ``diagnostics.csv``   — one row per record, frozen column order,
-* ``snapshots/NNNN.csv``— interface markers (alpha = i/(n-1), x1, x2) per record,
-* ``report.json``       — flat verdict report, floats at 17 significant digits.
+``_artifact_paths`` names the artifacts of an output directory, and every
+writer and reader takes the names from it.
 
 Verdicts are recomputed from the CSV columns alone (plus the configuration)
 so that ``verify-identities`` can re-derive them offline from a run directory
@@ -38,7 +34,7 @@ from .diagnostics import (CSV_FIELDS, DERIVED_FIELDS, blowup_bound,
                           constant_c1, detect_breakdown, fill_derived,
                           int_pressure, int_u1_squared, record_steps,
                           riccati_columns, virial_parts, wall_u2_squared)
-from .errors import BREAKDOWN_KINDS, BreakdownError, BreakdownSignal, GeometryError
+from .errors import BREAKDOWN_KINDS, BreakdownError, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
 from .geometry import (build_boundary_mesh, flat_interface, gradient_1d,
@@ -64,7 +60,7 @@ class ConfigError(ValueError):
 def _checked_number(name: str, value, integral: bool = False):
     """A finite real config value, as an int when ``integral``; else ConfigError.
 
-    Floats pass through unconverted, so config.json keeps the given spelling.
+    Floats pass through unconverted, so the written configuration keeps their spelling.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -146,9 +142,12 @@ class RunConfig:
         object.__setattr__(self, "bem_mode_ks", tuple(
             _checked_number("bem_mode_ks entry", k, integral=True)
             for k in self.bem_mode_ks))
-        if len(self.bem_panel_counts) < 2 or min(self.bem_panel_counts) < 8:
+        counts = self.bem_panel_counts
+        if (len(counts) < 2 or counts[0] < 8
+                or any(a >= b for a, b in zip(counts, counts[1:]))):
             raise ConfigError("bem_panel_counts needs at least two counts, "
-                              "each at least 8 (a convergence order needs two)")
+                              "increasing strictly from at least 8 "
+                              "(a convergence order needs two)")
         if any(k < 1 for k in self.bem_mode_ks):
             raise ConfigError("bem_mode_ks entries must be positive")
         too_large = [k for k in self.bem_mode_ks
@@ -216,7 +215,7 @@ class SimulationResult:
 
     table: dict[str, FloatArray]    # one float64 column per record field
     snapshots: list[FloatArray]     # (n,2) marker positions per record
-    breakdown: BreakdownSignal | None
+    breakdown: BreakdownError | None
     n_steps: int
     t_final: float
     a_quadrature: float
@@ -260,7 +259,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                                  cfg.wall_panels_per_side)
     records: list[dict[str, float]] = []
     snapshots: list[FloatArray] = []
-    breakdown: BreakdownSignal | None = None
+    breakdown: BreakdownError | None = None
     n_steps = 0
     next_record = 0.0
     last_dt = math.nan
@@ -300,14 +299,16 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
             if cfg.redistribute_every and n_steps % cfg.redistribute_every == 0:
                 state = redistribute_markers(state)
     except BreakdownError as exc:
-        breakdown = exc.signal
+        # kept as the outcome, with no traceback to hold the loop's frames
+        breakdown = exc.with_traceback(None)
+        breakdown.__cause__ = breakdown.__context__ = None
 
     # the t = 0 record is always taken: the initial surface is flat
     table = {name: np.array([r[name] for r in records], dtype=np.float64)
              for name in records[0]}
-    c1 = constant_c1(
+    c1 = constant_c1(polygon_area(
         build_boundary_mesh(flat_interface(cfg.n_markers),
-                            cfg.wall_panels_per_side))
+                            cfg.wall_panels_per_side)))
     fill_derived(table, c1, records[0]["L"])
     return SimulationResult(table=table, snapshots=snapshots,
                             breakdown=breakdown, n_steps=n_steps,
@@ -446,13 +447,19 @@ def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
 CHECK_KEYS = ("energy_conserved", "area_conserved", "pressure_positive",
               "schwarz_held", "identities_converged", "inequality_28_held",
               "derivative_inequality_held", "riccati_dominated")
-# Verdicts of report.json that verify-identities does not re-derive; it only
-# checks that all_passed is the conjunction of the other two and CHECK_KEYS.
+# Verdicts of the report that verify-identities does not re-derive; it only
+# checks that all_passed is ``_all_passed`` of the other two and the checks.
 STORED_KEYS = ("a_consistent", "blowup_bound_held", "all_passed")
 
 
+def _all_passed(checks: dict, a_consistent: bool, blowup_bound_held: bool) -> bool:
+    """A run's verdict: A's two evaluations agree, the bound held, every check held."""
+    return bool(a_consistent and blowup_bound_held
+                and all(checks[k] for k in CHECK_KEYS))
+
+
 def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
-    """Flat verification report for report.json (insertion order is frozen)."""
+    """Flat verification report, written as is (insertion order is frozen)."""
     table = result.table
     n_records = table["t"].size
     broke = result.breakdown is not None
@@ -468,9 +475,6 @@ def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
     blowup_bound_held = (not result.breakdown.t_break > bound if broke
                          else not result.t_final >= bound)
 
-    passed = (a_consistent and blowup_bound_held
-              and all(checks[k] for k in CHECK_KEYS))
-
     report = {
         "a_quadrature": result.a_quadrature,
         "a_virial": a,
@@ -483,7 +487,7 @@ def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
         "breakdown_detail": result.breakdown.detail if broke else None,
         "t_final": result.t_final,
         "blowup_bound_held": blowup_bound_held,
-        "all_passed": bool(passed),
+        "all_passed": _all_passed(checks, a_consistent, blowup_bound_held),
         "n_records": n_records,
         "n_steps": result.n_steps,
         "n_markers": cfg.n_markers,
@@ -515,13 +519,28 @@ def write_diagnostics_csv(path: str, table: dict[str, FloatArray]):
                zip(*(table[name].tolist() for name in CSV_FIELDS)))
 
 
+# The file name of record i's snapshot in the snapshot directory
+_SNAPSHOT_NAME = "{:04d}.csv"
+
+
+def _artifact_paths(run_dir: str) -> list[str]:
+    """The paths of a run directory's artifacts, the one place they are named.
+
+    In order: the resolved configuration (round-trippable), the diagnostics
+    (one row per record, frozen column order), the verdict report (floats at
+    17 significant digits), and the directory of ``_SNAPSHOT_NAME`` files.
+    """
+    return [os.path.join(run_dir, name) for name in
+            ("config.json", "diagnostics.csv", "report.json", "snapshots")]
+
+
 def write_snapshots(directory: str, snapshots):
     """One CSV per record: the uniform label i/(n-1), then the marker position."""
     os.makedirs(directory, exist_ok=True)
     for i, x in enumerate(snapshots):
         alpha = np.linspace(0.0, 1.0, len(x))
-        _write_csv(os.path.join(directory, f"{i:04d}.csv"), ("alpha", "x1", "x2"),
-                   np.column_stack([alpha, x]).tolist())
+        _write_csv(os.path.join(directory, _SNAPSHOT_NAME.format(i)),
+                   ("alpha", "x1", "x2"), np.column_stack([alpha, x]).tolist())
 
 
 def _json_scalar(value) -> str:
@@ -553,19 +572,19 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
     if header != expected:
         raise ValueError(f"unexpected diagnostics header: {header}")
     if not rows:
-        raise ValueError("diagnostics.csv has no data rows")
+        raise ValueError(f"{path} has no data rows")
     data = np.array([[float(cell) for cell in row] for row in rows])
     if data.shape[1] != len(expected):
-        raise ValueError("ragged diagnostics.csv")
+        raise ValueError(f"{path} is ragged")
     columns = {name: data[:, j] for j, name in enumerate(expected)}
     # A run measures every primary column at every record, except dt at
     # record 0, which no step precedes.
     not_finite = [name for name in CSV_FIELDS if name not in DERIVED_FIELDS
                   and not np.isfinite(columns[name][1 if name == "dt" else 0:]).all()]
     if not_finite:
-        raise ValueError(f"non-finite values in diagnostics.csv: {', '.join(not_finite)}")
+        raise ValueError(f"non-finite values in {path}: {', '.join(not_finite)}")
     if columns["t"][0] != 0.0:
-        raise ValueError("the first record of diagnostics.csv is not at t = 0")
+        raise ValueError(f"the first record of {path} is not at t = 0")
     record_steps(columns["t"])
     return columns
 
@@ -579,20 +598,21 @@ def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     # An output directory holds one run: drop the artifacts an earlier run
     # left there, so that a run that fails leaves none to pass as its own.
-    for name in ("config.json", "diagnostics.csv", "report.json"):
-        if os.path.lexists(os.path.join(out, name)):
-            os.remove(os.path.join(out, name))
-    if os.path.isdir(os.path.join(out, "snapshots")):
-        shutil.rmtree(os.path.join(out, "snapshots"))
+    cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(out)
+    for path in (cfg_path, csv_path, report_path):
+        if os.path.lexists(path):
+            os.remove(path)
+    if os.path.isdir(snapshot_dir):
+        shutil.rmtree(snapshot_dir)
     result = run_simulation(cfg)
     report = build_report(cfg, result)
 
-    with open(os.path.join(out, "config.json"), "w", newline="\n") as fh:
+    with open(cfg_path, "w", newline="\n") as fh:
         json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_diagnostics_csv(os.path.join(out, "diagnostics.csv"), result.table)
-    write_snapshots(os.path.join(out, "snapshots"), result.snapshots)
-    write_report(os.path.join(out, "report.json"), report)
+    write_diagnostics_csv(csv_path, result.table)
+    write_snapshots(snapshot_dir, result.snapshots)
+    write_report(report_path, report)
 
     if result.breakdown is not None:
         log.info("breakdown: %s at t=%.6g (%s)", result.breakdown.kind,
@@ -612,9 +632,7 @@ def _differs(stored: FloatArray, recomputed: FloatArray) -> bool:
 
 def verify_identities(run_dir: str) -> int:
     """Offline re-check of a run directory; exit-code semantics of the CLI."""
-    csv_path = os.path.join(run_dir, "diagnostics.csv")
-    cfg_path = os.path.join(run_dir, "config.json")
-    report_path = os.path.join(run_dir, "report.json")
+    cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(run_dir)
     try:
         cfg = RunConfig.from_json(cfg_path)
         columns = read_diagnostics_csv(csv_path)
@@ -634,7 +652,7 @@ def verify_identities(run_dir: str) -> int:
         n_records = stored.get("n_records")
         if type(n_records) is not int:
             raise ValueError(f"{report_path}: n_records is not an integer")
-        snapshots = set(os.listdir(os.path.join(run_dir, "snapshots")))
+        snapshots = set(os.listdir(snapshot_dir))
     except (OSError, ValueError, RecursionError) as exc:
         log.warning("error: %s", exc)
         return 2
@@ -643,7 +661,7 @@ def verify_identities(run_dir: str) -> int:
     # constant_c1 of the flat initial surface, whose area the first record
     # carries.  One record has no L', and no check reads its slack.
     n = columns["t"].size
-    c1 = max(2.0 * float(columns["area"][0]), 4.0 / 3.0)
+    c1 = constant_c1(float(columns["area"][0]))
     with np.errstate(all="ignore"):     # an edited L may overflow L' or L^2
         envelope, slack = riccati_columns(columns["t"], columns["L"], c1,
                                           float(columns["L"][0]))
@@ -661,13 +679,13 @@ def verify_identities(run_dir: str) -> int:
 
     failed = [k for k in CHECK_KEYS if not checks[k]]
     mismatched = [k for k in CHECK_KEYS if stored[k] != checks[k]]
-    passed = stored["a_consistent"] and stored["blowup_bound_held"] and not failed
-    if stored["all_passed"] != passed:
+    if stored["all_passed"] != _all_passed(checks, stored["a_consistent"],
+                                           stored["blowup_bound_held"]):
         mismatched.append("all_passed")
     # one snapshot per record, named as write_snapshots names them; the
     # directory is only listed, never read
-    if n_records != n or snapshots != {f"{i:04d}.csv" for i in range(n)}:
-        mismatched.append("snapshots")
+    if n_records != n or snapshots != {_SNAPSHOT_NAME.format(i) for i in range(n)}:
+        mismatched.append(os.path.basename(snapshot_dir))
     for key in CHECK_KEYS:
         note = " (mismatches report)" if key in mismatched else ""
         log.info("  %s: %s%s", key, checks[key], note)
@@ -736,21 +754,19 @@ def validate_bem(cfg: RunConfig) -> int:
     log.info("constant data: max error %.3e", const_err)
     ok = not const_err > 1e-8
 
-    later = sorted(range(1, len(counts)), key=counts.__getitem__, reverse=True)
-    solved = {i: _flat_mesh_errors(counts[i], ks) for i in later} if ks else {}
-    rest = [solved[i] for i in sorted(solved)]
-    finest = counts.index(max(counts))
-    for k, errs in zip(ks, zip(first, *rest)):
+    # RunConfig keeps the counts increasing, so the finest is the last
+    rest = [_flat_mesh_errors(n, ks) for n in counts[:0:-1]] if ks else []
+    for k, errs in zip(ks, zip(first, *reversed(rest))):
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         mean_order = sum(orders) / len(orders)
         monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         log.info("mode k=%d: %s  order=%.2f", k,
                  "  ".join(f"{n}:{e:.3e}" for n, e in zip(counts, errs)),
                  mean_order)
-        if errs[finest] > BEM_ERROR_BOUND:
+        if errs[-1] > BEM_ERROR_BOUND:
             log.info("mode k=%d: error %.3e at %d panels is above %g", k,
-                     errs[finest], counts[finest], BEM_ERROR_BOUND)
-        if not monotone or mean_order < 1.0 or errs[finest] > BEM_ERROR_BOUND:
+                     errs[-1], counts[-1], BEM_ERROR_BOUND)
+        if not monotone or mean_order < 1.0 or errs[-1] > BEM_ERROR_BOUND:
             ok = False
 
     log.info("validation %s", "passed" if ok else "FAILED")

@@ -13,16 +13,23 @@ import pytest
 
 from wavebox.bem import solve_mixed_bvp
 from wavebox.diagnostics import constant_c1
-from wavebox.geometry import build_boundary_mesh, flat_interface
+from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
+                              flat_interface, polygon_area)
 from wavebox.modes import sample_initial_state
 from wavebox.pressure import PressureField
 from wavebox.runner import _flat_mesh_errors, read_diagnostics_csv
 
 from conftest import (compatibility_residual, compatibility_scale,
                       make_reference_data, pressure_poisson_residual)
-from test_diagnostics import dipped_curve
 
 REFERENCE_A = 7.742373439628838
+
+
+def dipped_curve(n, depth):
+    """Pinned curve whose polygon area is 1 - 2*depth/3 (parabolic dip)."""
+    s = np.linspace(0.0, 1.0, n)
+    x2 = 1.0 - 4.0 * depth * s * (1.0 - s)
+    return InterfaceCurve(np.column_stack([s, x2]))
 
 
 def columns_of(run):
@@ -34,11 +41,12 @@ class TestCriterion1RiccatiConstant:
 
     def test_unit_square_gives_two(self):
         mesh = build_boundary_mesh(flat_interface(65), 16)
-        assert constant_c1(mesh) == 2.0
+        assert constant_c1(polygon_area(mesh)) == 2.0
 
     def test_half_area_gives_four_thirds(self):
+        # area 0.5 => max(2*0.5, 4/3) = 4/3 exactly
         mesh = build_boundary_mesh(dipped_curve(201, 0.75), 16)
-        assert constant_c1(mesh) == 4.0 / 3.0
+        assert constant_c1(polygon_area(mesh)) == 4.0 / 3.0
 
 
 class TestCriterion2BemConvergence:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wavebox.diagnostics import (DERIVED_FIELDS, _squares, blowup_bound,
                                  boundary_domain_integral, boundary_velocity,
-                                 constant_c1, detect_breakdown, fill_derived,
+                                 detect_breakdown, fill_derived,
                                  int_u1_squared, riccati_envelope,
                                  virial_parts, wall_u2_squared)
 from wavebox.errors import BreakdownError, SelfIntersectionError
@@ -21,24 +21,6 @@ from wavebox.modes import initial_A, sample_initial_state
 from wavebox.runner import RunConfig
 
 from conftest import make_reference_data
-
-
-def dipped_curve(n, depth):
-    """Pinned curve whose polygon area is 1 - 2*depth/3 (parabolic dip)."""
-    s = np.linspace(0.0, 1.0, n)
-    x2 = 1.0 - 4.0 * depth * s * (1.0 - s)
-    return InterfaceCurve(np.column_stack([s, x2]))
-
-
-class TestConstantC1:
-    def test_unit_square(self):
-        mesh = build_boundary_mesh(flat_interface(65), 16)
-        assert constant_c1(mesh) == 2.0
-
-    def test_half_area_domain_floors_at_four_thirds(self):
-        # area 0.5 => max(2*0.5, 4/3) = 4/3 exactly
-        mesh = build_boundary_mesh(dipped_curve(201, 0.75), 16)
-        assert constant_c1(mesh) == 4.0 / 3.0
 
 
 class TestEnvelope:
@@ -164,7 +146,7 @@ class TestRecordAlgebra:
         table = make_table([0.0, 1.0], [3.0, 11.0], volume_part=[2.0, 0.0],
                            wall_part=[1.0, 0.0], int_u1sq=[5.0, 0.0],
                            wall_u2sq=[4.0, 0.0])
-        fill_derived(table, c1=2.0, A=None)
+        fill_derived(table, c1=2.0, A=0.0)
         s28, sv, sw, rs = (table[name][0] for name in
                            ("slack_28", "schwarz_vol", "schwarz_wall",
                             "riccati_slack"))
@@ -176,7 +158,7 @@ class TestRecordAlgebra:
     def test_identity_residual_requires_uniform_times(self):
         table = make_table([0.0, 0.1, 0.3], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            fill_derived(table, c1=2.0, A=None)
+            fill_derived(table, c1=2.0, A=0.0)
 
     def test_fill_derived_on_exact_envelope(self):
         # records tracing the envelope exactly: riccati slack ~ 0, and the
@@ -192,7 +174,7 @@ class TestRecordAlgebra:
 
     def test_fill_derived_skips_envelope_without_positive_A(self):
         table = make_table([0.0, 0.1, 0.2], [-1.0, -1.0, -1.0])
-        fill_derived(table, c1=2.0, A=None)
+        fill_derived(table, c1=2.0, A=-1.0)
         assert np.isnan(table["envelope"]).all()
 
 
@@ -274,7 +256,7 @@ def reference_fill_derived(records, area0, c1, A):
         return
     t = np.array([r.t for r in records])
     L = np.array([r.L for r in records])
-    if A is not None and A > 0.0:
+    if A > 0.0:
         horizon = blowup_bound(A, c1)
         for r in records:
             if r.t < horizon:
@@ -351,7 +333,7 @@ class TestFillDerivedBits:
 
     @settings(max_examples=300, deadline=None)
     @given(columns=primary_columns(), c1=st.floats(4.0 / 3.0, 4.0),
-           A=st.one_of(st.none(), st.floats(-10.0, -1e-3),
+           A=st.one_of(st.just(0.0), st.floats(-10.0, -1e-3),
                        st.floats(1e-3, 50.0)),
            horizon_at=st.one_of(st.none(), st.integers(0, 7)))
     def test_matches_per_record_reference(self, columns, c1, A, horizon_at):
@@ -374,7 +356,7 @@ class TestFillDerivedBits:
         for name in ("L", "volume_part", "wall_part"):
             col = np.array(columns[name])
             assert np.any(col * col != np.array([v ** 2 for v in col.tolist()]))
-        for A in (None, -2.0, 9000.0, 3.0):
+        for A in (0.0, -2.0, 9000.0, 3.0):
             assert_same_derived(columns, 2.0, A)
 
     def test_horizon_on_a_record_time(self):
@@ -400,13 +382,13 @@ class TestFillDerivedBits:
         assert_same_derived(columns, 2.0, 1.5)
 
 
-def signal_of(state, cfg, L=None):
-    """The signal ``detect_breakdown`` raises for ``state``, or None; it
-    returns nothing."""
+def breakdown_of(state, cfg, L=None):
+    """The BreakdownError ``detect_breakdown`` raises for ``state``, or None;
+    it returns nothing."""
     try:
         assert detect_breakdown(state, cfg, L=L) is None
     except BreakdownError as exc:
-        return exc.signal
+        return exc
     return None
 
 
@@ -420,21 +402,29 @@ class TestDetectors:
 
     def test_quiet_state(self):
         state = self.make_state(flat_interface(11))
-        assert signal_of(state, RunConfig()) is None
+        assert breakdown_of(state, RunConfig()) is None
+
+    def test_breakdown_error_carries_a_known_kind(self):
+        exc = BreakdownError(0.25, "marker_collision", "spacing too small")
+        assert (exc.t_break, exc.kind, exc.detail) == (
+            0.25, "marker_collision", "spacing too small")
+        assert str(exc) == "marker_collision at t=0.25: spacing too small"
+        with pytest.raises(ValueError, match="unknown breakdown kind 'meltdown'"):
+            BreakdownError(0.25, "meltdown")
 
     def test_bottom_contact(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = -0.01
         state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = signal_of(state, RunConfig())
+        sig = breakdown_of(state, RunConfig())
         assert sig.kind == "bottom_contact" and sig.t_break == 1.0
 
     def test_self_intersection(self):
         x1 = np.array([0.0, 0.7, 0.7, 0.3, 0.3, 1.0])
         x2 = np.array([1.0, 1.2, 0.6, 0.6, 1.2, 1.0])
         state = self.make_state(InterfaceCurve(np.column_stack([x1, x2])))
-        assert signal_of(state, RunConfig()).kind == "self_intersection"
+        assert breakdown_of(state, RunConfig()).kind == "self_intersection"
 
     def test_side_wall_crossing(self):
         # A simple polyline that bulges through the right wall: the mesh
@@ -445,7 +435,7 @@ class TestDetectors:
         x[22, 0] = 1.02
         state = self.make_state(InterfaceCurve(x))
         assert not self_intersects(state.curve)
-        sig = signal_of(state, RunConfig())
+        sig = breakdown_of(state, RunConfig())
         assert sig.kind == "self_intersection" and sig.t_break == 1.0
         assert "marker 22" in sig.detail
         with pytest.raises(SelfIntersectionError):
@@ -456,19 +446,19 @@ class TestDetectors:
         x1 = s.copy()
         x1[5] = x1[4] + 1e-4    # nearly coincident pair
         state = self.make_state(InterfaceCurve(np.column_stack([x1, np.ones(11)])))
-        assert signal_of(state, RunConfig()).kind == "marker_collision"
+        assert breakdown_of(state, RunConfig()).kind == "marker_collision"
 
     def test_curvature_blowup(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = 1.4             # sharp spike
         state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = signal_of(state, RunConfig(curv_factor=0.5))
+        sig = breakdown_of(state, RunConfig(curv_factor=0.5))
         assert sig.kind == "curvature_blowup"
 
     def test_L_overflow(self):
         state = self.make_state(flat_interface(11))
-        sig = signal_of(state, RunConfig(L_max=10.0), L=11.0)
+        sig = breakdown_of(state, RunConfig(L_max=10.0), L=11.0)
         assert sig.kind == "L_overflow"
 
     @pytest.mark.parametrize("n", [11, 96])
@@ -478,22 +468,22 @@ class TestDetectors:
         for gap, kind in ((0.99 * floor, "marker_collision"), (1.01 * floor, None)):
             x = flat_interface(n).x.copy()
             x[n // 2, 0] = x[n // 2 - 1, 0] + gap
-            sig = signal_of(self.make_state(InterfaceCurve(x)), cfg)
+            sig = breakdown_of(self.make_state(InterfaceCurve(x)), cfg)
             assert (sig and sig.kind) == kind
         x = flat_interface(n).x.copy()
         x[n // 2, 1] = 1.01
         state = self.make_state(InterfaceCurve(x))
         curv_factor = state.curve.turning_curvature().max() / (n - 1)
         for factor, kind in ((0.99, "curvature_blowup"), (1.01, None)):
-            sig = signal_of(state, RunConfig(curv_factor=factor * curv_factor))
+            sig = breakdown_of(state, RunConfig(curv_factor=factor * curv_factor))
             assert (sig and sig.kind) == kind
 
     def test_L_limit_is_exclusive(self):
         state = self.make_state(flat_interface(11))
         cfg = RunConfig(L_max=10.0)
         for L in (10.0, -10.0):
-            assert signal_of(state, cfg, L=L) is None
-            sig = signal_of(state, cfg, L=np.nextafter(L, 2.0 * L))
+            assert breakdown_of(state, cfg, L=L) is None
+            sig = breakdown_of(state, cfg, L=np.nextafter(L, 2.0 * L))
             assert sig.kind == "L_overflow"
 
     def test_priority_bottom_before_collision(self):
@@ -501,4 +491,4 @@ class TestDetectors:
         x = np.column_stack([s, np.ones(11)])
         x[5] = [x[4, 0] + 1e-4, -0.01]    # collides AND touches bottom
         state = self.make_state(InterfaceCurve(x))
-        assert signal_of(state, RunConfig()).kind == "bottom_contact"
+        assert breakdown_of(state, RunConfig()).kind == "bottom_contact"

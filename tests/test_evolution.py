@@ -149,7 +149,7 @@ class TestRK4:
         monkeypatch.setattr(evolution, "state_derivative", deriv)
         with pytest.raises(BreakdownError) as info:
             rk4_step(still_state(), 1.0)
-        assert info.value.signal.kind == "bottom_contact"
+        assert info.value.kind == "bottom_contact"
 
 
 class TestAdaptiveDt:
@@ -170,7 +170,7 @@ class TestAdaptiveDt:
         with pytest.raises(BreakdownError) as info:
             adaptive_dt(state, np.full(11, 1e6), cfl=0.5, dt_min=1e-3,
                         dt_max=0.05)
-        assert info.value.signal.kind == "timestep_collapse"
+        assert info.value.kind == "timestep_collapse"
 
 
 class TestRedistribution:

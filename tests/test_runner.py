@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wavebox.evolution as evolution
 import wavebox.runner as runner
 from wavebox.diagnostics import CSV_FIELDS
 from wavebox.errors import GeometryError
-from wavebox.evolution import FlowState
+from wavebox.evolution import FlowState, StateDerivative
 from wavebox.geometry import InterfaceCurve
 from wavebox.runner import (ConfigError, RunConfig, evaluate_checks,
                             read_diagnostics_csv, run_simulation,
@@ -61,6 +62,8 @@ class TestRunConfig:
         {"bem_panel_counts": [32, 64.5]},
         {"bem_mode_ks": [0]},
         {"modes": [[0, 1.0]]},
+        {"bem_panel_counts": [48, 16, 32]},
+        {"bem_panel_counts": [32, 32]},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -354,6 +357,30 @@ class TestRecordTimeBreakdown:
         assert result.breakdown.kind == "self_intersection"
         assert result.breakdown.t_break == result.t_final == 0.05
         assert "marker 22" in result.breakdown.detail
+        # the outcome keeps no frame of the loop, nor the record's error
+        assert result.breakdown.__traceback__ is None
+        assert result.breakdown.__context__ is None
+
+    def test_stage_breakdown_keeps_no_frame(self, monkeypatch):
+        # A second RK4 stage pushes a marker through the bottom: the step
+        # raises a BreakdownError from the stage's BottomContactError.
+        def plunging(state):
+            n = state.curve.n_markers
+            _ = state.mesh
+            u = np.zeros((n, 2))
+            u[n // 2, 1] = -100.0
+            return StateDerivative(velocity=u, dphi=np.zeros(n),
+                                   corner_residual=0.0)
+
+        monkeypatch.setattr(evolution, "state_derivative", plunging)
+        cfg = RunConfig.from_dict(dict(modes=[], n_markers=24,
+                                       wall_panels_per_side=8, record_dt=0.05))
+        result = run_simulation(cfg)
+        assert result.n_steps == 0
+        assert result.breakdown.kind == "bottom_contact"
+        assert result.breakdown.detail.startswith("stage 2: ")
+        assert result.breakdown.__traceback__ is None
+        assert result.breakdown.__cause__ is None
 
     def test_unclassified_failure_is_raised(self, monkeypatch):
         # A record that fails on a surface no detector flags is no

@@ -1,12 +1,15 @@
-"""The kernel arguments that the benchmark's tracer reads by name.
+"""The functions and kernel arguments that the benchmark's tracer reads by name.
 
-``perfbench/tracer.py`` binds each call of ``kernels.influence_matrices``,
-``kernels.influence_gradients`` and ``kernels.solve_dense`` to the
-function's signature and computes the ``pairs`` and ``flop`` counters from
-the arguments named ``mesh``, ``targets`` and ``system``.  A renamed
-parameter would stop those counters; this test fails first.
+``perfbench/tracer.py`` wraps each function it names as ``module.function``
+where ``wavebox.module`` defines it.  It also binds each call of
+``kernels.influence_matrices``, ``kernels.influence_gradients`` and
+``kernels.solve_dense`` to the function's signature and computes the
+``pairs`` and ``flop`` counters from the arguments named ``mesh``,
+``targets`` and ``system``.  A moved or re-exported function, or a renamed
+parameter, would stop those counts; these tests fail first.
 """
 
+import importlib
 import importlib.util
 import inspect
 import pathlib
@@ -47,3 +50,17 @@ def test_tracer_counts_each_kernel_call_from_its_named_arguments():
         counters = defaultdict(float)
         count(counters, tracer._arguments(inspect.signature(function), args, {}))
         assert list(counters.values()) == [expected], key
+
+
+def test_every_traced_key_is_a_function_of_its_module():
+    # A key whose function moved to another module, or is re-exported there,
+    # fails only the full tracer run otherwise.
+    tracer = load_tracer()
+    keys = {*tracer.LAYER_FUNCTIONS, *tracer.SETUP_FUNCTIONS,
+            *tracer.COUNTED_FUNCTIONS}
+    assert len(keys) > 20
+    for key in sorted(keys):
+        module = importlib.import_module("wavebox." + key.split(".")[0])
+        function = getattr(module, key.split(".")[1], None)
+        assert inspect.isfunction(function), key
+        assert function.__module__ == module.__name__, key
