@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from . import kernels
 from .errors import NearBoundaryError
-from .geometry import BoundaryMesh, point_segment_distance, points_inside
+from .geometry import BoundaryMesh, points_inside
 from .kernels import DenseSystem, solve_dense
 
 FloatArray = NDArray[np.float64]
@@ -96,13 +96,28 @@ def admissible_interior(mesh: BoundaryMesh, points: FloatArray,
     """Mask of points strictly inside and outside the near-field band.
 
     The band width is near_field_factor times the length of the closest panel.
+    A point's distance to a panel is taken in the panel frame of
+    ``kernels.local_coords``: eta is its height above the panel line and
+    max(u1, 0) + min(u2, 0) its offset along the line past the nearer end,
+    0 beside the panel.  The points run in ``kernels.row_blocks``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    dist = point_segment_distance(pts, mesh.a, mesh.b)
-    nearest = np.argmin(dist, axis=1)
-    d_min = near_field_factor * mesh.lengths[nearest]
-    inside = points_inside(mesh, pts)
-    return inside & (dist[np.arange(pts.shape[0]), nearest] >= d_min)
+    ok = np.empty(len(pts), dtype=bool)
+    for rows in kernels.row_blocks(len(pts), mesh.n_panels):
+        block = pts[rows]
+        u1, u2, eta = kernels.local_coords(mesh, block)
+        along = np.maximum(u1, 0.0, out=u1)
+        along += np.minimum(u2, 0.0, out=u2)
+        along *= along
+        eta *= eta
+        eta += along
+        dist = np.sqrt(eta, out=eta)
+        nearest = np.argmin(dist, axis=1)
+        d_min = near_field_factor * mesh.lengths[nearest]
+        ok[rows] = points_inside(mesh, block)
+        ok[rows] &= dist[np.arange(len(block)), nearest] >= d_min
+        del u1, u2, eta, along, dist    # freed before the next block's
+    return ok
 
 
 def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,

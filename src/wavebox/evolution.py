@@ -80,10 +80,8 @@ class FlowState:
         dphi.flags.writeable = False
         return StateDerivative(velocity=u, dphi=dphi, corner_residual=residual)
 
-    def replace(self, *, t=None, x=None, phi=None) -> "FlowState":
-        return FlowState(t=self.t if t is None else float(t),
-                         curve=self.curve if x is None else InterfaceCurve(x),
-                         phi=self.phi if phi is None else phi,
+    def replace(self, *, t, x, phi) -> "FlowState":
+        return FlowState(t=float(t), curve=InterfaceCurve(x), phi=phi,
                          wall_panels_per_side=self.wall_panels_per_side)
 
 
@@ -221,5 +219,4 @@ def redistribute_markers(state: FlowState) -> FlowState:
     x_new = new[:, :2]
     x_new[0] = CORNER_LEFT
     x_new[-1] = CORNER_RIGHT
-    return FlowState(t=state.t, curve=InterfaceCurve(x_new), phi=new[:, 2],
-                     wall_panels_per_side=state.wall_panels_per_side)
+    return state.replace(t=state.t, x=x_new, phi=new[:, 2])

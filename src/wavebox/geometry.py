@@ -355,30 +355,6 @@ def polygon_area(mesh: BoundaryMesh) -> float:
     return float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
 
 
-def point_segment_distance(points: FloatArray, a: FloatArray, b: FloatArray) -> FloatArray:
-    """Distances from each point (m,2) to each segment (n,2)->(n,2); (m,n)."""
-    pts = np.atleast_2d(points)
-    dx = b[:, 0] - a[:, 0]
-    dy = b[:, 1] - a[:, 1]
-    # Clamped foot-point parameter t of each point on each segment's line.
-    t = np.subtract.outer(pts[:, 0], a[:, 0])
-    t *= dx
-    t += np.subtract.outer(pts[:, 1], a[:, 1]) * dy
-    t /= np.maximum(dx * dx + dy * dy, 1e-300)
-    np.clip(t, 0.0, 1.0, out=t)
-    # Offset from the foot point a + t*d, one component at a time.
-    ex = t * dx
-    ex += a[:, 0]
-    np.subtract(pts[:, 0][:, None], ex, out=ex)
-    ey = np.multiply(t, dy, out=t)
-    ey += a[:, 1]
-    np.subtract(pts[:, 1][:, None], ey, out=ey)
-    ex *= ex
-    ey *= ey
-    ex += ey
-    return np.sqrt(ex, out=ex)
-
-
 def points_inside(mesh: BoundaryMesh, points: FloatArray) -> NDArray[np.bool_]:
     """Crossing-number inside test against the closed panel polygon.
 

@@ -23,7 +23,7 @@ from .geometry import wall_mesh
 FloatArray = NDArray[np.float64]
 
 TWO_PI = 2.0 * np.pi
-# (target, panel) pairs per row block of every panel kernel; see _row_blocks.
+# (target, panel) pairs per row block of every panel kernel; see row_blocks.
 PAIR_BUDGET = 16384
 
 
@@ -112,7 +112,7 @@ def solve_dense(system: DenseSystem) -> FloatArray:
     return x
 
 
-def _local_coords(mesh, targets, cols=slice(None), panel_major=False):
+def local_coords(mesh, targets, cols=slice(None), panel_major=False):
     """Panel-local coordinates of targets against the contiguous panel block cols.
 
     Shapes: targets (m,2) and the n panels of cols; returns (m,n) arrays
@@ -195,7 +195,7 @@ def _layers(mesh, targets: FloatArray, cols, S: FloatArray, D: FloatArray):
     a C-contiguous S holds F(u2) while it is formed, a strided S gets a
     fifth array for it, and each result is copied in once.
     """
-    u1, u2, eta = _local_coords(mesh, targets, cols)
+    u1, u2, eta = local_coords(mesh, targets, cols)
     F2 = S if S.flags.c_contiguous else np.empty(eta.shape)
     on_axis = eta == 0.0
     # Targets on the panel line (self-panel midpoints in particular) get the
@@ -236,7 +236,7 @@ def _double_layer(mesh, targets: FloatArray, cols, *D: FloatArray):
     Written into the given arrays, each (m, k), which take the block's
     panel columns in turn: the first the first k, the next the next.
     """
-    u1, u2, eta = _local_coords(mesh, targets, cols)
+    u1, u2, eta = local_coords(mesh, targets, cols)
     D_block = _arctan_ratio(u2, eta, out=u2)
     D_block -= _arctan_ratio(u1, eta, out=u1)
     D_block /= TWO_PI
@@ -247,7 +247,7 @@ def _double_layer(mesh, targets: FloatArray, cols, *D: FloatArray):
         start += out.shape[1]
 
 
-def _row_blocks(m: int, n: int) -> list[slice]:
+def row_blocks(m: int, n: int) -> list[slice]:
     """The one split of m target rows against n panels: the fewest
     near-equal blocks, in order, of at most ``PAIR_BUDGET`` pairs and at
     least two rows, unless m == 1; none if m == 0.
@@ -261,9 +261,9 @@ def _row_blocks(m: int, n: int) -> list[slice]:
 
 
 def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray):
-    """``kernel`` over ``_row_blocks`` of the targets against the panels
+    """``kernel`` over ``row_blocks`` of the targets against the panels
     cols, each block written into its rows of ``out``."""
-    for rows in _row_blocks(len(targets), cols.stop - cols.start):
+    for rows in row_blocks(len(targets), cols.stop - cols.start):
         kernel(mesh, targets[rows], cols, *(o[rows] for o in out))
 
 
@@ -302,7 +302,7 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
     wall panels, all 3w at once from ``geometry.wall_mesh``, whose panel
     rows have the bits of this mesh's wall panels.
 
-    Every kernel runs over ``_row_blocks`` of the targets, written in place.
+    Every kernel runs over ``row_blocks`` of the targets, written in place.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     n, w, sl = mesh.n_panels, mesh.wall_panels_per_side, mesh.surface_slice
@@ -344,7 +344,7 @@ def _contracted_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
     the surface rows of the panel-major arrays only: the walls' flux is
     zero, so each of their products would be an exact +-0.
     """
-    u1, u2, eta = _local_coords(mesh, targets, panel_major=True)
+    u1, u2, eta = local_coords(mesh, targets, panel_major=True)
     eta2 = eta * eta
     r1sq = u1 * u1
     r1sq += eta2
@@ -399,7 +399,7 @@ def influence_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
     surface panels and zero on the walls, as every solve gives them.
     Targets must be off every panel (interior evaluation only).  Each
     component of grad S and grad D is contracted as it is formed, so no
-    (m, n, 2) array exists.  The targets run in ``_row_blocks``, of two
+    (m, n, 2) array exists.  The targets run in ``row_blocks``, of two
     targets or more.  In a block each component is an (n, m_block) array,
     multiplied in place by its density column and summed by
     ``np.add.reduce(..., axis=0)``, which adds the rows in turn, left to
@@ -420,6 +420,6 @@ def influence_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
         raise ValueError(f"influence_gradients: {surface_fluxes.shape} fluxes given, "
                          f"one per surface panel ({sl.stop - sl.start}) expected")
     gradients = np.empty((len(targets), 2))
-    for rows in _row_blocks(len(targets), mesh.n_panels):
+    for rows in row_blocks(len(targets), mesh.n_panels):
         _contracted_gradients(mesh, targets[rows], surface_fluxes, values, gradients[rows])
     return gradients

@@ -81,6 +81,16 @@ def pressure_poisson_residual(field, points, h):
     return np.abs(-lap_p - rhs), rhs
 
 
+def lattice_candidates(mesh, n_per_side):
+    """The n_per_side**2 points that ``pressure.interior_lattice`` offers to
+    ``bem.admissible_interior``, built with its arithmetic."""
+    top = float(mesh.b[:, 1].max())
+    xs = (np.arange(n_per_side) + 0.5) / n_per_side
+    ys = (np.arange(n_per_side) + 0.5) / n_per_side * top
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
 def compatibility_residual(cauchy, lengths):
     """|sum flux*length| — zero for exact harmonic Cauchy data."""
     return float(abs(np.dot(cauchy.fluxes, lengths)))

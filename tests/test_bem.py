@@ -1,5 +1,7 @@
 """Mixed boundary-value solver against closed-form harmonic modes."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from wavebox import bem, kernels
 from wavebox.bem import (CauchyData, admissible_interior, eval_interior,
                          solve_mixed_bvp)
 from wavebox.errors import NearBoundaryError
-from wavebox.geometry import InterfaceCurve, build_boundary_mesh, flat_interface
+from wavebox.geometry import (InterfaceCurve, build_boundary_mesh, flat_interface,
+                              points_inside)
 from wavebox.modes import sample_initial_state
 
 from conftest import (assert_same_bits, compatibility_residual,
-                      compatibility_scale, make_reference_data)
+                      compatibility_scale, lattice_candidates,
+                      make_reference_data)
 
 
 def mode_data(mesh, k):
@@ -239,6 +243,83 @@ class TestInteriorEvaluation:
         pts = np.array([[0.5, 0.5], [0.5, 1.2], [0.5, 0.003]])
         np.testing.assert_array_equal(admissible_interior(mesh, pts, 2.0),
                                       [True, False, False])
+
+
+def clamped_foot_distance(points, a, b):
+    """Distances (m, n) from each point to each segment a -> b through the
+    clamped foot point: the rule ``admissible_interior`` took its distances
+    from before it read them from the panel frame."""
+    pts = np.atleast_2d(points)
+    dx = b[:, 0] - a[:, 0]
+    dy = b[:, 1] - a[:, 1]
+    t = np.subtract.outer(pts[:, 0], a[:, 0])
+    t *= dx
+    t += np.subtract.outer(pts[:, 1], a[:, 1]) * dy
+    t /= np.maximum(dx * dx + dy * dy, 1e-300)
+    np.clip(t, 0.0, 1.0, out=t)
+    ex = t * dx
+    ex += a[:, 0]
+    np.subtract(pts[:, 0][:, None], ex, out=ex)
+    ey = np.multiply(t, dy, out=t)
+    ey += a[:, 1]
+    np.subtract(pts[:, 1][:, None], ey, out=ey)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    return np.sqrt(ex, out=ex)
+
+
+def clamped_foot_mask(mesh, points, near_field_factor):
+    dist = clamped_foot_distance(points, mesh.a, mesh.b)
+    nearest = np.argmin(dist, axis=1)
+    d_min = near_field_factor * mesh.lengths[nearest]
+    inside = points_inside(mesh, points)
+    return inside & (dist[np.arange(len(points)), nearest] >= d_min)
+
+
+class TestAdmissibleInterior:
+    def test_matches_the_clamped_foot_rule(self, ref_run):
+        # Every mesh of the headline run, rebuilt from its 15 snapshots, at
+        # its 16 x 16 lattice candidates and 1,000 random points.  The two
+        # distances round differently, so the masks could part only at a
+        # near tie: two panels equally near, or a distance on the band's edge.
+        snapshots = os.path.join(ref_run["dir"], "snapshots")
+        names = sorted(os.listdir(snapshots))
+        assert len(names) == 15
+        rng = np.random.default_rng(29)
+        for name in names:
+            x = np.loadtxt(os.path.join(snapshots, name), delimiter=",",
+                           skiprows=1)[:, 1:]
+            mesh = build_boundary_mesh(InterfaceCurve(x),
+                                       ref_run["cfg"].wall_panels_per_side)
+            pts = np.vstack([lattice_candidates(mesh, 16),
+                             rng.uniform((0.0, 0.0), (1.0, 1.05), (1000, 2))])
+            for factor in (1.0, 2.0, 3.0):
+                np.testing.assert_array_equal(
+                    admissible_interior(mesh, pts, factor),
+                    clamped_foot_mask(mesh, pts, factor), err_msg=f"{name} {factor}")
+
+    def test_row_blocks(self, monkeypatch):
+        # The reference lattice's 256 candidates against 167 panels run in
+        # three blocks (16,384 // 167 = 98 rows at most), with the mask of
+        # one block.
+        state = sample_initial_state(make_reference_data(1.0), 96, 24)
+        mesh = state.mesh
+        pts = lattice_candidates(mesh, 16)
+        sizes = []
+        local_coords = kernels.local_coords
+
+        def recording(mesh, targets, *args, **kwargs):
+            sizes.append(len(targets))
+            return local_coords(mesh, targets, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "local_coords", recording)
+        blocked = admissible_interior(mesh, pts, 2.0)
+        assert sizes == [85, 85, 86] and np.count_nonzero(blocked) == 194
+        monkeypatch.setattr(kernels, "PAIR_BUDGET", 10**9)
+        np.testing.assert_array_equal(admissible_interior(mesh, pts, 2.0), blocked)
+        assert sizes[3:] == [256]
+        assert admissible_interior(mesh, np.empty((0, 2)), 2.0).shape == (0,)
 
 
 class TestCauchyData:

@@ -25,9 +25,10 @@ def still_state(n=17, walls=8):
 class TestFlowState:
     def test_replace_keeps_untouched_fields(self):
         state = still_state()
-        moved = state.replace(t=1.5)
+        moved = state.replace(t=1.5, x=state.curve.x, phi=state.phi)
         assert moved.t == 1.5
         assert moved.wall_panels_per_side == state.wall_panels_per_side
+        np.testing.assert_array_equal(moved.curve.x, state.curve.x)
         np.testing.assert_array_equal(moved.phi, state.phi)
 
     def test_mesh_cached(self):

@@ -14,8 +14,7 @@ from wavebox.errors import (BottomContactError, GeometryError,
 from wavebox.evolution import rk4_step
 from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
                               _monotone_margin, build_boundary_mesh,
-                              flat_interface, gradient_1d,
-                              point_segment_distance, points_inside,
+                              flat_interface, gradient_1d, points_inside,
                               polygon_area, row_norms, self_intersects,
                               side_wall_crossing, wall_mesh)
 from wavebox.modes import sample_initial_state
@@ -454,33 +453,6 @@ class TestPolygonMeasures:
                         [0.5, 1.01], [-0.1, 0.2]])
         np.testing.assert_array_equal(points_inside(mesh, pts),
                                       [True, True, False, False, False])
-
-    def test_point_segment_distance(self):
-        a = np.array([[0.0, 0.0]])
-        b = np.array([[1.0, 0.0]])
-        pts = np.array([[0.5, 0.3], [2.0, 0.0], [-1.0, 1.0]])
-        d = point_segment_distance(pts, a, b)
-        np.testing.assert_allclose(d[:, 0], [0.3, 1.0, np.sqrt(2.0)])
-
-    def test_point_segment_distance_matches_reference_bits(self):
-        # The (m,n,2) einsum/norm form it replaced, kept as the reference.
-        def reference(pts, a, b):
-            d = b - a
-            ell2 = np.einsum("ij,ij->j", d.T, d.T)
-            rel = pts[:, None, :] - a[None, :, :]
-            t = np.einsum("mnj,nj->mn", rel, d) / np.maximum(ell2, 1e-300)
-            t = np.clip(t, 0.0, 1.0)
-            proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-            return np.linalg.norm(pts[:, None, :] - proj, axis=2)
-
-        rng = np.random.default_rng(5)
-        mesh = build_boundary_mesh(bumped_interface(33), 12)
-        a = np.vstack([mesh.a, [[0.3, 0.3]]])
-        b = np.vstack([mesh.b, [[0.3, 0.3]]])          # a degenerate segment
-        pts = np.vstack([rng.uniform(-0.5, 1.5, (200, 2)), mesh.a, mesh.midpoints,
-                         np.column_stack([np.zeros(20), rng.uniform(-1, 2, 20)])])
-        assert np.array_equal(point_segment_distance(pts, a, b),
-                              reference(pts, a, b))
 
 
 def points_inside_reference(mesh, points):

@@ -681,7 +681,7 @@ class TestCollocationMode:
 
 
 # ---------------------------------------------------------------------------
-# Row blocks: every kernel runs over kernels._row_blocks of its target rows,
+# Row blocks: every kernel runs over kernels.row_blocks of its target rows,
 # written in place: _layers in both modes, the surface rows against the
 # wall panels, the cached wall x wall block and influence_gradients.  The
 # one split gives the fewest near-equal blocks, in order, of at most
@@ -699,7 +699,7 @@ def assert_blocks_match(monkeypatch, mesh, budget, collocation):
         return influence_matrices(mesh, mesh.midpoints)
 
     monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
-    blocks = kernels._row_blocks(mesh.n_panels, n_cols)
+    blocks = kernels.row_blocks(mesh.n_panels, n_cols)
     assert len({rows.stop - rows.start for rows in blocks}) == 2
     blocked = matrices()
     monkeypatch.setattr(kernels, "PAIR_BUDGET", 10**9)
@@ -716,7 +716,7 @@ class TestRowBlocks:
         monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
         for m in (0, 1, 2, 3, 4, 5, 7, 97, 194, 639):
             for n in (1, 2, 3, 95, 167, 255):
-                blocks = kernels._row_blocks(m, n)
+                blocks = kernels.row_blocks(m, n)
                 if m == 0:
                     assert blocks == []
                     continue
@@ -754,7 +754,7 @@ class TestRowBlocks:
         # validate-bem's finest mesh: 639 rows against 255 surface panels,
         # by default ten blocks of 63 or 64 rows
         mesh = build_boundary_mesh(flat_interface(256), 128)
-        sizes = [rows.stop - rows.start for rows in kernels._row_blocks(639, 255)]
+        sizes = [rows.stop - rows.start for rows in kernels.row_blocks(639, 255)]
         assert mesh.n_markers - 1 == 255 and sizes == [63] + [64] * 9
         assert_blocks_match(monkeypatch, mesh, budget, collocation=True)
 
@@ -785,7 +785,7 @@ def _gradS_first_gradients(mesh, targets):
     arctangent in a fresh array, as it was written before gradD moved
     first.  The oracle of the reordered kernel's bits."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    u1, u2, eta = kernels._local_coords(mesh, targets)
+    u1, u2, eta = kernels.local_coords(mesh, targets)
     eta2 = eta * eta
     r1sq = u1 * u1
     r1sq += eta2

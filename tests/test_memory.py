@@ -7,7 +7,8 @@ columns once the right-hand sides are formed, and factors the matrix in
 place; each interior evaluation forms S and D in row blocks and releases
 them before the gradients, which it contracts block by block as it forms
 them.  A layer that keeps a spent array, copies the matrix, forms S and D
-in one block or forms the (m, n, 2) gradient arrays breaks these bounds.
+in one block, forms the (m, n, 2) gradient arrays or runs an unblocked
+near-field test breaks these bounds.
 Each peak bound is the peak measured when it was set, rounded up by less
 than 1%, and at the LU the solver may hold 1% of A besides the system; do
 not loosen them.  What tracemalloc cannot see (the allocator's retention,
@@ -28,7 +29,8 @@ from wavebox.kernels import DenseSystem, solve_dense
 from wavebox.modes import sample_initial_state
 from wavebox.pressure import PressureField, interior_lattice, pressure_min
 
-from conftest import make_reference_data, reference_config_dict, run_child
+from conftest import (lattice_candidates, make_reference_data,
+                      reference_config_dict, run_child)
 
 
 def traced_peak(call, cold=False):
@@ -138,6 +140,18 @@ def reference_lattice_field():
     pts = interior_lattice(field, 16)
     assert pts.shape == (194, 2)
     return state, field, pts
+
+
+def test_admissibility_at_the_reference_lattice():
+    # The 256 lattice candidates x 167 panels: three row blocks of 85 or 86
+    # points, each block's panel frame released before the next is formed
+    # (531,568 B).  Each block's frame kept while the next was formed, 0.87
+    # MB; the clamped-foot distances of every candidate in one block, with
+    # the crossing test on all of them at once, 1.10 MB.
+    state, _, _ = reference_lattice_field()
+    pts = lattice_candidates(state.mesh, 16)
+    peak = traced_peak(lambda: bem.admissible_interior(state.mesh, pts, 2.0))
+    assert peak <= 5.32e5
 
 
 def test_interior_evaluation_at_the_reference_lattice():

@@ -24,7 +24,7 @@ def ref_field():
 @pytest.fixture(scope="module")
 def still_field():
     state = sample_initial_state(make_reference_data(1.0), 33, 16)
-    still = state.replace(phi=np.zeros(33))
+    still = state.replace(t=state.t, x=state.curve.x, phi=np.zeros(33))
     return PressureField.from_state(still, 2.0)
 
 

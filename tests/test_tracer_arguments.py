@@ -5,8 +5,10 @@ where ``wavebox.module`` defines it.  It also binds each call of
 ``kernels.influence_matrices``, ``kernels.influence_gradients`` and
 ``kernels.solve_dense`` to the function's signature and computes the
 ``pairs`` and ``flop`` counters from the arguments named ``mesh``,
-``targets`` and ``system``.  A moved or re-exported function, or a renamed
-parameter, would stop those counts; these tests fail first.
+``targets`` and ``system``, and the lattice counters of
+``pressure.interior_lattice`` from its ``n_per_side`` argument and its
+result.  A moved or re-exported function, or a renamed parameter, would
+stop those counts; these tests fail first.
 """
 
 import importlib
@@ -17,8 +19,11 @@ from collections import defaultdict
 
 import numpy as np
 
-from wavebox import kernels
+from wavebox import kernels, pressure
 from wavebox.geometry import build_boundary_mesh, flat_interface
+from wavebox.modes import sample_initial_state
+
+from conftest import make_reference_data
 
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -50,6 +55,22 @@ def test_tracer_counts_each_kernel_call_from_its_named_arguments():
         counters = defaultdict(float)
         count(counters, tracer._arguments(inspect.signature(function), args, {}))
         assert list(counters.values()) == [expected], key
+
+
+def test_tracer_counts_the_lattice_from_its_named_argument_and_result():
+    # The reference state's 16 x 16 lattice: 256 points offered, 194 accepted.
+    field = pressure.PressureField.from_state(
+        sample_initial_state(make_reference_data(1.0), 96, 24), 2.0)
+    tracer = load_tracer()
+    assert set(tracer._COUNT_ONLY) == {"pressure.interior_lattice"}
+    count = tracer._COUNT_ONLY["pressure.interior_lattice"]
+    args = (field, 16)
+    result = pressure.interior_lattice(*args)
+    counters = defaultdict(float)
+    count(counters, tracer._arguments(inspect.signature(pressure.interior_lattice),
+                                      args, {}), result)
+    assert counters == {"pressure.lattice_offered": 256,
+                        "pressure.lattice_accepted": 194}
 
 
 def test_every_traced_key_is_a_function_of_its_module():
