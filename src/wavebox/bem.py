@@ -8,6 +8,7 @@ walls carry zero flux and their values are solved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,18 @@ class CauchyData:
     fluxes: FloatArray
 
 
+@functools.lru_cache(maxsize=8)
+def _wall_block(w: int) -> FloatArray:
+    """Read-only -(D + I/2) of the 3w walls against themselves: the
+    system's fixed block, finished by each solve's operations in their
+    order, with D from ``kernels.wall_double_layer(w)``."""
+    block = kernels.wall_double_layer(w)
+    np.einsum("ii->i", block)[...] += 0.5
+    np.negative(block, out=block)
+    block.flags.writeable = False
+    return block
+
+
 def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> CauchyData:
     """Cauchy data for given surface values and zero wall flux.
 
@@ -40,11 +53,12 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
         sum_j S_ij q_j - sum_j D_ij phi_j - phi_i / 2 = 0
 
     The walls carry zero flux, so S is formed against the surface panels
-    only; the walls' fixed block of D comes from a cache per wall count.
-    ``kernels.influence_matrices`` in its collocation mode writes S and D
-    straight into the Fortran-ordered system matrix and right-hand-side
-    columns, and ``solve_dense`` factors that matrix in place: the solve
-    holds one (n+1) x (n+1) array and never copies it.
+    only.  ``kernels.influence_matrices`` in its collocation mode writes S
+    and D straight into the Fortran-ordered system matrix and right-hand-
+    side columns, all but the walls' fixed block.  That is copied in from
+    ``_wall_block`` once the columns are freed, so that its first fill at
+    a wall count reuses their pages.  ``solve_dense`` factors the matrix
+    in place: the solve holds one (n+1) x (n+1) array and never copies it.
 
     ``surface_potential`` is one datum (n_surface,) or a stack
     (k, n_surface), one datum per row.  A stack is assembled and factored
@@ -58,14 +72,11 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     A = np.empty((n + 1, n + 1), order="F")
     D_surface = np.empty((n, sl.stop - sl.start), order="F")
     kernels.influence_matrices(mesh, mesh.midpoints, collocation=(A[:n, :n], D_surface))
-    # D + I/2, through writeable views of the diagonals (einsum's "ii->i")
-    # of the wall x wall blocks and of D_surface's surface rows; then the
-    # unknown wall values' columns are -(D + I/2).
-    for square in (A[:sl.start, :sl.start], A[sl.stop:n, sl.stop:n], D_surface[sl]):
-        np.einsum("ii->i", square)[...] += 0.5
-    del square                                # a view of D_surface, freed below
-    np.negative(A[:n, :sl.start], out=A[:n, :sl.start])
-    np.negative(A[:n, sl.stop:n], out=A[:n, sl.stop:n])
+    # D + I/2 on D_surface's surface rows, through a writeable view of its
+    # diagonal; the surface rows of the wall values' columns are -D.
+    np.einsum("ii->i", D_surface[sl])[...] += 0.5
+    np.negative(A[sl, :sl.start], out=A[sl, :sl.start])
+    np.negative(A[sl, sl.stop:n], out=A[sl, sl.stop:n])
     # Each datum gets its own gemv on its row as given, so it sums as a
     # solve of that row alone; one matrix product over the stack would not.
     rhs = np.empty(phi_s.shape[:-1] + (n + 1,))
@@ -73,6 +84,14 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
         b[:n] = D_surface @ datum
     del D_surface                            # at the LU only A is live
     rhs[..., n] = 0.0
+    # The walls' rows and columns in A and in the block: bottom and right,
+    # then left.
+    walls = ((slice(0, sl.start), slice(0, sl.start)),
+             (slice(sl.stop, n), slice(sl.start, None)))
+    block = _wall_block(mesh.wall_panels_per_side)
+    for rows, block_rows in walls:
+        for cols, block_cols in walls:
+            A[rows, cols] = block[block_rows, block_cols]
     # Exact discrete compatibility: the net boundary flux of a harmonic
     # function vanishes, but midpoint collocation only gets it to truncation
     # error.  A Lagrange multiplier spread over all collocation equations

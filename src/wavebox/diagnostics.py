@@ -151,6 +151,10 @@ CSV_FIELDS = ("t", "L", "volume_part", "wall_part", "envelope",
               "schwarz_wall", "riccati_slack", "p_min", "wall_p_integral",
               "energy", "area", "dt")
 DERIVED_FIELDS = CSV_FIELDS[4:11]     # envelope .. riccati_slack, from fill_derived
+# Derived columns whose integrals the CSV lacks, by the record count from
+# which ``fill_derived`` writes them finite; below it, NaN.
+FINITE_FROM = {"slack_28": 2, "schwarz_vol": 2, "schwarz_wall": 2,
+               "residual_26": 3, "residual_27": 3}
 
 
 def _square(v: float) -> float:
@@ -216,7 +220,8 @@ def fill_derived(table: dict[str, FloatArray], c1: float, A: float):
       neighbour.
 
     From two records on every slack is finite, and from three every
-    residual; acceptance checks only score the interior records.
+    residual (``FINITE_FROM``); acceptance checks only score the interior
+    records.
     """
     t = table["t"]
     L = table["L"]

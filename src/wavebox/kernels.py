@@ -7,7 +7,6 @@ so assembly needs no near-singular quadrature.
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -267,9 +266,8 @@ def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray):
         kernel(mesh, targets[rows], cols, *(o[rows] for o in out))
 
 
-@functools.lru_cache(maxsize=8)
-def _wall_double_layer(w: int) -> FloatArray:
-    """Read-only D of the 3w wall midpoints against the 3w wall panels.
+def wall_double_layer(w: int) -> FloatArray:
+    """D of the 3w wall midpoints against the 3w wall panels, a new array.
 
     Rows and columns run bottom, right, left, as in ``geometry.wall_mesh``.
     The walls never move, and D[i,j] depends on target i and panel j
@@ -279,7 +277,6 @@ def _wall_double_layer(w: int) -> FloatArray:
     walls = wall_mesh(w)
     D = np.empty((3 * w, 3 * w))
     _by_row_blocks(_double_layer, walls, walls.midpoints, slice(0, 3 * w), D)
-    D.flags.writeable = False
     return D
 
 
@@ -291,16 +288,16 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
       D[i,j] = int_panel_j dG/dn_y(x_i, y) ds(y)   (principal value on-panel)
 
     ``collocation=(A, D_surface)`` is the solver's mode, for targets that
-    are ``mesh.midpoints``.  It returns nothing and writes the collocation
-    system's blocks, with the bits of the default mode, into the given
-    arrays: S against the surface panels into A's surface columns, D
-    against the walls into A's wall columns, and D against the surface
-    panels into D_surface.  A is (n, n) and D_surface (n, n_surface), and
-    either may be a strided view.  The walls carry zero flux, so S against
-    them is never formed.  The wall x wall block of D comes from a
-    per-wall-count cache, and only surface midpoints are evaluated against
-    wall panels, all 3w at once from ``geometry.wall_mesh``, whose panel
-    rows have the bits of this mesh's wall panels.
+    are ``mesh.midpoints``.  It returns nothing and writes only the blocks
+    that the geometry changes, with the bits of the default mode, into the
+    given arrays: S against the surface panels into A's surface columns,
+    D of the surface midpoints against the walls into A's wall columns,
+    and D against the surface panels into D_surface.  A is (n, n) and
+    D_surface (n, n_surface), and either may be a strided view.  The walls
+    carry zero flux, so S against them is never formed.  A's wall x wall
+    entries are not written: that block never changes, and ``bem`` keeps
+    it finished.  The surface rows meet all 3w wall panels at once, on
+    ``geometry.wall_mesh``, whose panel rows have this mesh's wall bits.
 
     Every kernel runs over ``row_blocks`` of the targets, written in place.
     """
@@ -313,15 +310,10 @@ def influence_matrices(mesh, targets: FloatArray, collocation=None):
         return S, D
     A, D_surface = collocation
     _by_row_blocks(_layers, mesh, targets, sl, A[:, sl], D_surface)
-    # The walls as two contiguous blocks of A, bottom and right, then left,
-    # each with its rows and columns in the wall mesh and the cached block.
-    blocks = ((slice(0, 2 * w), slice(0, 2 * w)), (mesh.left_slice, slice(2 * w, None)))
+    # The wall mesh's panels run bottom, right, left: A's columns before
+    # and after the surface's.
     _by_row_blocks(_double_layer, wall_mesh(w), targets[sl], slice(0, 3 * w),
-                   *(A[sl, cols] for cols, _ in blocks))
-    D_walls = _wall_double_layer(w)
-    for cols, wall_cols in blocks:
-        for rows, wall_rows in blocks:
-            A[rows, cols] = D_walls[wall_rows, wall_cols]
+                   A[sl, :sl.start], A[sl, sl.stop:])
     return None
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import bem
-from .diagnostics import (CSV_FIELDS, DERIVED_FIELDS, blowup_bound,
-                          constant_c1, detect_breakdown, fill_derived,
+from .diagnostics import (CSV_FIELDS, DERIVED_FIELDS, FINITE_FROM,
+                          blowup_bound, constant_c1, detect_breakdown, fill_derived,
                           int_pressure, int_u1_squared, record_steps,
                           riccati_columns, virial_parts, wall_u2_squared)
 from .errors import BREAKDOWN_KINDS, BreakdownError, GeometryError
@@ -659,17 +659,18 @@ def verify_identities(run_dir: str) -> int:
 
     # The Riccati columns are recomputed, not trusted: A = L(0), and c1 is
     # constant_c1 of the flat initial surface, whose area the first record
-    # carries.  One record has no L', and no check reads its slack.
+    # carries.  One record has no L', so its slack is NaN.
     n = columns["t"].size
     c1 = constant_c1(float(columns["area"][0]))
     with np.errstate(all="ignore"):     # an edited L may overflow L' or L^2
         envelope, slack = riccati_columns(columns["t"], columns["L"], c1,
                                           float(columns["L"][0]))
     recomputed = {"envelope": envelope, "riccati_slack": slack}
-    if n < 2:
-        del recomputed["riccati_slack"]
     altered = [name for name, column in recomputed.items()
                if _differs(columns[name], column)]
+    # The others cannot be recomputed, but where they are finite is known.
+    misplaced = [name for name, least in FINITE_FROM.items()
+                 if not (np.isfinite if n >= least else np.isnan)(columns[name]).all()]
     columns.update(recomputed)
     broke = kind is not None
     checks = evaluate_checks(columns, cfg, broke)
@@ -696,7 +697,10 @@ def verify_identities(run_dir: str) -> int:
     if altered:
         log.warning("stored columns differ from their recomputed values: %s",
                     ", ".join(altered))
-    if failed or mismatched or altered:
+    if misplaced:
+        log.warning("derived columns not finite where a run writes them so, "
+                    "or not NaN where it leaves them NaN: %s", ", ".join(misplaced))
+    if failed or mismatched or altered or misplaced:
         return 1
     log.info("all recomputed checks passed and match the stored report")
     return 0

@@ -18,7 +18,7 @@ import wavebox.bem as bem
 import wavebox.kernels as kernels
 import wavebox.runner as runner
 from wavebox.cli import main
-from wavebox.diagnostics import CSV_FIELDS, DERIVED_FIELDS
+from wavebox.diagnostics import CSV_FIELDS, DERIVED_FIELDS, FINITE_FROM
 from wavebox.runner import RunConfig, read_diagnostics_csv, validate_bem
 
 from conftest import (reference_config_dict, reference_modes, run_child,
@@ -422,6 +422,50 @@ class TestVerifyRecomputesTheRiccatiColumns:
         assert ("stored columns differ from their recomputed values: envelope"
                 in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", FINITE_FROM)
+    def test_non_finite_derived_cell_is_exit_1(self, small_run, tmp_path, capsys,
+                                               name, value):
+        # Row 5 of the passing 11-record run.  The slacks and residuals are
+        # not recomputed (the CSV lacks their integrals), and the margins
+        # skip a non-finite cell, so without the rule of where fill_derived
+        # writes them finite a -inf slack would pass.
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        edit_cell(run, 5, name, value)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert ("derived columns not finite where a run writes them so, or not "
+                f"NaN where it leaves them NaN: {name}") in capsys.readouterr().out
+
+    @pytest.mark.parametrize("records, name, value", [
+        (1, "slack_28", 0.0), (1, "schwarz_vol", -math.inf), (1, "residual_27", 1.0),
+        (2, "schwarz_wall", math.nan), (2, "residual_26", 0.0),
+        (2, "residual_27", math.inf)])
+    def test_short_run_cell_is_exit_1(self, short_still_runs, tmp_path, capsys,
+                                      records, name, value):
+        # One record has no slack and two no residual: fill_derived leaves
+        # those cells NaN and writes the two-record slacks finite.
+        run = tmp_path / "run"
+        shutil.copytree(short_still_runs[records], run)
+        edit_cell(run, records - 1, name, value)
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert ("derived columns not finite where a run writes them so, or not "
+                f"NaN where it leaves them NaN: {name}") in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def short_still_runs(tmp_path_factory):
+    """Still-fluid runs of one and two records, each verified as written."""
+    runs = {}
+    for records, t_end_cap in ((1, 0.01), (2, 0.05)):
+        tmp = tmp_path_factory.mktemp(f"still_{records}")
+        cfg = write_config(tmp, dict(still_config_dict(), t_end_cap=t_end_cap))
+        run = runs[records] = tmp / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(run), "--quiet"]) == 0
+        assert json.loads((run / "report.json").read_text())["n_records"] == records
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 0
+    return runs
+
 
 # Cell values for the run-directory fuzzer: the non-finite ones, float64's
 # extremes, and any finite float.
@@ -473,7 +517,8 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
     # One CSV cell, one report key or one snapshot name edited:
     # verify-identities exits 0, 1 or 2, never 3; a non-finite primary cell
     # is always bad input, a recomputed cell whose bits change always fails,
-    # and a snapshot edit never passes.
+    # and so does a non-finite slack or residual, and a snapshot edit never
+    # passes.
     csv, report = fuzzed_run / "diagnostics.csv", fuzzed_run / "report.json"
     snapshots = fuzzed_run / "snapshots"
     originals = {path: path.read_text() for path in (csv, report)}
@@ -487,7 +532,8 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
             edit_cell(fuzzed_run, row, name, value)
             bad_input = (name in PRIMARY and not math.isfinite(value)
                          and not (name == "dt" and row == 0))
-            altered = name in RECOMPUTED and format(value, ".17g") != before
+            altered = ((name in RECOMPUTED and format(value, ".17g") != before)
+                       or (name in FINITE_FROM and not math.isfinite(value)))
         elif target == "report":
             stored = json.loads(originals[report])
             key = data.draw(st.sampled_from(sorted(stored)), label="key")

@@ -610,11 +610,20 @@ class TestBitEquality:
 
 
 # ---------------------------------------------------------------------------
-# The solver's collocation mode: S against the surface panels only, and the
-# walls' fixed wall x wall block of D from a cache per wall count, written
-# into the solver's Fortran-ordered storage.  Every block must carry the
-# default mode's bits.
+# The solver's collocation mode: S against the surface panels only, and D
+# of every block but the walls' fixed wall x wall block, written into the
+# solver's Fortran-ordered storage.  Every block it writes must carry the
+# default mode's bits.  The wall x wall block is the solver's, kept
+# finished, -(D + I/2), in a cache per wall count (bem._wall_block).
 # ---------------------------------------------------------------------------
+
+def wall_x_wall(mesh):
+    """Index of the n x n system's wall x wall block, its rows and columns
+    bottom, right, left, as in ``geometry.wall_mesh``."""
+    sl = mesh.surface_slice
+    walls = np.r_[:sl.start, sl.stop:mesh.n_panels]
+    return np.ix_(walls, walls)
+
 
 def collocation_blocks(mesh):
     """(S against the surface panels, D) as the collocation mode writes them.
@@ -623,7 +632,8 @@ def collocation_blocks(mesh):
     (n+1) Fortran-ordered system, whose surface columns take S and wall
     columns D, and a Fortran-ordered D_surface for D's surface columns.
     It starts as NaN, so an entry left unwritten cannot match, and the
-    multiplier's row and column must stay so.
+    multiplier's row and column and the wall x wall entries, which the
+    kernel never writes, must stay so.
     """
     n, sl = mesh.n_panels, mesh.surface_slice
     A = np.full((n + 1, n + 1), np.nan, order="F")
@@ -631,6 +641,7 @@ def collocation_blocks(mesh):
     assert influence_matrices(mesh, mesh.midpoints,
                               collocation=(A[:n, :n], D_surface)) is None
     assert np.isnan(A[n]).all() and np.isnan(A[:, n]).all()
+    assert np.isnan(A[:n, :n][wall_x_wall(mesh)]).all()
     D = A[:n, :n].copy()
     D[:, sl] = D_surface
     return A[:n, sl].copy(), D
@@ -650,30 +661,43 @@ class TestCollocationMode:
     def test_matches_default_mode(self, name, w):
         mesh = self.mesh(name, w)
         S, D = influence_matrices(mesh, mesh.midpoints)
-        kernels._wall_double_layer.cache_clear()
+        D[wall_x_wall(mesh)] = np.nan
+        S_c, D_c = collocation_blocks(mesh)
+        assert_same_bits(S_c, S[:, mesh.surface_slice])
+        assert_same_bits(D_c, D)
+
+    @pytest.mark.parametrize("w", [16, 24, 32, 64, 128])
+    def test_solver_keeps_the_finished_wall_block(self, w):
+        # The default mode's wall x wall D, gathered into the wall mesh's
+        # order, with the half added on its diagonal and then negated.
+        mesh = self.mesh("bumped", w)
+        _, D = influence_matrices(mesh, mesh.midpoints)
+        want = D[wall_x_wall(mesh)]
+        np.einsum("ii->i", want)[...] += 0.5
+        want = -want
+        bem._wall_block.cache_clear()
         for _ in ("cold", "warm"):
-            S_c, D_c = collocation_blocks(mesh)
-            assert_same_bits(S_c, S[:, mesh.surface_slice])
-            assert_same_bits(D_c, D)
+            assert_same_bits(bem._wall_block(w), want)
 
     def test_cached_arrays_are_read_only(self):
-        # The wall block, and the shared wall mesh it is built from.
+        # The finished wall block, one object per wall count, and the
+        # shared wall mesh it is built from.
         walls = wall_mesh(8)
         assert wall_mesh(8) is walls
-        D = kernels._wall_double_layer(8)
-        assert kernels._wall_double_layer(8) is D
-        assert D.shape == (24, 24)
-        for array in (D, walls.a, walls.b, walls.midpoints, walls.tangents,
+        block = bem._wall_block(8)
+        assert bem._wall_block(8) is block and bem._wall_block(9) is not block
+        assert block.shape == (24, 24)
+        for array in (block, walls.a, walls.b, walls.midpoints, walls.tangents,
                       walls.lengths, walls.panel_rows):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
     def test_two_solves_in_a_row_agree(self):
-        # A solver that wrote D + I/2 into the cached block would change the
-        # second solve.
+        # A solver that filled the cached block on its first solve and read
+        # it on its second must give both the same bits.
         mesh = bumped_mesh(33, 12)
         phi_s = np.random.default_rng(5).standard_normal(mesh.n_markers - 1)
-        kernels._wall_double_layer.cache_clear()
+        bem._wall_block.cache_clear()
         first = bem.solve_mixed_bvp(mesh, phi_s)
         second = bem.solve_mixed_bvp(mesh, phi_s)
         assert_same_bits(second.values, first.values)
@@ -683,7 +707,7 @@ class TestCollocationMode:
 # ---------------------------------------------------------------------------
 # Row blocks: every kernel runs over kernels.row_blocks of its target rows,
 # written in place: _layers in both modes, the surface rows against the
-# wall panels, the cached wall x wall block and influence_gradients.  The
+# wall panels, the wall x wall block and influence_gradients.  The
 # one split gives the fewest near-equal blocks, in order, of at most
 # PAIR_BUDGET (target, panel) pairs and at least two rows.  Blocks of two
 # sizes must leave every bit as one block gives it.
@@ -693,9 +717,9 @@ def assert_blocks_match(monkeypatch, mesh, budget, collocation):
     n_cols = mesh.n_markers - 1 if collocation else mesh.n_panels
 
     def matrices():
-        kernels._wall_double_layer.cache_clear()
         if collocation:
-            return collocation_blocks(mesh)
+            return (*collocation_blocks(mesh),
+                    kernels.wall_double_layer(mesh.wall_panels_per_side))
         return influence_matrices(mesh, mesh.midpoints)
 
     monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)

@@ -3,12 +3,13 @@
 ``tracemalloc`` sees numpy's data buffers, so a traced peak is the most
 array memory a call holds at once.  Each solve writes S and D straight into
 the Fortran-ordered system matrix and right-hand-side columns, releases the
-columns once the right-hand sides are formed, and factors the matrix in
-place; each interior evaluation forms S and D in row blocks and releases
-them before the gradients, which it contracts block by block as it forms
-them.  A layer that keeps a spent array, copies the matrix, forms S and D
-in one block, forms the (m, n, 2) gradient arrays or runs an unblocked
-near-field test breaks these bounds.
+columns once the right-hand sides are formed, copies the walls' finished
+block in after them, and factors the matrix in place; each interior
+evaluation forms S and D in row blocks and releases them before the
+gradients, which it contracts block by block as it forms them.  A layer
+that keeps a spent array, copies the matrix, fills the wall block beside
+D's surface columns, forms S and D in one block, forms the (m, n, 2)
+gradient arrays or runs an unblocked near-field test breaks these bounds.
 Each peak bound is the peak measured when it was set, rounded up by less
 than 1%, and at the LU the solver may hold 1% of A besides the system; do
 not loosen them.  What tracemalloc cannot see (the allocator's retention,
@@ -36,13 +37,14 @@ from conftest import (lattice_candidates, make_reference_data,
 def traced_peak(call, cold=False):
     """Peak traced bytes of ``call()`` above what was held when it began.
 
-    One call first, untraced, so that imports and caches (the wall block
-    of D) are in place before the traced one.  ``cold`` empties the wall
-    block's cache after it, so that the traced call fills it again.
+    One call first, untraced, so that imports and caches (the solver's
+    finished wall block) are in place before the traced one.  ``cold``
+    empties the wall block's cache after it, so that the traced call fills
+    it again.
     """
     call()
     if cold:
-        kernels._wall_double_layer.cache_clear()
+        bem._wall_block.cache_clear()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -52,37 +54,29 @@ def traced_peak(call, cold=False):
         tracemalloc.stop()
 
 
-def test_validate_bem_finest_solve():
-    # 639 panels, two modes, wall block cached: A, D's surface columns and
-    # one row block of the kernel (63 or 64 of its 639 rows) are the most
-    # live at once, beside the mesh's 36 KB panel table, its one store of
-    # the panel starts, tangents, normals and lengths (5.38 MB).  With
-    # those four also kept as arrays of their own it was 5.42 MB; in
-    # blocks of 128 rows 6.08 MB; with S and D formed apart and copied
-    # into a C-ordered A, 7.94 MB.
-    peak = traced_peak(lambda: runner._flat_mesh_errors(256, (1, 2)))
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_validate_bem_finest_solve(cold):
+    # 639 panels, two modes: A, D's surface columns and one row block of
+    # the kernel (63 or 64 of its 639 rows) are the most live at once,
+    # beside the mesh's 36 KB panel table, its one store of the panel
+    # starts, tangents, normals and lengths (5.38 MB).  A cold solve, a
+    # validate-bem process's first at this wall count, fills the 384 x 384
+    # wall block (1.18 MB) only once D's surface columns (1.30 MB) are
+    # freed, so it holds no more.  With the block filled by the kernel
+    # beside A and D's surface columns the cold solve held 6.40 MB; with
+    # the mesh's four panel facts also kept as arrays of their own, 5.42 MB
+    # warm and 6.44 MB cold; in blocks of 128 rows 6.08 MB warm; with S and
+    # D formed apart and copied into a C-ordered A, 7.94 MB warm.
+    peak = traced_peak(lambda: runner._flat_mesh_errors(256, (1, 2)), cold=cold)
     assert peak <= 5.39e6
-
-
-def test_validate_bem_finest_solve_filling_the_cache():
-    # The same solve as a validate-bem process's first at this wall count:
-    # the 384 x 384 wall block is filled in ten row blocks beside A and D's
-    # surface columns (6.40 MB).  With the mesh's panel starts, tangents,
-    # normals and lengths stored twice it was 6.44 MB; with the surface
-    # rows against the walls in two calls, whose blocks were larger,
-    # 6.46 MB; in blocks twice as large 7.01 MB; filled in one block
-    # beside S, D and A, 9.62 MB.
-    peak = traced_peak(lambda: runner._flat_mesh_errors(256, (1, 2)), cold=True)
-    assert peak <= 6.41e6
 
 
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
 def test_validate_bem_finest_solve_kernel_blocks(monkeypatch, cold):
-    # The cold solve's peak is set by the wall block's fill, which runs
-    # after the collocation kernel, so that bound cannot see the kernel's
-    # blocks.  They are counted instead: ten blocks of 63 or 64 of the 639
-    # rows against the 255 surface panels, with the wall block cached or
-    # not.
+    # The bound above sees the kernel's blocks only as part of the whole
+    # solve's peak.  They are counted too: ten blocks of 63 or 64 of the
+    # 639 rows against the 255 surface panels, with the wall block cached
+    # or not.
     sizes = []
     layers = kernels._layers
 
@@ -92,7 +86,7 @@ def test_validate_bem_finest_solve_kernel_blocks(monkeypatch, cold):
 
     runner._flat_mesh_errors(256, (1, 2))
     if cold:
-        kernels._wall_double_layer.cache_clear()
+        bem._wall_block.cache_clear()
     monkeypatch.setattr(kernels, "_layers", recording)
     runner._flat_mesh_errors(256, (1, 2))
     assert sizes == [63] + [64] * 9
@@ -212,15 +206,16 @@ def process_peak_growth_kib(command, config):
                     reason="reads the peak resident set from /proc/self/status")
 def test_validate_bem_process_peak():
     # The default sweep.  This sees what tracemalloc cannot: the
-    # allocator's retention, BLAS buffers, the wall block's cold fill.  47
-    # runs read 9.32-9.53 MiB.  With the counts solved coarsest first, each
-    # finer solve grew the heap past the last: 10 runs on the same host
-    # read 10.37-10.44 MiB, and 23 earlier ones 10.58-10.90 MiB.  Before
-    # the solve assembled in place and factored without a copy, 16.5 MiB.
-    # The bound sits 5% above the highest reading, since the peak resident
-    # set moves by about 3% from run to run; tracemalloc's peaks above are
-    # exact.
-    assert process_peak_growth_kib("validate-bem", "{}") <= 10.01 * 1024
+    # allocator's retention, BLAS buffers, the wall block's cold fill.  60
+    # runs read 8.41-8.64 MiB.  With the wall block filled beside A and D's
+    # surface columns, 20 runs on the same host read 9.43-9.57 MiB, and 47
+    # earlier ones 9.32-9.53 MiB.  With the counts solved coarsest first,
+    # each finer solve grew the heap past the last: 10.37-10.90 MiB.
+    # Before the solve assembled in place and factored without a copy,
+    # 16.5 MiB.  The bound sits 5% above the highest reading, since the
+    # peak resident set moves by about 3% from run to run; tracemalloc's
+    # peaks above are exact.
+    assert process_peak_growth_kib("validate-bem", "{}") <= 9.08 * 1024
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

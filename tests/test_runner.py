@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import wavebox.evolution as evolution
 import wavebox.runner as runner
-from wavebox.diagnostics import CSV_FIELDS
+from wavebox.diagnostics import CSV_FIELDS, FINITE_FROM
 from wavebox.errors import GeometryError
 from wavebox.evolution import FlowState, StateDerivative
 from wavebox.geometry import InterfaceCurve
@@ -253,6 +253,9 @@ class TestVerifyIdentities:
 
     def test_truncated_single_row(self, ref_run, tmp_path, caplog):
         # The first record alone: its CSV row, its snapshot and n_records = 1.
+        # Its slacks and residuals were written from all the records, so they
+        # are finite where a one-record run leaves NaN; set to NaN, the
+        # row is what a one-record run writes.
         short = tmp_path / "short"
         shutil.copytree(ref_run["dir"], short)
         path = short / "diagnostics.csv"
@@ -264,6 +267,14 @@ class TestVerifyIdentities:
             if name != "0000.csv":
                 os.remove(short / "snapshots" / name)
         with caplog.at_level(logging.INFO, logger="wavebox"):
+            assert verify_identities(str(short)) == 1
+            assert "recomputed values: riccati_slack" in caplog.text
+            assert "leaves them NaN: " + ", ".join(FINITE_FROM) in caplog.text
+            caplog.clear()
+            row = lines[1].split(",")
+            for name in ("riccati_slack", *FINITE_FROM):
+                row[CSV_FIELDS.index(name)] = "nan"
+            path.write_text(f"{lines[0]}\n{','.join(row)}\n")
             code = verify_identities(str(short))
         out = caplog.text
         assert code == 0
