@@ -24,8 +24,8 @@ from numpy.typing import NDArray
 from .bem import CauchyData
 from .errors import BreakdownError
 from .evolution import FlowState
-from .geometry import (BoundaryMesh, gradient_1d, row_norms, self_intersects,
-                       side_wall_crossing)
+from .geometry import (BoundaryMesh, cumulative_arclength, gradient_1d, row_norms,
+                       self_intersects, side_wall_crossing)
 
 if TYPE_CHECKING:
     from .runner import RunConfig
@@ -74,9 +74,7 @@ def boundary_tangential_derivative(mesh: BoundaryMesh, values: FloatArray) -> Fl
     """d(values)/ds per panel, differencing each boundary side separately."""
     out = np.empty(mesh.n_panels)
     for sl in (mesh.bottom_slice, mesh.right_slice, mesh.surface_slice, mesh.left_slice):
-        mids = mesh.midpoints[sl]
-        seg = row_norms(np.diff(mids, axis=0))
-        s = np.concatenate([[0.0], np.cumsum(seg)])
+        s = cumulative_arclength(row_norms(np.diff(mesh.midpoints[sl], axis=0)))
         out[sl] = gradient_1d(np.asarray(values[sl], dtype=np.float64), s)
     return out
 

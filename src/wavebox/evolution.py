@@ -56,17 +56,17 @@ class FlowState:
 
         Normal component from the solved surface flux (panel midpoints
         averaged to markers), tangential component from differencing phi in
-        arclength.  The arrays are read-only, since every caller shares them.
+        the curve's arclength, along its marker frame; the curve forms both
+        from its segment table.  The arrays are read-only, since every caller
+        shares them.
         """
         mesh = self.mesh
         q_panels = mesh.marker_panel_from_surface(self.cauchy.fluxes[mesh.surface_slice])
-        q = np.empty(self.curve.n_markers)
-        q[0] = q_panels[0]
-        q[-1] = q_panels[-1]
-        q[1:-1] = 0.5 * (q_panels[:-1] + q_panels[1:])
+        q = np.concatenate([q_panels[:1], 0.5 * (q_panels[:-1] + q_panels[1:]),
+                            q_panels[-1:]])
 
         phi_s = gradient_1d(self.phi, self.curve.arclength())
-        tangents, normals = marker_geometry(self.curve)
+        tangents, normals = self.curve.marker_frame()
         u = q[:, None] * normals + phi_s[:, None] * tangents
 
         speeds = row_norms(u)
@@ -83,20 +83,6 @@ class FlowState:
     def replace(self, *, t, x, phi) -> "FlowState":
         return FlowState(t=float(t), curve=InterfaceCurve(x), phi=phi,
                          wall_panels_per_side=self.wall_panels_per_side)
-
-
-def marker_geometry(curve: InterfaceCurve):
-    """Unit tangents and upward normals at markers, from adjacent segments."""
-    d = np.diff(curve.x, axis=0)
-    ell = row_norms(d)
-    seg_t = d / ell[:, None]
-    t = np.empty((curve.n_markers, 2))
-    t[0] = seg_t[0]
-    t[-1] = seg_t[-1]
-    t[1:-1] = seg_t[:-1] + seg_t[1:]
-    t /= row_norms(t)[:, None]
-    n = np.column_stack([-t[:, 1], t[:, 0]])   # left of travel = out of the fluid
-    return t, n
 
 
 def state_derivative(state: FlowState) -> StateDerivative:
@@ -153,10 +139,7 @@ def adaptive_dt(state: FlowState, speeds: FloatArray, cfl: float,
     BreakdownError("timestep_collapse").
     """
     ell = state.curve.segment_lengths()
-    spacing = np.empty(state.curve.n_markers)
-    spacing[0] = ell[0]
-    spacing[-1] = ell[-1]
-    spacing[1:-1] = np.minimum(ell[:-1], ell[1:])
+    spacing = np.concatenate([ell[:1], np.minimum(ell[:-1], ell[1:]), ell[-1:]])
     dt = cfl * float(np.min(spacing / (speeds + 1e-30)))
     if dt < dt_min:
         raise BreakdownError(state.t, "timestep_collapse",

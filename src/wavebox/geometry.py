@@ -63,7 +63,9 @@ def gradient_1d(f: FloatArray, s: FloatArray) -> FloatArray:
 class InterfaceCurve:
     """Ordered marker polyline for the free surface, pinned at both ends.
 
-    ``x`` has shape (n, 2); markers run left corner -> right corner.
+    ``x`` has shape (n, 2); markers run left corner -> right corner.  The
+    curve owns its segment facts, marker frame included, and ``segments``,
+    the one read-only table they all read; like a ``FlowState``, never mutated.
     """
 
     x: FloatArray
@@ -82,24 +84,42 @@ class InterfaceCurve:
     def n_markers(self) -> int:
         return self.x.shape[0]
 
+    @functools.cached_property
+    def segments(self) -> tuple[FloatArray, FloatArray]:
+        """Segment vectors x[i+1] - x[i], shape (n-1, 2), and their lengths."""
+        d = np.diff(self.x, axis=0)
+        ell = row_norms(d)
+        d.flags.writeable = ell.flags.writeable = False
+        return d, ell
+
     def segment_lengths(self) -> FloatArray:
-        return row_norms(np.diff(self.x, axis=0))
+        return self.segments[1]
 
     def arclength(self) -> FloatArray:
         """Cumulative arclength coordinate per marker (starts at 0)."""
-        s = np.zeros(self.n_markers)
-        s[1:] = np.cumsum(self.segment_lengths())
-        return s
+        return cumulative_arclength(self.segments[1])
 
     def turning_curvature(self) -> FloatArray:
         """Discrete curvature at interior markers: turning angle / mean spacing."""
-        d = np.diff(self.x, axis=0)
-        ell = row_norms(d)
+        d, ell = self.segments
         t = d / np.maximum(ell, 1e-300)[:, None]
         cross = t[:-1, 0] * t[1:, 1] - t[:-1, 1] * t[1:, 0]
         dot = np.einsum("ij,ij->i", t[:-1], t[1:])
         theta = np.arctan2(cross, dot)
         return np.abs(theta) / (0.5 * (ell[:-1] + ell[1:]))
+
+    def marker_frame(self) -> tuple[FloatArray, FloatArray]:
+        """Unit tangents and upward normals at markers, from adjacent segments."""
+        d, ell = self.segments
+        seg_t = d / ell[:, None]
+        t = np.concatenate([seg_t[:1], seg_t[:-1] + seg_t[1:], seg_t[-1:]])
+        t /= row_norms(t)[:, None]
+        return t, np.column_stack([-t[:, 1], t[:, 0]])   # left of travel = out of the fluid
+
+
+def cumulative_arclength(lengths: FloatArray) -> FloatArray:
+    """Arclength at the nodes of a polyline with these segment lengths, from 0."""
+    return np.concatenate([[0.0], np.cumsum(lengths)])
 
 
 def flat_interface(n_markers: int) -> InterfaceCurve:
@@ -156,11 +176,10 @@ def self_intersects(curve: InterfaceCurve) -> bool:
       curve.  There the short-cut returns the exact answer, False.
     """
     x = curve.x
-    d = np.diff(x, axis=0)
+    d, ell = curve.segments
     if d[:, 0].min() > _monotone_margin(x):
         return False
     i, j = np.triu_indices(d.shape[0], 2)
-    ell = row_norms(d)
     d1x, d1y = d[i, 0], d[i, 1]
     d2x, d2y = d[j, 0], d[j, 1]
     rx = x[j, 0] - x[i, 0]

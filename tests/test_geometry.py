@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -9,15 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavebox.diagnostics import detect_breakdown
 from wavebox.errors import (BottomContactError, GeometryError,
                             SelfIntersectionError)
-from wavebox.evolution import rk4_step
+from wavebox.evolution import adaptive_dt, redistribute_markers, rk4_step
 from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
                               _monotone_margin, build_boundary_mesh,
                               flat_interface, gradient_1d, points_inside,
                               polygon_area, row_norms, self_intersects,
                               side_wall_crossing, wall_mesh)
 from wavebox.modes import sample_initial_state
+from wavebox.runner import RunConfig
 
 from conftest import make_reference_data
 from test_kernels import assert_same_bits
@@ -68,6 +71,74 @@ class TestInterfaceCurve:
         curve = InterfaceCurve(np.column_stack([x1, x2]))
         np.testing.assert_allclose(curve.turning_curvature(), 1.0 / radius,
                                    rtol=1e-3)
+
+
+def segment_facts_reference(x):
+    """Segment lengths, arclength, turning curvature, marker tangents and
+    normals, each formed from the markers on its own, as before the curve
+    owned one segment table."""
+    lengths = row_norms(np.diff(x, axis=0))
+    s = np.zeros(len(x))
+    s[1:] = np.cumsum(row_norms(np.diff(x, axis=0)))
+
+    d = np.diff(x, axis=0)
+    ell = row_norms(d)
+    t = d / np.maximum(ell, 1e-300)[:, None]
+    cross = t[:-1, 0] * t[1:, 1] - t[:-1, 1] * t[1:, 0]
+    dot = np.einsum("ij,ij->i", t[:-1], t[1:])
+    curvature = np.abs(np.arctan2(cross, dot)) / (0.5 * (ell[:-1] + ell[1:]))
+
+    d = np.diff(x, axis=0)
+    seg_t = d / row_norms(d)[:, None]
+    tangents = np.empty((len(x), 2))
+    tangents[0] = seg_t[0]
+    tangents[-1] = seg_t[-1]
+    tangents[1:-1] = seg_t[:-1] + seg_t[1:]
+    tangents /= row_norms(tangents)[:, None]
+    normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])
+    return lengths, s, curvature, tangents, normals
+
+
+class TestSegmentTable:
+    def test_formed_once_per_curve_and_read_only(self, monkeypatch):
+        # Everything one loop state of the run asks of its curve: the mesh
+        # predicate, the marker velocity, the CFL step, the detectors and
+        # the remap.
+        state = rk4_step(sample_initial_state(make_reference_data(1.0), 96, 24), 2e-5)
+        curve = state.curve
+        formed = []
+        diff = np.diff
+
+        def counting_diff(a, *args, **kwargs):
+            formed.append(a is curve.x)
+            return diff(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", counting_diff)
+        speeds = row_norms(state.derivative.velocity)
+        adaptive_dt(state, speeds, 0.15, 1e-12, 1.0)
+        detect_breakdown(state, RunConfig())
+        redistribute_markers(state)
+        curve.turning_curvature()
+        curve.marker_frame()
+        assert formed.count(True) == 1
+        d, ell = curve.segments
+        assert curve.segments[0] is d and curve.segment_lengths() is ell
+        for array in (d, ell):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            ell[0] = 1.0
+
+    def test_facts_match_their_own_formulas_on_the_headline_run(self, ref_run):
+        snapshots = os.path.join(ref_run["dir"], "snapshots")
+        names = sorted(os.listdir(snapshots))
+        assert len(names) == 15
+        for name in names:
+            curve = InterfaceCurve(np.loadtxt(os.path.join(snapshots, name),
+                                              delimiter=",", skiprows=1)[:, 1:])
+            got = (curve.segment_lengths(), curve.arclength(),
+                   curve.turning_curvature(), *curve.marker_frame())
+            for g, want in zip(got, segment_facts_reference(curve.x), strict=True):
+                assert_same_bits(g, want)
 
 
 def marker_curve(points):
