@@ -172,6 +172,9 @@ class RunConfig:
             raise ConfigError("wall_panels_per_side must be at least 4")
         if self.cfl > 1.0:
             raise ConfigError("cfl must be at most 1")
+        if min(self.t_end_cap, self.record_dt) <= RECORD_TIME_SLOP:
+            raise ConfigError("t_end_cap and record_dt must exceed the record-time "
+                              f"slop {RECORD_TIME_SLOP:g}")
         if self.dt_min > self.dt_max:
             raise ConfigError("need dt_min <= dt_max")
         if self.redistribute_every < 0:

@@ -61,6 +61,21 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, {"modes": [[1, coefficient]], "n_markers": 16})
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        dict(t_end_cap=1e-13),
+        dict(record_dt=1e-13, t_end_cap=1e-11),
+        dict(modes=[[k, 1e100 * a] for k, a in reference_modes()], t_end_cap=4e-105),
+    ])
+    def test_times_within_the_record_slop_are_exit_2(self, tmp_path, capsys, overrides):
+        # The loop compares times with an absolute slop of 1e-12: a cap at
+        # or below it ended the run at t = 0 with exit 0, and such a record
+        # interval recorded up to the cap with no step between records.
+        cfg = write_config(tmp_path, reference_config_dict(**overrides))
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 2
+        assert "record-time slop" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_fractional_marker_count_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n_markers": 16.5})
         assert main(["simulate", "--config", cfg]) == 2

@@ -280,3 +280,37 @@ class TestPchipBits:
                 PchipInterpolator(s, y)
             with pytest.raises(ValueError):
                 _pchip(s, y[:, None], s[[0, -1]])
+
+
+def round_trip_error(remap_every):
+    """max |x - x0| after 32 fixed steps of the 96/24 reference run to
+    t1 = 9e-4, phi -> -phi, and 32 more steps.
+
+    In the continuum flipping phi flips every velocity, so the surface
+    retraces its path and returns to x0.  ``remap_every`` (0: never) remaps
+    the markers after every so many steps of the round trip, as
+    ``redistribute_every`` does in a run.
+    """
+    state = sample_initial_state(make_reference_data(1.0), 96, 24)
+    x0 = state.curve.x
+    for step in range(1, 65):
+        state = rk4_step(state, 9e-4 / 32)
+        if remap_every and step % remap_every == 0:
+            state = redistribute_markers(state)
+        if step == 32:
+            state = state.replace(t=state.t, x=state.curve.x, phi=-state.phi)
+    return float(np.abs(state.curve.x - x0).max())
+
+
+class TestTimeReversal:
+    def test_material_markers_return(self):
+        # measured 2.53e-13 with one BLAS thread, 2.54e-13 with two, while
+        # the surface moves 6.4e-2 on the way out
+        assert round_trip_error(0) <= 4e-13
+
+    def test_remap_level(self):
+        # The remap slides markers along the surface, which flipping phi
+        # does not undo: measured 2.04e-3 (2.8e-4 in x2 alone).  Markers
+        # kept at equal arclength by a reversible tangential velocity must
+        # bring this down to the remap-free level above.
+        assert 1e-3 <= round_trip_error(3) <= 4e-3

@@ -48,6 +48,8 @@ class TestRunConfig:
         {"cfl": 1.5},
         {"t_end_cap": -1.0},
         {"record_dt": 0.0},
+        {"t_end_cap": 1e-12},
+        {"record_dt": 1e-12},
         {"dt_min": 0.1, "dt_max": 0.01},
         {"ident_tol": -1.0},
         {"lattice_n": 1},
