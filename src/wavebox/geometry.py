@@ -64,8 +64,8 @@ class InterfaceCurve:
     """Ordered marker polyline for the free surface, pinned at both ends.
 
     ``x`` has shape (n, 2); markers run left corner -> right corner.  The
-    curve owns its segment facts, marker frame included, and ``segments``,
-    the one read-only table they all read; like a ``FlowState``, never mutated.
+    curve owns its segment table, ``segments`` (formed once, read-only), and
+    every fact read from it, the marker frame too; x is never mutated.
     """
 
     x: FloatArray
