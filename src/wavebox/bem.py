@@ -3,7 +3,9 @@
 Direct (Green's identity) collocation at panel midpoints with piecewise-
 constant Cauchy data.  The box poses one problem: the potential value is
 given on each free-surface panel and its flux solved, while the fixed
-walls carry zero flux and their values are solved.
+walls carry zero flux and their values are solved.  This module owns that
+problem: which panels carry flux, the system's layout and its fixed wall
+block.  ``kernels`` only integrates over the panel blocks it is given.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from numpy.typing import NDArray
 
 from . import kernels
 from .errors import NearBoundaryError
-from .geometry import BoundaryMesh, points_inside
+from .geometry import BoundaryMesh, points_inside, wall_mesh
 from .kernels import DenseSystem, solve_dense
 
 FloatArray = NDArray[np.float64]
@@ -37,8 +39,12 @@ class CauchyData:
 def _wall_block(w: int) -> FloatArray:
     """Read-only -(D + I/2) of the 3w walls against themselves: the
     system's fixed block, finished by each solve's operations in their
-    order, with D from ``kernels.wall_double_layer(w)``."""
-    block = kernels.wall_double_layer(w)
+    order.  Rows and columns run bottom, right, left, as in ``wall_mesh``,
+    and D[i,j] depends on target i and panel j alone, so the block has the
+    bits of every mesh's wall x wall block."""
+    walls = wall_mesh(w)
+    block = np.empty((3 * w, 3 * w))
+    kernels.double_layer(walls, walls.midpoints, block)
     np.einsum("ii->i", block)[...] += 0.5
     np.negative(block, out=block)
     block.flags.writeable = False
@@ -52,13 +58,16 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
 
         sum_j S_ij q_j - sum_j D_ij phi_j - phi_i / 2 = 0
 
-    The walls carry zero flux, so S is formed against the surface panels
-    only.  ``kernels.influence_matrices`` in its collocation mode writes S
-    and D straight into the Fortran-ordered system matrix and right-hand-
-    side columns, all but the walls' fixed block.  That is copied in from
-    ``_wall_block`` once the columns are freed, so that its first fill at
-    a wall count reuses their pages.  ``solve_dense`` factors the matrix
-    in place: the solve holds one (n+1) x (n+1) array and never copies it.
+    The unknowns are the surface fluxes and the wall values.  The walls
+    carry zero flux, so S is formed against the surface panels only:
+    ``kernels.influence_matrices`` writes it into A's surface columns and
+    D's surface columns into ``D_surface``, both Fortran-ordered, and
+    ``kernels.double_layer`` on ``wall_mesh`` writes D of the surface rows
+    against all 3w wall panels into A's wall columns.  The walls never
+    move, so their own block is copied in from ``_wall_block`` once
+    ``D_surface`` is freed, and its first fill at a wall count reuses those
+    pages.  ``solve_dense`` factors the matrix in place: the solve holds
+    one (n+1) x (n+1) array and never copies it.
 
     ``surface_potential`` is one datum (n_surface,) or a stack
     (k, n_surface), one datum per row.  A stack is assembled and factored
@@ -71,7 +80,11 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     # the right-hand-side columns in it pick BLAS's column-sweeping gemv.
     A = np.empty((n + 1, n + 1), order="F")
     D_surface = np.empty((n, sl.stop - sl.start), order="F")
-    kernels.influence_matrices(mesh, mesh.midpoints, collocation=(A[:n, :n], D_surface))
+    kernels.influence_matrices(mesh, mesh.midpoints, sl, (A[:n, sl], D_surface))
+    # The wall mesh's panels run bottom, right, left: A's columns before
+    # and after the surface's.
+    kernels.double_layer(wall_mesh(mesh.wall_panels_per_side), mesh.midpoints[sl],
+                         A[sl, :sl.start], A[sl, sl.stop:n])
     # D + I/2 on D_surface's surface rows, through a writeable view of its
     # diagonal; the surface rows of the wall values' columns are -D.
     np.einsum("ii->i", D_surface[sl])[...] += 0.5
@@ -164,6 +177,6 @@ def eval_interior(mesh: BoundaryMesh, cauchy: CauchyData, points: FloatArray,
     S, D = kernels.influence_matrices(mesh, pts)
     values = S @ cauchy.fluxes - D @ cauchy.values
     del S, D                    # released before the gradients' arrays
-    gradients = kernels.influence_gradients(mesh, pts, cauchy.fluxes[mesh.surface_slice],
-                                            cauchy.values)
+    sl = mesh.surface_slice
+    gradients = kernels.influence_gradients(mesh, pts, cauchy.fluxes[sl], cauchy.values, sl)
     return values, gradients

@@ -2,7 +2,10 @@
 
 The 2D Laplace free-space kernel is G(x,y) = -(1/2pi) ln|x-y|.  All panel
 integrals below are closed-form for straight panels with constant density,
-so assembly needs no near-singular quadrature.
+so assembly needs no near-singular quadrature.  Each kernel takes a mesh,
+its targets and a contiguous block of its panel columns, and knows no box:
+which panels carry flux, which block of a system is fixed and where each
+block goes are ``bem``'s.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import GeometryError, SingularMatrixError
-from .geometry import wall_mesh
 
 FloatArray = NDArray[np.float64]
 
@@ -266,55 +268,37 @@ def _by_row_blocks(kernel, mesh, targets: FloatArray, cols, *out: FloatArray):
         kernel(mesh, targets[rows], cols, *(o[rows] for o in out))
 
 
-def wall_double_layer(w: int) -> FloatArray:
-    """D of the 3w wall midpoints against the 3w wall panels, a new array.
+def double_layer(mesh, targets: FloatArray, *out: FloatArray):
+    """D of the targets against every panel of mesh, written in place.
 
-    Rows and columns run bottom, right, left, as in ``geometry.wall_mesh``.
-    The walls never move, and D[i,j] depends on target i and panel j
-    alone, so this block has the bits of every mesh's wall x wall block.
-    It is filled in row blocks, as every other block of D is.
+    Each array of ``out`` is (m, k), and may be a strided view; they take
+    the panel columns in turn: the first the first k, the next the next.
+    D has ``influence_matrices``' bits, and is filled in row blocks too.
     """
-    walls = wall_mesh(w)
-    D = np.empty((3 * w, 3 * w))
-    _by_row_blocks(_double_layer, walls, walls.midpoints, slice(0, 3 * w), D)
-    return D
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    _by_row_blocks(_double_layer, mesh, targets, slice(0, mesh.n_panels), *out)
 
 
-def influence_matrices(mesh, targets: FloatArray, collocation=None):
-    """Single- and double-layer panel integrals for all (target, panel) pairs.
+def influence_matrices(mesh, targets: FloatArray, cols=None, out=None):
+    """Single- and double-layer panel integrals of the targets against the
+    contiguous panel block ``cols``, all panels by default.
 
-    Returns (S, D), C-ordered, of shape (m, n):
+    Returns (S, D), each (m, n_cols):
       S[i,j] = int_panel_j G(x_i, y) ds(y)
       D[i,j] = int_panel_j dG/dn_y(x_i, y) ds(y)   (principal value on-panel)
 
-    ``collocation=(A, D_surface)`` is the solver's mode, for targets that
-    are ``mesh.midpoints``.  It returns nothing and writes only the blocks
-    that the geometry changes, with the bits of the default mode, into the
-    given arrays: S against the surface panels into A's surface columns,
-    D of the surface midpoints against the walls into A's wall columns,
-    and D against the surface panels into D_surface.  A is (n, n) and
-    D_surface (n, n_surface), and either may be a strided view.  The walls
-    carry zero flux, so S against them is never formed.  A's wall x wall
-    entries are not written: that block never changes, and ``bem`` keeps
-    it finished.  The surface rows meet all 3w wall panels at once, on
-    ``geometry.wall_mesh``, whose panel rows have this mesh's wall bits.
-
-    Every kernel runs over ``row_blocks`` of the targets, written in place.
+    They are written into ``out``, an (S, D) pair that may be strided
+    views, or into new C-ordered arrays.  An entry depends on its own
+    target and panel alone, so any block has the bits of the same entries
+    of the whole.  The targets run over ``row_blocks``.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    n, w, sl = mesh.n_panels, mesh.wall_panels_per_side, mesh.surface_slice
-    if collocation is None:
-        S = np.empty((len(targets), n))
-        D = np.empty((len(targets), n))
-        _by_row_blocks(_layers, mesh, targets, slice(0, n), S, D)
-        return S, D
-    A, D_surface = collocation
-    _by_row_blocks(_layers, mesh, targets, sl, A[:, sl], D_surface)
-    # The wall mesh's panels run bottom, right, left: A's columns before
-    # and after the surface's.
-    _by_row_blocks(_double_layer, wall_mesh(w), targets[sl], slice(0, 3 * w),
-                   A[sl, :sl.start], A[sl, sl.stop:])
-    return None
+    if cols is None:
+        cols = slice(0, mesh.n_panels)
+    if out is None:
+        out = tuple(np.empty((len(targets), cols.stop - cols.start)) for _ in range(2))
+    _by_row_blocks(_layers, mesh, targets, cols, *out)
+    return out
 
 
 def _sum_over_panels(products: FloatArray) -> FloatArray:
@@ -326,15 +310,15 @@ def _sum_over_panels(products: FloatArray) -> FloatArray:
 
 
 @_masked_errors
-def _contracted_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
+def _contracted_gradients(mesh, targets: FloatArray, fluxes: FloatArray, sl,
                           values: FloatArray, out: FloatArray):
     """``influence_gradients`` of one block of targets, written into out.
 
     The double layer's components come first, while u1, u2 and eta are
     intact; the logs and arctangents of the single layer's then take the
     storage of the arrays they have spent.  The single layer is formed on
-    the surface rows of the panel-major arrays only: the walls' flux is
-    zero, so each of their products would be an exact +-0.
+    the rows sl of the panel-major arrays only: every other panel's flux
+    is zero, so each of its products would be an exact +-0.
     """
     u1, u2, eta = local_coords(mesh, targets, panel_major=True)
     eta2 = eta * eta
@@ -363,7 +347,6 @@ def _contracted_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
         del base, term1, term2
     # grad of int G ds = -(1/2pi) [ t*(-(1/2)ln r^2) + n*atan(u/eta) ] between
     # limits; the two negations ride, exactly, on -0.5 and -TWO_PI.
-    sl = mesh.surface_slice
     neg_dlog = np.log(r2sq[sl], out=r2sq[sl])
     neg_dlog -= np.log(r1sq[sl], out=r1sq[sl])
     neg_dlog *= -0.5
@@ -373,7 +356,7 @@ def _contracted_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
     # eta == 0 only for collinear off-panel targets; they subtend zero angle.
     _zero_where(dang, eta == 0.0)
     del u1, r1sq, eta
-    fluxes = surface_fluxes[:, None]
+    fluxes = fluxes[:, None]
     for c, (t, neg_n) in enumerate(zip(tangents[:, sl], neg_normals[:, sl])):
         gs = neg_dlog * t
         gs -= dang * neg_n
@@ -382,13 +365,13 @@ def _contracted_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
         out[:, c] = _sum_over_panels(gs) - out[:, c]
 
 
-def influence_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
-                        values: FloatArray) -> FloatArray:
+def influence_gradients(mesh, targets: FloatArray, fluxes: FloatArray,
+                        values: FloatArray, flux_cols: slice) -> FloatArray:
     """Gradient (w.r.t. target) of S @ q - D @ values, shape (m, 2).
 
     S and D are ``influence_matrices``' integrals, values (n,) panel
-    values, and q the panel fluxes: ``surface_fluxes`` (n_surface,) on the
-    surface panels and zero on the walls, as every solve gives them.
+    values, and q the panel fluxes: ``fluxes`` on the contiguous panel
+    block ``flux_cols``, one per panel, and zero on every other panel.
     Targets must be off every panel (interior evaluation only).  Each
     component of grad S and grad D is contracted as it is formed, so no
     (m, n, 2) array exists.  The targets run in ``row_blocks``, of two
@@ -399,19 +382,20 @@ def influence_gradients(mesh, targets: FloatArray, surface_fluxes: FloatArray,
     ``np.einsum("mnj,n->mj", grad, density)``, so the bits are einsum's.
     A one-target block would make the reduction contiguous, which numpy
     sums pairwise, so a lone target (m == 1) is summed by
-    ``np.add.accumulate`` instead.  The single layer's sum runs over the
-    surface panels alone, since a wall's product is an exact +-0.  One
+    ``np.add.accumulate`` instead.  The single layer's sum runs over
+    flux_cols alone, since any other panel's product is an exact +-0.  One
     difference remains: the sum starts from the first product, einsum from
     +0, so a component whose every product is zero may give -0 where
     einsum gives +0.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    sl = mesh.surface_slice
-    surface_fluxes = np.asarray(surface_fluxes, dtype=np.float64)
-    if surface_fluxes.shape != (sl.stop - sl.start,):
-        raise ValueError(f"influence_gradients: {surface_fluxes.shape} fluxes given, "
-                         f"one per surface panel ({sl.stop - sl.start}) expected")
+    fluxes = np.asarray(fluxes, dtype=np.float64)
+    n_flux = flux_cols.stop - flux_cols.start
+    if fluxes.shape != (n_flux,):
+        raise ValueError(f"influence_gradients: {fluxes.shape} fluxes given, "
+                         f"one per panel of flux_cols ({n_flux}) expected")
     gradients = np.empty((len(targets), 2))
     for rows in row_blocks(len(targets), mesh.n_panels):
-        _contracted_gradients(mesh, targets[rows], surface_fluxes, values, gradients[rows])
+        _contracted_gradients(mesh, targets[rows], fluxes, flux_cols, values,
+                              gradients[rows])
     return gradients

@@ -649,19 +649,22 @@ class TestValidateBemCommand:
 
     def test_broken_kernel_sign_fails(self, monkeypatch, capsys):
         # negative control: flip the single-layer sign and the sweep must
-        # fail.  The solver's collocation mode writes S into the system's
-        # surface columns, so the sign is flipped there.
+        # fail.  The solver has S written into its system's surface
+        # columns, so the sign is flipped there, in the view it passes.
         original = kernels.influence_matrices
+        flipped = []
 
-        def broken(mesh, targets, collocation=None):
-            A, _ = collocation
-            original(mesh, targets, collocation=collocation)
-            np.negative(A[:, mesh.surface_slice], out=A[:, mesh.surface_slice])
+        def broken(mesh, targets, cols=None, out=None):
+            S, D = original(mesh, targets, cols, out)
+            np.negative(S, out=S)
+            flipped.append(S.base is not None and not S.flags.c_contiguous)
+            return S, D
 
         monkeypatch.setattr(bem.kernels, "influence_matrices", broken)
         cfg = RunConfig.from_dict({"bem_panel_counts": [32, 64],
                                    "bem_mode_ks": [1]})
         assert validate_bem(cfg) == 1
+        assert flipped == [True, True]
 
 
 class TestParser:

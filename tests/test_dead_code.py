@@ -7,9 +7,10 @@ comments and docstrings do not count, and dunder methods are exempt.  A
 parameter with a default counts as used when some call inside the package,
 matched by the callee's name, passes it by keyword or by position.  A
 third scan keeps ``print`` calls to cli.py, a fourth keeps every import
-at module level, and a fifth keeps numpy's linalg and polynomial out of the
-package.  The last scan parses each module of tests/ and finds every name
-it imports used in its code.
+at module level, a fifth keeps numpy's linalg and polynomial out of the
+package, and a sixth keeps the box out of the panel kernels.  The last
+scan parses each module of tests/ and finds every name it imports used in
+its code.
 """
 
 import ast
@@ -147,6 +148,38 @@ def test_no_module_uses_numpy_linalg_or_polynomial():
     assert [f"{stem}:{line} {path}" for stem, line, path in paths
             if path.split(".")[:2] in (["numpy", "linalg"],
                                        ["numpy", "polynomial"])] == []
+
+
+# The box's layout: the panel blocks of the surface and the walls, and the
+# builder of the wall panels.
+BOX_NAMES = {"surface_slice", "bottom_slice", "right_slice", "left_slice",
+             "wall_mesh", "wall_panels_per_side"}
+
+
+def _names(tree):
+    """(line, name) of every name, attribute and imported name or module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, part) for part in (node.module or "").split("."))
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, part) for alias in node.names
+                        for part in alias.name.split("."))
+
+
+def test_the_panel_kernels_know_no_box():
+    # kernels integrates over the panel blocks it is given: which panels
+    # carry flux, where the walls are and the system's layout are bem's.
+    # Outside geometry, only bem builds the wall panels.
+    modules = dict(_modules())
+    assert [f"kernels:{line} {name}" for line, name in _names(modules["kernels"])
+            if name in BOX_NAMES | {"geometry"}] == []
+    assert sorted(stem for stem, tree in modules.items() if stem != "geometry"
+                  and any(name == "wall_mesh" for _, name in _names(tree))) == ["bem"]
 
 
 def test_every_name_a_test_module_imports_is_used_in_it():

@@ -294,15 +294,16 @@ class TestJumpRelations:
 
 
 def unit_densities(mesh):
-    """(surface fluxes, values) pairs that pick one panel's gradients each:
-    e_j's surface part and 0, then 0 and e_j.  The contracted gradient is
-    then grad S[:, j] and -grad D[:, j] exactly, since every other product
-    is a zero.  A wall panel's flux is always zero, so its first pair is
-    None."""
+    """(surface fluxes, values, surface slice) arguments that pick one
+    panel's gradients each: e_j's surface part and 0, then 0 and e_j.  The
+    contracted gradient is then grad S[:, j] and -grad D[:, j] exactly,
+    since every other product is a zero.  A wall panel's flux is always
+    zero, so its first triple is None."""
     n, sl = mesh.n_panels, mesh.surface_slice
     zero = np.zeros(n)
     for j, e in enumerate(np.eye(n)):
-        yield (e[sl], zero) if sl.start <= j < sl.stop else None, (zero[sl], e)
+        yield ((e[sl], zero, sl) if sl.start <= j < sl.stop else None,
+               (zero[sl], e, sl))
 
 
 def zero_wall_fluxes(mesh, q):
@@ -349,7 +350,7 @@ class TestInfluenceGradients:
         q, phi = np.random.default_rng(21).uniform(-1.0, 1.0, (2, mesh.n_panels))
         zero_wall_fluxes(mesh, q)
         h = 1e-6
-        grad = influence_gradients(mesh, pts, q[mesh.surface_slice], phi)
+        grad = influence_gradients(mesh, pts, q[mesh.surface_slice], phi, mesh.surface_slice)
         for axis in range(2):
             dS, dD = self.differences(mesh, pts, axis, h)
             np.testing.assert_allclose(
@@ -358,17 +359,34 @@ class TestInfluenceGradients:
 
     def test_rejects_endpoint_target(self):
         mesh = build_boundary_mesh(flat_interface(9), 4)
-        ones = np.ones(mesh.n_panels)
+        ones, sl = np.ones(mesh.n_panels), mesh.surface_slice
         with pytest.raises(GeometryError):
-            influence_gradients(mesh, mesh.a[3][None, :], ones[mesh.surface_slice], ones)
+            influence_gradients(mesh, mesh.a[3][None, :], ones[sl], ones, sl)
 
-    def test_takes_surface_fluxes_only(self):
-        # A flux per panel, walls included, is not a second form of the call.
+    def test_takes_one_flux_per_flux_column(self):
+        # A flux per panel, walls included, is not a second form of the
+        # call when the flux columns are the surface's.
         mesh, pts = self.mesh_and_points()
-        ones = np.ones(mesh.n_panels)
-        for fluxes in (ones, ones[:-1], ones[mesh.surface_slice][None, :]):
-            with pytest.raises(ValueError, match="one per surface panel"):
-                influence_gradients(mesh, pts, fluxes, ones)
+        ones, sl = np.ones(mesh.n_panels), mesh.surface_slice
+        for fluxes in (ones, ones[:-1], ones[sl][None, :]):
+            with pytest.raises(ValueError, match="one per panel of flux_cols"):
+                influence_gradients(mesh, pts, fluxes, ones, sl)
+
+    def test_any_flux_columns(self):
+        # The kernel knows no surface: fluxes on the walls' first block, or
+        # on every panel, contract as S q - D phi with q zero elsewhere.
+        mesh, pts = self.mesh_and_points()
+        q, phi = np.random.default_rng(22).uniform(-1.0, 1.0, (2, mesh.n_panels))
+        h = 1e-6
+        for cols in (slice(0, mesh.wall_panels_per_side), slice(0, mesh.n_panels)):
+            full = np.zeros(mesh.n_panels)
+            full[cols] = q[cols]
+            grad = influence_gradients(mesh, pts, q[cols], phi, cols)
+            for axis in range(2):
+                dS, dD = self.differences(mesh, pts, axis, h)
+                np.testing.assert_allclose(
+                    grad[:, axis], dS @ full - dD @ phi,
+                    rtol=0, atol=1e-8 * np.abs(full).sum() + 1e-7 * np.abs(phi).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +489,8 @@ def assert_contracts_alike(mesh, targets, oracle, seed=0):
     of them that a flux or value can reach on a small mesh."""
     want = oracle(mesh, targets)
     for q, phi in density_pairs(mesh, seed):
-        assert_same_bits(influence_gradients(mesh, targets, q[mesh.surface_slice], phi),
+        sl = mesh.surface_slice
+        assert_same_bits(influence_gradients(mesh, targets, q[sl], phi, sl),
                          contract(want, q, phi))
     if mesh.n_panels <= 64:
         gS, gD = want
@@ -570,7 +589,7 @@ class TestBitEquality:
             with pytest.raises(GeometryError):
                 _ref_influence_gradients(mesh, pts)
             with pytest.raises(GeometryError):
-                influence_gradients(mesh, pts, q[mesh.surface_slice], phi)
+                influence_gradients(mesh, pts, q[mesh.surface_slice], phi, mesh.surface_slice)
 
     @pytest.mark.parametrize("offset", [8, 16, 24, 32, 40, 48, 56])
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
@@ -581,10 +600,11 @@ class TestBitEquality:
         mesh = meshes[name]
         interior = np.random.default_rng(14).uniform(0.05, 0.95, (300, 2))
         q, phi = density_pairs(mesh)[0]
-        q = q[mesh.surface_slice]
+        sl = mesh.surface_slice
+        q = q[sl]
         for kernel, pts in ((influence_matrices,
                              np.vstack([interior, mesh.midpoints])),
-                            (lambda mesh, pts: [influence_gradients(mesh, pts, q, phi)],
+                            (lambda mesh, pts: [influence_gradients(mesh, pts, q, phi, sl)],
                              interior)):
             aligned, moved = copy_at_offset(pts, 0), copy_at_offset(pts, offset)
             assert (aligned.ctypes.data % 64, moved.ctypes.data % 64) == (0, offset)
@@ -610,11 +630,12 @@ class TestBitEquality:
 
 
 # ---------------------------------------------------------------------------
-# The solver's collocation mode: S against the surface panels only, and D
-# of every block but the walls' fixed wall x wall block, written into the
-# solver's Fortran-ordered storage.  Every block it writes must carry the
-# default mode's bits.  The wall x wall block is the solver's, kept
-# finished, -(D + I/2), in a cache per wall count (bem._wall_block).
+# The solver's blocks: S against the surface panels only, and D of every
+# block but the walls' fixed wall x wall block, written by the panel
+# kernels into the solver's Fortran-ordered storage.  Every block they
+# write must carry the default path's bits.  The wall x wall block is the
+# solver's, kept finished, -(D + I/2), in a cache per wall count
+# (bem._wall_block).
 # ---------------------------------------------------------------------------
 
 def wall_x_wall(mesh):
@@ -625,21 +646,24 @@ def wall_x_wall(mesh):
     return np.ix_(walls, walls)
 
 
-def collocation_blocks(mesh):
-    """(S against the surface panels, D) as the collocation mode writes them.
+def solver_blocks(mesh):
+    """(S against the surface panels, D) as ``bem.solve_mixed_bvp``'s two
+    kernel calls write them.
 
     The storage is the solver's: the leading n x n view of an (n+1) x
     (n+1) Fortran-ordered system, whose surface columns take S and wall
     columns D, and a Fortran-ordered D_surface for D's surface columns.
     It starts as NaN, so an entry left unwritten cannot match, and the
     multiplier's row and column and the wall x wall entries, which the
-    kernel never writes, must stay so.
+    kernels never write, must stay so.
     """
     n, sl = mesh.n_panels, mesh.surface_slice
     A = np.full((n + 1, n + 1), np.nan, order="F")
     D_surface = np.full((n, sl.stop - sl.start), np.nan, order="F")
-    assert influence_matrices(mesh, mesh.midpoints,
-                              collocation=(A[:n, :n], D_surface)) is None
+    S_view, D_view = influence_matrices(mesh, mesh.midpoints, sl, (A[:n, sl], D_surface))
+    assert D_view is D_surface and S_view.base is A
+    kernels.double_layer(wall_mesh(mesh.wall_panels_per_side), mesh.midpoints[sl],
+                         A[sl, :sl.start], A[sl, sl.stop:n])
     assert np.isnan(A[n]).all() and np.isnan(A[:, n]).all()
     assert np.isnan(A[:n, :n][wall_x_wall(mesh)]).all()
     D = A[:n, :n].copy()
@@ -647,7 +671,7 @@ def collocation_blocks(mesh):
     return A[:n, sl].copy(), D
 
 
-class TestCollocationMode:
+class TestSolverBlocks:
     @staticmethod
     def mesh(name, w):
         if name == "flat":
@@ -658,17 +682,29 @@ class TestCollocationMode:
 
     @pytest.mark.parametrize("w", [16, 24, 32, 64, 128])
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
-    def test_matches_default_mode(self, name, w):
+    def test_matches_default_path(self, name, w):
         mesh = self.mesh(name, w)
         S, D = influence_matrices(mesh, mesh.midpoints)
         D[wall_x_wall(mesh)] = np.nan
-        S_c, D_c = collocation_blocks(mesh)
+        S_c, D_c = solver_blocks(mesh)
         assert_same_bits(S_c, S[:, mesh.surface_slice])
         assert_same_bits(D_c, D)
 
+    @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
+    def test_column_blocks_into_new_arrays(self, name):
+        # Any contiguous block of panels, written into new C-ordered arrays,
+        # has the bits of those columns of the whole.
+        mesh = self.mesh(name, 16)
+        S, D = influence_matrices(mesh, mesh.midpoints)
+        for cols in (mesh.surface_slice, slice(0, 16), slice(5, 40)):
+            blocks = influence_matrices(mesh, mesh.midpoints, cols)
+            for got, whole in zip(blocks, (S, D)):
+                assert got.flags.c_contiguous
+                assert_same_bits(got, whole[:, cols])
+
     @pytest.mark.parametrize("w", [16, 24, 32, 64, 128])
     def test_solver_keeps_the_finished_wall_block(self, w):
-        # The default mode's wall x wall D, gathered into the wall mesh's
+        # The default path's wall x wall D, gathered into the wall mesh's
         # order, with the half added on its diagonal and then negated.
         mesh = self.mesh("bumped", w)
         _, D = influence_matrices(mesh, mesh.midpoints)
@@ -706,20 +742,22 @@ class TestCollocationMode:
 
 # ---------------------------------------------------------------------------
 # Row blocks: every kernel runs over kernels.row_blocks of its target rows,
-# written in place: _layers in both modes, the surface rows against the
-# wall panels, the wall x wall block and influence_gradients.  The
+# written in place: _layers on the solver's surface columns and on all
+# panels, the surface rows against the wall panels, the wall x wall block
+# and influence_gradients.  The
 # one split gives the fewest near-equal blocks, in order, of at most
 # PAIR_BUDGET (target, panel) pairs and at least two rows.  Blocks of two
 # sizes must leave every bit as one block gives it.
 # ---------------------------------------------------------------------------
 
-def assert_blocks_match(monkeypatch, mesh, budget, collocation):
-    n_cols = mesh.n_markers - 1 if collocation else mesh.n_panels
+def assert_blocks_match(monkeypatch, mesh, budget, solver):
+    n_cols = mesh.n_markers - 1 if solver else mesh.n_panels
 
     def matrices():
-        if collocation:
-            return (*collocation_blocks(mesh),
-                    kernels.wall_double_layer(mesh.wall_panels_per_side))
+        if solver:
+            # the wall block as the solver's cache fills it, uncached
+            return (*solver_blocks(mesh),
+                    bem._wall_block.__wrapped__(mesh.wall_panels_per_side))
         return influence_matrices(mesh, mesh.midpoints)
 
     monkeypatch.setattr(kernels, "PAIR_BUDGET", budget)
@@ -756,22 +794,21 @@ class TestRowBlocks:
                         or -(-m // (len(blocks) - 1)) * n > max(budget, 2 * n))
 
     def test_no_targets(self):
-        mesh = TestCollocationMode.mesh("reference", 24)
+        mesh = TestSolverBlocks.mesh("reference", 24)
         S, D = influence_matrices(mesh, np.empty((0, 2)))
         assert S.shape == D.shape == (0, mesh.n_panels)
-        ones = np.ones(mesh.n_panels)
-        assert influence_gradients(mesh, np.empty((0, 2)), ones[mesh.surface_slice],
-                                   ones).shape == (0, 2)
+        ones, sl = np.ones(mesh.n_panels), mesh.surface_slice
+        assert influence_gradients(mesh, np.empty((0, 2)), ones[sl], ones,
+                                   sl).shape == (0, 2)
 
-    @pytest.mark.parametrize("collocation", [True, False],
-                             ids=["collocation", "default"])
+    @pytest.mark.parametrize("solver", [True, False], ids=["solver", "default"])
     @pytest.mark.parametrize("w", [16, 24])
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
-    def test_ragged_blocks(self, monkeypatch, name, w, collocation):
+    def test_ragged_blocks(self, monkeypatch, name, w, solver):
         # Budgets at which every one of these meshes gets blocks of two
         # sizes, against its surface panels or against all its panels.
-        assert_blocks_match(monkeypatch, TestCollocationMode.mesh(name, w),
-                            500 if collocation else 1000, collocation)
+        assert_blocks_match(monkeypatch, TestSolverBlocks.mesh(name, w),
+                            500 if solver else 1000, solver)
 
     @pytest.mark.parametrize("budget", [kernels.PAIR_BUDGET, 2000])
     def test_sweep_mesh(self, monkeypatch, budget):
@@ -780,10 +817,10 @@ class TestRowBlocks:
         mesh = build_boundary_mesh(flat_interface(256), 128)
         sizes = [rows.stop - rows.start for rows in kernels.row_blocks(639, 255)]
         assert mesh.n_markers - 1 == 255 and sizes == [63] + [64] * 9
-        assert_blocks_match(monkeypatch, mesh, budget, collocation=True)
+        assert_blocks_match(monkeypatch, mesh, budget, solver=True)
 
     def test_reference_lattice(self, monkeypatch):
-        # The default mode, as eval_interior calls it: 194 lattice points x
+        # The default path, as eval_interior calls it: 194 lattice points x
         # 167 panels in two blocks of 97 rows (16,384 // 167 = 98 at most),
         # not in one block of 32,398 pairs, with the bits of one block.
         mesh, pts = reference_lattice()
@@ -858,7 +895,7 @@ def reference_lattice():
 class TestGradientOrder:
     @pytest.mark.parametrize("name", ["flat", "reference", "bumped"])
     def test_lattice_points(self, name):
-        mesh = TestCollocationMode.mesh(name, 24)
+        mesh = TestSolverBlocks.mesh(name, 24)
         if name == "reference":
             mesh, pts = reference_lattice()
         else:
@@ -868,7 +905,7 @@ class TestGradientOrder:
 
     @pytest.mark.parametrize("name", ["flat", "bumped"])
     def test_collinear_targets(self, name):
-        mesh = TestCollocationMode.mesh(name, 16)
+        mesh = TestSolverBlocks.mesh(name, 16)
         d = mesh.b - mesh.a
         pts = np.vstack([line_targets(np.random.default_rng(15)),
                          mesh.a - 0.5 * d, mesh.b + 0.5 * d])

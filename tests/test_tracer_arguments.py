@@ -42,7 +42,7 @@ def test_tracer_counts_each_kernel_call_from_its_named_arguments():
     ones = np.ones(n)
     calls = {
         "kernels.influence_matrices": ((mesh, points), 3 * n),
-        "kernels.influence_gradients": ((mesh, points, ones[sl], ones), 3 * n),
+        "kernels.influence_gradients": ((mesh, points, ones[sl], ones, sl), 3 * n),
         "kernels.solve_dense": ((kernels.DenseSystem(np.eye(5), np.ones(5)),),
                                 2.0 * 5 ** 3 / 3.0 + 2.0 * 5 ** 2),
     }
@@ -55,6 +55,14 @@ def test_tracer_counts_each_kernel_call_from_its_named_arguments():
         counters = defaultdict(float)
         count(counters, tracer._arguments(inspect.signature(function), args, {}))
         assert list(counters.values()) == [expected], key
+    # The solver's call: its midpoints against the surface columns, written
+    # into given storage, counts the n x n pairs of its targets and mesh.
+    counters = defaultdict(float)
+    args = (mesh, mesh.midpoints, sl, (np.empty((n, 8)), np.empty((n, 8))))
+    kernels.influence_matrices(*args)
+    tracer._BEFORE["kernels.influence_matrices"](
+        counters, tracer._arguments(inspect.signature(kernels.influence_matrices), args, {}))
+    assert counters == {"kernels.influence_matrices.pairs": n * n}
 
 
 def test_tracer_counts_the_lattice_from_its_named_argument_and_result():
