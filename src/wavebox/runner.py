@@ -24,6 +24,7 @@ import math
 import numbers
 import os
 import shutil
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -592,6 +593,31 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
     return columns
 
 
+def _clear_artifacts(run_dir: str):
+    """Delete the artifacts an earlier run left in run_dir.
+
+    Every artifact path is checked before any is deleted: it must be absent
+    or what a run writes there, a regular file or, for the snapshots, a
+    directory.  ``os.lstat`` never follows a symlink, so a symlink is
+    neither, and ConfigError names the first path that fails.
+    """
+    *files, snapshot_dir = _artifact_paths(run_dir)
+    present = []
+    for path in (*files, snapshot_dir):
+        try:
+            mode = os.lstat(path).st_mode
+        except FileNotFoundError:
+            continue
+        is_dir = path == snapshot_dir
+        if not (stat.S_ISDIR if is_dir else stat.S_ISREG)(mode):
+            raise ConfigError(f"cannot write over {path}: it is not a "
+                              f"{'directory' if is_dir else 'regular file'}"
+                              f"{' but a symlink' if stat.S_ISLNK(mode) else ''}")
+        present.append(path)
+    for path in present:
+        (shutil.rmtree if path == snapshot_dir else os.remove)(path)
+
+
 def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:
     """Run, write artifacts, and return the exit code."""
     out = out_dir if out_dir is not None else cfg.out_dir
@@ -601,12 +627,8 @@ def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     # An output directory holds one run: drop the artifacts an earlier run
     # left there, so that a run that fails leaves none to pass as its own.
+    _clear_artifacts(out)
     cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(out)
-    for path in (cfg_path, csv_path, report_path):
-        if os.path.lexists(path):
-            os.remove(path)
-    if os.path.isdir(snapshot_dir):
-        shutil.rmtree(snapshot_dir)
     result = run_simulation(cfg)
     report = build_report(cfg, result)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import platform
 import shutil
 import tempfile
@@ -40,7 +41,8 @@ class TestSimulateCommand:
         for artifact in ("config.json", "diagnostics.csv", "report.json",
                          os.path.join("snapshots", "0000.csv")):
             assert os.path.exists(os.path.join(out, artifact))
-        report = json.load(open(os.path.join(out, "report.json")))
+        with open(os.path.join(out, "report.json")) as fh:
+            report = json.load(fh)
         assert report["all_passed"] is True
 
     def test_missing_config_is_exit_2(self, capsys):
@@ -231,18 +233,63 @@ def test_largest_carried_datum_reaches_a_verdict(tmp_path, capsys):
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")],
-                         ids=["is_a_file", "under_a_file"])
-def test_unusable_out_is_exit_2(tmp_path, capsys, out):
+def tree(root):
+    """Every path under root, symlinks unfollowed: a link's target, a
+    file's bytes, or None for a directory."""
+    found = {}
+    for here, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(here, name)
+            found[os.path.relpath(path, root)] = (
+                ("link", os.readlink(path)) if os.path.islink(path)
+                else None if os.path.isdir(path) else pathlib.Path(path).read_bytes())
+    return found
+
+
+@pytest.mark.parametrize("out, artifact, kind", [
+    ("afile", None, None),
+    (os.path.join("afile", "sub"), None, None),
+    ("out", "config.json", "directory"),
+    ("out", "diagnostics.csv", "directory"),
+    ("out", "report.json", "directory"),
+    ("out", "report.json", "symlink"),
+    ("out", "snapshots", "symlink"),
+    ("out", "snapshots", "file"),
+], ids=["is_a_file", "under_a_file", "config_is_a_directory",
+        "diagnostics_is_a_directory", "report_is_a_directory",
+        "report_is_a_symlink", "snapshots_is_a_symlink", "snapshots_is_a_file"])
+def test_unusable_out_is_exit_2(tmp_path, capsys, out, artifact, kind):
     # --out naming a file, or a path under one, is bad input, found before
-    # any run starts.
+    # any run starts.  So is an artifact path that holds what a run does not
+    # write there: a directory for a file, a file for the snapshot
+    # directory, or a symlink to either.  Nothing is deleted or followed.
     path = write_config(tmp_path, SMALL_CONFIG)
     (tmp_path / "afile").write_text("")
-    out = str(tmp_path / out)
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "0000.csv").write_text("kept")
+    out = offending = str(tmp_path / out)
+    if artifact is not None:
+        os.mkdir(out)
+        offending = os.path.join(out, artifact)
+        if kind == "directory":
+            os.mkdir(offending)
+            with open(os.path.join(offending, "kept"), "w") as fh:
+                fh.write("kept")
+        elif kind == "file":
+            with open(offending, "w") as fh:
+                fh.write("kept")
+        else:
+            os.symlink(target if artifact == "snapshots" else target / "0000.csv",
+                       offending)
+    before = tree(tmp_path)
     assert main(["simulate", "--config", path, "--out", out, "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: cannot create output directory {out}:")
-    assert (tmp_path / "afile").read_text() == ""
+    if artifact is None:
+        assert err.startswith(f"configuration error: cannot create output directory {out}:")
+    else:
+        assert err.startswith(f"configuration error: cannot write over {offending}: ")
+    assert tree(tmp_path) == before
 
 
 class TestVerifyCommand:

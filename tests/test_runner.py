@@ -165,7 +165,8 @@ class TestReportWriter:
         write_report(path, {"a": 1.0 / 3.0, "b": True, "c": None,
                             "d": float("nan"), "e": 7, "f": "text",
                             "g": math.inf, "h": np.float64("-inf")})
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
         assert '"a": 0.33333333333333331' in text
         assert '"b": true' in text
         assert '"c": null' in text
