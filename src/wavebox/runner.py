@@ -735,18 +735,18 @@ def verify_identities(run_dir: str) -> int:
 # BEM validation sweep
 # ---------------------------------------------------------------------------
 
-def _flat_mesh_errors(n_markers: int, ks) -> list[float]:
-    """L-inf solve errors of harmonic modes on one flat mesh, from one solve.
+def mode_errors(mesh, ks) -> FloatArray:
+    """Per-panel solve errors of harmonic modes on one mesh, from one solve.
 
-    The mesh has ``n_markers`` markers and ``n_markers // 2`` wall panels
-    per side.  Mode k is ``ModePotential(((k, 1.0),))``; k = 0 is the
-    constant 1.  Its surface trace is imposed as Dirichlet data and the
-    solved wall values and surface fluxes are compared against the mode.
-    All modes share the mesh's one assembly and LU (a stacked
-    ``bem.solve_mixed_bvp``).  Returns one error per k, relative to the
-    mode's amplitude cosh(k pi) so that different k are comparable.
+    Mode k is ``ModePotential(((k, 1.0),))``; k = 0 is the constant 1.  Each
+    mode solves the box problem on any surface: its trace on the surface
+    panels is imposed as Dirichlet data, and its flux vanishes on all three
+    walls.  All modes share the mesh's one assembly and LU (a stacked
+    ``bem.solve_mixed_bvp``).  Returns (len(ks), n_panels): the solved
+    value's error |value - phi_k| on a wall panel and the solved flux's
+    |flux - d_n phi_k| on a surface panel, each relative to the mode's
+    amplitude cosh(k pi), so that different k are comparable.
     """
-    mesh = build_boundary_mesh(flat_interface(n_markers), n_markers // 2)
     x1, x2 = mesh.midpoints.T
     sl = mesh.surface_slice
     exact = []
@@ -755,13 +755,23 @@ def _flat_mesh_errors(n_markers: int, ks) -> list[float]:
         grad = np.column_stack(mode.velocity(x1, x2))
         exact.append((mode.phi(x1, x2), np.einsum("ij,ij->i", grad, mesh.normals)))
     cd = bem.solve_mixed_bvp(mesh, np.array([phi[sl] for phi, _ in exact]))
-    errs = []
-    for k, (exact_phi, exact_q), values, fluxes in zip(ks, exact, cd.values, cd.fluxes):
-        # the surface values are the given data, so only wall values can differ
-        err_phi = float(np.abs(values - exact_phi).max())
-        err_q = float(np.abs(fluxes[sl] - exact_q[sl]).max())
-        errs.append(max(err_phi, err_q) / math.cosh(k * math.pi))
-    return errs
+    errors = np.abs(cd.values - [phi for phi, _ in exact])
+    errors[:, sl] = np.abs(cd.fluxes[:, sl] - [q[sl] for _, q in exact])
+    for k, row in zip(ks, errors):
+        row /= math.cosh(k * math.pi)
+    return errors
+
+
+def _flat_mesh_errors(n_markers: int, ks) -> list[float]:
+    """``mode_errors``' largest per mode on one flat mesh, with
+    ``n_markers`` markers and ``n_markers // 2`` wall panels per side.
+
+    The surface values are the given data, so a surface panel's value
+    error is zero, and the largest of the value and flux errors is the
+    largest per-panel error.
+    """
+    mesh = build_boundary_mesh(flat_interface(n_markers), n_markers // 2)
+    return [float(row.max()) for row in mode_errors(mesh, ks)]
 
 
 def validate_bem(cfg: RunConfig) -> int:
