@@ -487,9 +487,8 @@ def assert_contracts_alike(mesh, targets, oracle, seed=0):
     ``oracle``'s (m, n, 2) gradient arrays contracted by einsum, given the
     surface part of the fluxes; and unit densities recover every element
     of them that a flux or value can reach on a small mesh."""
-    want = oracle(mesh, targets)
+    want, sl = oracle(mesh, targets), mesh.surface_slice
     for q, phi in density_pairs(mesh, seed):
-        sl = mesh.surface_slice
         assert_same_bits(influence_gradients(mesh, targets, q[sl], phi, sl),
                          contract(want, q, phi))
     if mesh.n_panels <= 64:
