@@ -80,16 +80,19 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
     # the right-hand-side columns in it pick BLAS's column-sweeping gemv.
     A = np.empty((n + 1, n + 1), order="F")
     D_surface = np.empty((n, sl.stop - sl.start), order="F")
+    # The walls' columns of A, which are also their rows, each with the
+    # matching panels of wall_mesh and _wall_block.  Those run bottom,
+    # right, left: in A, bottom and right come before the surface, left after.
+    walls = ((slice(0, sl.start), slice(0, sl.start)),
+             (slice(sl.stop, n), slice(sl.start, None)))
     kernels.influence_matrices(mesh, mesh.midpoints, sl, (A[:n, sl], D_surface))
-    # The wall mesh's panels run bottom, right, left: A's columns before
-    # and after the surface's.
     kernels.double_layer(wall_mesh(mesh.wall_panels_per_side), mesh.midpoints[sl],
-                         A[sl, :sl.start], A[sl, sl.stop:n])
+                         *(A[sl, cols] for cols, _ in walls))
     # D + I/2 on D_surface's surface rows, through a writeable view of its
     # diagonal; the surface rows of the wall values' columns are -D.
     np.einsum("ii->i", D_surface[sl])[...] += 0.5
-    np.negative(A[sl, :sl.start], out=A[sl, :sl.start])
-    np.negative(A[sl, sl.stop:n], out=A[sl, sl.stop:n])
+    for cols, _ in walls:
+        np.negative(A[sl, cols], out=A[sl, cols])
     # Each datum gets its own gemv on its row as given, so it sums as a
     # solve of that row alone; one matrix product over the stack would not.
     rhs = np.empty(phi_s.shape[:-1] + (n + 1,))
@@ -97,10 +100,6 @@ def solve_mixed_bvp(mesh: BoundaryMesh, surface_potential: FloatArray) -> Cauchy
         b[:n] = D_surface @ datum
     del D_surface                            # at the LU only A is live
     rhs[..., n] = 0.0
-    # The walls' rows and columns in A and in the block: bottom and right,
-    # then left.
-    walls = ((slice(0, sl.start), slice(0, sl.start)),
-             (slice(sl.stop, n), slice(sl.start, None)))
     block = _wall_block(mesh.wall_panels_per_side)
     for rows, block_rows in walls:
         for cols, block_cols in walls:

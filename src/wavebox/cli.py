@@ -7,11 +7,15 @@ Subcommands::
     wavebox verify-identities --run DIR [--quiet]
 
 Exit codes: 0 = ran and all checks passed (breakdown is a normal outcome),
-1 = a check failed, 2 = bad input, 3 = undiagnosed solver failure.
+1 = a check failed, 2 = bad input, 3 = undiagnosed solver failure.  The
+commands return whether every check passed and raise ``ConfigError`` for bad
+input; ``main`` alone maps that to the codes, and prints bad input and a
+solver failure as one stderr line each, ``bad input: ...`` or ``solver
+failure: ...``.
 
 The commands report through the ``wavebox`` logger, which ``main`` sends to
-stdout: progress and verdicts at INFO, failures and bad input at WARNING.
-``--quiet`` keeps the warnings only.
+stdout: progress and verdicts at INFO, failed checks and report mismatches
+at WARNING.  ``--quiet`` keeps the warnings only.
 """
 
 from __future__ import annotations
@@ -81,23 +85,35 @@ def _log_to_stdout(quiet: bool) -> None:
     logger.setLevel(logging.WARNING if quiet else logging.INFO)
 
 
+def _print_line(message: str) -> None:
+    """Print one stderr line; a line break inside the message (a config key
+    or a path can hold one) is escaped."""
+    print(message.replace("\n", "\\n"), file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code; the only place that maps
+    outcomes to codes."""
     _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     _log_to_stdout(args.quiet)
     try:
-        if args.command == "simulate":
-            return simulate(RunConfig.from_json(args.config), out_dir=args.out)
-        if args.command == "validate-bem":
-            return validate_bem(RunConfig.from_json(args.config))
-        return verify_identities(args.run)
+        if args.command == "verify-identities":
+            passed = verify_identities(args.run)
+        else:
+            cfg = RunConfig.from_json(args.config)
+            if args.command == "simulate":
+                passed = simulate(cfg, cfg.out_dir if args.out is None else args.out)
+            else:
+                passed = validate_bem(cfg)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        _print_line(f"bad input: {exc}")
         return 2
     except Exception as exc:
         # Exit 1 means a check failed, so no other error may end as 1.
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_line(f"solver failure: {type(exc).__name__}: {exc}")
         return 3
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

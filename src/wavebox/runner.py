@@ -10,9 +10,12 @@ it — so only violated checks fail a run.
 ``_artifact_paths`` names the artifacts of an output directory, and every
 writer and reader takes the names from it.
 
-Verdicts are recomputed from the CSV columns alone (plus the configuration)
-so that ``verify-identities`` can re-derive them offline from a run directory
-and match the report bit for bit.
+Verdicts are recomputed from the CSV columns and the configuration, plus the
+three values only the run knows (A by quadrature, the breakdown and final
+times), so that ``verify-identities`` can re-derive them offline from a run
+directory and match the report bit for bit.  The commands return whether
+every check passed and raise ConfigError for bad input; ``cli`` alone turns
+that into an exit code.
 """
 
 from __future__ import annotations
@@ -76,6 +79,18 @@ def _checked_number(name: str, value, integral: bool = False):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
     return value
+
+
+def _read_json(path: str, what: str):
+    """The JSON value of the file at path; ConfigError naming ``what`` and
+    the path when it cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -200,14 +215,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config"))
 
     def potential(self) -> ModePotential:
         return ModePotential(terms=self.modes)
@@ -451,48 +459,64 @@ def evaluate_checks(columns: dict[str, FloatArray], cfg: RunConfig,
 CHECK_KEYS = ("energy_conserved", "area_conserved", "pressure_positive",
               "schwarz_held", "identities_converged", "inequality_28_held",
               "derivative_inequality_held", "riccati_dominated")
-# Verdicts of the report that verify-identities does not re-derive; it only
-# checks that all_passed is ``_all_passed`` of the other two and the checks.
-STORED_KEYS = ("a_consistent", "blowup_bound_held", "all_passed")
+# A run passes when A's two evaluations agree, the blow-up bound held and
+# every check held.
+VERDICT_KEYS = ("a_consistent", "blowup_bound_held", *CHECK_KEYS)
 
 
-def _all_passed(checks: dict, a_consistent: bool, blowup_bound_held: bool) -> bool:
-    """A run's verdict: A's two evaluations agree, the bound held, every check held."""
-    return bool(a_consistent and blowup_bound_held
-                and all(checks[k] for k in CHECK_KEYS))
+def _verdicts(cfg: RunConfig, table: dict[str, FloatArray], c1: float,
+              a_quadrature: float, broke: bool, t_break: float,
+              t_final: float) -> tuple[dict, dict]:
+    """A run's verdicts, for its report and for verify-identities alike.
+
+    From the CSV columns of ``table``, the configuration, c1 and what the
+    run alone knows: A by quadrature, whether and when it broke down, and
+    where it stopped.  Returns ``evaluate_checks``' dict and, in report
+    order, A = L(0), its relative difference from the quadrature, their
+    agreement, c1, T* = c1/A, whether the breakdown or final time kept
+    within T*, and ``all_passed``.
+    """
+    checks = evaluate_checks(table, cfg, broke)
+    a = float(table["L"][0])
+    a_rel_diff = abs(a - a_quadrature) / max(1.0, abs(a_quadrature))
+    t_star = blowup_bound(a, c1) if checks["riccati_checked"] else math.nan
+    # as in evaluate_checks, only a measured overrun fails: a NaN bound holds
+    bound = t_star * (1.0 + cfg.bound_slack)
+    derived = {
+        "a_virial": a,
+        "a_rel_diff": a_rel_diff,
+        "a_consistent": bool(a_rel_diff <= cfg.a_match_tol),
+        "c1": c1,
+        "t_star": t_star,
+        "blowup_bound_held": (not t_break > bound if broke
+                              else not t_final >= bound),
+    }
+    verdicts = {**checks, **derived}
+    derived["all_passed"] = all(verdicts[k] for k in VERDICT_KEYS)
+    return checks, derived
 
 
 def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
     """Flat verification report, written as is (insertion order is frozen)."""
     table = result.table
-    n_records = table["t"].size
     broke = result.breakdown is not None
-    checks = evaluate_checks(table, cfg, broke)
-
-    a = float(table["L"][0])
-    a_rel_diff = (abs(a - result.a_quadrature)
-                  / max(1.0, abs(result.a_quadrature)))
-    a_consistent = bool(a_rel_diff <= cfg.a_match_tol)
-    t_star = blowup_bound(a, result.c1) if checks["riccati_checked"] else math.nan
-    # as in evaluate_checks, only a measured overrun fails: a NaN bound holds
-    bound = t_star * (1.0 + cfg.bound_slack)
-    blowup_bound_held = (not result.breakdown.t_break > bound if broke
-                         else not result.t_final >= bound)
-
+    t_break = result.breakdown.t_break if broke else math.nan
+    checks, derived = _verdicts(cfg, table, result.c1, result.a_quadrature,
+                                broke, t_break, result.t_final)
     report = {
         "a_quadrature": result.a_quadrature,
-        "a_virial": a,
-        "a_rel_diff": a_rel_diff,
-        "a_consistent": a_consistent,
-        "c1": result.c1,
-        "t_star": t_star,
-        "t_break": result.breakdown.t_break if broke else math.nan,
+        "a_virial": derived["a_virial"],
+        "a_rel_diff": derived["a_rel_diff"],
+        "a_consistent": derived["a_consistent"],
+        "c1": derived["c1"],
+        "t_star": derived["t_star"],
+        "t_break": t_break,
         "breakdown_kind": result.breakdown.kind if broke else None,
         "breakdown_detail": result.breakdown.detail if broke else None,
         "t_final": result.t_final,
-        "blowup_bound_held": blowup_bound_held,
-        "all_passed": _all_passed(checks, a_consistent, blowup_bound_held),
-        "n_records": n_records,
+        "blowup_bound_held": derived["blowup_bound_held"],
+        "all_passed": derived["all_passed"],
+        "n_records": table["t"].size,
         "n_steps": result.n_steps,
         "n_markers": cfg.n_markers,
         "wall_panels_per_side": cfg.wall_panels_per_side,
@@ -618,17 +642,16 @@ def _clear_artifacts(run_dir: str):
         (shutil.rmtree if path == snapshot_dir else os.remove)(path)
 
 
-def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:
-    """Run, write artifacts, and return the exit code."""
-    out = out_dir if out_dir is not None else cfg.out_dir
+def simulate(cfg: RunConfig, out_dir: str) -> bool:
+    """Run, write the artifacts to out_dir, and return whether the run passed."""
     try:
-        os.makedirs(out, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     # An output directory holds one run: drop the artifacts an earlier run
     # left there, so that a run that fails leaves none to pass as its own.
-    _clear_artifacts(out)
-    cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(out)
+    _clear_artifacts(out_dir)
+    cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(out_dir)
     result = run_simulation(cfg)
     report = build_report(cfg, result)
 
@@ -645,7 +668,7 @@ def simulate(cfg: RunConfig, out_dir: str | None = None) -> int:
     else:
         log.info("reached time cap t=%.6g", result.t_final)
     log.info("report: all_passed=%s", report["all_passed"])
-    return 0 if report["all_passed"] else 1
+    return report["all_passed"]
 
 
 def _differs(stored: FloatArray, recomputed: FloatArray) -> bool:
@@ -655,17 +678,36 @@ def _differs(stored: FloatArray, recomputed: FloatArray) -> bool:
                        & ~both_nan))
 
 
-def verify_identities(run_dir: str) -> int:
-    """Offline re-check of a run directory; exit-code semantics of the CLI."""
+def _stored_number(report_path: str, stored: dict, key: str) -> float:
+    """A report value that must be a number, as a float; null is NaN, as
+    ``write_report`` writes it.  ValueError for anything else."""
+    value = stored.get(key)
+    if value is None:
+        return math.nan
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{report_path}: {key} is not a number or null")
+    return float(value)
+
+
+def _reads_back(stored, value) -> bool:
+    """Whether a stored report value is ``value`` as ``write_report``
+    writes it and ``json`` reads it back: the same type and value."""
+    written = json.loads(_json_scalar(value))
+    return type(stored) is type(written) and stored == written
+
+
+def verify_identities(run_dir: str) -> bool:
+    """Offline re-check of a run directory: whether every verdict holds
+    and matches the stored report.  ConfigError for a run directory no
+    run writes."""
     cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(run_dir)
     try:
         cfg = RunConfig.from_json(cfg_path)
         columns = read_diagnostics_csv(csv_path)
-        with open(report_path) as fh:
-            stored = json.load(fh)
+        stored = _read_json(report_path, "report")
         if not isinstance(stored, dict):
             raise ValueError(f"{report_path} is not a JSON object")
-        not_bool = [k for k in (*CHECK_KEYS, *STORED_KEYS)
+        not_bool = [k for k in (*VERDICT_KEYS, "all_passed")
                     if not isinstance(stored.get(k), bool)]
         if not_bool:
             raise ValueError(f"{report_path}: not true or false: "
@@ -677,10 +719,13 @@ def verify_identities(run_dir: str) -> int:
         n_records = stored.get("n_records")
         if type(n_records) is not int:
             raise ValueError(f"{report_path}: n_records is not an integer")
+        # what the run alone knows, taken as written
+        a_quadrature, t_break, t_final = (
+            _stored_number(report_path, stored, key)
+            for key in ("a_quadrature", "t_break", "t_final"))
         snapshots = set(os.listdir(snapshot_dir))
     except (OSError, ValueError, RecursionError) as exc:
-        log.warning("error: %s", exc)
-        return 2
+        raise ConfigError(str(exc)) from exc
 
     # The Riccati columns are recomputed, not trusted: A = L(0), and c1 is
     # constant_c1 of the flat initial surface, whose area the first record
@@ -697,17 +742,16 @@ def verify_identities(run_dir: str) -> int:
     misplaced = [name for name, least in FINITE_FROM.items()
                  if not (np.isfinite if n >= least else np.isnan)(columns[name]).all()]
     columns.update(recomputed)
-    broke = kind is not None
-    checks = evaluate_checks(columns, cfg, broke)
+    checks, derived = _verdicts(cfg, columns, c1, a_quadrature, kind is not None,
+                                t_break, t_final)
+    verdicts = {**checks, **derived}
 
     if not checks["derivatives_checked"]:
         log.info("insufficient records: derivative checks skipped")
 
-    failed = [k for k in CHECK_KEYS if not checks[k]]
-    mismatched = [k for k in CHECK_KEYS if stored[k] != checks[k]]
-    if stored["all_passed"] != _all_passed(checks, stored["a_consistent"],
-                                           stored["blowup_bound_held"]):
-        mismatched.append("all_passed")
+    failed = [k for k in VERDICT_KEYS if not verdicts[k]]
+    mismatched = [k for k in (*derived, *CHECK_KEYS)
+                  if not (k in stored and _reads_back(stored[k], verdicts[k]))]
     # one snapshot per record, named as write_snapshots names them; the
     # directory is only listed, never read
     if n_records != n or snapshots != {_SNAPSHOT_NAME.format(i) for i in range(n)}:
@@ -726,9 +770,9 @@ def verify_identities(run_dir: str) -> int:
         log.warning("derived columns not finite where a run writes them so, "
                     "or not NaN where it leaves them NaN: %s", ", ".join(misplaced))
     if failed or mismatched or altered or misplaced:
-        return 1
+        return False
     log.info("all recomputed checks passed and match the stored report")
-    return 0
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +818,7 @@ def _flat_mesh_errors(n_markers: int, ks) -> list[float]:
     return [float(row.max()) for row in mode_errors(mesh, ks)]
 
 
-def validate_bem(cfg: RunConfig) -> int:
+def validate_bem(cfg: RunConfig) -> bool:
     """Convergence sweep over the configured panel counts and modes.
 
     Passes when every mode's error decreases monotonically with a mean
@@ -809,4 +853,4 @@ def validate_bem(cfg: RunConfig) -> int:
             ok = False
 
     log.info("validation %s", "passed" if ok else "FAILED")
-    return 0 if ok else 1
+    return ok

@@ -134,10 +134,10 @@ def still_config_dict():
 def _run(tmp_factory, name, cfg_dict):
     out = str(tmp_factory.mktemp(name))
     cfg = RunConfig.from_dict(cfg_dict)
-    code = simulate(cfg, out_dir=out)
+    passed = simulate(cfg, out)
     with open(os.path.join(out, "report.json")) as fh:
         report = json.load(fh)
-    return {"cfg": cfg, "code": code, "report": report, "dir": out}
+    return {"cfg": cfg, "passed": passed, "report": report, "dir": out}
 
 
 @pytest.fixture(scope="session")

@@ -239,7 +239,7 @@ class TestCriterion9BlowupBound:
         # so the control typically also ends in a recorded singularity
         # event before its cap — that is a success outcome by contract.
         report = neg_run["report"]
-        assert neg_run["code"] == 0
+        assert neg_run["passed"] is True
         assert report["a_virial"] < 0.0
         assert report["riccati_checked"] is False
         assert report["riccati_dominated"] is True      # vacuous

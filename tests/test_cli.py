@@ -30,6 +30,17 @@ NO_LATTICE = dict(modes=reference_modes(), n_markers=24, wall_panels_per_side=8,
                   t_end_cap=1e-3, near_field_factor=50)
 
 
+def bad_input_line(capsys, *argv):
+    """Run ``main(argv + --quiet)``, which must exit 2 with an empty stdout
+    and one stderr line, ``bad input: ...``; return that line's message."""
+    assert main([*argv, "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bad input: ") and err.count("\n") == 1
+    assert err.endswith("\n")
+    return err[len("bad input: "):-1]
+
+
 class TestSimulateCommand:
     def test_still_fluid_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(modes=[], n_markers=16,
@@ -46,22 +57,29 @@ class TestSimulateCommand:
         assert report["all_passed"] is True
 
     def test_missing_config_is_exit_2(self, capsys):
-        assert main(["simulate", "--config", "/no/such/file.json"]) == 2
+        assert bad_input_line(capsys, "simulate", "--config", "/no/such/file.json") \
+            .startswith("cannot read config /no/such/file.json: ")
 
-    def test_unknown_key_is_exit_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"n_markers": 16, "frobnicate": True})
-        assert main(["simulate", "--config", cfg]) == 2
+    @pytest.mark.parametrize("key, shown", [("frobnicate", "frobnicate"),
+                                            ("two\nlines", "two\\nlines")],
+                             ids=["plain", "line-break"])
+    def test_unknown_key_is_exit_2(self, tmp_path, capsys, key, shown):
+        # a line break in a key is escaped: bad input is one stderr line
+        cfg = write_config(tmp_path, {"n_markers": 16, key: True})
+        assert bad_input_line(capsys, "simulate", "--config", cfg) == (
+            f"unknown configuration keys: {shown}")
 
     def test_bad_mode_data_is_exit_2(self, tmp_path, capsys):
         # single odd mode violates the pinned-corner conditions
         cfg = write_config(tmp_path, {"modes": [[1, 1.0]], "n_markers": 16})
-        assert main(["simulate", "--config", cfg]) == 2
-
+        assert bad_input_line(capsys, "simulate", "--config", cfg).startswith(
+            "modes violate the corner conditions")
 
     @pytest.mark.parametrize("coefficient", [math.inf, math.nan])
     def test_non_finite_mode_is_exit_2(self, tmp_path, capsys, coefficient):
         cfg = write_config(tmp_path, {"modes": [[1, coefficient]], "n_markers": 16})
-        assert main(["simulate", "--config", cfg]) == 2
+        assert bad_input_line(capsys, "simulate", "--config", cfg) == (
+            f"mode coefficient must be finite, got {coefficient!r}")
 
     @pytest.mark.parametrize("overrides", [
         dict(t_end_cap=1e-13),
@@ -74,13 +92,14 @@ class TestSimulateCommand:
         # interval recorded up to the cap with no step between records.
         cfg = write_config(tmp_path, reference_config_dict(**overrides))
         out = str(tmp_path / "out")
-        assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 2
-        assert "record-time slop" in capsys.readouterr().err
+        assert "record-time slop" in bad_input_line(capsys, "simulate", "--config", cfg,
+                                                    "--out", out)
         assert not os.path.exists(out)
 
     def test_fractional_marker_count_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n_markers": 16.5})
-        assert main(["simulate", "--config", cfg]) == 2
+        assert bad_input_line(capsys, "simulate", "--config", cfg) == (
+            "n_markers must be an integer, got 16.5")
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         # pressure_min raises a plain ValueError, which is no failed check
@@ -114,7 +133,9 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, NO_LATTICE)
         assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 3
         assert os.listdir(out) == []
-        assert main(["verify-identities", "--run", out, "--quiet"]) == 2
+        capsys.readouterr()
+        assert bad_input_line(capsys, "verify-identities", "--run", out).startswith(
+            "cannot read config ")
 
 
 # Each numeric config value, top level or inside a list, and whether it must
@@ -164,8 +185,8 @@ BAD_BYTES = {"not-utf8": b"\xff\xfe{}", "too-deep": b"[" * 200000}
 def test_unreadable_config_bytes_are_exit_2(tmp_path, capsys, command, bad):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(bad)
-    assert main([command, "--config", str(cfg), "--quiet"]) == 2
-    assert "solver failure" not in capsys.readouterr().err
+    assert bad_input_line(capsys, command, "--config", str(cfg)).startswith(
+        f"config {cfg} is not valid JSON: ")
 
 
 def test_small_config_is_valid():
@@ -206,16 +227,14 @@ def test_out_of_range_value_is_exit_2(tmp_path, capsys, still_run, bad):
     # input too.  out_dir must be a string even when --out overrides it.
     path = write_config(tmp_path, {**SMALL_CONFIG, **bad})
     out = str(tmp_path / "out")
-    assert main(["simulate", "--config", path, "--out", out]) == 2
-    assert main(["validate-bem", "--config", path]) == 2
+    message = bad_input_line(capsys, "simulate", "--config", path, "--out", out)
+    assert bad_input_line(capsys, "validate-bem", "--config", path) == message
     assert not os.path.exists(out)
-    assert capsys.readouterr().err.count("configuration error") == 2
     run = tmp_path / "run"
     shutil.copytree(still_run["dir"], run)
     stored = json.loads((run / "config.json").read_text())
     (run / "config.json").write_text(json.dumps({**stored, **bad}))
-    assert main(["verify-identities", "--run", str(run)]) == 2
-    assert capsys.readouterr().out.startswith("error: ")
+    assert bad_input_line(capsys, "verify-identities", "--run", str(run)) == message
 
 
 def test_largest_carried_datum_reaches_a_verdict(tmp_path, capsys):
@@ -283,12 +302,11 @@ def test_unusable_out_is_exit_2(tmp_path, capsys, out, artifact, kind):
             os.symlink(target if artifact == "snapshots" else target / "0000.csv",
                        offending)
     before = tree(tmp_path)
-    assert main(["simulate", "--config", path, "--out", out, "--quiet"]) == 2
-    err = capsys.readouterr().err
+    message = bad_input_line(capsys, "simulate", "--config", path, "--out", out)
     if artifact is None:
-        assert err.startswith(f"configuration error: cannot create output directory {out}:")
+        assert message.startswith(f"cannot create output directory {out}:")
     else:
-        assert err.startswith(f"configuration error: cannot write over {offending}: ")
+        assert message.startswith(f"cannot write over {offending}: ")
     assert tree(tmp_path) == before
 
 
@@ -307,20 +325,22 @@ class TestVerifyCommand:
                      str(tmp_path / "missing")]) == 2
 
     def test_quiet_keeps_the_error_line(self, tmp_path, capsys):
-        assert main(["verify-identities", "--run", str(tmp_path / "missing"),
-                     "--quiet"]) == 2
-        assert capsys.readouterr().out.startswith("error: cannot read config")
+        missing = tmp_path / "missing"
+        assert bad_input_line(capsys, "verify-identities", "--run", str(missing)) \
+            .startswith(f"cannot read config {missing / 'config.json'}: ")
 
     @pytest.mark.parametrize("report", [
         "[]", '"x"', {"energy_conserved": "false"}, {"area_conserved": 1},
         {"breakdown_kind": False}, {"breakdown_kind": 5},
         {"breakdown_kind": "banana"}, {"breakdown_kind": ""},
         {"all_passed": "true"}, {"a_consistent": None}, {"n_records": 11.0},
-        {"n_records": True}],
+        {"n_records": True}, {"a_quadrature": "0"}, {"t_break": True},
+        {"t_final": [1.0]}],
         ids=["list", "string", "check-as-string", "check-as-number",
              "breakdown-as-false", "breakdown-as-number",
              "breakdown-unknown", "breakdown-empty", "all-passed-as-string",
-             "verdict-as-null", "records-as-float", "records-as-bool"])
+             "verdict-as-null", "records-as-float", "records-as-bool",
+             "a-quadrature-as-string", "t-break-as-bool", "t-final-as-list"])
     def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
                                         report):
         run = tmp_path / "run"
@@ -328,8 +348,8 @@ class TestVerifyCommand:
         if isinstance(report, dict):
             report = json.dumps(dict(still_run["report"], **report))
         (run / "report.json").write_text(report)
-        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
-        assert "solver failure" not in capsys.readouterr().err
+        assert bad_input_line(capsys, "verify-identities", "--run", str(run)) \
+            .startswith(str(run / "report.json"))
 
     @pytest.mark.parametrize("bad", BAD_BYTES.values(), ids=BAD_BYTES.keys())
     @pytest.mark.parametrize("name", ["config.json", "report.json"])
@@ -338,21 +358,51 @@ class TestVerifyCommand:
         run = tmp_path / "run"
         shutil.copytree(still_run["dir"], run)
         (run / name).write_bytes(bad)
-        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
-        assert "solver failure" not in capsys.readouterr().err
+        assert str(run / name) in bad_input_line(capsys, "verify-identities",
+                                                 "--run", str(run))
 
-    @pytest.mark.parametrize("edit", [
-        {"a_consistent": False, "blowup_bound_held": False, "t_star": 1e-9},
-        {"all_passed": False}], ids=["failed-verdicts", "passed-verdicts"])
+    @pytest.mark.parametrize("edit, mismatched", [
+        ({"a_consistent": False, "blowup_bound_held": False, "t_star": 1e-9},
+         "a_consistent, t_star, blowup_bound_held"),
+        ({"all_passed": False}, "all_passed")],
+        ids=["failed-verdicts", "passed-verdicts"])
     def test_all_passed_must_match_the_verdicts(self, ref_run, tmp_path, capsys,
-                                                edit):
-        # all_passed is a_consistent and blowup_bound_held and every check
+                                                edit, mismatched):
+        # all_passed is a_consistent and blowup_bound_held and every check,
+        # each re-derived, so the keys edited are the keys named
         run = tmp_path / "run"
         shutil.copytree(ref_run["dir"], run)
         assert ref_run["report"]["all_passed"] is True
         (run / "report.json").write_text(json.dumps(dict(ref_run["report"], **edit)))
         assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
-        assert "report mismatch: all_passed" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"report mismatch: {mismatched}\n"
+
+    @pytest.mark.parametrize("edit, out", [
+        ({"blowup_bound_held": False, "all_passed": False},
+         "report mismatch: blowup_bound_held, all_passed\n"),
+        ({"a_consistent": False, "a_rel_diff": 0.5, "all_passed": False},
+         "report mismatch: a_rel_diff, a_consistent, all_passed\n"),
+        ({"t_star": 1e-9, "c1": 99}, "report mismatch: c1, t_star\n"),
+        ({"a_virial": 7.0}, "report mismatch: a_virial\n"),
+        ({"t_final": 1.0}, "failed checks: blowup_bound_held\n"
+                           "report mismatch: blowup_bound_held, all_passed\n"),
+        ({"a_quadrature": 7.0}, "failed checks: a_consistent\n"
+                                "report mismatch: a_rel_diff, a_consistent, all_passed\n")],
+        ids=["bound", "a-agreement", "t-star", "a-virial", "t-final", "a-quadrature"])
+    def test_bound_verdicts_are_re_derived(self, small_run, tmp_path, capsys,
+                                           edit, out):
+        # A = L(0), c1 from area(0), T* = c1/A and the two verdicts on them
+        # come from the CSV, the config and the report's a_quadrature,
+        # t_break and t_final, by the rule simulate's report uses.  The
+        # first three edits keep all_passed consistent with the stored
+        # verdicts; the last two edit what the verdicts are derived from.
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        report = json.loads((run / "report.json").read_text())
+        assert report["breakdown_kind"] is None and report["t_final"] < report["t_star"]
+        (run / "report.json").write_text(json.dumps(dict(report, **edit)))
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize("edit", ["copied", "deleted", "n_records"])
     def test_snapshots_must_match_the_records(self, tmp_path, capsys, edit):
@@ -409,9 +459,8 @@ class TestVerifyRejectsWhatNoRunWrites:
         run = tmp_path / "run"
         shutil.copytree(small_run, run)
         edit_cell(run, 2, name, value)
-        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
-        assert (f"error: non-finite values in {run / 'diagnostics.csv'}: {name}"
-                in capsys.readouterr().out)
+        assert bad_input_line(capsys, "verify-identities", "--run", str(run)) == (
+            f"non-finite values in {run / 'diagnostics.csv'}: {name}")
 
     def test_dt_is_nan_at_record_0(self, small_run, capsys):
         # as simulate writes it: no step precedes the first record
@@ -427,9 +476,8 @@ class TestVerifyRejectsWhatNoRunWrites:
         run = tmp_path / "run"
         shutil.copytree(small_run, run)
         edit_cell(run, 0, "t", value)
-        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 2
-        assert (f"error: the first record of {run / 'diagnostics.csv'} is not at t = 0"
-                in capsys.readouterr().out)
+        assert bad_input_line(capsys, "verify-identities", "--run", str(run)) == (
+            f"the first record of {run / 'diagnostics.csv'} is not at t = 0")
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_overflowing_L_squared_is_a_violation(self, small_run, tmp_path,
@@ -642,7 +690,8 @@ class TestValidateBemCommand:
     def test_single_panel_count_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"bem_panel_counts": [32],
                                       "bem_mode_ks": [1]})
-        assert main(["validate-bem", "--config", cfg]) == 2
+        assert bad_input_line(capsys, "validate-bem", "--config", cfg).startswith(
+            "bem_panel_counts needs at least two counts")
 
     def test_largest_float64_mode_runs_without_warning(self, tmp_path, capsys):
         # 224 pi cosh(224 pi) is 1.47e308, the last finite one (225 is
@@ -710,7 +759,7 @@ class TestValidateBemCommand:
         monkeypatch.setattr(bem.kernels, "influence_matrices", broken)
         cfg = RunConfig.from_dict({"bem_panel_counts": [32, 64],
                                    "bem_mode_ks": [1]})
-        assert validate_bem(cfg) == 1
+        assert validate_bem(cfg) is False
         assert flipped == [True, True]
 
 

@@ -6,11 +6,12 @@ appears as a name or attribute anywhere in the package's code; names in
 comments and docstrings do not count, and dunder methods are exempt.  A
 parameter with a default counts as used when some call inside the package,
 matched by the callee's name, passes it by keyword or by position.  A
-third scan keeps ``print`` calls to cli.py, a fourth keeps every import
-at module level, a fifth keeps numpy's linalg and polynomial out of the
-package, and a sixth keeps the box out of the panel kernels.  The last
-scan parses each module of tests/ and finds every name it imports used in
-its code.
+third scan keeps ``print`` calls to cli.py, a fourth keeps returned
+integer literals (the exit codes) to cli.py too, a fifth keeps every
+import at module level, a sixth keeps numpy's linalg and polynomial out of
+the package, and a seventh keeps the box out of the panel kernels.  The
+last scan parses each module of tests/ and finds every name it imports
+used in its code.
 """
 
 import ast
@@ -110,6 +111,32 @@ def test_only_the_command_line_prints():
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert printing == []
+
+
+def _int_literals(node):
+    """The int literals an expression evaluates to as written: itself, a
+    signed literal, or a branch of a conditional expression or of
+    ``and``/``or``; signs are dropped."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return [node.value]
+    if isinstance(node, ast.UnaryOp):
+        return _int_literals(node.operand)
+    if isinstance(node, ast.IfExp):
+        return _int_literals(node.body) + _int_literals(node.orelse)
+    if isinstance(node, ast.BoolOp):
+        return [v for value in node.values for v in _int_literals(value)]
+    return []
+
+
+def test_only_the_command_line_returns_exit_codes():
+    # The commands return whether every check passed and raise ConfigError
+    # for bad input; cli.main alone maps that to the exit codes 0 to 3.
+    returned = {stem: sorted({v for node in ast.walk(tree)
+                              if isinstance(node, ast.Return) and node.value
+                              for v in _int_literals(node.value)})
+                for stem, tree in _modules()}
+    assert returned.pop("cli") == [0, 1, 2, 3]
+    assert {stem: codes for stem, codes in returned.items() if codes} == {}
 
 
 def test_no_import_inside_a_function():

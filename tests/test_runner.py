@@ -218,7 +218,7 @@ class TestEvaluateChecks:
 
 class TestVerifyIdentities:
     def test_fresh_run_matches(self, ref_run):
-        assert verify_identities(ref_run["dir"]) == 0
+        assert verify_identities(ref_run["dir"]) is True
 
     def test_corrupted_L_fails(self, ref_run, tmp_path):
         broken = tmp_path / "broken"
@@ -233,12 +233,10 @@ class TestVerifyIdentities:
             cells[i_L] = "0.001"
             lines[j] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        assert verify_identities(str(broken)) == 1
+        assert verify_identities(str(broken)) is False
 
-    @pytest.mark.parametrize("edit,code", [
-        (None, 0), ("repeat", 2), ("inf", 2)])
-    def test_corrupt_time_column_is_bad_input(self, ref_run, tmp_path, edit,
-                                              code):
+    @pytest.mark.parametrize("edit", [None, "repeat", "inf"])
+    def test_corrupt_time_column_is_bad_input(self, ref_run, tmp_path, edit):
         # A repeated or infinite time made the derivative margins non-finite;
         # dropped as such, they let every check pass with exit 0.
         run = tmp_path / "run"
@@ -252,7 +250,11 @@ class TestVerifyIdentities:
         path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert verify_identities(str(run)) == code
+            if edit is None:
+                assert verify_identities(str(run)) is True
+            else:
+                with pytest.raises(ConfigError):
+                    verify_identities(str(run))
 
     def test_truncated_single_row(self, ref_run, tmp_path, caplog):
         # The first record alone: its CSV row, its snapshot and n_records = 1.
@@ -270,7 +272,7 @@ class TestVerifyIdentities:
             if name != "0000.csv":
                 os.remove(short / "snapshots" / name)
         with caplog.at_level(logging.INFO, logger="wavebox"):
-            assert verify_identities(str(short)) == 1
+            assert verify_identities(str(short)) is False
             assert "recomputed values: riccati_slack" in caplog.text
             assert "leaves them NaN: " + ", ".join(FINITE_FROM) in caplog.text
             caplog.clear()
@@ -278,13 +280,14 @@ class TestVerifyIdentities:
             for name in ("riccati_slack", *FINITE_FROM):
                 row[CSV_FIELDS.index(name)] = "nan"
             path.write_text(f"{lines[0]}\n{','.join(row)}\n")
-            code = verify_identities(str(short))
+            passed = verify_identities(str(short))
         out = caplog.text
-        assert code == 0
+        assert passed is True
         assert "insufficient records" in out
 
     def test_missing_dir(self, tmp_path):
-        assert verify_identities(str(tmp_path / "nope")) == 2
+        with pytest.raises(ConfigError, match="cannot read config"):
+            verify_identities(str(tmp_path / "nope"))
 
     def test_one_record_run(self, ref_run, tmp_path):
         # One record leaves no finite Schwarz slack: margin_schwarz is inf.
@@ -295,13 +298,13 @@ class TestVerifyIdentities:
         for n_records, t_end_cap in ((1, 1e-4), (2, 2e-4)):
             cfg = RunConfig.from_dict(reference_config_dict(t_end_cap=t_end_cap))
             out = str(tmp_path / f"records_{n_records}")
-            assert runner.simulate(cfg, out_dir=out) == 0
+            assert runner.simulate(cfg, out) is True
             with open(os.path.join(out, "report.json")) as fh:
                 report = json.load(fh, parse_constant=reject_constant)
             assert report["n_records"] == n_records
             assert list(report) == keys
             assert report["max_identity_residual"] is None
-            assert verify_identities(out) == 0
+            assert verify_identities(out) is True
             if n_records == 1:
                 assert report["margin_schwarz"] is None
 
@@ -309,7 +312,7 @@ class TestVerifyIdentities:
 class TestRunSimulation:
     def test_still_fluid_reaches_cap(self, still_run):
         report = still_run["report"]
-        assert still_run["code"] == 0
+        assert still_run["passed"] is True
         assert report["breakdown_kind"] is None
         assert report["t_final"] == pytest.approx(1.0)
         assert report["all_passed"]
