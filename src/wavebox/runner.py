@@ -10,12 +10,12 @@ it — so only violated checks fail a run.
 ``_artifact_paths`` names the artifacts of an output directory, and every
 writer and reader takes the names from it.
 
-Verdicts are recomputed from the CSV columns and the configuration, plus the
-three values only the run knows (A by quadrature, the breakdown and final
-times), so that ``verify-identities`` can re-derive them offline from a run
-directory and match the report bit for bit.  The commands return whether
-every check passed and raise ConfigError for bad input; ``cli`` alone turns
-that into an exit code.
+``build_report`` alone lays out a report, from the CSV columns, the
+configuration, c1 and the values of ``RUN_KEYS``, which only a run knows.
+``simulate`` takes those from the run, ``verify-identities`` from the stored
+report: it rebuilds the report offline and compares every other key.  The
+commands return whether every check passed and raise ConfigError for bad
+input; ``cli`` alone turns that into an exit code.
 """
 
 from __future__ import annotations
@@ -148,16 +148,14 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be positive")
             elif f.type == "str" and not isinstance(value, str):
                 raise ConfigError(f"{f.name} must be a string, got {value!r}")
+            elif f.type == "tuple[int, ...]":
+                object.__setattr__(self, f.name, tuple(
+                    _checked_number(f"{f.name} entry", n, integral=True)
+                    for n in value))
         object.__setattr__(self, "modes", tuple(
             (_checked_number("mode wavenumber", k, integral=True),
              float(_checked_number("mode coefficient", a)))
             for k, a in self.modes))
-        object.__setattr__(self, "bem_panel_counts", tuple(
-            _checked_number("bem_panel_counts entry", n, integral=True)
-            for n in self.bem_panel_counts))
-        object.__setattr__(self, "bem_mode_ks", tuple(
-            _checked_number("bem_mode_ks entry", k, integral=True)
-            for k in self.bem_mode_ks))
         counts = self.bem_panel_counts
         if (len(counts) < 2 or counts[0] < 8
                 or any(a >= b for a, b in zip(counts, counts[1:]))):
@@ -329,7 +327,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
 
 
 # ---------------------------------------------------------------------------
-# verdicts (shared by simulate and verify-identities; CSV columns only)
+# verdicts and the report (shared by simulate and verify-identities)
 # ---------------------------------------------------------------------------
 
 def _min_or(values: FloatArray) -> float:
@@ -462,70 +460,55 @@ CHECK_KEYS = ("energy_conserved", "area_conserved", "pressure_positive",
 # A run passes when A's two evaluations agree, the blow-up bound held and
 # every check held.
 VERDICT_KEYS = ("a_consistent", "blowup_bound_held", *CHECK_KEYS)
+# The report keys only a run knows: verify-identities takes them as stored
+# and re-derives every other key.
+RUN_KEYS = ("a_quadrature", "t_break", "breakdown_kind", "breakdown_detail",
+            "t_final", "n_steps", "p_absmax_max", "max_corner_residual")
 
 
-def _verdicts(cfg: RunConfig, table: dict[str, FloatArray], c1: float,
-              a_quadrature: float, broke: bool, t_break: float,
-              t_final: float) -> tuple[dict, dict]:
-    """A run's verdicts, for its report and for verify-identities alike.
+def build_report(cfg: RunConfig, columns: dict[str, FloatArray], c1: float,
+                 run: dict) -> dict:
+    """The flat verification report, written as is (insertion order is frozen).
 
-    From the CSV columns of ``table``, the configuration, c1 and what the
-    run alone knows: A by quadrature, whether and when it broke down, and
-    where it stopped.  Returns ``evaluate_checks``' dict and, in report
-    order, A = L(0), its relative difference from the quadrature, their
-    agreement, c1, T* = c1/A, whether the breakdown or final time kept
-    within T*, and ``all_passed``.
+    From the CSV columns of a table, the configuration, c1 and ``run``, the
+    values of ``RUN_KEYS``; a run broke down when its ``breakdown_kind`` is
+    not None.  Besides ``evaluate_checks``' keys, the report holds A = L(0),
+    its relative difference from A by quadrature and their agreement, c1,
+    T* = c1/A, whether the breakdown or final time kept within T*, and
+    ``all_passed`` over ``VERDICT_KEYS``.
     """
-    checks = evaluate_checks(table, cfg, broke)
-    a = float(table["L"][0])
-    a_rel_diff = abs(a - a_quadrature) / max(1.0, abs(a_quadrature))
+    broke = run["breakdown_kind"] is not None
+    checks = evaluate_checks(columns, cfg, broke)
+    a = float(columns["L"][0])
+    a_rel_diff = abs(a - run["a_quadrature"]) / max(1.0, abs(run["a_quadrature"]))
     t_star = blowup_bound(a, c1) if checks["riccati_checked"] else math.nan
     # as in evaluate_checks, only a measured overrun fails: a NaN bound holds
     bound = t_star * (1.0 + cfg.bound_slack)
-    derived = {
+    report = {
+        "a_quadrature": run["a_quadrature"],
         "a_virial": a,
         "a_rel_diff": a_rel_diff,
         "a_consistent": bool(a_rel_diff <= cfg.a_match_tol),
         "c1": c1,
         "t_star": t_star,
-        "blowup_bound_held": (not t_break > bound if broke
-                              else not t_final >= bound),
-    }
-    verdicts = {**checks, **derived}
-    derived["all_passed"] = all(verdicts[k] for k in VERDICT_KEYS)
-    return checks, derived
-
-
-def build_report(cfg: RunConfig, result: SimulationResult) -> dict:
-    """Flat verification report, written as is (insertion order is frozen)."""
-    table = result.table
-    broke = result.breakdown is not None
-    t_break = result.breakdown.t_break if broke else math.nan
-    checks, derived = _verdicts(cfg, table, result.c1, result.a_quadrature,
-                                broke, t_break, result.t_final)
-    report = {
-        "a_quadrature": result.a_quadrature,
-        "a_virial": derived["a_virial"],
-        "a_rel_diff": derived["a_rel_diff"],
-        "a_consistent": derived["a_consistent"],
-        "c1": derived["c1"],
-        "t_star": derived["t_star"],
-        "t_break": t_break,
-        "breakdown_kind": result.breakdown.kind if broke else None,
-        "breakdown_detail": result.breakdown.detail if broke else None,
-        "t_final": result.t_final,
-        "blowup_bound_held": derived["blowup_bound_held"],
-        "all_passed": derived["all_passed"],
-        "n_records": table["t"].size,
-        "n_steps": result.n_steps,
+        "t_break": run["t_break"],
+        "breakdown_kind": run["breakdown_kind"],
+        "breakdown_detail": run["breakdown_detail"],
+        "t_final": run["t_final"],
+        "blowup_bound_held": (not run["t_break"] > bound if broke
+                              else not run["t_final"] >= bound),
+        "all_passed": None,             # set below, once every verdict is in
+        "n_records": columns["t"].size,
+        "n_steps": run["n_steps"],
         "n_markers": cfg.n_markers,
         "wall_panels_per_side": cfg.wall_panels_per_side,
         "record_dt": cfg.record_dt,
-        "area0": table["area"][0],
-        "p_absmax_max": _max_or(table["p_absmax"], math.nan),
-        "max_corner_residual": _max_or(table["corner_residual"], math.nan),
+        "area0": columns["area"][0],
+        "p_absmax_max": run["p_absmax_max"],
+        "max_corner_residual": run["max_corner_residual"],
+        **checks,
     }
-    report.update(checks)
+    report["all_passed"] = all(report[k] for k in VERDICT_KEYS)
     return report
 
 
@@ -586,24 +569,28 @@ def write_report(path: str, report: dict):
 
 
 def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
-    """CSV columns by name; ValueError on a malformed file or time column,
-    or on a non-finite value in a primary column.
+    """CSV columns by name; ValueError, naming the path, on a malformed file
+    or time column, or on a non-finite value in a primary column.
 
     The ``t`` column must start at 0, as every run's does, and pass
     ``record_steps``, as in ``fill_derived``, so the derivative checks never
     see a repeated, non-finite or uneven time, nor the envelope a negative one.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
     expected = list(CSV_FIELDS)
-    if header != expected:
-        raise ValueError(f"unexpected diagnostics header: {header}")
-    if not rows:
-        raise ValueError(f"{path} has no data rows")
-    data = np.array([[float(cell) for cell in row] for row in rows])
-    if data.shape[1] != len(expected):
-        raise ValueError(f"{path} is ragged")
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+        if header != expected:
+            raise ValueError(f"unexpected header {header}")
+        if not rows:
+            raise ValueError("no data rows")
+        # a non-numeric cell, or rows of different lengths, raise here
+        data = np.array([[float(cell) for cell in row] for row in rows])
+        if data.shape[1] != len(expected):
+            raise ValueError("rows do not match the header")
+    except ValueError as exc:           # bad UTF-8 too
+        raise ValueError(f"{path}: {exc}") from exc
     columns = {name: data[:, j] for j, name in enumerate(expected)}
     # A run measures every primary column at every record, except dt at
     # record 0, which no step precedes.
@@ -613,7 +600,10 @@ def read_diagnostics_csv(path: str) -> dict[str, FloatArray]:
         raise ValueError(f"non-finite values in {path}: {', '.join(not_finite)}")
     if columns["t"][0] != 0.0:
         raise ValueError(f"the first record of {path} is not at t = 0")
-    record_steps(columns["t"])
+    try:
+        record_steps(columns["t"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return columns
 
 
@@ -653,7 +643,16 @@ def simulate(cfg: RunConfig, out_dir: str) -> bool:
     _clear_artifacts(out_dir)
     cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(out_dir)
     result = run_simulation(cfg)
-    report = build_report(cfg, result)
+    breakdown = result.breakdown
+    report = build_report(cfg, result.table, result.c1, {
+        "a_quadrature": result.a_quadrature,
+        "t_break": breakdown.t_break if breakdown else math.nan,
+        "breakdown_kind": breakdown.kind if breakdown else None,
+        "breakdown_detail": breakdown.detail if breakdown else None,
+        "t_final": result.t_final,
+        "n_steps": result.n_steps,
+        "p_absmax_max": _max_or(result.table["p_absmax"], math.nan),
+        "max_corner_residual": _max_or(result.table["corner_residual"], math.nan)})
 
     with open(cfg_path, "w", newline="\n") as fh:
         json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
@@ -662,9 +661,9 @@ def simulate(cfg: RunConfig, out_dir: str) -> bool:
     write_snapshots(snapshot_dir, result.snapshots)
     write_report(report_path, report)
 
-    if result.breakdown is not None:
-        log.info("breakdown: %s at t=%.6g (%s)", result.breakdown.kind,
-                 result.breakdown.t_break, result.breakdown.detail)
+    if breakdown:
+        log.info("breakdown: %s at t=%.6g (%s)", breakdown.kind, breakdown.t_break,
+                 breakdown.detail)
     else:
         log.info("reached time cap t=%.6g", result.t_final)
     log.info("report: all_passed=%s", report["all_passed"])
@@ -697,9 +696,9 @@ def _reads_back(stored, value) -> bool:
 
 
 def verify_identities(run_dir: str) -> bool:
-    """Offline re-check of a run directory: whether every verdict holds
-    and matches the stored report.  ConfigError for a run directory no
-    run writes."""
+    """Offline re-check of a run directory: whether every verdict holds and
+    the report ``build_report`` rebuilds from it matches the stored one.
+    ConfigError for a run directory no run writes."""
     cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(run_dir)
     try:
         cfg = RunConfig.from_json(cfg_path)
@@ -716,13 +715,12 @@ def verify_identities(run_dir: str) -> bool:
         if not (kind is None or kind in BREAKDOWN_KINDS):
             raise ValueError(f"{report_path}: breakdown_kind is neither "
                              f"null nor a breakdown kind: {kind!r}")
-        n_records = stored.get("n_records")
-        if type(n_records) is not int:
+        if type(stored.get("n_records")) is not int:
             raise ValueError(f"{report_path}: n_records is not an integer")
         # what the run alone knows, taken as written
-        a_quadrature, t_break, t_final = (
-            _stored_number(report_path, stored, key)
-            for key in ("a_quadrature", "t_break", "t_final"))
+        run = {key: stored.get(key) for key in RUN_KEYS}
+        run.update((key, _stored_number(report_path, stored, key))
+                   for key in ("a_quadrature", "t_break", "t_final"))
         snapshots = set(os.listdir(snapshot_dir))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -742,23 +740,22 @@ def verify_identities(run_dir: str) -> bool:
     misplaced = [name for name, least in FINITE_FROM.items()
                  if not (np.isfinite if n >= least else np.isnan)(columns[name]).all()]
     columns.update(recomputed)
-    checks, derived = _verdicts(cfg, columns, c1, a_quadrature, kind is not None,
-                                t_break, t_final)
-    verdicts = {**checks, **derived}
+    report = build_report(cfg, columns, c1, run)
 
-    if not checks["derivatives_checked"]:
+    if not report["derivatives_checked"]:
         log.info("insufficient records: derivative checks skipped")
 
-    failed = [k for k in VERDICT_KEYS if not verdicts[k]]
-    mismatched = [k for k in (*derived, *CHECK_KEYS)
-                  if not (k in stored and _reads_back(stored[k], verdicts[k]))]
+    failed = [k for k in VERDICT_KEYS if not report[k]]
+    # Run-only keys are not compared: 1.0 edited into t_final reads back as 1.
+    mismatched = [k for k, value in report.items() if k not in RUN_KEYS
+                  and not (k in stored and _reads_back(stored[k], value))]
     # one snapshot per record, named as write_snapshots names them; the
     # directory is only listed, never read
-    if n_records != n or snapshots != {_SNAPSHOT_NAME.format(i) for i in range(n)}:
+    if snapshots != {_SNAPSHOT_NAME.format(i) for i in range(n)}:
         mismatched.append(os.path.basename(snapshot_dir))
     for key in CHECK_KEYS:
         note = " (mismatches report)" if key in mismatched else ""
-        log.info("  %s: %s%s", key, checks[key], note)
+        log.info("  %s: %s%s", key, report[key], note)
     if failed:
         log.warning("failed checks: %s", ", ".join(failed))
     if mismatched:

@@ -404,8 +404,26 @@ class TestVerifyCommand:
         assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
         assert capsys.readouterr().out == out
 
-    @pytest.mark.parametrize("edit", ["copied", "deleted", "n_records"])
-    def test_snapshots_must_match_the_records(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("key, value", [
+        ("margin_pressure", -5), ("energy_drift_max", 1e9), ("area0", 99),
+        ("riccati_checked", False)])
+    def test_margins_and_metadata_are_re_derived(self, small_run, tmp_path, capsys,
+                                                 key, value):
+        # Every key outside RUN_KEYS is rebuilt from the run directory, so an
+        # edited margin, resolution or flag is named though no verdict moves.
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        report = json.loads((run / "report.json").read_text())
+        assert key not in runner.RUN_KEYS and report[key] != value
+        (run / "report.json").write_text(json.dumps(dict(report, **{key: value})))
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert capsys.readouterr().out == f"report mismatch: {key}\n"
+
+    @pytest.mark.parametrize("edit, mismatched", [
+        ("copied", "snapshots"), ("deleted", "snapshots"), ("n_records", "n_records")],
+        ids=["copied", "deleted", "n_records"])
+    def test_snapshots_must_match_the_records(self, tmp_path, capsys, edit,
+                                              mismatched):
         # The still fluid's 11 records: snapshots/ must hold 0000.csv to
         # 0010.csv, and report.json must say 11.
         cfg = write_config(tmp_path, dict(still_config_dict(), t_end_cap=0.5))
@@ -421,7 +439,7 @@ class TestVerifyCommand:
             report = json.loads((out / "report.json").read_text())
             (out / "report.json").write_text(json.dumps(dict(report, n_records=12)))
         assert main(["verify-identities", "--run", str(out), "--quiet"]) == 1
-        assert "report mismatch: snapshots" in capsys.readouterr().out
+        assert f"report mismatch: {mismatched}" in capsys.readouterr().out
 
 
 # The columns a run measures; every record has them finite, except dt at
@@ -478,6 +496,23 @@ class TestVerifyRejectsWhatNoRunWrites:
         edit_cell(run, 0, "t", value)
         assert bad_input_line(capsys, "verify-identities", "--run", str(run)) == (
             f"the first record of {run / 'diagnostics.csv'} is not at t = 0")
+
+    @pytest.mark.parametrize("name, message", [
+        ("L", "could not convert string to float: 'x'"),
+        ("t", "record times do not increase strictly")],
+        ids=["non-numeric-L", "repeated-t"])
+    def test_csv_error_names_the_file(self, small_run, tmp_path, capsys, name,
+                                      message):
+        # Row 2's L cell set to x, or its t cell to row 1's.
+        run = tmp_path / "run"
+        shutil.copytree(small_run, run)
+        path = run / "diagnostics.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        j = CSV_FIELDS.index(name)
+        rows[3][j] = "x" if name == "L" else rows[2][j]
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert bad_input_line(capsys, "verify-identities", "--run", str(run)) == (
+            f"{path}: {message}")
 
     @pytest.mark.parametrize("value", [1e308, -1e308])
     def test_overflowing_L_squared_is_a_violation(self, small_run, tmp_path,
@@ -627,12 +662,14 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
     # One CSV cell, one report key or one snapshot name edited:
     # verify-identities exits 0, 1 or 2, never 3; a non-finite primary cell
     # is always bad input, a recomputed cell whose bits change always fails,
-    # and so does a non-finite slack or residual, and a snapshot edit never
-    # passes.
+    # and so does a non-finite slack or residual; a snapshot edit never
+    # passes, nor does a report edit that changes what a key outside
+    # RUN_KEYS reads back as.
     csv, report = fuzzed_run / "diagnostics.csv", fuzzed_run / "report.json"
     snapshots = fuzzed_run / "snapshots"
     originals = {path: path.read_text() for path in (csv, report)}
     target = data.draw(st.sampled_from(["csv", "report", "snapshots"]), label="edit")
+    bad_input = altered = rejected = False
     try:
         if target == "csv":
             row = data.draw(st.integers(0, 10), label="row")
@@ -647,20 +684,22 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
         elif target == "report":
             stored = json.loads(originals[report])
             key = data.draw(st.sampled_from(sorted(stored)), label="key")
-            stored[key] = data.draw(REPORT_VALUES, label="value")
+            value = data.draw(REPORT_VALUES, label="value")
+            rejected = key not in runner.RUN_KEYS and not (
+                type(value) is type(stored[key]) and value == stored[key])
+            stored[key] = value
             report.write_text(json.dumps(stored))
-            bad_input = altered = False
         else:
             edit_snapshots(snapshots, data)
+            rejected = True
         code = main(["verify-identities", "--run", str(fuzzed_run), "--quiet"])
-        if target == "snapshots":
+        assert code in (0, 1, 2)
+        if bad_input:
+            assert code == 2
+        if altered:
+            assert code == 1
+        if rejected:
             assert code in (1, 2)
-        else:
-            assert code in (0, 1, 2)
-            if bad_input:
-                assert code == 2
-            if altered:
-                assert code == 1
     finally:
         for path, text in originals.items():
             path.write_text(text)

@@ -260,7 +260,8 @@ class TestVerifyIdentities:
         # The first record alone: its CSV row, its snapshot and n_records = 1.
         # Its slacks and residuals were written from all the records, so they
         # are finite where a one-record run leaves NaN; set to NaN, the
-        # row is what a one-record run writes.
+        # row is what a one-record run writes, and so, with the keys it
+        # re-derives taken from a one-record run's, is the report.
         short = tmp_path / "short"
         shutil.copytree(ref_run["dir"], short)
         path = short / "diagnostics.csv"
@@ -280,6 +281,14 @@ class TestVerifyIdentities:
             for name in ("riccati_slack", *FINITE_FROM):
                 row[CSV_FIELDS.index(name)] = "nan"
             path.write_text(f"{lines[0]}\n{','.join(row)}\n")
+            one = tmp_path / "one"
+            cfg = RunConfig.from_dict(reference_config_dict(t_end_cap=1e-4))
+            assert runner.simulate(cfg, str(one)) is True
+            assert (one / "diagnostics.csv").read_text() == path.read_text()
+            report = json.loads((one / "report.json").read_text())
+            (short / "report.json").write_text(json.dumps(dict(
+                ref_run["report"], **{key: value for key, value in report.items()
+                                      if key not in runner.RUN_KEYS})))
             passed = verify_identities(str(short))
         out = caplog.text
         assert passed is True
