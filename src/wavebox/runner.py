@@ -11,11 +11,11 @@ it — so only violated checks fail a run.
 writer and reader takes the names from it.
 
 ``build_report`` alone lays out a report, from the CSV columns, the
-configuration, c1 and the values of ``RUN_KEYS``, which only a run knows.
-``simulate`` takes those from the run, ``verify-identities`` from the stored
-report: it rebuilds the report offline and compares every other key.  The
-commands return whether every check passed and raise ConfigError for bad
-input; ``cli`` alone turns that into an exit code.
+configuration, c1 and ``run``, the values of ``RUN_KEYS``, which only a run
+knows: ``run_simulation`` returns them, ``verify-identities`` reads them from
+the stored report, rebuilds it offline and compares every other key and the
+key sets.  The commands return whether every check passed and raise
+ConfigError for bad input; ``cli`` alone turns that into an exit code.
 """
 
 from __future__ import annotations
@@ -225,11 +225,8 @@ class SimulationResult:
 
     table: dict[str, FloatArray]    # one float64 column per record field
     snapshots: list[FloatArray]     # (n,2) marker positions per record
-    breakdown: BreakdownError | None
-    n_steps: int
-    t_final: float
-    a_quadrature: float
     c1: float
+    run: dict                       # the values of RUN_KEYS
 
 
 def _collect_record(state: FlowState, dt_used: float,
@@ -258,7 +255,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Integrate from the configured initial data, recording diagnostics.
 
     Logs one INFO line per record.  Stops at the time cap or at the
-    BreakdownError any detector raises (recorded, not re-raised).  Raises
+    BreakdownError any detector raises at the loop state's time.  Raises
     FloatingPointError for a record whose pressure is not finite: data
     large enough for the pressure solve to overflow inside BLAS, which
     raises no warning, give NaN there, and no run may write a record that
@@ -269,7 +266,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                                  cfg.wall_panels_per_side)
     records: list[dict[str, float]] = []
     snapshots: list[FloatArray] = []
-    breakdown: BreakdownError | None = None
+    kind = detail = None
     n_steps = 0
     next_record = 0.0
     last_dt = math.nan
@@ -309,9 +306,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
             if cfg.redistribute_every and n_steps % cfg.redistribute_every == 0:
                 state = redistribute_markers(state)
     except BreakdownError as exc:
-        # kept as the outcome, with no traceback to hold the loop's frames
-        breakdown = exc.with_traceback(None)
-        breakdown.__cause__ = breakdown.__context__ = None
+        kind, detail = exc.kind, exc.detail
 
     # the t = 0 record is always taken: the initial surface is flat
     table = {name: np.array([r[name] for r in records], dtype=np.float64)
@@ -320,10 +315,11 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
         build_boundary_mesh(flat_interface(cfg.n_markers),
                             cfg.wall_panels_per_side)))
     fill_derived(table, c1, records[0]["L"])
-    return SimulationResult(table=table, snapshots=snapshots,
-                            breakdown=breakdown, n_steps=n_steps,
-                            t_final=state.t, a_quadrature=initial_A(potential),
-                            c1=c1)
+    return SimulationResult(table=table, snapshots=snapshots, c1=c1, run={
+        "a_quadrature": initial_A(potential), "breakdown_kind": kind,
+        "breakdown_detail": detail, "t_final": state.t, "n_steps": n_steps,
+        "p_absmax_max": _max_or(table["p_absmax"], math.nan),
+        "max_corner_residual": _max_or(table["corner_residual"], math.nan)})
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +456,11 @@ CHECK_KEYS = ("energy_conserved", "area_conserved", "pressure_positive",
 # A run passes when A's two evaluations agree, the blow-up bound held and
 # every check held.
 VERDICT_KEYS = ("a_consistent", "blowup_bound_held", *CHECK_KEYS)
-# The report keys only a run knows: verify-identities takes them as stored
-# and re-derives every other key.
-RUN_KEYS = ("a_quadrature", "t_break", "breakdown_kind", "breakdown_detail",
-            "t_final", "n_steps", "p_absmax_max", "max_corner_residual")
+# The report keys only a run knows, with the type it writes: a float is a number or
+# null (not finite), a string null unless the run broke down, an int never null.
+RUN_KEYS = {"a_quadrature": float, "breakdown_kind": str, "breakdown_detail": str,
+            "t_final": float, "n_steps": int, "p_absmax_max": float,
+            "max_corner_residual": float}
 
 
 def build_report(cfg: RunConfig, columns: dict[str, FloatArray], c1: float,
@@ -472,12 +469,13 @@ def build_report(cfg: RunConfig, columns: dict[str, FloatArray], c1: float,
 
     From the CSV columns of a table, the configuration, c1 and ``run``, the
     values of ``RUN_KEYS``; a run broke down when its ``breakdown_kind`` is
-    not None.  Besides ``evaluate_checks``' keys, the report holds A = L(0),
-    its relative difference from A by quadrature and their agreement, c1,
-    T* = c1/A, whether the breakdown or final time kept within T*, and
-    ``all_passed`` over ``VERDICT_KEYS``.
+    not None.  Besides ``evaluate_checks``' keys and ``run``, the report
+    holds A = L(0), its relative difference from A by quadrature and their
+    agreement, c1, T* = c1/A, ``t_break`` (``t_final`` after a breakdown,
+    else NaN), whether it or t_final kept within T*, and ``all_passed``.
     """
     broke = run["breakdown_kind"] is not None
+    t_break = run["t_final"] if broke else math.nan
     checks = evaluate_checks(columns, cfg, broke)
     a = float(columns["L"][0])
     a_rel_diff = abs(a - run["a_quadrature"]) / max(1.0, abs(run["a_quadrature"]))
@@ -491,11 +489,11 @@ def build_report(cfg: RunConfig, columns: dict[str, FloatArray], c1: float,
         "a_consistent": bool(a_rel_diff <= cfg.a_match_tol),
         "c1": c1,
         "t_star": t_star,
-        "t_break": run["t_break"],
+        "t_break": t_break,
         "breakdown_kind": run["breakdown_kind"],
         "breakdown_detail": run["breakdown_detail"],
         "t_final": run["t_final"],
-        "blowup_bound_held": (not run["t_break"] > bound if broke
+        "blowup_bound_held": (not t_break > bound if broke
                               else not run["t_final"] >= bound),
         "all_passed": None,             # set below, once every verdict is in
         "n_records": columns["t"].size,
@@ -643,16 +641,7 @@ def simulate(cfg: RunConfig, out_dir: str) -> bool:
     _clear_artifacts(out_dir)
     cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(out_dir)
     result = run_simulation(cfg)
-    breakdown = result.breakdown
-    report = build_report(cfg, result.table, result.c1, {
-        "a_quadrature": result.a_quadrature,
-        "t_break": breakdown.t_break if breakdown else math.nan,
-        "breakdown_kind": breakdown.kind if breakdown else None,
-        "breakdown_detail": breakdown.detail if breakdown else None,
-        "t_final": result.t_final,
-        "n_steps": result.n_steps,
-        "p_absmax_max": _max_or(result.table["p_absmax"], math.nan),
-        "max_corner_residual": _max_or(result.table["corner_residual"], math.nan)})
+    report = build_report(cfg, result.table, result.c1, result.run)
 
     with open(cfg_path, "w", newline="\n") as fh:
         json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
@@ -661,11 +650,11 @@ def simulate(cfg: RunConfig, out_dir: str) -> bool:
     write_snapshots(snapshot_dir, result.snapshots)
     write_report(report_path, report)
 
-    if breakdown:
-        log.info("breakdown: %s at t=%.6g (%s)", breakdown.kind, breakdown.t_break,
-                 breakdown.detail)
+    if report["breakdown_kind"]:
+        log.info("breakdown: %s at t=%.6g (%s)", report["breakdown_kind"],
+                 report["t_break"], report["breakdown_detail"])
     else:
-        log.info("reached time cap t=%.6g", result.t_final)
+        log.info("reached time cap t=%.6g", report["t_final"])
     log.info("report: all_passed=%s", report["all_passed"])
     return report["all_passed"]
 
@@ -677,15 +666,25 @@ def _differs(stored: FloatArray, recomputed: FloatArray) -> bool:
                        & ~both_nan))
 
 
-def _stored_number(report_path: str, stored: dict, key: str) -> float:
-    """A report value that must be a number, as a float; null is NaN, as
-    ``write_report`` writes it.  ValueError for anything else."""
-    value = stored.get(key)
-    if value is None:
-        return math.nan
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{report_path}: {key} is not a number or null")
-    return float(value)
+def _stored_run(report_path: str, stored: dict) -> dict:
+    """``RUN_KEYS``' values in a stored report as a run passes them to ``build_report``,
+    a missing key's as null; ValueError for one no run writes: of another type, a
+    non-finite float, an unknown breakdown kind, or just one breakdown key null."""
+    run = {}
+    for key, kind in RUN_KEYS.items():
+        value = run[key] = stored.get(key)
+        if kind is float:
+            run[key] = math.nan if value is None else float(
+                _checked_number(f"{report_path}: {key}", value))
+        elif key in stored and not (type(value) is kind
+                                    or kind is str and value is None):
+            raise ValueError(f"{report_path}: no run writes {value!r} as {key}")
+    kind, detail = run["breakdown_kind"], run["breakdown_detail"]
+    if (kind not in (None, *BREAKDOWN_KINDS) or (kind is None) != (detail is None)
+            and {"breakdown_kind", "breakdown_detail"} <= stored.keys()):
+        raise ValueError(f"{report_path}: no run writes breakdown_kind {kind!r} "
+                         f"with breakdown_detail {detail!r}")
+    return run
 
 
 def _reads_back(stored, value) -> bool:
@@ -711,16 +710,9 @@ def verify_identities(run_dir: str) -> bool:
         if not_bool:
             raise ValueError(f"{report_path}: not true or false: "
                              f"{', '.join(not_bool)}")
-        kind = stored.get("breakdown_kind")
-        if not (kind is None or kind in BREAKDOWN_KINDS):
-            raise ValueError(f"{report_path}: breakdown_kind is neither "
-                             f"null nor a breakdown kind: {kind!r}")
         if type(stored.get("n_records")) is not int:
             raise ValueError(f"{report_path}: n_records is not an integer")
-        # what the run alone knows, taken as written
-        run = {key: stored.get(key) for key in RUN_KEYS}
-        run.update((key, _stored_number(report_path, stored, key))
-                   for key in ("a_quadrature", "t_break", "t_final"))
+        run = _stored_run(report_path, stored)     # what the run alone knows
         snapshots = set(os.listdir(snapshot_dir))
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -746,9 +738,16 @@ def verify_identities(run_dir: str) -> bool:
         log.info("insufficient records: derivative checks skipped")
 
     failed = [k for k in VERDICT_KEYS if not report[k]]
-    # Run-only keys are not compared: 1.0 edited into t_final reads back as 1.
-    mismatched = [k for k, value in report.items() if k not in RUN_KEYS
-                  and not (k in stored and _reads_back(stored[k], value))]
+    # Run values are not compared (1.0 edited into t_final reads back as 1), but a
+    # run ends at its last record or later, and at the cap unless it broke down;
+    # it steps before each record but the first.
+    t_end = max(columns["t"][-1], cfg.t_end_cap - RECORD_TIME_SLOP
+                if run["breakdown_kind"] is None else -math.inf)
+    unlike_a_run = {"t_final": not run["t_final"] >= t_end,
+                    "n_steps": run["n_steps"] is not None and run["n_steps"] < n - 1}
+    mismatched = [k for k, value in report.items() if k not in stored or unlike_a_run.get(k)
+                  or k not in RUN_KEYS and not _reads_back(stored[k], value)]
+    mismatched += [k for k in stored if k not in report]    # no run writes them
     # one snapshot per record, named as write_snapshots names them; the
     # directory is only listed, never read
     if snapshots != {_SNAPSHOT_NAME.format(i) for i in range(n)}:

@@ -334,15 +334,22 @@ class TestVerifyCommand:
         {"breakdown_kind": False}, {"breakdown_kind": 5},
         {"breakdown_kind": "banana"}, {"breakdown_kind": ""},
         {"all_passed": "true"}, {"a_consistent": None}, {"n_records": 11.0},
-        {"n_records": True}, {"a_quadrature": "0"}, {"t_break": True},
-        {"t_final": [1.0]}],
+        {"n_records": True}, {"a_quadrature": "0"}, {"t_final": [1.0]},
+        {"t_final": math.inf}, {"a_quadrature": 10 ** 400}, {"n_steps": "banana"},
+        {"n_steps": 118.0}, {"p_absmax_max": "x"}, {"breakdown_detail": 5},
+        {"max_corner_residual": True}, {"breakdown_detail": "x"},
+        {"breakdown_kind": "self_intersection"}],
         ids=["list", "string", "check-as-string", "check-as-number",
              "breakdown-as-false", "breakdown-as-number",
              "breakdown-unknown", "breakdown-empty", "all-passed-as-string",
              "verdict-as-null", "records-as-float", "records-as-bool",
-             "a-quadrature-as-string", "t-break-as-bool", "t-final-as-list"])
+             "a-quadrature-as-string", "t-final-as-list", "t-final-as-infinity",
+             "a-quadrature-beyond-float64", "steps-as-string", "steps-as-float",
+             "p-absmax-as-string", "detail-as-number", "corner-residual-as-bool", "detail-without-kind",
+             "kind-without-detail"])
     def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
                                         report):
+        # The still fluid did not break down: both breakdown keys are null.
         run = tmp_path / "run"
         shutil.copytree(still_run["dir"], run)
         if isinstance(report, dict):
@@ -393,7 +400,7 @@ class TestVerifyCommand:
                                            edit, out):
         # A = L(0), c1 from area(0), T* = c1/A and the two verdicts on them
         # come from the CSV, the config and the report's a_quadrature,
-        # t_break and t_final, by the rule simulate's report uses.  The
+        # breakdown_kind and t_final, by the rule simulate's report uses.  The
         # first three edits keep all_passed consistent with the stored
         # verdicts; the last two edit what the verdicts are derived from.
         run = tmp_path / "run"
@@ -418,6 +425,47 @@ class TestVerifyCommand:
         (run / "report.json").write_text(json.dumps(dict(report, **{key: value})))
         assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
         assert capsys.readouterr().out == f"report mismatch: {key}\n"
+
+    @pytest.mark.parametrize("name, edit", [
+        ("still_run", {"t_break": 0.5}), ("still_run", {"t_break": True}),
+        ("ref_run", {"t_break": 0.001}), ("still_run", {"extra_key": 1}),
+        ("still_run", {"t_final": 0.5}), ("dense_run", {"t_final": 5e-5}),
+        ("dense_run", {"n_steps": 9}), ("ref_run", {"n_steps": 3})],
+        ids=["still-t-break", "t-break-as-bool", "blowup-t-break", "extra-key",
+             "still-t-final", "dense-t-final", "dense-n-steps", "blowup-n-steps"])
+    def test_edit_of_what_a_run_writes_is_named(self, request, tmp_path, capsys,
+                                                name, edit):
+        # t_break is t_final after a breakdown and null without one, and a
+        # run writes exactly the keys build_report lays out.  A run ends at
+        # or after its last record, and at the time cap unless it broke
+        # down, and takes a step before every record but the first: the
+        # still fluid stops at its cap, 1; the record-dense run after 10
+        # steps at its last record, 1e-4; the blow-up run after 118 steps
+        # and 15 records.
+        source = request.getfixturevalue(name)
+        run = tmp_path / "run"
+        shutil.copytree(source["dir"], run)
+        (run / "report.json").write_text(json.dumps(dict(source["report"], **edit)))
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert capsys.readouterr().out == f"report mismatch: {', '.join(edit)}\n"
+
+    @pytest.mark.parametrize("key", list(runner.RUN_KEYS))
+    @pytest.mark.parametrize("name", ["still_run", "ref_run"])
+    def test_deleted_run_key_is_a_mismatch(self, request, tmp_path, capsys, name,
+                                           key):
+        # A run writes every key of RUN_KEYS, so one missing is named, on a
+        # run that broke down and on one that did not; without a_quadrature
+        # the verdict a_consistent fails too.
+        source = request.getfixturevalue(name)
+        run = tmp_path / "run"
+        shutil.copytree(source["dir"], run)
+        report = dict(source["report"])
+        del report[key]
+        (run / "report.json").write_text(json.dumps(report))
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        *failed, mismatched = capsys.readouterr().out.splitlines()
+        assert failed == (["failed checks: a_consistent"] if key == "a_quadrature" else [])
+        assert key in mismatched.removeprefix("report mismatch: ").split(", ")
 
     @pytest.mark.parametrize("edit, mismatched", [
         ("copied", "snapshots"), ("deleted", "snapshots"), ("n_records", "n_records")],
@@ -445,6 +493,20 @@ class TestVerifyCommand:
 # The columns a run measures; every record has them finite, except dt at
 # record 0, which no step precedes.
 PRIMARY = tuple(name for name in CSV_FIELDS if name not in DERIVED_FIELDS)
+
+
+@pytest.fixture(scope="module")
+def dense_run(tmp_path_factory):
+    """A run of the reference datum at 24/8 that records after every step:
+    10 steps and 11 records, its final time its last record's, 1e-4."""
+    out = tmp_path_factory.mktemp("dense_run") / "run"
+    cfg = RunConfig.from_dict(reference_config_dict(
+        n_markers=24, wall_panels_per_side=8, record_dt=1e-5, t_end_cap=1e-4))
+    assert runner.simulate(cfg, str(out)) is True
+    report = json.loads((out / "report.json").read_text())
+    assert (report["n_steps"], report["n_records"]) == (10, 11)
+    assert report["t_final"] == read_diagnostics_csv(str(out / "diagnostics.csv"))["t"][-1]
+    return {"dir": str(out), "report": report}
 
 
 @pytest.fixture(scope="module")
@@ -619,13 +681,22 @@ CELL_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 REPORT_VALUES = st.one_of(st.booleans(), st.none(), st.integers(-2, 20),
                           st.floats(), st.text(max_size=3))
+# The JSON types a run writes for each type of RUN_KEYS: a whole float's 17
+# digits read back as an int, a float that is not finite is written null,
+# and so are the breakdown strings of a run that did not break down.
+WRITTEN_TYPES = {float: (float, int, type(None)), str: (str, type(None)), int: (int,)}
 
 
 @pytest.fixture(scope="module")
-def fuzzed_run(small_run, tmp_path_factory):
-    run = tmp_path_factory.mktemp("fuzzed") / "run"
-    shutil.copytree(small_run, run)
-    return run
+def fuzzed_runs(small_run, ref_run, tmp_path_factory):
+    """Copies of a passing run that did not break down and of the blow-up
+    run, which did, each with the directory it was copied from."""
+    root = tmp_path_factory.mktemp("fuzzed")
+    runs = {}
+    for name, source in (("small", small_run), ("blowup", pathlib.Path(ref_run["dir"]))):
+        shutil.copytree(source, root / name)
+        runs[name] = (root / name, source)
+    return runs
 
 
 # Names a snapshot may be renamed or copied to: the next record's, others
@@ -658,13 +729,17 @@ def edit_snapshots(directory, data):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
-    # One CSV cell, one report key or one snapshot name edited:
-    # verify-identities exits 0, 1 or 2, never 3; a non-finite primary cell
-    # is always bad input, a recomputed cell whose bits change always fails,
-    # and so does a non-finite slack or residual; a snapshot edit never
-    # passes, nor does a report edit that changes what a key outside
-    # RUN_KEYS reads back as.
+def test_edited_run_directory_reaches_a_verdict(fuzzed_runs, data):
+    # One CSV cell, one report key or one snapshot name edited, on a run
+    # that did not break down or on one that did: verify-identities exits
+    # 0, 1 or 2, never 3; a non-finite primary cell is always bad input, and
+    # so is a run value of a type no run writes there; a recomputed cell
+    # whose bits change always fails, and so does a non-finite slack or
+    # residual; a snapshot edit never passes, nor does a report key added or
+    # deleted, nor a report edit that changes what a key outside RUN_KEYS
+    # reads back as, t_break included.
+    fuzzed_run, source = fuzzed_runs[data.draw(st.sampled_from(sorted(fuzzed_runs)),
+                                               label="run")]
     csv, report = fuzzed_run / "diagnostics.csv", fuzzed_run / "report.json"
     snapshots = fuzzed_run / "snapshots"
     originals = {path: path.read_text() for path in (csv, report)}
@@ -683,11 +758,24 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
                        or (name in FINITE_FROM and not math.isfinite(value)))
         elif target == "report":
             stored = json.loads(originals[report])
-            key = data.draw(st.sampled_from(sorted(stored)), label="key")
-            value = data.draw(REPORT_VALUES, label="value")
-            rejected = key not in runner.RUN_KEYS and not (
-                type(value) is type(stored[key]) and value == stored[key])
-            stored[key] = value
+            edit = data.draw(st.sampled_from(["set", "delete", "add"]), label="report edit")
+            if edit == "set":
+                key = data.draw(st.sampled_from(sorted(stored)), label="key")
+                value = data.draw(REPORT_VALUES, label="value")
+                if key in runner.RUN_KEYS:
+                    bad_input = type(value) not in WRITTEN_TYPES[runner.RUN_KEYS[key]]
+                # after a breakdown, t_break reads back as t_final
+                moves_t_break = key == "t_final" and stored["breakdown_kind"] is not None
+                rejected = (key not in runner.RUN_KEYS or moves_t_break) and not (
+                    type(value) is type(stored[key]) and value == stored[key])
+                stored[key] = value
+            elif edit == "delete":
+                del stored[data.draw(st.sampled_from(sorted(stored)), label="key")]
+                rejected = True
+            else:
+                stored[data.draw(st.text(max_size=9).filter(lambda k: k not in stored),
+                                 label="added key")] = data.draw(REPORT_VALUES, label="value")
+                rejected = True
             report.write_text(json.dumps(stored))
         else:
             edit_snapshots(snapshots, data)
@@ -705,7 +793,7 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_run, small_run, data):
             path.write_text(text)
         if target == "snapshots":
             shutil.rmtree(snapshots)
-            shutil.copytree(small_run / "snapshots", snapshots)
+            shutil.copytree(source / "snapshots", snapshots)
 
 
 class TestValidateBemCommand:

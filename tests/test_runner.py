@@ -286,9 +286,10 @@ class TestVerifyIdentities:
             assert runner.simulate(cfg, str(one)) is True
             assert (one / "diagnostics.csv").read_text() == path.read_text()
             report = json.loads((one / "report.json").read_text())
+            # t_break is the full run's: it is re-derived from its run values
             (short / "report.json").write_text(json.dumps(dict(
                 ref_run["report"], **{key: value for key, value in report.items()
-                                      if key not in runner.RUN_KEYS})))
+                                      if key not in (*runner.RUN_KEYS, "t_break")})))
             passed = verify_identities(str(short))
         out = caplog.text
         assert passed is True
@@ -360,6 +361,13 @@ class TestRunSimulation:
         assert seen[0] == 0.0
 
 
+def assert_plain_run(run):
+    """``run`` holds exactly ``RUN_KEYS``, each a value of its declared type."""
+    assert list(run) == list(runner.RUN_KEYS)
+    for key, kind in runner.RUN_KEYS.items():
+        assert type(run[key]) is kind
+
+
 class TestRecordTimeBreakdown:
     def test_crossing_surface_on_a_record_time(self, monkeypatch):
         # A step lands exactly on a record time with a surface that bulges
@@ -378,14 +386,15 @@ class TestRecordTimeBreakdown:
                                        wall_panels_per_side=8, record_dt=0.05,
                                        t_end_cap=1.0, redistribute_every=0))
         result = run_simulation(cfg)
-        assert result.n_steps == 1
+        assert result.run["n_steps"] == 1
         assert len(result.table["t"]) == 1
-        assert result.breakdown.kind == "self_intersection"
-        assert result.breakdown.t_break == result.t_final == 0.05
-        assert "marker 22" in result.breakdown.detail
-        # the outcome keeps no frame of the loop, nor the record's error
-        assert result.breakdown.__traceback__ is None
-        assert result.breakdown.__context__ is None
+        assert result.run["breakdown_kind"] == "self_intersection"
+        report = runner.build_report(cfg, result.table, result.c1, result.run)
+        assert report["t_break"] == result.run["t_final"] == 0.05
+        assert "marker 22" in result.run["breakdown_detail"]
+        # the outcome keeps no frame of the loop, nor the record's error:
+        # only values of the types a run writes
+        assert_plain_run(result.run)
 
     def test_stage_breakdown_keeps_no_frame(self, monkeypatch):
         # A second RK4 stage pushes a marker through the bottom: the step
@@ -402,11 +411,11 @@ class TestRecordTimeBreakdown:
         cfg = RunConfig.from_dict(dict(modes=[], n_markers=24,
                                        wall_panels_per_side=8, record_dt=0.05))
         result = run_simulation(cfg)
-        assert result.n_steps == 0
-        assert result.breakdown.kind == "bottom_contact"
-        assert result.breakdown.detail.startswith("stage 2: ")
-        assert result.breakdown.__traceback__ is None
-        assert result.breakdown.__cause__ is None
+        assert result.run["n_steps"] == 0
+        assert result.run["breakdown_kind"] == "bottom_contact"
+        assert result.run["breakdown_detail"].startswith("stage 2: ")
+        # neither the BreakdownError nor the stage's error it was raised from
+        assert_plain_run(result.run)
 
     def test_unclassified_failure_is_raised(self, monkeypatch):
         # A record that fails on a surface no detector flags is no
