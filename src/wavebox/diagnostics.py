@@ -24,8 +24,8 @@ from numpy.typing import NDArray
 from .bem import CauchyData
 from .errors import BreakdownError
 from .evolution import FlowState
-from .geometry import (BoundaryMesh, cumulative_arclength, gradient_1d, row_norms,
-                       self_intersects, side_wall_crossing)
+from .geometry import (BoundaryMesh, InterfaceCurve, cumulative_arclength, gradient_1d,
+                       row_norms, self_intersects, side_wall_crossing)
 
 if TYPE_CHECKING:
     from .runner import RunConfig
@@ -253,7 +253,7 @@ def fill_derived(table: dict[str, FloatArray], c1: float, A: float):
         table[name][-1] = residual[-1]
 
 
-def detect_breakdown(state: FlowState, cfg: RunConfig,
+def detect_breakdown(curve: InterfaceCurve, cfg: RunConfig,
                      L: float | None = None) -> None:
     """Raise BreakdownError for the first matching detector, if any.
 
@@ -266,27 +266,26 @@ def detect_breakdown(state: FlowState, cfg: RunConfig,
     (adaptive_dt / rk4_step), so every breakdown reaches the record loop
     the same way.
     """
-    t = state.t
-    x = state.curve.x
+    x = curve.x
     if np.any(x[:, 1] <= 0.0):
         i = int(np.argmin(x[:, 1]))
-        raise BreakdownError(t, "bottom_contact", f"marker {i} at x2={x[i, 1]:.3e}")
-    i = side_wall_crossing(state.curve)
+        raise BreakdownError("bottom_contact", f"marker {i} at x2={x[i, 1]:.3e}")
+    i = side_wall_crossing(curve)
     if i is not None:
-        raise BreakdownError(t, "self_intersection",
+        raise BreakdownError("self_intersection",
                              f"marker {i} crosses a side wall at x1={x[i, 0]:.3e}")
-    if self_intersects(state.curve):
-        raise BreakdownError(t, "self_intersection", "interface polyline crosses itself")
-    n = state.curve.n_markers
-    spacing = state.curve.segment_lengths()
+    if self_intersects(curve):
+        raise BreakdownError("self_intersection", "interface polyline crosses itself")
+    n = curve.n_markers
+    spacing = curve.segment_lengths()
     floor = cfg.collide_tol * (1.0 / (n - 1))
     if float(spacing.min()) < floor:
-        raise BreakdownError(t, "marker_collision",
+        raise BreakdownError("marker_collision",
                              f"spacing {spacing.min():.3e} below {floor:.3e}")
-    curv = state.curve.turning_curvature()
+    curv = curve.turning_curvature()
     curv_max = cfg.curv_factor * (n - 1)
     if curv.size and float(curv.max()) > curv_max:
-        raise BreakdownError(t, "curvature_blowup",
+        raise BreakdownError("curvature_blowup",
                              f"discrete curvature {curv.max():.3e} above {curv_max:.3e}")
     if L is not None and abs(L) > cfg.L_max:
-        raise BreakdownError(t, "L_overflow", f"|L|={abs(L):.3e} above {cfg.L_max:.3e}")
+        raise BreakdownError("L_overflow", f"|L|={abs(L):.3e} above {cfg.L_max:.3e}")

@@ -39,12 +39,11 @@ BREAKDOWN_KINDS = (
 
 
 class BreakdownError(RuntimeError):
-    """Why and when a run stopped; raised by the stepper and the detectors."""
+    """Why a run stopped: a kind and a detail; the run's t_final says when."""
 
-    def __init__(self, t_break: float, kind: str, detail: str = ""):
+    def __init__(self, kind: str, detail: str = ""):
         if kind not in BREAKDOWN_KINDS:
             raise ValueError(f"unknown breakdown kind {kind!r}")
-        super().__init__(f"{kind} at t={t_break:.6g}: {detail}")
-        self.t_break = t_break
+        super().__init__(f"{kind}: {detail}")
         self.kind = kind
         self.detail = detail

@@ -116,7 +116,7 @@ def rk4_step(state: FlowState, dt: float) -> FlowState:
             st = state.replace(t=ts, x=xs, phi=phis)
             return state_derivative(st)
         except (GeometryError, SingularMatrixError) as exc:
-            raise BreakdownError(t0, getattr(exc, "kind", "solver_failure"),
+            raise BreakdownError(getattr(exc, "kind", "solver_failure"),
                                  f"stage {i}: {exc}") from exc
 
     k1 = stage(1, x0, phi0, t0)
@@ -131,18 +131,18 @@ def rk4_step(state: FlowState, dt: float) -> FlowState:
     return state.replace(t=t0 + dt, x=x1, phi=phi1)
 
 
-def adaptive_dt(state: FlowState, speeds: FloatArray, cfl: float,
+def adaptive_dt(curve: InterfaceCurve, speeds: FloatArray, cfl: float,
                 dt_min: float, dt_max: float) -> float:
     """CFL timestep: cfl * min(local spacing / local marker speed), clamped.
 
     A pre-clamp value below dt_min signals numerical blow-up and raises
     BreakdownError("timestep_collapse").
     """
-    ell = state.curve.segment_lengths()
+    ell = curve.segment_lengths()
     spacing = np.concatenate([ell[:1], np.minimum(ell[:-1], ell[1:]), ell[-1:]])
     dt = cfl * float(np.min(spacing / (speeds + 1e-30)))
     if dt < dt_min:
-        raise BreakdownError(state.t, "timestep_collapse",
+        raise BreakdownError("timestep_collapse",
                              f"dt {dt:.3e} below dt_min {dt_min:.3e}")
     return min(dt, dt_max)
 

@@ -145,10 +145,15 @@ def self_intersects(curve: InterfaceCurve) -> bool:
     A curve whose x-increments all exceed ``_monotone_margin`` returns False
     in O(n).  Every other curve goes to the pair test, vectorised over all
     n^2/2 non-adjacent segment pairs at once, so time and memory are O(n^2)
-    in the marker count.  A pair meets when its crossing parameters t, s
-    both lie in the closed interval [0, 1]; a parallel pair meets only when
-    it is collinear and its spans overlap along the dominant axis of the
-    first segment.
+    in the marker count.  The pair test forms one span table: per pair and
+    axis, whether the two segments' coordinate spans overlap, compared on
+    stored coordinates.  A pair meets when its spans overlap on both axes
+    and its crossing parameters t, s both lie in the closed interval
+    [0, 1]; a parallel pair meets only when it is collinear and its spans
+    overlap along the dominant axis of the first segment.  Every true
+    crossing point lies in both spans, so the span test loses none, and two
+    nearly collinear segments that lie apart along their line never meet,
+    whatever the cancellation in t and s.
 
     Why the short-cut is sound.  Let E bound every segment length and
     every marker distance (the sum of the two extents does), and let every
@@ -156,10 +161,11 @@ def self_intersects(curve: InterfaceCurve) -> bool:
     x[i+2] - x[i+1] > delta apart in x, so it cannot meet, and the pair
     test agrees branch by branch:
 
-    * Parallel pair, x-dominant first segment: the overlap test compares
-      stored coordinates, and x[j] <= x[i+1] is false.
+    * Crossing pair, and parallel pair with an x-dominant first segment:
+      x[i+1] < x[j] on stored coordinates, so the x-spans fail the span
+      test exactly.
     * Parallel pair, y-dominant first segment d1, with overlapping y-spans
-      (else the overlap test fails): points at equal height on the two
+      (else the span test fails): points at equal height on the two
       segments lie more than delta apart in x.  The second segment d2 is
       parallel to the first, so it is steep too: |d2_y| > d2_x > delta, up
       to a relative 1e-14 that the margin below absorbs.
@@ -168,18 +174,14 @@ def self_intersects(curve: InterfaceCurve) -> bool:
       1e-12 (|d1| + |r|) <= 2e-12 E``.  delta**2 is at least twice the sum
       of those two terms; the margin covers the O(1e-16 E**2) rounding of
       num_t.
-    * Crossing pair: in exact arithmetic the meeting point of the two lines
-      lies outside one of the segments.  In floating point the pair test
-      can still accept a nearly parallel pair on nearly one line, with
-      ``|d1 x d2|`` within about two orders of the 1e-14 cutoff, where
-      cancellation sets t and s; a tent of two straight ramps is such a
-      curve.  There the short-cut returns the exact answer, False.
     """
     x = curve.x
     d, ell = curve.segments
     if d[:, 0].min() > _monotone_margin(x):
         return False
     i, j = np.triu_indices(d.shape[0], 2)
+    lo, hi = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
+    spans = np.maximum(lo[i], lo[j]) <= np.minimum(hi[i], hi[j])   # (pairs, 2)
     d1x, d1y = d[i, 0], d[i, 1]
     d2x, d2y = d[j, 0], d[j, 1]
     rx = x[j, 0] - x[i, 0]
@@ -192,19 +194,15 @@ def self_intersects(curve: InterfaceCurve) -> bool:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = num_t / denom
         s = num_s / denom
-    crosses = ~parallel & (0.0 <= t) & (t <= 1.0) & (0.0 <= s) & (s <= 1.0)
+    crosses = (~parallel & spans.all(axis=1)
+               & (0.0 <= t) & (t <= 1.0) & (0.0 <= s) & (s <= 1.0))
 
     # Parallel pairs: overlap only if collinear with overlapping spans.
     k = np.flatnonzero(parallel)
-    ik, jk = i[k], j[k]
     norm_r = np.sqrt(rx[k] * rx[k] + ry[k] * ry[k])
-    collinear = np.abs(num_t[k]) <= 1e-12 * (ell[ik] + norm_r + 1e-300)
+    collinear = np.abs(num_t[k]) <= 1e-12 * (ell[i[k]] + norm_r + 1e-300)
     axis = (np.abs(d1x[k]) < np.abs(d1y[k])).astype(np.intp)
-    a1, a2 = x[ik, axis], x[ik + 1, axis]
-    b1, b2 = x[jk, axis], x[jk + 1, axis]
-    lo = np.maximum(np.minimum(a1, a2), np.minimum(b1, b2))
-    hi = np.minimum(np.maximum(a1, a2), np.maximum(b1, b2))
-    overlaps = collinear & (lo <= hi)
+    overlaps = collinear & spans[k, axis]
     return bool(crosses.any() or overlaps.any())
 
 

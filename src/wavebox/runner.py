@@ -254,8 +254,8 @@ def _collect_record(state: FlowState, dt_used: float,
 def run_simulation(cfg: RunConfig) -> SimulationResult:
     """Integrate from the configured initial data, recording diagnostics.
 
-    Logs one INFO line per record.  Stops at the time cap or at the
-    BreakdownError any detector raises at the loop state's time.  Raises
+    Logs one INFO line per record.  Stops at the time cap or at the first
+    BreakdownError; either way the loop state's time is ``t_final``.  Raises
     FloatingPointError for a record whose pressure is not finite: data
     large enough for the pressure solve to overflow inside BLAS, which
     raises no warning, give NaN there, and no run may write a record that
@@ -280,7 +280,7 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                     # A step that lands on a record time can leave a surface
                     # that bounds no domain; stop as the detector classifies
                     # it, or fail when it cannot.
-                    detect_breakdown(state, cfg,
+                    detect_breakdown(state.curve, cfg,
                                      L=records[-1]["L"] if records else None)
                     raise
                 non_finite = [name for name in ("p_min", "wall_p_integral")
@@ -295,10 +295,10 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
                 next_record += cfg.record_dt
             if state.t >= cfg.t_end_cap - RECORD_TIME_SLOP:
                 break
-            detect_breakdown(state, cfg, L=records[-1]["L"])
+            detect_breakdown(state.curve, cfg, L=records[-1]["L"])
             deriv = state_derivative(state)
             speeds = row_norms(deriv.velocity)
-            dt = adaptive_dt(state, speeds, cfg.cfl, cfg.dt_min, cfg.dt_max)
+            dt = adaptive_dt(state.curve, speeds, cfg.cfl, cfg.dt_min, cfg.dt_max)
             dt = min(dt, next_record - state.t, cfg.t_end_cap - state.t)
             state = rk4_step(state, dt)
             last_dt = dt

@@ -9,7 +9,8 @@ matched by the callee's name, passes it by keyword or by position.  A
 third scan keeps ``print`` calls to cli.py, a fourth keeps returned
 integer literals (the exit codes) to cli.py too, a fifth keeps every
 import at module level, a sixth keeps numpy's linalg and polynomial out of
-the package, and a seventh keeps the box out of the panel kernels.  The
+the package, a seventh keeps the box out of the panel kernels, and an
+eighth keeps ``runner`` out of the layers below the record loop.  The
 last scan parses each module of tests/ and finds every name it imports
 used in its code.
 """
@@ -207,6 +208,17 @@ def test_the_panel_kernels_know_no_box():
             if name in BOX_NAMES | {"geometry"}] == []
     assert sorted(stem for stem, tree in modules.items() if stem != "geometry"
                   and any(name == "wall_mesh" for _, name in _names(tree))) == ["bem"]
+
+
+def test_the_layers_below_the_record_loop_import_no_runner():
+    # The run configuration is runner's: geometry, kernels, bem and
+    # evolution take what they need as arguments, and import nothing of
+    # runner, at module level or under ``if TYPE_CHECKING:``.  diagnostics,
+    # which reads RunConfig's limits, imports it there.
+    modules = dict(_modules())
+    assert [f"{stem}:{line}" for stem in ("geometry", "kernels", "bem", "evolution")
+            for line, name in _names(modules[stem]) if name == "runner"] == []
+    assert any(name == "runner" for _, name in _names(modules["diagnostics"]))
 
 
 def test_every_name_a_test_module_imports_is_used_in_it():

@@ -14,7 +14,6 @@ from wavebox.diagnostics import (DERIVED_FIELDS, _squares, blowup_bound,
                                  int_u1_squared, riccati_envelope,
                                  virial_parts, wall_u2_squared)
 from wavebox.errors import BreakdownError, SelfIntersectionError
-from wavebox.evolution import FlowState
 from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
                               flat_interface, self_intersects)
 from wavebox.modes import initial_A, sample_initial_state
@@ -382,49 +381,44 @@ class TestFillDerivedBits:
         assert_same_derived(columns, 2.0, 1.5)
 
 
-def breakdown_of(state, cfg, L=None):
-    """The BreakdownError ``detect_breakdown`` raises for ``state``, or None;
+def breakdown_of(curve, cfg, L=None):
+    """The BreakdownError ``detect_breakdown`` raises for ``curve``, or None;
     it returns nothing."""
     try:
-        assert detect_breakdown(state, cfg, L=L) is None
+        assert detect_breakdown(curve, cfg, L=L) is None
     except BreakdownError as exc:
         return exc
     return None
 
 
 class TestDetectors:
-    def make_state(self, curve):
-        return FlowState(t=1.0, curve=curve, phi=np.zeros(curve.n_markers),
-                         wall_panels_per_side=16)
-
     # RunConfig's defaults give an 11-marker curve a spacing floor of 0.01
     # and a curvature limit of 1000.
 
     def test_quiet_state(self):
-        state = self.make_state(flat_interface(11))
-        assert breakdown_of(state, RunConfig()) is None
+        assert breakdown_of(flat_interface(11), RunConfig()) is None
 
     def test_breakdown_error_carries_a_known_kind(self):
-        exc = BreakdownError(0.25, "marker_collision", "spacing too small")
-        assert (exc.t_break, exc.kind, exc.detail) == (
-            0.25, "marker_collision", "spacing too small")
-        assert str(exc) == "marker_collision at t=0.25: spacing too small"
+        # A kind and a detail, and no time: the run's t_final is its one.
+        exc = BreakdownError("marker_collision", "spacing too small")
+        assert vars(exc) == {"kind": "marker_collision", "detail": "spacing too small"}
+        assert str(exc) == "marker_collision: spacing too small"
         with pytest.raises(ValueError, match="unknown breakdown kind 'meltdown'"):
-            BreakdownError(0.25, "meltdown")
+            BreakdownError("meltdown")
 
     def test_bottom_contact(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = -0.01
-        state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = breakdown_of(state, RunConfig())
-        assert sig.kind == "bottom_contact" and sig.t_break == 1.0
+        sig = breakdown_of(InterfaceCurve(np.column_stack([s, x2])), RunConfig())
+        assert sig.kind == "bottom_contact"
+        assert sig.detail == "marker 5 at x2=-1.000e-02"
 
     def test_self_intersection(self):
         x1 = np.array([0.0, 0.7, 0.7, 0.3, 0.3, 1.0])
         x2 = np.array([1.0, 1.2, 0.6, 0.6, 1.2, 1.0])
-        state = self.make_state(InterfaceCurve(np.column_stack([x1, x2])))
-        assert breakdown_of(state, RunConfig()).kind == "self_intersection"
+        sig = breakdown_of(InterfaceCurve(np.column_stack([x1, x2])), RunConfig())
+        assert sig.kind == "self_intersection"
 
     def test_side_wall_crossing(self):
         # A simple polyline that bulges through the right wall: the mesh
@@ -433,32 +427,31 @@ class TestDetectors:
         s = np.linspace(0.0, 1.0, 24)
         x = np.column_stack([s, np.ones(24)])
         x[22, 0] = 1.02
-        state = self.make_state(InterfaceCurve(x))
-        assert not self_intersects(state.curve)
-        sig = breakdown_of(state, RunConfig())
-        assert sig.kind == "self_intersection" and sig.t_break == 1.0
+        curve = InterfaceCurve(x)
+        assert not self_intersects(curve)
+        sig = breakdown_of(curve, RunConfig())
+        assert sig.kind == "self_intersection"
         assert "marker 22" in sig.detail
         with pytest.raises(SelfIntersectionError):
-            build_boundary_mesh(state.curve, 4)
+            build_boundary_mesh(curve, 4)
 
     def test_marker_collision(self):
         s = np.linspace(0.0, 1.0, 11)
         x1 = s.copy()
         x1[5] = x1[4] + 1e-4    # nearly coincident pair
-        state = self.make_state(InterfaceCurve(np.column_stack([x1, np.ones(11)])))
-        assert breakdown_of(state, RunConfig()).kind == "marker_collision"
+        curve = InterfaceCurve(np.column_stack([x1, np.ones(11)]))
+        assert breakdown_of(curve, RunConfig()).kind == "marker_collision"
 
     def test_curvature_blowup(self):
         s = np.linspace(0.0, 1.0, 11)
         x2 = np.ones(11)
         x2[5] = 1.4             # sharp spike
-        state = self.make_state(InterfaceCurve(np.column_stack([s, x2])))
-        sig = breakdown_of(state, RunConfig(curv_factor=0.5))
+        curve = InterfaceCurve(np.column_stack([s, x2]))
+        sig = breakdown_of(curve, RunConfig(curv_factor=0.5))
         assert sig.kind == "curvature_blowup"
 
     def test_L_overflow(self):
-        state = self.make_state(flat_interface(11))
-        sig = breakdown_of(state, RunConfig(L_max=10.0), L=11.0)
+        sig = breakdown_of(flat_interface(11), RunConfig(L_max=10.0), L=11.0)
         assert sig.kind == "L_overflow"
 
     @pytest.mark.parametrize("n", [11, 96])
@@ -468,27 +461,26 @@ class TestDetectors:
         for gap, kind in ((0.99 * floor, "marker_collision"), (1.01 * floor, None)):
             x = flat_interface(n).x.copy()
             x[n // 2, 0] = x[n // 2 - 1, 0] + gap
-            sig = breakdown_of(self.make_state(InterfaceCurve(x)), cfg)
+            sig = breakdown_of(InterfaceCurve(x), cfg)
             assert (sig and sig.kind) == kind
         x = flat_interface(n).x.copy()
         x[n // 2, 1] = 1.01
-        state = self.make_state(InterfaceCurve(x))
-        curv_factor = state.curve.turning_curvature().max() / (n - 1)
+        curve = InterfaceCurve(x)
+        curv_factor = curve.turning_curvature().max() / (n - 1)
         for factor, kind in ((0.99, "curvature_blowup"), (1.01, None)):
-            sig = breakdown_of(state, RunConfig(curv_factor=factor * curv_factor))
+            sig = breakdown_of(curve, RunConfig(curv_factor=factor * curv_factor))
             assert (sig and sig.kind) == kind
 
     def test_L_limit_is_exclusive(self):
-        state = self.make_state(flat_interface(11))
+        curve = flat_interface(11)
         cfg = RunConfig(L_max=10.0)
         for L in (10.0, -10.0):
-            assert breakdown_of(state, cfg, L=L) is None
-            sig = breakdown_of(state, cfg, L=np.nextafter(L, 2.0 * L))
+            assert breakdown_of(curve, cfg, L=L) is None
+            sig = breakdown_of(curve, cfg, L=np.nextafter(L, 2.0 * L))
             assert sig.kind == "L_overflow"
 
     def test_priority_bottom_before_collision(self):
         s = np.linspace(0.0, 1.0, 11)
         x = np.column_stack([s, np.ones(11)])
         x[5] = [x[4, 0] + 1e-4, -0.01]    # collides AND touches bottom
-        state = self.make_state(InterfaceCurve(x))
-        assert breakdown_of(state, RunConfig()).kind == "bottom_contact"
+        assert breakdown_of(InterfaceCurve(x), RunConfig()).kind == "bottom_contact"

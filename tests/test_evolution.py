@@ -155,23 +155,21 @@ class TestRK4:
 
 class TestAdaptiveDt:
     def test_cfl_formula(self):
-        state = still_state(n=11)
-        speeds = np.full(11, 2.0)
-        dt = adaptive_dt(state, speeds, cfl=0.4, dt_min=1e-9, dt_max=0.05)
+        dt = adaptive_dt(flat_interface(11), np.full(11, 2.0), cfl=0.4,
+                         dt_min=1e-9, dt_max=0.05)
         assert dt == pytest.approx(0.4 * 0.1 / 2.0)
 
     def test_clamped_to_dt_max(self):
-        state = still_state(n=11)
-        dt = adaptive_dt(state, np.full(11, 1e-9), cfl=0.5, dt_min=1e-9,
-                         dt_max=0.01)
+        dt = adaptive_dt(flat_interface(11), np.full(11, 1e-9), cfl=0.5,
+                         dt_min=1e-9, dt_max=0.01)
         assert dt == 0.01
 
     def test_timestep_collapse(self):
-        state = still_state(n=11)
         with pytest.raises(BreakdownError) as info:
-            adaptive_dt(state, np.full(11, 1e6), cfl=0.5, dt_min=1e-3,
-                        dt_max=0.05)
+            adaptive_dt(flat_interface(11), np.full(11, 1e6), cfl=0.5,
+                        dt_min=1e-3, dt_max=0.05)
         assert info.value.kind == "timestep_collapse"
+        assert info.value.detail == "dt 5.000e-08 below dt_min 1.000e-03"
 
 
 class TestRedistribution:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,8 +116,8 @@ class TestSegmentTable:
 
         monkeypatch.setattr(np, "diff", counting_diff)
         speeds = row_norms(state.derivative.velocity)
-        adaptive_dt(state, speeds, 0.15, 1e-12, 1.0)
-        detect_breakdown(state, RunConfig())
+        adaptive_dt(curve, speeds, 0.15, 1e-12, 1.0)
+        detect_breakdown(curve, RunConfig())
         redistribute_markers(state)
         curve.turning_curvature()
         curve.marker_frame()
@@ -149,6 +150,8 @@ def marker_curve(points):
 
 def _segments_intersect_reference(p, p2, q, q2):
     """Scalar test of one segment pair: the reference the predicate must match."""
+    spans = [max(min(p[k], p2[k]), min(q[k], q2[k]))
+             <= min(max(p[k], p2[k]), max(q[k], q2[k])) for k in (0, 1)]
     d1 = p2 - p
     d2 = q2 - q
     r = q - p
@@ -162,6 +165,9 @@ def _segments_intersect_reference(p, p2, q, q2):
         lo1, hi1 = sorted((p[axis], p2[axis]))
         lo2, hi2 = sorted((q[axis], q2[axis]))
         return max(lo1, lo2) <= min(hi1, hi2)
+    # A crossing point lies in both spans; segments that lie apart never meet.
+    if not all(spans):
+        return False
     # A near-parallel pair can overflow to +-inf, which fails 0 <= t <= 1.
     with np.errstate(over="ignore"):
         t = num_t / denom
@@ -169,15 +175,40 @@ def _segments_intersect_reference(p, p2, q, q2):
     return 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0
 
 
-def self_intersects_reference(curve):
+def self_intersects_reference(curve, meet=_segments_intersect_reference):
     """Pairwise loop over non-adjacent segments."""
     x = curve.x
     n_seg = x.shape[0] - 1
     for i in range(n_seg):
         for j in range(i + 2, n_seg):
-            if _segments_intersect_reference(x[i], x[i + 1], x[j], x[j + 1]):
+            if meet(x[i], x[i + 1], x[j], x[j + 1]):
                 return True
     return False
+
+
+def _orientation(a, b, c):
+    """Sign of (b - a) x (c - a), in exact rational arithmetic."""
+    (ax, ay), (bx, by), (cx, cy) = ([Fraction(v) for v in point] for point in (a, b, c))
+    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (cross > 0) - (cross < 0)
+
+
+def _segments_meet_exactly(p, p2, q, q2):
+    """Whether two closed segments share a point, by exact orientations."""
+    def on_segment(a, b, c):        # c is on the line through a and b
+        return all(min(a[k], b[k]) <= c[k] <= max(a[k], b[k]) for k in (0, 1))
+
+    o1, o2 = _orientation(p, p2, q), _orientation(p, p2, q2)
+    o3, o4 = _orientation(q, q2, p), _orientation(q, q2, p2)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return ((o1 == 0 and on_segment(p, p2, q)) or (o2 == 0 and on_segment(p, p2, q2))
+            or (o3 == 0 and on_segment(q, q2, p)) or (o4 == 0 and on_segment(q, q2, p2)))
+
+
+def self_intersects_exactly(curve):
+    """The exact answer, which the tolerances of the pair test may miss."""
+    return self_intersects_reference(curve, meet=_segments_meet_exactly)
 
 
 # Interior markers on a coarse dyadic grid make collinear, parallel and
@@ -231,6 +262,36 @@ def _monotone_curves(draw):
     above = int(_monotone_margin(markers(0)) / _UNIT) + 1
     near = draw(st.sampled_from([1, above // 8] + [above + k for k in range(-2, 3)]))
     return InterfaceCurve(markers(near))
+
+
+@st.composite
+def _near_collinear_folds(draw):
+    """A folded curve whose segments 1 and 4 lie on nearly one line, apart
+    along it, with a spike between them that the fold may cross.
+
+    Segment 4 is tilted from segment 1 by a relative 3e-15 to 1e-12, on
+    both sides of the pair test's parallel cutoff, and starts 1e-4 to 1e-2
+    past segment 1's end.  Every other pair stays 0.1 or more from meeting,
+    or crosses by as much: the fold (segment 5) passes 0.1 above or below
+    the spike's top.
+    """
+    theta = draw(st.floats(0.2, 1.2))
+    tilt = draw(st.sampled_from([-1, 1])) * 10.0 ** draw(
+        st.floats(math.log10(3e-15), -12.0))
+    gap = 10.0 ** draw(st.floats(-4.0, -2.0))
+    crosses = draw(st.booleans())
+    along = np.array([math.cos(theta), math.sin(theta)])
+    tilted = np.array([math.cos(theta + tilt), math.sin(theta + tilt)])
+    m1 = np.array([0.2, 0.9])
+    m2 = m1 + draw(st.floats(0.05, 0.15)) * along
+    m4 = m2 + gap * along
+    m5 = m4 + draw(st.floats(0.02, 0.1)) * tilted
+    m6 = np.array([m2[0] - 0.02, m5[1] + 2.0])
+    spike_x = 0.5 * (m2[0] + m4[0])
+    fold_y = m5[1] + (m6[1] - m5[1]) * (m5[0] - spike_x) / (m5[0] - m6[0])
+    m3 = [spike_x, fold_y + (0.1 if crosses else -0.1)]
+    x = np.array([[0.0, 1.0], m1, m2, m3, m4, m5, m6, [1.0, 1.0]])
+    return InterfaceCurve(x), crosses
 
 
 class TestSelfIntersection:
@@ -327,15 +388,41 @@ class TestSelfIntersection:
         # Four markers on one straight ramp, as a tent of two ramps places
         # them.  Segments 1 and 3 are parallel to 2e-14 relative, just above
         # the parallel cutoff, so cancellation sets their crossing
-        # parameters and the pair test reports that they meet.  They lie
-        # 3.4e-5 apart in x, like every pair of an x-monotone curve, so the
-        # short-cut's False is the exact answer.
+        # parameters, which pass 0 <= t, s <= 1.  They lie 3.4e-5 apart in
+        # x, like every pair of an x-monotone curve, so their x-spans fail
+        # the span test: the oracle, which tests every pair, and the
+        # package's short-cut both give the exact answer, False.
         s = np.array([0.29916016437005555, 0.3578177514580465,
                       0.3578519381530927, 0.3604054754898329])
         curve = marker_curve(np.column_stack(
             [s, 1.0 + 1.0146563222824532 * (s / 0.7743719413734328)]))
-        assert self_intersects_reference(curve)
+        assert not self_intersects_exactly(curve)
+        assert not self_intersects_reference(curve)
         assert not self_intersects(curve)
+
+    def test_nearly_collinear_segments_apart_on_a_folded_curve(self):
+        # Segments 1 and 4 lie on nearly one line, 5.9e-4 apart along it,
+        # with a spike between them; the fold at marker 6 sends the curve
+        # to the pair test.  Cancellation gives the pair t = 1 and s = 0,
+        # but its spans do not overlap, so it does not meet.
+        curve = InterfaceCurve(np.array([
+            [0.0, 1.0], [0.2, 0.9], [0.2941525007421269, 0.9941390568456931],
+            [0.2943610733191333, 1.2943475996409295],
+            [0.29456964589613965, 0.9945561424361659],
+            [0.33545853983419555, 1.035439197909487],
+            [0.28545853983419556, 1.4354391979094872], [1.0, 1.0]]))
+        assert curve.segments[0][:, 0].min() < 0.0
+        assert not self_intersects_exactly(curve)
+        assert not self_intersects_reference(curve)
+        assert not self_intersects(curve)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_collinear_folds())
+    def test_near_collinear_folds_match_exact_arithmetic(self, case):
+        curve, crosses = case
+        assert self_intersects_exactly(curve) is crosses
+        assert self_intersects_reference(curve) is crosses
+        assert self_intersects(curve) is crosses
 
 
 class _PairTestReached(Exception):
