@@ -41,7 +41,7 @@ BREAKDOWN_KINDS = (
 class BreakdownError(RuntimeError):
     """Why a run stopped: a kind and a detail; the run's t_final says when."""
 
-    def __init__(self, kind: str, detail: str = ""):
+    def __init__(self, kind: str, detail: str):
         if kind not in BREAKDOWN_KINDS:
             raise ValueError(f"unknown breakdown kind {kind!r}")
         super().__init__(f"{kind}: {detail}")

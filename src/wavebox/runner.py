@@ -13,9 +13,10 @@ writer and reader takes the names from it.
 ``build_report`` alone lays out a report, from the CSV columns, the
 configuration, c1 and ``run``, the values of ``RUN_KEYS``, which only a run
 knows: ``run_simulation`` returns them, ``verify-identities`` reads them from
-the stored report, rebuilds it offline and compares every other key and the
-key sets.  The commands return whether every check passed and raise
-ConfigError for bad input; ``cli`` alone turns that into an exit code.
+the stored report, rebuilds it offline, holds every stored value to the type
+a run writes and compares every other key, the key sets and their order.
+The commands return whether every check passed and raise ConfigError for
+bad input; ``cli`` alone turns that into an exit code.
 """
 
 from __future__ import annotations
@@ -501,7 +502,7 @@ def build_report(cfg: RunConfig, columns: dict[str, FloatArray], c1: float,
         "n_markers": cfg.n_markers,
         "wall_panels_per_side": cfg.wall_panels_per_side,
         "record_dt": cfg.record_dt,
-        "area0": columns["area"][0],
+        "area0": float(columns["area"][0]),
         "p_absmax_max": run["p_absmax_max"],
         "max_corner_residual": run["max_corner_residual"],
         **checks,
@@ -666,6 +667,16 @@ def _differs(stored: FloatArray, recomputed: FloatArray) -> bool:
                        & ~both_nan))
 
 
+def _check_written_type(report_path: str, key: str, value, kind: type):
+    """ConfigError unless a stored report value has a JSON type ``write_report``
+    writes for a ``kind``: true/false for bool, an integer for int, a finite number
+    (an integer when whole) or null (not finite) for float, a string or null for str."""
+    if kind is float and value is not None:
+        _checked_number(f"{report_path}: {key}", value)
+    elif not (type(value) is kind or kind in (float, str) and value is None):
+        raise ConfigError(f"{report_path}: no run writes {value!r} as {key}")
+
+
 def _stored_run(report_path: str, stored: dict) -> dict:
     """``RUN_KEYS``' values in a stored report as a run passes them to ``build_report``,
     a missing key's as null; ValueError for one no run writes: of another type, a
@@ -673,12 +684,10 @@ def _stored_run(report_path: str, stored: dict) -> dict:
     run = {}
     for key, kind in RUN_KEYS.items():
         value = run[key] = stored.get(key)
+        if key in stored:
+            _check_written_type(report_path, key, value, kind)
         if kind is float:
-            run[key] = math.nan if value is None else float(
-                _checked_number(f"{report_path}: {key}", value))
-        elif key in stored and not (type(value) is kind
-                                    or kind is str and value is None):
-            raise ValueError(f"{report_path}: no run writes {value!r} as {key}")
+            run[key] = math.nan if value is None else float(value)
     kind, detail = run["breakdown_kind"], run["breakdown_detail"]
     if (kind not in (None, *BREAKDOWN_KINDS) or (kind is None) != (detail is None)
             and {"breakdown_kind", "breakdown_detail"} <= stored.keys()):
@@ -705,13 +714,6 @@ def verify_identities(run_dir: str) -> bool:
         stored = _read_json(report_path, "report")
         if not isinstance(stored, dict):
             raise ValueError(f"{report_path} is not a JSON object")
-        not_bool = [k for k in (*VERDICT_KEYS, "all_passed")
-                    if not isinstance(stored.get(k), bool)]
-        if not_bool:
-            raise ValueError(f"{report_path}: not true or false: "
-                             f"{', '.join(not_bool)}")
-        if type(stored.get("n_records")) is not int:
-            raise ValueError(f"{report_path}: n_records is not an integer")
         run = _stored_run(report_path, stored)     # what the run alone knows
         snapshots = set(os.listdir(snapshot_dir))
     except (OSError, ValueError, RecursionError) as exc:
@@ -733,6 +735,10 @@ def verify_identities(run_dir: str) -> bool:
                  if not (np.isfinite if n >= least else np.isnan)(columns[name]).all()]
     columns.update(recomputed)
     report = build_report(cfg, columns, c1, run)
+    # a stored value must have the type a run writes for its rebuilt one
+    for key, value in report.items():
+        if key in stored and key not in RUN_KEYS:
+            _check_written_type(report_path, key, stored[key], type(value))
 
     if not report["derivatives_checked"]:
         log.info("insufficient records: derivative checks skipped")
@@ -745,7 +751,11 @@ def verify_identities(run_dir: str) -> bool:
                 if run["breakdown_kind"] is None else -math.inf)
     unlike_a_run = {"t_final": not run["t_final"] >= t_end,
                     "n_steps": run["n_steps"] is not None and run["n_steps"] < n - 1}
-    mismatched = [k for k, value in report.items() if k not in stored or unlike_a_run.get(k)
+    # the keys both reports hold must come in build_report's order
+    held = [k for k in report if k in stored]
+    out_of_order = {k for k, s in zip(held, [k for k in stored if k in report]) if k != s}
+    mismatched = [k for k, value in report.items()
+                  if k not in stored or k in out_of_order or unlike_a_run.get(k)
                   or k not in RUN_KEYS and not _reads_back(stored[k], value)]
     mismatched += [k for k in stored if k not in report]    # no run writes them
     # one snapshot per record, named as write_snapshots names them; the

@@ -310,6 +310,29 @@ def test_unusable_out_is_exit_2(tmp_path, capsys, out, artifact, kind):
     assert tree(tmp_path) == before
 
 
+# The JSON types a run writes for each type of a report value: a whole float's
+# 17 digits read back as an int, a float that is not finite is written null,
+# and so are the breakdown strings of a run that did not break down.
+WRITTEN_TYPES = {bool: (bool,), int: (int,), float: (float, int, type(None)),
+                 str: (str, type(None))}
+# For each type of a report value, values of JSON types no run writes for it.
+FOREIGN_VALUES = {bool: [1, "true", None], int: [96.0, True, None, "96"],
+                  float: ["x", True, [1.0]], str: [5, False, ["x"]]}
+
+
+def written_kinds(run_dir):
+    """The type of each report key's value, in report order: a key of
+    ``RUN_KEYS`` its declared type, any other the type of the value
+    ``verify-identities`` rebuilds for it from ``run_dir``, which it passes."""
+    build, rebuilt = runner.build_report, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "build_report",
+                      lambda *args: rebuilt.append(build(*args)) or rebuilt[-1])
+        assert runner.verify_identities(str(run_dir)) is True
+    return {key: runner.RUN_KEYS.get(key, type(value))
+            for key, value in rebuilt[0].items()}
+
+
 class TestVerifyCommand:
     def test_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(modes=reference_modes(), n_markers=24,
@@ -338,7 +361,7 @@ class TestVerifyCommand:
         {"t_final": math.inf}, {"a_quadrature": 10 ** 400}, {"n_steps": "banana"},
         {"n_steps": 118.0}, {"p_absmax_max": "x"}, {"breakdown_detail": 5},
         {"max_corner_residual": True}, {"breakdown_detail": "x"},
-        {"breakdown_kind": "self_intersection"}],
+        {"breakdown_kind": "self_intersection"}, {"t_break": True}],
         ids=["list", "string", "check-as-string", "check-as-number",
              "breakdown-as-false", "breakdown-as-number",
              "breakdown-unknown", "breakdown-empty", "all-passed-as-string",
@@ -346,7 +369,7 @@ class TestVerifyCommand:
              "a-quadrature-as-string", "t-final-as-list", "t-final-as-infinity",
              "a-quadrature-beyond-float64", "steps-as-string", "steps-as-float",
              "p-absmax-as-string", "detail-as-number", "corner-residual-as-bool", "detail-without-kind",
-             "kind-without-detail"])
+             "kind-without-detail", "t-break-as-bool"])
     def test_malformed_report_is_exit_2(self, still_run, tmp_path, capsys,
                                         report):
         # The still fluid did not break down: both breakdown keys are null.
@@ -427,11 +450,11 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == f"report mismatch: {key}\n"
 
     @pytest.mark.parametrize("name, edit", [
-        ("still_run", {"t_break": 0.5}), ("still_run", {"t_break": True}),
-        ("ref_run", {"t_break": 0.001}), ("still_run", {"extra_key": 1}),
+        ("still_run", {"t_break": 0.5}), ("ref_run", {"t_break": 0.001}),
+        ("still_run", {"extra_key": 1}),
         ("still_run", {"t_final": 0.5}), ("dense_run", {"t_final": 5e-5}),
         ("dense_run", {"n_steps": 9}), ("ref_run", {"n_steps": 3})],
-        ids=["still-t-break", "t-break-as-bool", "blowup-t-break", "extra-key",
+        ids=["still-t-break", "blowup-t-break", "extra-key",
              "still-t-final", "dense-t-final", "dense-n-steps", "blowup-n-steps"])
     def test_edit_of_what_a_run_writes_is_named(self, request, tmp_path, capsys,
                                                 name, edit):
@@ -449,13 +472,12 @@ class TestVerifyCommand:
         assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
         assert capsys.readouterr().out == f"report mismatch: {', '.join(edit)}\n"
 
-    @pytest.mark.parametrize("key", list(runner.RUN_KEYS))
+    @pytest.mark.parametrize("key", [*runner.RUN_KEYS, *runner.VERDICT_KEYS, "all_passed"])
     @pytest.mark.parametrize("name", ["still_run", "ref_run"])
-    def test_deleted_run_key_is_a_mismatch(self, request, tmp_path, capsys, name,
-                                           key):
-        # A run writes every key of RUN_KEYS, so one missing is named, on a
-        # run that broke down and on one that did not; without a_quadrature
-        # the verdict a_consistent fails too.
+    def test_deleted_key_is_a_mismatch(self, request, tmp_path, capsys, name, key):
+        # A run writes every key of RUN_KEYS and every verdict, so one missing
+        # is named, not bad input, on a run that broke down and on one that
+        # did not; without a_quadrature the verdict a_consistent fails too.
         source = request.getfixturevalue(name)
         run = tmp_path / "run"
         shutil.copytree(source["dir"], run)
@@ -466,6 +488,50 @@ class TestVerifyCommand:
         *failed, mismatched = capsys.readouterr().out.splitlines()
         assert failed == (["failed checks: a_consistent"] if key == "a_quadrature" else [])
         assert key in mismatched.removeprefix("report mismatch: ").split(", ")
+
+    @pytest.mark.parametrize("swapped, added, mismatched", [
+        (("a_quadrature", "a_virial"), {}, "a_quadrature, a_virial"),
+        (("c1", "riccati_dominated"), {}, "c1, riccati_dominated"),
+        ((), {"extra_key": 1}, "extra_key")],
+        ids=["adjacent", "apart", "extra-key-first"])
+    def test_key_order_is_a_mismatch(self, ref_run, tmp_path, capsys, swapped,
+                                     added, mismatched):
+        # The keys both reports hold must come in build_report's order; the
+        # swapped keys are named in report order, and a key no run writes,
+        # put first, is named once, as an extra key, not as out of order.
+        run = tmp_path / "run"
+        shutil.copytree(ref_run["dir"], run)
+        keys = list(ref_run["report"])
+        if swapped:
+            i, j = (keys.index(k) for k in swapped)
+            keys[i], keys[j] = keys[j], keys[i]
+        report = {**added, **{k: ref_run["report"][k] for k in keys}}
+        (run / "report.json").write_text(json.dumps(report))
+        assert main(["verify-identities", "--run", str(run), "--quiet"]) == 1
+        assert capsys.readouterr().out == f"report mismatch: {mismatched}\n"
+
+    def test_every_report_key_is_held_to_the_type_a_run_writes(
+            self, ref_run, neg_run, still_run, tmp_path, capsys):
+        # The three golden configurations write every report value with a
+        # type the rule covers, and their reports pass it.  On the blow-up
+        # run's report, each of its 38 keys set to a value of a JSON type no
+        # run writes for that key is bad input that names report.json.
+        for source in (ref_run, neg_run, still_run):
+            kinds = written_kinds(source["dir"])
+            assert set(kinds.values()) <= WRITTEN_TYPES.keys()
+            assert list(kinds) == list(source["report"])
+            assert all(type(source["report"][key]) in WRITTEN_TYPES[kind]
+                       for key, kind in kinds.items())
+        run = tmp_path / "run"
+        shutil.copytree(ref_run["dir"], run)
+        kinds = written_kinds(run)
+        assert len(kinds) == 38
+        for key, kind in kinds.items():
+            for value in FOREIGN_VALUES[kind]:
+                (run / "report.json").write_text(
+                    json.dumps(dict(ref_run["report"], **{key: value})))
+                assert bad_input_line(capsys, "verify-identities", "--run", str(run)) \
+                    .startswith(f"{run / 'report.json'}: ")
 
     @pytest.mark.parametrize("edit, mismatched", [
         ("copied", "snapshots"), ("deleted", "snapshots"), ("n_records", "n_records")],
@@ -681,21 +747,18 @@ CELL_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False))
 REPORT_VALUES = st.one_of(st.booleans(), st.none(), st.integers(-2, 20),
                           st.floats(), st.text(max_size=3))
-# The JSON types a run writes for each type of RUN_KEYS: a whole float's 17
-# digits read back as an int, a float that is not finite is written null,
-# and so are the breakdown strings of a run that did not break down.
-WRITTEN_TYPES = {float: (float, int, type(None)), str: (str, type(None)), int: (int,)}
 
 
 @pytest.fixture(scope="module")
 def fuzzed_runs(small_run, ref_run, tmp_path_factory):
     """Copies of a passing run that did not break down and of the blow-up
-    run, which did, each with the directory it was copied from."""
+    run, which did, each with the directory it was copied from and the type
+    of each report value (``written_kinds``)."""
     root = tmp_path_factory.mktemp("fuzzed")
     runs = {}
     for name, source in (("small", small_run), ("blowup", pathlib.Path(ref_run["dir"]))):
         shutil.copytree(source, root / name)
-        runs[name] = (root / name, source)
+        runs[name] = (root / name, source, written_kinds(source))
     return runs
 
 
@@ -733,13 +796,14 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_runs, data):
     # One CSV cell, one report key or one snapshot name edited, on a run
     # that did not break down or on one that did: verify-identities exits
     # 0, 1 or 2, never 3; a non-finite primary cell is always bad input, and
-    # so is a run value of a type no run writes there; a recomputed cell
+    # so is a report value of a type no run writes there, or a non-finite
+    # number where a run writes a float or null; a recomputed cell
     # whose bits change always fails, and so does a non-finite slack or
     # residual; a snapshot edit never passes, nor does a report key added or
     # deleted, nor a report edit that changes what a key outside RUN_KEYS
     # reads back as, t_break included.
-    fuzzed_run, source = fuzzed_runs[data.draw(st.sampled_from(sorted(fuzzed_runs)),
-                                               label="run")]
+    fuzzed_run, source, kinds = fuzzed_runs[data.draw(st.sampled_from(sorted(fuzzed_runs)),
+                                                      label="run")]
     csv, report = fuzzed_run / "diagnostics.csv", fuzzed_run / "report.json"
     snapshots = fuzzed_run / "snapshots"
     originals = {path: path.read_text() for path in (csv, report)}
@@ -762,8 +826,8 @@ def test_edited_run_directory_reaches_a_verdict(fuzzed_runs, data):
             if edit == "set":
                 key = data.draw(st.sampled_from(sorted(stored)), label="key")
                 value = data.draw(REPORT_VALUES, label="value")
-                if key in runner.RUN_KEYS:
-                    bad_input = type(value) not in WRITTEN_TYPES[runner.RUN_KEYS[key]]
+                bad_input = type(value) not in WRITTEN_TYPES[kinds[key]] or (
+                    kinds[key] is float and type(value) is float and not math.isfinite(value))
                 # after a breakdown, t_break reads back as t_final
                 moves_t_break = key == "t_final" and stored["breakdown_kind"] is not None
                 rejected = (key not in runner.RUN_KEYS or moves_t_break) and not (

@@ -97,7 +97,9 @@ def test_every_default_parameter_is_passed_in_the_package():
     passed = _passed(modules)
     defaults = [d for stem, tree in modules
                 for d in _defaulted_parameters(stem, tree)]
-    assert len(defaults) >= 10
+    # the scan finds defaults, not just no unused one
+    assert {"kernels.influence_matrices(cols)", "kernels.local_coords(panel_major)",
+            "cli.main(argv)"} <= {label for label, *_ in defaults}
     unused = [label for label, callee, position, name in defaults
               if (callee, name) not in passed and (callee, position) not in passed
               and label not in ENTRY_POINT_DEFAULTS]

@@ -404,7 +404,7 @@ class TestDetectors:
         assert vars(exc) == {"kind": "marker_collision", "detail": "spacing too small"}
         assert str(exc) == "marker_collision: spacing too small"
         with pytest.raises(ValueError, match="unknown breakdown kind 'meltdown'"):
-            BreakdownError("meltdown")
+            BreakdownError("meltdown", "detail")
 
     def test_bottom_contact(self):
         s = np.linspace(0.0, 1.0, 11)
