@@ -187,15 +187,18 @@ def record_steps(t: FloatArray) -> FloatArray:
     return dt
 
 
-def riccati_columns(t: FloatArray, L: FloatArray, c1: float,
-                    A: float) -> tuple[FloatArray, FloatArray]:
+def riccati_columns(t: FloatArray, L: FloatArray,
+                    c1: float) -> tuple[FloatArray, FloatArray]:
     """The envelope and riccati_slack columns of ``fill_derived``.
 
-    envelope is A/(1 - A t/c1) before the horizon c1/A, and only for A > 0;
-    riccati_slack is L' - L^2/c1 from two records on, with L' from
-    ``gradient_1d``.  Every other cell is NaN.  ``verify-identities``
-    recomputes the stored columns with it, from A = L(0).
+    envelope is A/(1 - A t/c1), A = L(0), before the horizon c1/A and only
+    for A > 0; riccati_slack is L' - L^2/c1 from two records on, with L' from
+    ``gradient_1d``.  Every other cell is NaN.  No record has no A: ValueError.
+    ``verify-identities`` recomputes the stored columns with it.
     """
+    if not t.size:
+        raise ValueError("no records, so no A = L(0)")
+    A = float(L[0])
     envelope = np.full(t.size, np.nan)
     if A > 0.0:
         inside = t < blowup_bound(A, c1)
@@ -206,10 +209,10 @@ def riccati_columns(t: FloatArray, L: FloatArray, c1: float,
     return envelope, slack
 
 
-def fill_derived(table: dict[str, FloatArray], c1: float, A: float):
+def fill_derived(table: dict[str, FloatArray], c1: float):
     """Add the derived CSV columns to a table of primary record columns.
 
-    * envelope: A/(1 - A t/c1) before the horizon c1/A, and only for A > 0.
+    * envelope: A/(1 - A t/c1), A = L(0), before the horizon c1/A, if A > 0.
     * slack_28, schwarz_vol, schwarz_wall, riccati_slack: (greater side) -
       (lesser side) of the growth inequality, the two Schwarz bounds and
       L' >= L^2/c1, with L' from ``gradient_1d`` (one-sided at the endpoints).
@@ -219,15 +222,16 @@ def fill_derived(table: dict[str, FloatArray], c1: float, A: float):
 
     From two records on every slack is finite, and from three every
     residual (``FINITE_FROM``); acceptance checks only score the interior
-    records.
+    records.  ValueError for a table without records.
     """
     t = table["t"]
     L = table["L"]
     n = t.size
     dt = record_steps(t) if n >= 2 else None
+    envelope, slack = riccati_columns(t, L, c1)
     for name in DERIVED_FIELDS:
         table[name] = np.full(n, np.nan)
-    table["envelope"], table["riccati_slack"] = riccati_columns(t, L, c1, A)
+    table["envelope"], table["riccati_slack"] = envelope, slack
     if n < 2:
         return
     int_u1sq = table["int_u1sq"]

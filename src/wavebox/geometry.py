@@ -223,19 +223,20 @@ class BoundaryMesh:
     """Closed, counterclockwise panel decomposition of the fluid boundary.
 
     Panel order: bottom wall, right wall, free surface (reversed marker
-    order), left wall. Outward normals, midpoint collocation.
+    order), left wall, each wall ``wall_panels_per_side`` panels long, so
+    the surface holds the rest.  Outward normals, midpoint collocation.
 
     ``panel_rows`` is the one store of the panel starts, tangents, normals
     and lengths, and the one table the panel kernels read: a read-only,
     C-contiguous (7, n) array whose rows are a_x, a_y, t_x, t_y, -n_x,
     -n_y and the length, so a block of panels is a slice of contiguous
     rows.  ``a``, ``tangents`` and ``lengths`` are views of it, and
-    ``normals`` is its rows 4-5 negated, exactly.
+    ``normals`` is its rows 4-5 negated, exactly.  ``area`` is the polygon's
+    shoelace area, formed once.
     """
 
     a: FloatArray          # (n,2) panel start points
     b: FloatArray          # (n,2) panel end points
-    n_markers: int
     wall_panels_per_side: int
 
     midpoints: FloatArray = field(init=False)
@@ -272,10 +273,16 @@ class BoundaryMesh:
     def n_panels(self) -> int:
         return self.a.shape[0]
 
+    @functools.cached_property
+    def area(self) -> float:
+        """Shoelace area of the closed panel polygon."""
+        a, b = self.a, self.b
+        return float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
+
     @property
     def surface_slice(self) -> slice:
         w = self.wall_panels_per_side
-        return slice(2 * w, 2 * w + self.n_markers - 1)
+        return slice(2 * w, self.n_panels - w)
 
     @property
     def bottom_slice(self) -> slice:
@@ -288,8 +295,7 @@ class BoundaryMesh:
 
     @property
     def left_slice(self) -> slice:
-        w = self.wall_panels_per_side
-        return slice(2 * w + self.n_markers - 1, 3 * w + self.n_markers - 1)
+        return slice(self.n_panels - self.wall_panels_per_side, self.n_panels)
 
     def surface_panel_values(self, marker_values: FloatArray) -> FloatArray:
         """Marker data -> surface-panel midpoint values, in mesh panel order."""
@@ -307,10 +313,10 @@ def wall_mesh(w: int) -> BoundaryMesh:
     """The 3w wall panels alone (bottom, right, left), one shared mesh per w.
 
     The walls never move, so every mesh with w panels per side copies its
-    wall ends from this one, the mesh of a one-marker curve, which has no
-    surface panel.  Each panel's midpoint and ``panel_rows`` column come
-    from its own ends, so they have the bits of the same wall panel in
-    every mesh.  Callers share it, so every array of it is read-only.
+    wall ends from this one, whose surface slice is empty.  Each panel's
+    midpoint and ``panel_rows`` column come from its own ends, so they have
+    the bits of the same wall panel in every mesh.  Callers share it, so
+    every array of it is read-only.
 
     The bottom wall is uniform.  Side walls are graded quadratically toward
     the top corners, where the Dirichlet surface meets the Neumann walls:
@@ -326,7 +332,7 @@ def wall_mesh(w: int) -> BoundaryMesh:
     a[w:2 * w, 0] = b[w:2 * w, 0] = 1.0
     a[w:2 * w, 1], b[w:2 * w, 1] = side[:-1], side[1:]
     a[2 * w:, 1], b[2 * w:, 1] = left_down[:-1], left_down[1:]
-    walls = BoundaryMesh(a=a, b=b, n_markers=1, wall_panels_per_side=w)
+    walls = BoundaryMesh(a=a, b=b, wall_panels_per_side=w)
     walls.b.flags.writeable = False
     walls.midpoints.flags.writeable = False
     return walls
@@ -359,17 +365,10 @@ def build_boundary_mesh(curve: InterfaceCurve, wall_panels_per_side: int) -> Bou
     np.clip(a[surf, 0], 0.0, 1.0, out=a[surf, 0])
     np.clip(b[surf, 0], 0.0, 1.0, out=b[surf, 0])
     a[surf.stop:], b[surf.stop:] = walls.a[2 * w:], walls.b[2 * w:]
-    mesh = BoundaryMesh(a=a, b=b, n_markers=curve.n_markers,
-                        wall_panels_per_side=w)
-    if polygon_area(mesh) <= 0.0:
+    mesh = BoundaryMesh(a=a, b=b, wall_panels_per_side=w)
+    if mesh.area <= 0.0:
         raise GeometryError("boundary polygon is not positively oriented")
     return mesh
-
-
-def polygon_area(mesh: BoundaryMesh) -> float:
-    """Shoelace area of the closed panel polygon."""
-    a, b = mesh.a, mesh.b
-    return float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
 
 
 def points_inside(mesh: BoundaryMesh, points: FloatArray) -> NDArray[np.bool_]:

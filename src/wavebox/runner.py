@@ -11,7 +11,7 @@ it — so only violated checks fail a run.
 writer and reader takes the names from it.
 
 ``build_report`` alone lays out a report, from the CSV columns, the
-configuration, c1 and ``run``, the values of ``RUN_KEYS``, which only a run
+configuration and ``run``, the values of ``RUN_KEYS``, which only a run
 knows: ``run_simulation`` returns them, ``verify-identities`` reads them from
 the stored report, rebuilds it offline, holds every stored value to the type
 a run writes and compares every other key, the key sets and their order.
@@ -42,8 +42,7 @@ from .diagnostics import (CSV_FIELDS, DERIVED_FIELDS, FINITE_FROM,
 from .errors import BREAKDOWN_KINDS, BreakdownError, GeometryError
 from .evolution import (FlowState, adaptive_dt, kinetic_energy,
                         redistribute_markers, rk4_step, state_derivative)
-from .geometry import (build_boundary_mesh, flat_interface, gradient_1d,
-                       polygon_area, row_norms)
+from .geometry import build_boundary_mesh, flat_interface, gradient_1d, row_norms
 from .modes import ModePotential, initial_A, sample_initial_state
 from .pressure import PressureField, pressure_min, wall_pressure_integral
 
@@ -226,7 +225,6 @@ class SimulationResult:
 
     table: dict[str, FloatArray]    # one float64 column per record field
     snapshots: list[FloatArray]     # (n,2) marker positions per record
-    c1: float
     run: dict                       # the values of RUN_KEYS
 
 
@@ -245,7 +243,7 @@ def _collect_record(state: FlowState, dt_used: float,
     return dict(
         t=state.t, L=L, volume_part=volume_part, wall_part=wall_part,
         p_min=p_min_val, wall_p_integral=wall_pressure_integral(field_),
-        energy=kinetic_energy(state), area=polygon_area(mesh), dt=dt_used,
+        energy=kinetic_energy(state), area=mesh.area, dt=dt_used,
         int_u1sq=int_u1_squared(mesh, cd),
         int_p=int_pressure(mesh, cd, field_.phi_t_cauchy),
         wall_u2sq=wall_u2_squared(mesh, cd), p_absmax=p_absmax,
@@ -312,11 +310,11 @@ def run_simulation(cfg: RunConfig) -> SimulationResult:
     # the t = 0 record is always taken: the initial surface is flat
     table = {name: np.array([r[name] for r in records], dtype=np.float64)
              for name in records[0]}
-    c1 = constant_c1(polygon_area(
-        build_boundary_mesh(flat_interface(cfg.n_markers),
-                            cfg.wall_panels_per_side)))
-    fill_derived(table, c1, records[0]["L"])
-    return SimulationResult(table=table, snapshots=snapshots, c1=c1, run={
+    # c1 from the flat surface's own mesh: build_report's c1, bit for bit.
+    # perfbench's traced mesh count includes this build.
+    fill_derived(table, constant_c1(build_boundary_mesh(
+        flat_interface(cfg.n_markers), cfg.wall_panels_per_side).area))
+    return SimulationResult(table=table, snapshots=snapshots, run={
         "a_quadrature": initial_A(potential), "breakdown_kind": kind,
         "breakdown_detail": detail, "t_final": state.t, "n_steps": n_steps,
         "p_absmax_max": _max_or(table["p_absmax"], math.nan),
@@ -464,21 +462,22 @@ RUN_KEYS = {"a_quadrature": float, "breakdown_kind": str, "breakdown_detail": st
             "max_corner_residual": float}
 
 
-def build_report(cfg: RunConfig, columns: dict[str, FloatArray], c1: float,
-                 run: dict) -> dict:
+def build_report(cfg: RunConfig, columns: dict[str, FloatArray], run: dict) -> dict:
     """The flat verification report, written as is (insertion order is frozen).
 
-    From the CSV columns of a table, the configuration, c1 and ``run``, the
+    From the CSV columns of a table, the configuration and ``run``, the
     values of ``RUN_KEYS``; a run broke down when its ``breakdown_kind`` is
     not None.  Besides ``evaluate_checks``' keys and ``run``, the report
     holds A = L(0), its relative difference from A by quadrature and their
-    agreement, c1, T* = c1/A, ``t_break`` (``t_final`` after a breakdown,
-    else NaN), whether it or t_final kept within T*, and ``all_passed``.
+    agreement, c1 = ``constant_c1`` of the first record's area, T* = c1/A,
+    ``t_break`` (``t_final`` after a breakdown, else NaN), whether it or
+    t_final kept within T*, and ``all_passed``.
     """
     broke = run["breakdown_kind"] is not None
     t_break = run["t_final"] if broke else math.nan
     checks = evaluate_checks(columns, cfg, broke)
-    a = float(columns["L"][0])
+    a, area0 = float(columns["L"][0]), float(columns["area"][0])
+    c1 = constant_c1(area0)
     a_rel_diff = abs(a - run["a_quadrature"]) / max(1.0, abs(run["a_quadrature"]))
     t_star = blowup_bound(a, c1) if checks["riccati_checked"] else math.nan
     # as in evaluate_checks, only a measured overrun fails: a NaN bound holds
@@ -502,7 +501,7 @@ def build_report(cfg: RunConfig, columns: dict[str, FloatArray], c1: float,
         "n_markers": cfg.n_markers,
         "wall_panels_per_side": cfg.wall_panels_per_side,
         "record_dt": cfg.record_dt,
-        "area0": float(columns["area"][0]),
+        "area0": area0,
         "p_absmax_max": run["p_absmax_max"],
         "max_corner_residual": run["max_corner_residual"],
         **checks,
@@ -642,7 +641,7 @@ def simulate(cfg: RunConfig, out_dir: str) -> bool:
     _clear_artifacts(out_dir)
     cfg_path, csv_path, report_path, snapshot_dir = _artifact_paths(out_dir)
     result = run_simulation(cfg)
-    report = build_report(cfg, result.table, result.c1, result.run)
+    report = build_report(cfg, result.table, result.run)
 
     with open(cfg_path, "w", newline="\n") as fh:
         json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
@@ -719,14 +718,12 @@ def verify_identities(run_dir: str) -> bool:
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    # The Riccati columns are recomputed, not trusted: A = L(0), and c1 is
-    # constant_c1 of the flat initial surface, whose area the first record
-    # carries.  One record has no L', so its slack is NaN.
+    # The Riccati columns are recomputed, not trusted, with c1 by
+    # build_report's rule.  One record has no L', so its slack is NaN.
     n = columns["t"].size
     c1 = constant_c1(float(columns["area"][0]))
     with np.errstate(all="ignore"):     # an edited L may overflow L' or L^2
-        envelope, slack = riccati_columns(columns["t"], columns["L"], c1,
-                                          float(columns["L"][0]))
+        envelope, slack = riccati_columns(columns["t"], columns["L"], c1)
     recomputed = {"envelope": envelope, "riccati_slack": slack}
     altered = [name for name, column in recomputed.items()
                if _differs(columns[name], column)]
@@ -734,7 +731,7 @@ def verify_identities(run_dir: str) -> bool:
     misplaced = [name for name, least in FINITE_FROM.items()
                  if not (np.isfinite if n >= least else np.isnan)(columns[name]).all()]
     columns.update(recomputed)
-    report = build_report(cfg, columns, c1, run)
+    report = build_report(cfg, columns, run)
     # a stored value must have the type a run writes for its rebuilt one
     for key, value in report.items():
         if key in stored and key not in RUN_KEYS:

@@ -13,8 +13,7 @@ import pytest
 
 from wavebox.bem import solve_mixed_bvp
 from wavebox.diagnostics import constant_c1
-from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
-                              flat_interface, polygon_area)
+from wavebox.geometry import InterfaceCurve, build_boundary_mesh, flat_interface
 from wavebox.modes import sample_initial_state
 from wavebox.pressure import PressureField
 from wavebox.runner import (RunConfig, _flat_mesh_errors, read_diagnostics_csv,
@@ -43,12 +42,30 @@ class TestCriterion1RiccatiConstant:
 
     def test_unit_square_gives_two(self):
         mesh = build_boundary_mesh(flat_interface(65), 16)
-        assert constant_c1(polygon_area(mesh)) == 2.0
+        assert constant_c1(mesh.area) == 2.0
 
     def test_half_area_gives_four_thirds(self):
         # area 0.5 => max(2*0.5, 4/3) = 4/3 exactly
         mesh = build_boundary_mesh(dipped_curve(201, 0.75), 16)
-        assert constant_c1(polygon_area(mesh)) == 4.0 / 3.0
+        assert constant_c1(mesh.area) == 4.0 / 3.0
+
+    @pytest.mark.parametrize("fixture", ["ref_run", "neg_run", "still_run"])
+    def test_area_column_and_c1_follow_the_stored_surfaces(self, fixture, request):
+        # Each stored snapshot, meshed again at the run's wall count, has its
+        # record's area bit for bit, and the report's c1 is constant_c1 of
+        # the first record's area.
+        run = request.getfixturevalue(fixture)
+        area = columns_of(run)["area"]
+        snapshots = os.path.join(run["dir"], "snapshots")
+        names = sorted(os.listdir(snapshots))
+        assert len(names) == area.size
+        for name, stored in zip(names, area.tolist()):
+            x = np.loadtxt(os.path.join(snapshots, name), delimiter=",",
+                           skiprows=1)[:, 1:]
+            mesh = build_boundary_mesh(InterfaceCurve(x),
+                                       run["cfg"].wall_panels_per_side)
+            assert mesh.area.hex() == stored.hex(), name
+        assert run["report"]["c1"] == constant_c1(area[0])
 
 
 class TestCriterion2BemConvergence:

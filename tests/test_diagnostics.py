@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wavebox.diagnostics import (DERIVED_FIELDS, _squares, blowup_bound,
                                  boundary_domain_integral, boundary_velocity,
                                  detect_breakdown, fill_derived,
-                                 int_u1_squared, riccati_envelope,
+                                 int_u1_squared, riccati_columns, riccati_envelope,
                                  virial_parts, wall_u2_squared)
 from wavebox.errors import BreakdownError, SelfIntersectionError
 from wavebox.geometry import (InterfaceCurve, build_boundary_mesh,
@@ -145,7 +145,7 @@ class TestRecordAlgebra:
         table = make_table([0.0, 1.0], [3.0, 11.0], volume_part=[2.0, 0.0],
                            wall_part=[1.0, 0.0], int_u1sq=[5.0, 0.0],
                            wall_u2sq=[4.0, 0.0])
-        fill_derived(table, c1=2.0, A=0.0)
+        fill_derived(table, c1=2.0)
         s28, sv, sw, rs = (table[name][0] for name in
                            ("slack_28", "schwarz_vol", "schwarz_wall",
                             "riccati_slack"))
@@ -157,7 +157,7 @@ class TestRecordAlgebra:
     def test_identity_residual_requires_uniform_times(self):
         table = make_table([0.0, 0.1, 0.3], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            fill_derived(table, c1=2.0, A=0.0)
+            fill_derived(table, c1=2.0)
 
     def test_fill_derived_on_exact_envelope(self):
         # records tracing the envelope exactly: riccati slack ~ 0, and the
@@ -165,7 +165,7 @@ class TestRecordAlgebra:
         A, c1 = 4.0, 2.0
         t = np.linspace(0.0, 0.3, 31)
         table = make_table(t, [A / (1.0 - A * ti / c1) for ti in t])
-        fill_derived(table, c1=c1, A=A)
+        fill_derived(table, c1=c1)
         L = table["L"]
         for i in range(1, t.size - 1):
             assert table["envelope"][i] == pytest.approx(L[i], rel=1e-12)
@@ -173,7 +173,7 @@ class TestRecordAlgebra:
 
     def test_fill_derived_skips_envelope_without_positive_A(self):
         table = make_table([0.0, 0.1, 0.2], [-1.0, -1.0, -1.0])
-        fill_derived(table, c1=2.0, A=-1.0)
+        fill_derived(table, c1=2.0)
         assert np.isnan(table["envelope"]).all()
 
 
@@ -249,10 +249,11 @@ def inequality_checks(record, area, c1, dL_dt):
     return slack_28, schwarz_vol, schwarz_wall, riccati_slack
 
 
-def reference_fill_derived(records, area0, c1, A):
+def reference_fill_derived(records, area0, c1):
     n = len(records)
     if n == 0:
-        return
+        raise ValueError("no records, so no A = L(0)")
+    A = records[0].L
     t = np.array([r.t for r in records])
     L = np.array([r.L for r in records])
     if A > 0.0:
@@ -282,19 +283,19 @@ _PRIMARY = ("t", "L", "volume_part", "wall_part", "int_u1sq", "int_p",
             "wall_u2sq", "wall_p_integral", "area")
 
 
-def assert_same_derived(columns, c1, A):
+def assert_same_derived(columns, c1):
     """fill_derived on the columns gives the reference's bits, or both raise."""
     n = len(columns["t"])
     records = [_Record(**{name: columns[name][i] for name in _PRIMARY})
                for i in range(n)]
     table = {name: np.array(columns[name], dtype=np.float64) for name in _PRIMARY}
     try:
-        reference_fill_derived(records, records[0].area if n else np.nan, c1, A)
+        reference_fill_derived(records, records[0].area if n else np.nan, c1)
     except ValueError:
         with pytest.raises(ValueError):
-            fill_derived(table, c1, A)
+            fill_derived(table, c1)
         return
-    fill_derived(table, c1, A)
+    fill_derived(table, c1)
     for name in DERIVED_FIELDS:
         want = np.array([getattr(r, name) for r in records], dtype=np.float64)
         got = table[name]
@@ -332,14 +333,17 @@ class TestFillDerivedBits:
 
     @settings(max_examples=300, deadline=None)
     @given(columns=primary_columns(), c1=st.floats(4.0 / 3.0, 4.0),
-           A=st.one_of(st.just(0.0), st.floats(-10.0, -1e-3),
+           A=st.one_of(st.none(), st.just(0.0), st.floats(-10.0, -1e-3),
                        st.floats(1e-3, 50.0)),
            horizon_at=st.one_of(st.none(), st.integers(0, 7)))
     def test_matches_per_record_reference(self, columns, c1, A, horizon_at):
+        # A = L(0): the drawn one (None), or A written into L(0)
         t = columns["t"]
         if horizon_at is not None and horizon_at < len(t) and t[horizon_at] > 0.0:
             A = c1 / t[horizon_at]       # the horizon lands on a record time
-        assert_same_derived(columns, c1, A)
+        if A is not None:
+            columns["L"][:1] = [A]
+        assert_same_derived(columns, c1)
 
     def test_pow_sensitive_squares(self):
         # L and both parts hold doubles whose x*x and x**2 differ, so numpy
@@ -355,16 +359,17 @@ class TestFillDerivedBits:
         for name in ("L", "volume_part", "wall_part"):
             col = np.array(columns[name])
             assert np.any(col * col != np.array([v ** 2 for v in col.tolist()]))
-        for A in (0.0, -2.0, 9000.0, 3.0):
-            assert_same_derived(columns, 2.0, A)
+        for A in (vals[0], 0.0, -2.0, 9000.0, 3.0):
+            assert_same_derived({**columns, "L": [A, *vals[1:]]}, 2.0)
 
     def test_horizon_on_a_record_time(self):
         # c1/A = 0.5 exactly: the envelope stops before that record
         columns = {name: [1.0, 2.0, 3.0, 4.0] for name in _PRIMARY}
         columns["t"] = [0.0, 0.25, 0.5, 0.75]
-        assert_same_derived(columns, 2.0, 4.0)
+        columns["L"] = [4.0, 2.0, 3.0, 4.0]        # A = L(0) = 4
+        assert_same_derived(columns, 2.0)
         table = {name: np.array(v) for name, v in columns.items()}
-        fill_derived(table, 2.0, 4.0)
+        fill_derived(table, 2.0)
         np.testing.assert_array_equal(table["envelope"],
                                       [4.0, 8.0, np.nan, np.nan])
 
@@ -378,7 +383,11 @@ class TestFillDerivedBits:
     def test_short_tables(self, n):
         columns = {name: [0.5 + k for k in range(n)] for name in _PRIMARY}
         columns["t"] = [0.1 * k for k in range(n)]
-        assert_same_derived(columns, 2.0, 1.5)
+        assert_same_derived(columns, 2.0)
+        if n == 0:
+            # no record, so no A = L(0): an error, not empty NaN columns
+            with pytest.raises(ValueError, match="no records"):
+                riccati_columns(np.empty(0), np.empty(0), 2.0)
 
 
 def breakdown_of(curve, cfg, L=None):

@@ -18,8 +18,8 @@ from wavebox.evolution import adaptive_dt, redistribute_markers, rk4_step
 from wavebox.geometry import (BoundaryMesh, InterfaceCurve,
                               _monotone_margin, build_boundary_mesh,
                               flat_interface, gradient_1d, points_inside,
-                              polygon_area, row_norms, self_intersects,
-                              side_wall_crossing, wall_mesh)
+                              row_norms, self_intersects, side_wall_crossing,
+                              wall_mesh)
 from wavebox.modes import sample_initial_state
 from wavebox.runner import RunConfig
 
@@ -473,6 +473,27 @@ class TestBoundaryMesh:
         assert np.all(mid[mesh.surface_slice, 1] == 1.0)
         assert np.all(mid[mesh.left_slice, 0] == 0.0)
 
+    @pytest.mark.parametrize("n, w", [(None, 4), (None, 24), (9, 4), (96, 24)])
+    def test_derived_slices_partition_the_panels(self, n, w):
+        # Bottom, right, surface, left, in order, from the panel count and
+        # w alone: w wall panels a side, and the n - 1 surface panels run
+        # right corner -> left corner; the wall mesh has no surface panel.
+        if n is None:
+            mesh, n_surface = wall_mesh(w), 0
+        else:
+            curve = bumped_interface(n)
+            mesh, n_surface = build_boundary_mesh(curve, w), n - 1
+        sides = (mesh.bottom_slice, mesh.right_slice, mesh.surface_slice,
+                 mesh.left_slice)
+        panels = [range(mesh.n_panels)[sl] for sl in sides]
+        assert [len(p) for p in panels] == [w, w, n_surface, w]
+        assert [i for p in panels for i in p] == list(range(mesh.n_panels))
+        assert np.all(mesh.a[mesh.bottom_slice, 1] == 0.0)
+        assert np.all(mesh.a[mesh.right_slice, 0] == 1.0)
+        assert np.all(mesh.a[mesh.left_slice, 0] == 0.0)
+        if n_surface:
+            assert np.array_equal(mesh.a[mesh.surface_slice], curve.x[:0:-1])
+
     def test_panel_rows(self):
         # The kernels' one read-only table: rows 0-1 are the starts ``a``
         # themselves, and the tangent, negated-normal and length rows are
@@ -496,8 +517,7 @@ class TestBoundaryMesh:
         for view in (mesh.a, mesh.tangents, mesh.lengths):
             assert np.shares_memory(view, mesh.panel_rows)
         assert [f.name for f in dataclasses.fields(BoundaryMesh)] == [
-            "a", "b", "n_markers", "wall_panels_per_side", "midpoints",
-            "panel_rows"]
+            "a", "b", "wall_panels_per_side", "midpoints", "panel_rows"]
         walls = wall_mesh(12)
         assert wall_mesh(12) is walls
         for array in (walls.a, walls.b, walls.midpoints, walls.panel_rows,
@@ -508,7 +528,7 @@ class TestBoundaryMesh:
         mesh = build_boundary_mesh(bumped_interface(25), 8)
         np.testing.assert_allclose(np.roll(mesh.a, -1, axis=0), mesh.b,
                                    atol=1e-15)
-        assert polygon_area(mesh) > 1.0   # bumped surface adds area
+        assert mesh.area > 1.0   # bumped surface adds area
 
     def test_normals_point_outward(self):
         mesh = build_boundary_mesh(bumped_interface(25), 8)
@@ -597,13 +617,13 @@ class TestBoundaryMesh:
 class TestPolygonMeasures:
     def test_unit_square_area(self):
         mesh = build_boundary_mesh(flat_interface(33), 8)
-        assert polygon_area(mesh) == pytest.approx(1.0, abs=1e-14)
+        assert mesh.area == pytest.approx(1.0, abs=1e-14)
 
     def test_bump_area_matches_quadrature(self):
         curve = bumped_interface(401, amplitude=0.2)
         mesh = build_boundary_mesh(curve, 8)
         # area = 1 + 0.2 * int sin^2(pi a) da = 1.1
-        assert polygon_area(mesh) == pytest.approx(1.1, abs=1e-5)
+        assert mesh.area == pytest.approx(1.1, abs=1e-5)
 
     def test_points_inside(self):
         mesh = build_boundary_mesh(flat_interface(17), 8)

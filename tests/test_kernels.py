@@ -218,7 +218,6 @@ def panel_log_integrals(a, b, target):
     """S and D of the straight panel a -> b at one target, as floats."""
     mesh = BoundaryMesh(a=np.array([a], dtype=np.float64),
                         b=np.array([b], dtype=np.float64),
-                        n_markers=0,
                         wall_panels_per_side=0)
     S, D = influence_matrices(mesh, np.asarray(target, dtype=np.float64))
     return float(S[0, 0]), float(D[0, 0])
@@ -731,7 +730,7 @@ class TestSolverBlocks:
         # A solver that filled the cached block on its first solve and read
         # it on its second must give both the same bits.
         mesh = bumped_mesh(33, 12)
-        phi_s = np.random.default_rng(5).standard_normal(mesh.n_markers - 1)
+        phi_s = np.random.default_rng(5).standard_normal(32)   # per surface panel
         bem._wall_block.cache_clear()
         first = bem.solve_mixed_bvp(mesh, phi_s)
         second = bem.solve_mixed_bvp(mesh, phi_s)
@@ -750,7 +749,8 @@ class TestSolverBlocks:
 # ---------------------------------------------------------------------------
 
 def assert_blocks_match(monkeypatch, mesh, budget, solver):
-    n_cols = mesh.n_markers - 1 if solver else mesh.n_panels
+    n_surface = mesh.n_panels - 3 * mesh.wall_panels_per_side
+    n_cols = n_surface if solver else mesh.n_panels
 
     def matrices():
         if solver:
@@ -815,7 +815,7 @@ class TestRowBlocks:
         # by default ten blocks of 63 or 64 rows
         mesh = build_boundary_mesh(flat_interface(256), 128)
         sizes = [rows.stop - rows.start for rows in kernels.row_blocks(639, 255)]
-        assert mesh.n_markers - 1 == 255 and sizes == [63] + [64] * 9
+        assert mesh.n_panels - 3 * 128 == 255 and sizes == [63] + [64] * 9
         assert_blocks_match(monkeypatch, mesh, budget, solver=True)
 
     def test_reference_lattice(self, monkeypatch):

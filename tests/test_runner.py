@@ -389,7 +389,7 @@ class TestRecordTimeBreakdown:
         assert result.run["n_steps"] == 1
         assert len(result.table["t"]) == 1
         assert result.run["breakdown_kind"] == "self_intersection"
-        report = runner.build_report(cfg, result.table, result.c1, result.run)
+        report = runner.build_report(cfg, result.table, result.run)
         assert report["t_break"] == result.run["t_final"] == 0.05
         assert "marker 22" in result.run["breakdown_detail"]
         # the outcome keeps no frame of the loop, nor the record's error:
